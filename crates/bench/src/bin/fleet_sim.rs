@@ -9,10 +9,14 @@
 //!           [--port-churn P] [--stale-timeout SECS]
 //!           [--metrics PATH] [--summary PATH] [--trace PATH]
 //!           [--energy-attribution] [--attribution-out PATH]
-//!           [--stream-export] [--spill-dir DIR] [--spill-chunk N]
-//!           [--stream-window N] [--trace-cap N] [--stream-smoke]
+//!           [--spill-dir DIR] [--spill-chunk N] [--stream-window N]
+//!           [--trace-cap N] [--stream-smoke]
 //!           [--profile-stages] [--smoke] [--log-level LEVEL]
 //! ```
+//!
+//! An unknown argument, a flag without its value, or a value that does
+//! not parse is a usage error: nothing runs, and the process exits 2
+//! with a message naming the flag.
 //!
 //! `--policy` selects the suspended clients' power-save protocol:
 //! `hide` (the default; byte-identical to the pre-policy engine),
@@ -41,6 +45,19 @@
 //! merge shard ledgers in BSS order, so they are byte-identical at any
 //! `--jobs` count.
 //!
+//! A run that writes `--trace` or `--attribution-out`, or runs
+//! `--stream-smoke`, always streams: the fleet runs in bounded
+//! windows, each window's trace log spills to a framed run file under
+//! `--spill-dir` (default: the OS temp dir), attribution rows go to
+//! `--attribution-out` shard by shard, and the trace is rendered by a
+//! chunked k-way merge over the spilled runs. Resident memory is
+//! bounded by the window, not the fleet, and every byte equals an
+//! in-memory render's (`crates/bench/tests/stream_differential.rs`).
+//! `--spill-chunk` (events per framed chunk), `--stream-window`
+//! (shards per window) and `--trace-cap` (per-shard ring capacity) tune
+//! the residency/IO trade. Streamed or not, every run writes the
+//! report, `--metrics` and `--summary` the same way.
+//!
 //! `--profile-stages` runs the fleet with per-stage wall-time
 //! profiling and prints a breakdown table (setup, queue pops, DTIM
 //! sweeps, churn, refreshes, arrivals, merge) plus one
@@ -48,153 +65,199 @@
 //! nondeterministic, so this output is separate from — and never
 //! spliced into — the golden-gated `hide-metrics/1` artifact; the
 //! `--metrics`/`--summary` files stay byte-identical with the flag on.
-//! Incompatible with `--trace` (the profiled path uses the no-op
-//! sink).
+//! The profiled run does not stream, so the flag cannot be combined
+//! with `--trace`, `--attribution-out` or `--stream-smoke`.
 //!
 //! `--smoke` shrinks the fleet for a seconds-long CI sanity run and
 //! asserts the two tier-1 invariants inline: a loss-free control run
 //! reports zero missed wakeups, and `--jobs 1` versus all-cores
 //! produces identical metrics and summary JSON.
 //!
-//! `--stream-export` switches every export onto the out-of-core
-//! pipeline: the fleet runs in bounded windows, each window's trace
-//! log spills to a framed run file under `--spill-dir` (default: the
-//! OS temp dir), attribution rows stream to `--attribution-out` shard
-//! by shard, and `--trace`/`--metrics`/`--summary` are produced by a
-//! chunked k-way merge over the spilled runs — resident memory is
-//! bounded by the window, not the fleet, and every output byte matches
-//! the in-memory path. `--spill-chunk` (events per framed chunk),
-//! `--stream-window` (shards per window) and `--trace-cap` (per-shard
-//! ring capacity) tune the residency/IO trade.
-//!
-//! `--stream-smoke` is the metro-scale CI gate: it implies
-//! `--stream-export`, streams the merged trace through a counting
-//! FNV-1a hasher (to a file when `--trace` is given, to a null sink
-//! otherwise), prints the content hash, and fails if peak RSS exceeds
-//! `stream_peak_rss_mb_ceiling` or throughput falls below
-//! `streamed_events_per_sec_floor` (both in `golden/perf_floors.toml`).
+//! `--stream-smoke` is the metro-scale CI gate: it streams the merged
+//! trace through a counting FNV-1a hasher (to a file when `--trace` is
+//! given, to a null sink otherwise), prints the content hash, and
+//! fails if peak RSS exceeds `stream_peak_rss_mb_ceiling` or
+//! throughput falls below `streamed_events_per_sec_floor` (both in
+//! `golden/perf_floors.toml`).
 
-use hide::energy::ClientEnergy;
 use hide::fleet::{
     ChurnConfig, FleetConfig, FleetResult, StreamExportConfig, StreamSinks, StreamedFleetResult,
 };
-use hide::obs::{export, Counter, HashingWriter, DEFAULT_TRACE_CAPACITY};
+use hide::obs::{Counter, HashingWriter};
 use hide::policy::{lookup, registry_keys, WakePolicy};
 use hide_obs::{log_error, log_info, LogLevel};
 use hide_traces::scenario::Scenario;
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The parsed command line.
+#[derive(Debug)]
+struct Opts {
+    cfg: FleetConfig,
+    jobs: usize,
+    stream: StreamExportConfig,
+    metrics: Option<String>,
+    summary: Option<String>,
+    trace: Option<String>,
+    attribution_out: Option<String>,
+    log_level: Option<LogLevel>,
+    energy_attribution: bool,
+    profile_stages: bool,
+    smoke: bool,
+    stream_smoke: bool,
 }
 
-fn parse_scenario(name: &str) -> Option<Scenario> {
-    Scenario::ALL
-        .into_iter()
-        .find(|s| s.label().eq_ignore_ascii_case(name))
+impl Opts {
+    /// Whether the run streams its trace and attribution rows out
+    /// through the spill pipeline instead of holding them in memory.
+    fn streams(&self) -> bool {
+        self.trace.is_some() || self.attribution_out.is_some() || self.stream_smoke
+    }
+}
+
+/// `value` parsed as the value of `flag`; a usage error naming the
+/// flag when it does not parse.
+fn parse<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
+}
+
+/// Parses the command line. `Err` is a usage message naming the
+/// offending flag or argument.
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let mut o = Opts {
+        cfg: FleetConfig {
+            bss_count: if smoke { 200 } else { 1000 },
+            clients_per_bss: if smoke { 8 } else { 100 },
+            adoption: 0.75,
+            duration_secs: if smoke { 10.0 } else { 60.0 },
+            seed: 42,
+            churn: ChurnConfig {
+                mean_present_secs: 120.0,
+                mean_absent_secs: 30.0,
+                mean_active_secs: 10.0,
+                mean_suspended_secs: 45.0,
+                refresh_interval_secs: 5.0,
+                refresh_loss: 0.1,
+                port_churn: 0.2,
+                stale_timeout_secs: 12.0,
+                ..ChurnConfig::default()
+            },
+            ..FleetConfig::default()
+        },
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        stream: StreamExportConfig::new(std::env::temp_dir()),
+        metrics: None,
+        summary: None,
+        trace: None,
+        attribution_out: None,
+        log_level: None,
+        energy_attribution: false,
+        profile_stages: false,
+        smoke,
+        stream_smoke: false,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        let mut value = || match args.next() {
+            Some(v) if !v.starts_with("--") => Ok(v.as_str()),
+            _ => Err(format!("{flag} expects a value")),
+        };
+        match flag {
+            "--smoke" => {}
+            "--energy-attribution" => o.energy_attribution = true,
+            "--profile-stages" => o.profile_stages = true,
+            "--stream-smoke" => o.stream_smoke = true,
+            "--bss" => o.cfg.bss_count = parse(flag, value()?)?,
+            "--clients" => o.cfg.clients_per_bss = parse(flag, value()?)?,
+            "--adoption" => o.cfg.adoption = parse(flag, value()?)?,
+            "--duration" => o.cfg.duration_secs = parse(flag, value()?)?,
+            "--seed" => o.cfg.seed = parse(flag, value()?)?,
+            "--jobs" => o.jobs = parse(flag, value()?)?,
+            "--refresh-interval" => o.cfg.churn.refresh_interval_secs = parse(flag, value()?)?,
+            "--refresh-loss" => o.cfg.churn.refresh_loss = parse(flag, value()?)?,
+            "--port-churn" => o.cfg.churn.port_churn = parse(flag, value()?)?,
+            "--stale-timeout" => o.cfg.churn.stale_timeout_secs = parse(flag, value()?)?,
+            "--spill-chunk" => o.stream.chunk_events = parse(flag, value()?)?,
+            "--stream-window" => o.stream.window = parse(flag, value()?)?,
+            "--trace-cap" => o.stream.trace_capacity = parse(flag, value()?)?,
+            "--log-level" => o.log_level = Some(parse(flag, value()?)?),
+            "--spill-dir" => o.stream.spill_dir = value()?.into(),
+            "--metrics" => o.metrics = Some(value()?.to_string()),
+            "--summary" => o.summary = Some(value()?.to_string()),
+            "--trace" => o.trace = Some(value()?.to_string()),
+            "--attribution-out" => o.attribution_out = Some(value()?.to_string()),
+            "--scenario" => {
+                let name = value()?;
+                o.cfg.scenario = Scenario::ALL
+                    .into_iter()
+                    .find(|s| s.label().eq_ignore_ascii_case(name))
+                    .ok_or_else(|| {
+                        format!(
+                            "--scenario {name:?}: unknown scenario; valid: {}",
+                            Scenario::ALL.map(|s| s.label()).join(", ")
+                        )
+                    })?;
+            }
+            "--policy" => {
+                let spec = value()?;
+                o.cfg.policy =
+                    WakePolicy::parse(spec).map_err(|e| format!("--policy {spec:?}: {e}"))?;
+            }
+            "--device" => {
+                let name = value()?;
+                let entry = lookup(name).ok_or_else(|| {
+                    format!(
+                        "--device {name:?}: unknown device; valid: {}",
+                        registry_keys().join(", ")
+                    )
+                })?;
+                o.cfg.profile = entry.profile;
+                o.cfg.battery = entry.battery();
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    if o.profile_stages && o.streams() {
+        return Err(
+            "--profile-stages cannot be combined with --trace, --attribution-out or --stream-smoke"
+                .to_string(),
+        );
+    }
+    Ok(o)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if let Some(level) = parse_flag::<LogLevel>(&args, "--log-level") {
+    let opts = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(usage) => {
+            eprintln!("fleet_sim: {usage}");
+            return ExitCode::from(2);
+        }
+    };
+    if let Some(level) = opts.log_level {
         hide_obs::log::set_level(level);
     }
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            log_error!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
-    let mut cfg = FleetConfig {
-        bss_count: if smoke { 200 } else { 1000 },
-        clients_per_bss: if smoke { 8 } else { 100 },
-        adoption: 0.75,
-        duration_secs: if smoke { 10.0 } else { 60.0 },
-        seed: 42,
-        churn: ChurnConfig {
-            mean_present_secs: 120.0,
-            mean_absent_secs: 30.0,
-            mean_active_secs: 10.0,
-            mean_suspended_secs: 45.0,
-            refresh_interval_secs: 5.0,
-            refresh_loss: 0.1,
-            port_churn: 0.2,
-            stale_timeout_secs: 12.0,
-            ..ChurnConfig::default()
-        },
-        ..FleetConfig::default()
-    };
-    if let Some(n) = parse_flag(&args, "--bss") {
-        cfg.bss_count = n;
-    }
-    if let Some(n) = parse_flag(&args, "--clients") {
-        cfg.clients_per_bss = n;
-    }
-    if let Some(f) = parse_flag(&args, "--adoption") {
-        cfg.adoption = f;
-    }
-    if let Some(d) = parse_flag(&args, "--duration") {
-        cfg.duration_secs = d;
-    }
-    if let Some(s) = parse_flag(&args, "--seed") {
-        cfg.seed = s;
-    }
-    if let Some(v) = parse_flag(&args, "--refresh-interval") {
-        cfg.churn.refresh_interval_secs = v;
-    }
-    if let Some(v) = parse_flag(&args, "--refresh-loss") {
-        cfg.churn.refresh_loss = v;
-    }
-    if let Some(v) = parse_flag(&args, "--port-churn") {
-        cfg.churn.port_churn = v;
-    }
-    if let Some(v) = parse_flag(&args, "--stale-timeout") {
-        cfg.churn.stale_timeout_secs = v;
-    }
-    if let Some(name) = parse_flag::<String>(&args, "--scenario") {
-        match parse_scenario(&name) {
-            Some(s) => cfg.scenario = s,
-            None => {
-                log_error!(
-                    "unknown scenario {name:?}; valid: {}",
-                    Scenario::ALL.map(|s| s.label()).join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(spec) = parse_flag::<String>(&args, "--policy") {
-        match WakePolicy::parse(&spec) {
-            Ok(p) => cfg.policy = p,
-            Err(e) => {
-                log_error!("--policy {spec:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(name) = parse_flag::<String>(&args, "--device") {
-        match lookup(&name) {
-            Some(entry) => {
-                cfg.profile = entry.profile;
-                cfg.battery = entry.battery();
-            }
-            None => {
-                log_error!(
-                    "unknown device {name:?}; valid: {}",
-                    registry_keys().join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs: usize = parse_flag(&args, "--jobs").unwrap_or(cores);
-
+fn run(o: &Opts) -> Result<(), String> {
+    let cfg = &o.cfg;
     log_info!(
         "fleet: {} BSS x {} clients, {:.0}% adoption, {} s horizon, \
          scenario {}, policy {}, device {}, seed {}, jobs {}",
@@ -206,120 +269,155 @@ fn main() -> ExitCode {
         cfg.policy.name(),
         cfg.profile.name,
         cfg.seed,
-        jobs,
+        o.jobs,
     );
-    let trace_path = parse_flag::<String>(&args, "--trace");
-    let profile_stages = args.iter().any(|a| a == "--profile-stages");
-    if profile_stages && trace_path.is_some() {
-        log_error!("--profile-stages is incompatible with --trace");
-        return ExitCode::FAILURE;
-    }
-    let stream_smoke = args.iter().any(|a| a == "--stream-smoke");
-    if stream_smoke || args.iter().any(|a| a == "--stream-export") {
-        if profile_stages {
-            log_error!("--stream-export is incompatible with --profile-stages");
-            return ExitCode::FAILURE;
-        }
-        return run_streamed(&args, &cfg, jobs, trace_path.as_deref(), stream_smoke);
-    }
     let t0 = Instant::now();
-    let result = if profile_stages {
-        let (result, profile) = match cfg.try_run_profiled_with_jobs(jobs) {
-            Ok(out) => out,
-            Err(e) => {
-                log_error!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", profile.render());
-        println!("{}", profile.to_json());
-        result
-    } else if let Some(path) = &trace_path {
-        let (result, flight) = match cfg.try_run_traced_with_jobs(jobs, DEFAULT_TRACE_CAPACITY) {
-            Ok(out) => out,
-            Err(e) => {
-                log_error!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // JSONL for machine consumption, Chrome-trace JSON otherwise.
-        // Both contain only simulation-time data here (no wall-clock
-        // stage spans), so the bytes are independent of --jobs.
-        let rendered = if path.ends_with(".jsonl") {
-            export::to_jsonl(&flight)
+    if !o.streams() {
+        let result = if o.profile_stages {
+            let (result, profile) = cfg
+                .try_run_profiled_with_jobs(o.jobs)
+                .map_err(|e| e.to_string())?;
+            print!("{}", profile.render());
+            println!("{}", profile.to_json());
+            result
         } else {
-            export::to_chrome_trace(&flight, None)
+            cfg.try_run_with_jobs(o.jobs).map_err(|e| e.to_string())?
         };
-        if let Err(e) = std::fs::write(path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
+        return finish(o, &result, t0.elapsed().as_secs_f64(), None);
+    }
+    let streamed = run_streamed(o)?;
+    let finished = finish(
+        o,
+        &streamed.result,
+        t0.elapsed().as_secs_f64(),
+        Some(&streamed),
+    );
+    // The spill file goes whether or not the tail succeeded.
+    let cleaned = streamed
+        .cleanup()
+        .map_err(|e| format!("removing spill file: {e}"));
+    finished.and(cleaned)
+}
+
+/// The streamed run: attribution rows go to `--attribution-out` shard
+/// by shard while the trace spills under `--spill-dir`.
+fn run_streamed(o: &Opts) -> Result<StreamedFleetResult, String> {
+    // Attribution rows leave memory during the run, so the sink must
+    // be open before it starts.
+    let mut attr = match &o.attribution_out {
+        Some(path) => Some(BufWriter::new(
+            File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
+        )),
+        None => None,
+    };
+    let mut sinks = StreamSinks::default();
+    if let (Some(f), Some(path)) = (attr.as_mut(), &o.attribution_out) {
+        if path.ends_with(".csv") {
+            sinks.attribution_csv = Some(f);
+        } else {
+            sinks.attribution_jsonl = Some(f);
+        }
+    }
+    let streamed = o
+        .cfg
+        .try_run_streamed_with_jobs(o.jobs, &o.stream, sinks)
+        .map_err(|e| e.to_string())?;
+    if let (Some(f), Some(path)) = (attr.as_mut(), &o.attribution_out) {
+        if let Err(e) = f.flush() {
+            let _ = streamed.cleanup();
+            return Err(format!("writing {path}: {e}"));
         }
         log_info!(
-            "trace written to {path} ({} events{})",
-            flight.len(),
-            if flight.dropped() > 0 {
-                format!(", {} dropped by the ring bound", flight.dropped())
-            } else {
-                String::new()
-            }
+            "attribution ledger written to {path} ({} client lanes)",
+            streamed.result.energy_clients
         );
-        result
-    } else {
-        match cfg.try_run_with_jobs(jobs) {
-            Ok(r) => r,
-            Err(e) => {
-                log_error!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    let energy_attr = args.iter().any(|a| a == "--energy-attribution");
-    report(&result, wall);
-    if energy_attr {
-        report_attribution(&result);
     }
+    Ok(streamed)
+}
 
-    if let Some(path) = parse_flag::<String>(&args, "--metrics") {
-        let rendered = if energy_attr {
+/// The one tail every run shares: the human report and attribution
+/// totals, the streamed trace export, `--metrics`, `--summary`, then
+/// the smoke gates.
+fn finish(
+    o: &Opts,
+    result: &FleetResult,
+    wall: f64,
+    streamed: Option<&StreamedFleetResult>,
+) -> Result<(), String> {
+    report(result, wall);
+    if o.energy_attribution {
+        print_attribution_totals(result);
+    }
+    let mut exported = None;
+    if let Some(s) = streamed {
+        log_info!(
+            "streamed: {} events in {} spilled runs ({} bytes), {} dropped by ring bounds",
+            s.events(),
+            s.spill.runs.len(),
+            s.spill.bytes,
+            s.dropped(),
+        );
+        let export_start = Instant::now();
+        exported = Some((export_trace(o, s)?, export_start.elapsed().as_secs_f64()));
+    }
+    if let Some(path) = &o.metrics {
+        let rendered = if o.energy_attribution {
             result.metrics_json_with_energy()
         } else {
             result.metrics_json()
         };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, rendered).map_err(|e| format!("writing {path}: {e}"))?;
         log_info!("metrics written to {path}");
     }
-    if let Some(path) = parse_flag::<String>(&args, "--attribution-out") {
-        let ledger = result.attribution();
-        let rendered = if path.ends_with(".csv") {
-            ledger.to_csv()
-        } else {
-            ledger.to_jsonl()
-        };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!(
-            "attribution ledger written to {path} ({} client lanes)",
-            ledger.len()
-        );
-    }
-    if let Some(path) = parse_flag::<String>(&args, "--summary") {
-        if let Err(e) = std::fs::write(&path, result.summary_json()) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &o.summary {
+        std::fs::write(path, result.summary_json()).map_err(|e| format!("writing {path}: {e}"))?;
         log_info!("summary written to {path}");
     }
-
-    if smoke {
-        return smoke_checks(&cfg, &result, jobs);
+    if let (Some(s), Some((events, export_wall))) = (streamed, exported) {
+        if o.stream_smoke {
+            stream_smoke_checks(s, events, wall + export_wall)?;
+        }
     }
-    ExitCode::SUCCESS
+    if o.smoke {
+        smoke_checks(o, result, streamed.is_none())?;
+    }
+    Ok(())
+}
+
+/// Merges the spilled runs into the `--trace` file through an FNV-1a
+/// hashing writer. The stream smoke without `--trace` renders the
+/// JSONL into a null sink, so the full merge + render path is
+/// exercised and content-hashed even without an output file. Returns
+/// the events written, if anything was rendered.
+fn export_trace(o: &Opts, s: &StreamedFleetResult) -> Result<Option<u64>, String> {
+    let Some(path) = &o.trace else {
+        if !o.stream_smoke {
+            return Ok(None);
+        }
+        let mut out = HashingWriter::new(std::io::sink());
+        let n = s.write_trace_jsonl(&mut out).map_err(|e| e.to_string())?;
+        log_info!(
+            "trace jsonl hashed ({n} events, {} bytes, fnv1a64 {:016x})",
+            out.bytes(),
+            out.hash()
+        );
+        return Ok(Some(n));
+    };
+    let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+    let mut out = HashingWriter::new(BufWriter::new(file));
+    let n = if path.ends_with(".jsonl") {
+        s.write_trace_jsonl(&mut out)
+    } else {
+        s.write_chrome_trace(None, &mut out)
+    }
+    .map_err(|e| e.to_string())?;
+    out.flush().map_err(|e| format!("writing {path}: {e}"))?;
+    log_info!(
+        "trace written to {path} ({n} events, {} bytes, fnv1a64 {:016x})",
+        out.bytes(),
+        out.hash()
+    );
+    Ok(Some(n))
 }
 
 fn report(result: &FleetResult, wall: f64) {
@@ -383,21 +481,16 @@ fn report(result: &FleetResult, wall: f64) {
     );
 }
 
-/// Human-readable per-cause joule split of the attribution ledger.
-fn report_attribution(result: &FleetResult) {
-    let ledger = result.attribution();
-    print_attribution_totals(ledger.len(), &ledger.totals());
-}
-
-/// Shared body of [`report_attribution`]: the streamed path calls it
-/// with the accumulated totals instead of a materialized ledger.
-fn print_attribution_totals(lanes: usize, t: &ClientEnergy) {
+/// Human-readable per-cause joule split of the folded attribution
+/// totals.
+fn print_attribution_totals(result: &FleetResult) {
+    let t = &result.energy_totals;
     let j = |nj: u64| nj as f64 / 1e9;
     println!(
         "attribution: {} client lanes, spent {:.3} J  \
          [proper {:.3}  legacy {:.3}  spurious {:.3}  beacon {:.3}  \
          burst-rx {:.3}  refresh-tx {:.3}]",
-        lanes,
+        result.energy_clients,
         j(t.spent_nj()),
         j(t.proper_nj),
         j(t.legacy_nj),
@@ -415,171 +508,6 @@ fn print_attribution_totals(lanes: usize, t: &ClientEnergy) {
         j(t.missed_forgone_nj.port_churn),
         j(t.missed_forgone_nj.unknown),
     );
-}
-
-/// The out-of-core export path (`--stream-export` / `--stream-smoke`).
-fn run_streamed(
-    args: &[String],
-    cfg: &FleetConfig,
-    jobs: usize,
-    trace_path: Option<&str>,
-    smoke: bool,
-) -> ExitCode {
-    let mut stream = StreamExportConfig::new(
-        parse_flag::<PathBuf>(args, "--spill-dir").unwrap_or_else(std::env::temp_dir),
-    );
-    if let Some(n) = parse_flag(args, "--spill-chunk") {
-        stream.chunk_events = n;
-    }
-    if let Some(n) = parse_flag(args, "--stream-window") {
-        stream.window = n;
-    }
-    if let Some(n) = parse_flag(args, "--trace-cap") {
-        stream.trace_capacity = n;
-    }
-
-    // Attribution rows leave memory during the run, so the sink must
-    // be open before it starts.
-    let attr_path = parse_flag::<String>(args, "--attribution-out");
-    let mut attr_file = match &attr_path {
-        Some(path) => match File::create(path) {
-            Ok(f) => Some(BufWriter::new(f)),
-            Err(e) => {
-                log_error!("creating {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let attr_is_csv = attr_path.as_deref().is_some_and(|p| p.ends_with(".csv"));
-    let sinks = match (&mut attr_file, attr_is_csv) {
-        (Some(f), true) => StreamSinks {
-            attribution_csv: Some(f),
-            attribution_jsonl: None,
-        },
-        (Some(f), false) => StreamSinks {
-            attribution_csv: None,
-            attribution_jsonl: Some(f),
-        },
-        (None, _) => StreamSinks::default(),
-    };
-
-    let t0 = Instant::now();
-    let streamed = match cfg.try_run_streamed_with_jobs(jobs, &stream, sinks) {
-        Ok(s) => s,
-        Err(e) => {
-            log_error!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run_wall = t0.elapsed().as_secs_f64();
-    if let Some(f) = attr_file.as_mut() {
-        if let Err(e) = f.flush() {
-            log_error!("flushing attribution sink: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &attr_path {
-        log_info!(
-            "attribution ledger streamed to {path} ({} client lanes)",
-            streamed.energy_clients
-        );
-    }
-
-    report(&streamed.result, run_wall);
-    if args.iter().any(|a| a == "--energy-attribution") {
-        print_attribution_totals(streamed.energy_clients, &streamed.energy_totals);
-    }
-    log_info!(
-        "streamed: {} events in {} spilled runs ({} bytes), {} dropped by ring bounds",
-        streamed.events(),
-        streamed.spill.runs.len(),
-        streamed.spill.bytes,
-        streamed.dropped(),
-    );
-
-    // Merge the spilled runs into the trace export. The smoke gate
-    // always streams the JSONL render (to a null sink when no --trace
-    // path is given) so the full merge+render path is exercised and
-    // content-hashed even without an output file.
-    let export_start = Instant::now();
-    let mut exported_events: Option<u64> = None;
-    let export_result: Result<(), hide::fleet::FleetError> = match trace_path {
-        Some(path) => match File::create(path) {
-            Ok(f) => {
-                let mut out = HashingWriter::new(BufWriter::new(f));
-                let written = if path.ends_with(".jsonl") {
-                    streamed.write_trace_jsonl(&mut out)
-                } else {
-                    streamed.write_chrome_trace(None, &mut out)
-                };
-                written
-                    .and_then(|n| {
-                        out.flush()
-                            .map_err(|e| hide::fleet::FleetError::Export(e.to_string()))?;
-                        Ok(n)
-                    })
-                    .map(|n| {
-                        exported_events = Some(n);
-                        log_info!(
-                            "trace streamed to {path} ({n} events, {} bytes, fnv1a64 {:016x})",
-                            out.bytes(),
-                            out.hash()
-                        );
-                    })
-            }
-            Err(e) => Err(hide::fleet::FleetError::Export(e.to_string())),
-        },
-        None if smoke => {
-            let mut out = HashingWriter::new(std::io::sink());
-            streamed.write_trace_jsonl(&mut out).map(|n| {
-                exported_events = Some(n);
-                log_info!(
-                    "trace jsonl hashed ({n} events, {} bytes, fnv1a64 {:016x})",
-                    out.bytes(),
-                    out.hash()
-                );
-            })
-        }
-        None => Ok(()),
-    };
-    if let Err(e) = export_result {
-        log_error!("{e}");
-        let _ = streamed.cleanup();
-        return ExitCode::FAILURE;
-    }
-    let export_wall = export_start.elapsed().as_secs_f64();
-
-    if let Some(path) = parse_flag::<String>(args, "--metrics") {
-        let rendered = if args.iter().any(|a| a == "--energy-attribution") {
-            streamed.metrics_json_with_energy()
-        } else {
-            streamed.result.metrics_json()
-        };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!("metrics written to {path}");
-    }
-    if let Some(path) = parse_flag::<String>(args, "--summary") {
-        if let Err(e) = std::fs::write(&path, streamed.result.summary_json()) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!("summary written to {path}");
-    }
-
-    let code = if smoke {
-        stream_smoke_checks(&streamed, exported_events, run_wall + export_wall)
-    } else {
-        ExitCode::SUCCESS
-    };
-    if let Err(e) = streamed.cleanup() {
-        log_error!("removing spill file: {e}");
-        return ExitCode::FAILURE;
-    }
-    code
 }
 
 /// Peak resident set of this process (`VmHWM`), in MiB. `None` when
@@ -603,14 +531,13 @@ fn stream_smoke_checks(
     streamed: &StreamedFleetResult,
     exported_events: Option<u64>,
     wall: f64,
-) -> ExitCode {
+) -> Result<(), String> {
     if let Some(n) = exported_events {
         if n != streamed.events() {
-            log_error!(
+            return Err(format!(
                 "STREAM SMOKE FAIL: exported {n} events but spilled {}",
                 streamed.events()
-            );
-            return ExitCode::FAILURE;
+            ));
         }
     }
     let events_per_sec = streamed.result.report.events as f64 / wall.max(1e-9);
@@ -620,28 +547,26 @@ fn stream_smoke_checks(
         events_per_sec
     );
     if events_per_sec < floor {
-        log_error!(
+        return Err(format!(
             "STREAM SMOKE FAIL: {events_per_sec:.0} events/sec below the \
              {floor:.0} floor (golden/perf_floors.toml)"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     match peak_rss_mb() {
         Some(rss) => {
             let ceiling = perf_floor("stream_peak_rss_mb_ceiling");
             log_info!("stream smoke: peak RSS {rss:.0} MiB (ceiling {ceiling:.0})");
             if rss > ceiling {
-                log_error!(
+                return Err(format!(
                     "STREAM SMOKE FAIL: peak RSS {rss:.0} MiB exceeds the \
                      {ceiling:.0} MiB ceiling (golden/perf_floors.toml)"
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         }
         None => log_info!("stream smoke: /proc unavailable, skipping the RSS ceiling"),
     }
     log_info!("stream smoke: ok (bounded memory, throughput above floor)");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Read one `key = value` number out of the checked-in perf-floor
@@ -665,63 +590,135 @@ fn perf_floor(key: &str) -> f64 {
 }
 
 /// CI invariants: determinism across jobs counts and the loss-free
-/// missed-wakeup guarantee.
-fn smoke_checks(cfg: &FleetConfig, result: &FleetResult, jobs: usize) -> ExitCode {
+/// missed-wakeup guarantee. `kept_rows` is false for a streamed run,
+/// whose attribution rows left memory through the sink (its energy
+/// totals still ride in the compared metrics).
+fn smoke_checks(o: &Opts, result: &FleetResult, kept_rows: bool) -> Result<(), String> {
+    let (cfg, jobs) = (&o.cfg, o.jobs);
     log_info!("smoke: re-running at jobs=1 for the determinism check...");
-    let serial = match cfg.try_run_with_jobs(1) {
-        Ok(r) => r,
-        Err(e) => {
-            log_error!("smoke rerun failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let serial = cfg
+        .try_run_with_jobs(1)
+        .map_err(|e| format!("smoke rerun failed: {e}"))?;
     if serial.metrics_json() != result.metrics_json()
         || serial.summary_json() != result.summary_json()
         || serial.metrics_json_with_energy() != result.metrics_json_with_energy()
-        || serial.attribution().to_csv() != result.attribution().to_csv()
+        || (kept_rows && serial.attribution().to_csv() != result.attribution().to_csv())
     {
-        log_error!("SMOKE FAIL: jobs=1 and jobs={jobs} outputs differ");
-        return ExitCode::FAILURE;
+        return Err(format!("SMOKE FAIL: jobs=1 and jobs={jobs} outputs differ"));
     }
     let mut lossless = cfg.clone();
     lossless.churn.refresh_loss = 0.0;
     log_info!("smoke: loss-free control run...");
-    let control = match lossless.try_run_with_jobs(jobs) {
-        Ok(r) => r,
-        Err(e) => {
-            log_error!("smoke control failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let control = lossless
+        .try_run_with_jobs(jobs)
+        .map_err(|e| format!("smoke control failed: {e}"))?;
     if control.report.missed_wakeups != 0 {
-        log_error!(
+        return Err(format!(
             "SMOKE FAIL: {} missed wakeups with zero refresh loss",
             control.report.missed_wakeups
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     // Policy seam invariants: non-HIDE policies must run none of the
     // HIDE machinery, and a scheduled policy wakes only in-window.
     if !cfg.policy.uses_port_refresh()
         && (result.report.refreshes_sent != 0 || result.report.hide_wakeups != 0)
     {
-        log_error!(
+        return Err(format!(
             "SMOKE FAIL: policy {} ran HIDE machinery \
              ({} refreshes, {} hide wakeups)",
             cfg.policy.name(),
             result.report.refreshes_sent,
             result.report.hide_wakeups
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     if cfg.policy.schedule().is_some() && result.report.wakeups != result.report.scheduled_wakes {
-        log_error!(
+        return Err(format!(
             "SMOKE FAIL: {} wakeups but only {} inside the service window",
-            result.report.wakeups,
-            result.report.scheduled_wakes
-        );
-        return ExitCode::FAILURE;
+            result.report.wakeups, result.report.scheduled_wakes
+        ));
     }
     log_info!("smoke: ok (deterministic across jobs, loss-free run missed 0 wakeups)");
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Opts, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn well_formed_flags_set_the_run() {
+        let o = parse_line(
+            "--bss 3 --clients 5 --duration 2.5 --jobs 0 --seed 7 --scenario wml \
+             --policy psm --device galaxy-s4 --refresh-loss 0.3 --trace t.jsonl \
+             --spill-chunk 9 --stream-window 4 --trace-cap 16 --energy-attribution",
+        )
+        .unwrap();
+        assert_eq!((o.cfg.bss_count, o.cfg.clients_per_bss), (3, 5));
+        assert_eq!((o.cfg.duration_secs, o.jobs, o.cfg.seed), (2.5, 0, 7));
+        assert_eq!(o.cfg.scenario, Scenario::Wml);
+        assert_eq!(o.cfg.policy, WakePolicy::LegacyPsm);
+        assert_eq!(o.cfg.profile, lookup("galaxy-s4").unwrap().profile);
+        assert_eq!(o.cfg.churn.refresh_loss, 0.3);
+        assert_eq!(o.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(o.stream.chunk_events, 9);
+        assert_eq!((o.stream.window, o.stream.trace_capacity), (4, 16));
+        assert!(o.energy_attribution && o.streams() && !o.smoke);
+    }
+
+    #[test]
+    fn smoke_shrinks_the_defaults_and_flags_still_override() {
+        let o = parse_line("--smoke").unwrap();
+        assert_eq!((o.cfg.bss_count, o.cfg.clients_per_bss), (200, 8));
+        assert!(o.smoke && !o.streams());
+        let o = parse_line("--bss 5 --smoke").unwrap();
+        assert_eq!(o.cfg.bss_count, 5);
+    }
+
+    #[test]
+    fn malformed_values_are_usage_errors_naming_the_flag() {
+        for (line, flag) in [
+            ("--duration abc", "--duration"),
+            ("--bss 2 --clients 2 --duration abc --jobs x", "--duration"),
+            ("--jobs x", "--jobs"),
+            ("--bss -1", "--bss"),
+            ("--seed 1.5", "--seed"),
+            ("--adoption", "--adoption"),
+            ("--metrics --smoke", "--metrics"),
+            ("--scenario mars", "--scenario"),
+            ("--policy nap", "--policy"),
+            ("--device toaster", "--device"),
+            ("--log-level loud", "--log-level"),
+        ] {
+            let err = parse_line(line).unwrap_err();
+            assert!(err.starts_with(flag), "{line:?} gave {err:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        for line in ["--stream-export", "--bss 2 --frobnicate", "stray"] {
+            let err = parse_line(line).unwrap_err();
+            assert!(err.starts_with("unknown argument"), "{line:?} gave {err:?}");
+        }
+    }
+
+    #[test]
+    fn streamed_outputs_exclude_stage_profiling() {
+        assert!(parse_line("--profile-stages --metrics m.json").is_ok());
+        for extra in [
+            "--trace t.json",
+            "--attribution-out a.csv",
+            "--stream-smoke",
+        ] {
+            let line = format!("--profile-stages {extra}");
+            assert!(parse_line(&line).is_err(), "{line:?} was accepted");
+        }
+        assert!(parse_line("--attribution-out a.csv").unwrap().streams());
+        assert!(parse_line("--stream-smoke").unwrap().streams());
+    }
 }

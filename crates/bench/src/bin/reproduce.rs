@@ -6,7 +6,6 @@
 //!           [--csv <dir>] [--jobs N] [--metrics <file.json>] [--trace <file>]
 //!           [--policy NAME] [--device NAME]
 //!           [--energy-attribution] [--attribution-out <file>]
-//!           [--stream-export]
 //! ```
 //!
 //! With no argument (or `all`) every experiment runs in paper order.
@@ -45,13 +44,8 @@
 //! columns). `--attribution-out <file>` exports the per-client rows as
 //! CSV (`.csv`) or JSON Lines.
 //!
-//! `--stream-export` routes the `--trace` export through the
-//! out-of-core spill pipeline instead of rendering in memory: the
-//! flight-recorded events spill to a temp file in the framed
-//! `hide-spill/1` codec, then a k-way merge streams them into the
-//! JSONL/Chrome-trace writer. The output is byte-identical to the
-//! in-memory render — this knob exists to exercise the same code path
-//! the metro-scale fleet driver depends on, at reference-run scale.
+//! An unknown `--` flag, or a flag missing its value, is a usage error
+//! (exit 2).
 
 use hide::HideError;
 use hide_bench as harness;
@@ -59,6 +53,17 @@ use hide_energy::profile::{GALAXY_S4, NEXUS_ONE};
 use hide_obs::{export, FlightRecorder, Recorder, Stage};
 use hide_sim::protocol_sim::ProtocolSimulation;
 use std::time::Instant;
+
+/// Flags that take a value; `--energy-attribution` is the only switch.
+const VALUE_FLAGS: [&str; 7] = [
+    "--csv",
+    "--jobs",
+    "--metrics",
+    "--trace",
+    "--attribution-out",
+    "--policy",
+    "--device",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,6 +94,11 @@ impl<E: Into<HideError>> From<E> for Exit {
 }
 
 fn run(args: &[String]) -> Result<(), Exit> {
+    if let Some(flag) = args.iter().find(|a| {
+        a.starts_with("--") && *a != "--energy-attribution" && !VALUE_FLAGS.contains(&a.as_str())
+    }) {
+        return Err(Exit::Usage(format!("unknown flag {flag:?}")));
+    }
     let csv_dir = flag_value(args, "--csv")?.map(std::path::PathBuf::from);
     let metrics_path = flag_value(args, "--metrics")?.map(std::path::PathBuf::from);
     let trace_path = flag_value(args, "--trace")?.map(std::path::PathBuf::from);
@@ -116,15 +126,7 @@ fn run(args: &[String]) -> Result<(), Exit> {
     let flag_values: Vec<usize> = args
         .iter()
         .enumerate()
-        .filter(|(_, a)| {
-            *a == "--csv"
-                || *a == "--jobs"
-                || *a == "--metrics"
-                || *a == "--trace"
-                || *a == "--attribution-out"
-                || *a == "--policy"
-                || *a == "--device"
-        })
+        .filter(|(_, a)| VALUE_FLAGS.contains(&a.as_str()))
         .map(|(i, _)| i + 1)
         .collect();
     let arg = args
@@ -265,7 +267,7 @@ fn run(args: &[String]) -> Result<(), Exit> {
              fig6 fig7 fig8 fig9 fig10 fig11 fig12 host-costs ext policy \
              [--csv <dir>] [--jobs N] [--metrics <file.json>] [--trace <file>] \
              [--policy NAME] [--device NAME] \
-             [--energy-attribution] [--attribution-out <file>] [--stream-export]"
+             [--energy-attribution] [--attribution-out <file>]"
         )));
     }
 
@@ -279,16 +281,12 @@ fn run(args: &[String]) -> Result<(), Exit> {
             .run_traced(&mut hide_obs::NoopSink, &mut flight)?;
         if let Some(path) = &trace_path {
             let events = flight.len();
-            if args.iter().any(|a| a == "--stream-export") {
-                stream_trace_export(&flight, &recorder, path)?;
+            let rendered = if path.extension().is_some_and(|e| e == "jsonl") {
+                export::to_jsonl(&flight)
             } else {
-                let rendered = if path.extension().is_some_and(|e| e == "jsonl") {
-                    export::to_jsonl(&flight)
-                } else {
-                    export::to_chrome_trace(&flight, Some(&recorder))
-                };
-                std::fs::write(path, rendered).map_err(HideError::from)?;
-            }
+                export::to_chrome_trace(&flight, Some(&recorder))
+            };
+            std::fs::write(path, rendered).map_err(HideError::from)?;
             println!("\ntrace written to {} ({events} events)", path.display());
         }
         if energy_attr {
@@ -338,42 +336,6 @@ fn run(args: &[String]) -> Result<(), Exit> {
         print!("{}", recorder.render_summary());
         println!("metrics json written to {}", path.display());
     }
-    Ok(())
-}
-
-/// `--stream-export` body: spill the flight-recorded events to a temp
-/// file in the `hide-spill/1` codec, then k-way-merge them back into a
-/// streaming JSONL / Chrome-trace render. Byte-identical to the
-/// in-memory export; the spill file is removed on success and on error.
-fn stream_trace_export(
-    flight: &FlightRecorder,
-    recorder: &Recorder,
-    path: &std::path::Path,
-) -> Result<(), Exit> {
-    use std::io::Write as _;
-    let to_io = |e: hide_obs::SpillError| std::io::Error::other(e.to_string());
-    let spill_path =
-        std::env::temp_dir().join(format!("hide-reproduce-spill-{}.bin", std::process::id()));
-    let run = || -> Result<(), std::io::Error> {
-        let mut writer = hide_obs::SpillWriter::create(&spill_path, 4096).map_err(to_io)?;
-        // Copy (not drain) so the later provenance join still sees the
-        // recorder's events.
-        let events: Vec<_> = flight.events().cloned().collect();
-        writer.write_run(&events, flight.dropped()).map_err(to_io)?;
-        drop(events);
-        let index = writer.finish().map_err(to_io)?;
-        let mut merge = index.merge().map_err(to_io)?;
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        if path.extension().is_some_and(|e| e == "jsonl") {
-            export::stream_jsonl(&mut merge, &mut out).map_err(to_io)?;
-        } else {
-            export::stream_chrome_trace(&mut merge, Some(recorder), &mut out).map_err(to_io)?;
-        }
-        out.flush()
-    };
-    let result = run();
-    let _ = std::fs::remove_file(&spill_path);
-    result.map_err(HideError::from)?;
     Ok(())
 }
 

@@ -256,11 +256,7 @@ impl AccessPoint {
     }
 
     /// Processes a UDP Port Message: refreshes the Client UDP Port
-    /// Table and returns the ACK to transmit (Fig. 2, steps 1-2). This
-    /// is the canonical entry point — the deprecated
-    /// [`AccessPoint::handle_udp_port_message`] /
-    /// [`AccessPoint::handle_udp_port_message_at`] pair are thin shims
-    /// over it.
+    /// Table and returns the ACK to transmit (Fig. 2, steps 1-2).
     ///
     /// When `ctx` carries a timestamp ([`ApCtx::now`] is `Some`), the
     /// table entries it installs become eligible for
@@ -311,41 +307,6 @@ impl AccessPoint {
             refresh(&mut self.port_table, msg.ports());
         }
         Ok(Ack::new(msg.client()))
-    }
-
-    /// Untimed [`AccessPoint::process_port_message`]: the installed
-    /// table entries never expire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownClient`] when the sender is not
-    /// associated.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `process_port_message` with an `ApCtx` (untimed contexts reproduce this behavior)"
-    )]
-    pub fn handle_udp_port_message(&mut self, msg: &UdpPortMessage) -> Result<Ack, CoreError> {
-        self.process_port_message(msg, &mut ApCtx::untimed())
-    }
-
-    /// Timed [`AccessPoint::process_port_message`]: entries installed
-    /// at `now` age out through
-    /// [`AccessPoint::expire_stale_port_entries`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownClient`] when the sender is not
-    /// associated.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `process_port_message` with `ApCtx::at(now)`"
-    )]
-    pub fn handle_udp_port_message_at(
-        &mut self,
-        msg: &UdpPortMessage,
-        now: f64,
-    ) -> Result<Ack, CoreError> {
-        self.process_port_message(msg, &mut ApCtx::at(now))
     }
 
     /// Expires port-table entries whose last timestamped refresh is
@@ -457,33 +418,6 @@ impl AccessPoint {
         self.emit_dtim_beacon(index, &mut ApCtx::untimed())
     }
 
-    /// [`AccessPoint::dtim_beacon`] with instrumentation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `emit_dtim_beacon` with `ApCtx::untimed().with_metrics(sink)`"
-    )]
-    pub fn dtim_beacon_observed<S: MetricsSink>(&mut self, index: u64, sink: &mut S) -> Beacon {
-        self.emit_dtim_beacon(index, &mut ApCtx::untimed().with_metrics(sink))
-    }
-
-    /// [`AccessPoint::dtim_beacon`] with instrumentation and event
-    /// tracing.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `emit_dtim_beacon` with `ApCtx::untimed().with_metrics(sink).with_trace(trace)`"
-    )]
-    pub fn dtim_beacon_traced<S: MetricsSink, T: TraceSink>(
-        &mut self,
-        index: u64,
-        sink: &mut S,
-        trace: &mut T,
-    ) -> Beacon {
-        self.emit_dtim_beacon(
-            index,
-            &mut ApCtx::untimed().with_metrics(sink).with_trace(trace),
-        )
-    }
-
     /// Builds a non-DTIM beacon (`dtim_count > 0`): no broadcast flags,
     /// unicast TIM bits only.
     pub fn beacon(&mut self, index: u64, dtim_count: u8) -> Beacon {
@@ -532,18 +466,6 @@ impl AccessPoint {
     /// Uninstrumented [`AccessPoint::drain_broadcasts`] sugar.
     pub fn deliver_broadcasts(&mut self) -> Vec<BroadcastDataFrame> {
         self.drain_broadcasts(&mut ApCtx::untimed())
-    }
-
-    /// [`AccessPoint::deliver_broadcasts`] with instrumentation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `drain_broadcasts` with `ApCtx::untimed().with_metrics(sink)`"
-    )]
-    pub fn deliver_broadcasts_observed<S: MetricsSink>(
-        &mut self,
-        sink: &mut S,
-    ) -> Vec<BroadcastDataFrame> {
-        self.drain_broadcasts(&mut ApCtx::untimed().with_metrics(sink))
     }
 
     /// Number of frames currently buffered (`n_f` at the next DTIM).
@@ -862,16 +784,8 @@ mod tests {
         let observed = ap
             .clone()
             .emit_dtim_beacon(0, &mut ApCtx::untimed().with_metrics(&mut rec));
-        // The deprecated shim must stay byte-for-byte equivalent to the
-        // canonical entry point for as long as it exists.
-        #[allow(deprecated)]
-        let shimmed = {
-            let mut shim_rec = Recorder::new();
-            ap.clone().dtim_beacon_observed(0, &mut shim_rec)
-        };
         let plain = ap.dtim_beacon(0);
         assert_eq!(observed.to_bytes(), plain.to_bytes());
-        assert_eq!(shimmed.to_bytes(), plain.to_bytes());
         assert_eq!(rec.counter(Counter::BtimBeacons), 1);
         assert_eq!(rec.counter(Counter::BtimBitsSet), 1);
         assert!(rec.counter(Counter::BtimBytes) > 0);

@@ -33,13 +33,13 @@
 use crate::error::FleetError;
 use crate::fleet::FleetConfig;
 use crate::kernel::{derive_seed, EventQueue};
-use crate::profile::{FleetStage, NoopProfiler, StageProfiler};
+use crate::profile::{FleetStage, StageProfiler};
 use hide_core::ap::{AccessPoint, ApCtx, ClientPortTable};
 use hide_core::error::CoreError;
 use hide_energy::attribution::{joules_to_nj, AttributionLedger, ClientEnergy, WakePricing};
 use hide_obs::{
-    Counter, Distribution, MetricsSink, NoopTrace, Recorder, Stage, TraceEventKind, TraceSink,
-    WakeCause, WakeClass,
+    Counter, Distribution, MetricsSink, Recorder, Stage, TraceEventKind, TraceSink, WakeCause,
+    WakeClass,
 };
 use hide_traces::record::TraceFrame;
 use hide_traces::stream::FrameStream;
@@ -1020,31 +1020,14 @@ impl<'a> Engine<'a> {
 /// Runs one BSS to completion, returning its tallies and a recorder
 /// holding only this shard's metrics (fanned into the fleet aggregate
 /// in input order by the caller).
-pub(crate) fn run_bss(
-    cfg: &FleetConfig,
-    bss_index: usize,
-) -> Result<(BssReport, Recorder), FleetError> {
-    run_bss_traced(cfg, bss_index, &mut NoopTrace)
-}
-
-/// [`run_bss`] with event tracing: the shard's kernel streams
-/// structured events into `trace` in simulation-time order. The metrics
-/// side is identical to the untraced run — the engine performs online
-/// provenance attribution either way — so `--trace` never changes the
-/// `hide-metrics/1` artifact.
-pub(crate) fn run_bss_traced<T: TraceSink>(
-    cfg: &FleetConfig,
-    bss_index: usize,
-    trace: &mut T,
-) -> Result<(BssReport, Recorder), FleetError> {
-    run_bss_profiled(cfg, bss_index, trace, &mut NoopProfiler)
-}
-
-/// [`run_bss_traced`] with per-stage wall-time profiling. Profiling
-/// never touches the metrics artifact — spans land in the fleet-local
-/// [`StageProfiler`], not the golden-gated recorder — so the profiled
-/// run's outputs are byte-identical to the unprofiled run's.
-pub(crate) fn run_bss_profiled<T: TraceSink, P: StageProfiler>(
+///
+/// The shard's kernel streams structured events into `trace` in
+/// simulation-time order and its per-stage wall time into `prof`.
+/// Neither touches the metrics side — the engine performs online
+/// provenance attribution either way, and spans land in the
+/// fleet-local [`StageProfiler`], not the golden-gated recorder — so
+/// tracing and profiling never change the `hide-metrics/1` artifact.
+pub(crate) fn run_bss<T: TraceSink, P: StageProfiler>(
     cfg: &FleetConfig,
     bss_index: usize,
     trace: &mut T,
@@ -1084,6 +1067,8 @@ pub(crate) fn run_bss_profiled<T: TraceSink, P: StageProfiler>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::NoopProfiler;
+    use hide_obs::NoopTrace;
 
     #[test]
     fn exp_is_positive_with_requested_mean() {
@@ -1115,7 +1100,7 @@ mod tests {
             duration_secs: 20.0,
             ..FleetConfig::default()
         };
-        let (report, rec) = run_bss(&cfg, 0).unwrap();
+        let (report, rec) = run_bss(&cfg, 0, &mut NoopTrace, &mut NoopProfiler).unwrap();
         assert!(report.events > 0);
         assert!(report.associations > 0);
         assert!(report.refreshes_sent > 0);
@@ -1144,12 +1129,12 @@ mod tests {
             duration_secs: 15.0,
             ..FleetConfig::default()
         };
-        let (r1, m1) = run_bss(&cfg, 3).unwrap();
-        let (r2, m2) = run_bss(&cfg, 3).unwrap();
+        let (r1, m1) = run_bss(&cfg, 3, &mut NoopTrace, &mut NoopProfiler).unwrap();
+        let (r2, m2) = run_bss(&cfg, 3, &mut NoopTrace, &mut NoopProfiler).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(m1.to_json(), m2.to_json());
         // Different indices decorrelate.
-        let (r3, _) = run_bss(&cfg, 4).unwrap();
+        let (r3, _) = run_bss(&cfg, 4, &mut NoopTrace, &mut NoopProfiler).unwrap();
         assert_ne!(r1, r3);
     }
 }

@@ -7,18 +7,22 @@
 //! BSS-index order, so the aggregate counters, histograms, and energy
 //! sums — and the JSON they serialize to — are byte-identical at any
 //! `--jobs` count.
+//!
+//! Every entry point is a short call into one private driver,
+//! `FleetConfig::drive`; they differ only in their per-shard sinks.
 
-use crate::bss::{run_bss, run_bss_profiled, run_bss_traced, BssReport};
+use crate::bss::{run_bss, BssReport};
 use crate::churn::ChurnConfig;
 use crate::error::FleetError;
-use crate::profile::{FleetStage, StageProfile, StageProfiler};
+use crate::profile::{FleetStage, NoopProfiler, StageProfile, StageProfiler};
 use hide_energy::attribution::{
-    metrics_section_for, write_csv_row, write_jsonl_row, ClientEnergy, ATTRIBUTION_CSV_HEADER,
+    metrics_section_for, write_csv_row, write_jsonl_row, AttributionLedger, ClientEnergy,
+    ATTRIBUTION_CSV_HEADER,
 };
 use hide_energy::battery::Battery;
 use hide_energy::profile::{DeviceProfile, NEXUS_ONE};
 use hide_obs::spill::{SpillIndex, SpillWriter};
-use hide_obs::{FlightRecorder, Recorder, Stage};
+use hide_obs::{FlightRecorder, NoopTrace, Recorder, Stage, TraceSink};
 use hide_policy::{LifetimeProjection, WakePolicy};
 use hide_traces::scenario::Scenario;
 use std::io;
@@ -115,20 +119,9 @@ impl FleetConfig {
     /// Returns a validation error before any work starts, or the first
     /// (lowest-index) shard's protocol failure.
     pub fn try_run_with_jobs(&self, jobs: usize) -> Result<FleetResult, FleetError> {
-        self.validate()?;
-        let indices: Vec<usize> = (0..self.bss_count).collect();
-        let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| run_bss(self, i));
-
-        let merge_start = Instant::now();
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
-        for shard in shards {
-            let (bss, rec) = shard?;
-            report.merge_from(&bss);
-            recorder.merge_from(&rec);
-        }
-        recorder.add_span(Stage::FleetMerge, merge_start.elapsed().as_nanos() as u64);
-        Ok(FleetResult::assemble(self, report, recorder))
+        let (result, NoopProfiler) =
+            self.drive(jobs, self.bss_count, |_| NoopTrace, None, |_| Ok(()))?;
+        Ok(result)
     }
 
     /// [`try_run_with_jobs`](Self::try_run_with_jobs) with per-stage
@@ -138,7 +131,7 @@ impl FleetConfig {
     /// returned [`FleetResult`] is byte-identical to the unprofiled
     /// run's — but the run itself is a little slower (two timer reads
     /// per kernel event), so the default paths stay on
-    /// [`NoopProfiler`](crate::NoopProfiler).
+    /// [`NoopProfiler`].
     ///
     /// # Errors
     ///
@@ -148,28 +141,7 @@ impl FleetConfig {
         &self,
         jobs: usize,
     ) -> Result<(FleetResult, StageProfile), FleetError> {
-        self.validate()?;
-        let indices: Vec<usize> = (0..self.bss_count).collect();
-        let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| {
-            let mut prof = StageProfile::new();
-            run_bss_profiled(self, i, &mut hide_obs::NoopTrace, &mut prof)
-                .map(|(bss, rec)| (bss, rec, prof))
-        });
-
-        let merge_start = Instant::now();
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
-        let mut profile = StageProfile::new();
-        for shard in shards {
-            let (bss, rec, shard_prof) = shard?;
-            report.merge_from(&bss);
-            recorder.merge_from(&rec);
-            profile.merge_from(&shard_prof);
-        }
-        let merge_nanos = merge_start.elapsed().as_nanos() as u64;
-        recorder.add_span(Stage::FleetMerge, merge_nanos);
-        profile.add(FleetStage::Merge, merge_nanos);
-        Ok((FleetResult::assemble(self, report, recorder), profile))
+        self.drive(jobs, self.bss_count, |_| NoopTrace, None, |_| Ok(()))
     }
 
     /// [`try_run_with_jobs`](Self::try_run_with_jobs) with the flight
@@ -190,45 +162,18 @@ impl FleetConfig {
         jobs: usize,
         capacity: usize,
     ) -> Result<(FleetResult, FlightRecorder), FleetError> {
-        self.validate()?;
-        let indices: Vec<usize> = (0..self.bss_count).collect();
-        let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| {
-            let mut flight = FlightRecorder::with_capacity(capacity);
-            flight.set_source(i as u32);
-            run_bss_traced(self, i, &mut flight).map(|(bss, rec)| (bss, rec, flight))
-        });
-
-        let merge_start = Instant::now();
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
-        let mut logs = Vec::with_capacity(self.bss_count);
-        for shard in shards {
-            let (bss, rec, shard_flight) = shard?;
-            report.merge_from(&bss);
-            recorder.merge_from(&rec);
-            logs.push(shard_flight);
-        }
-        // Tree-fold the per-shard logs. `merge_from` is an ordered
-        // merge under the total (time, source, seq) order, so the fold
-        // shape cannot change the merged sequence — but pairing
-        // neighbors costs O(n log shards) where the sequential fold is
-        // quadratic in the shard count.
-        while logs.len() > 1 {
-            let mut next = Vec::with_capacity(logs.len().div_ceil(2));
-            let mut halves = logs.into_iter();
-            while let Some(mut left) = halves.next() {
-                if let Some(right) = halves.next() {
-                    left.merge_from(&right);
-                }
-                next.push(left);
-            }
-            logs = next;
-        }
-        let flight = logs
-            .pop()
-            .unwrap_or_else(|| FlightRecorder::with_capacity(capacity));
-        recorder.add_span(Stage::FleetMerge, merge_start.elapsed().as_nanos() as u64);
-        Ok((FleetResult::assemble(self, report, recorder), flight))
+        let mut flight = None;
+        let (result, NoopProfiler) = self.drive(
+            jobs,
+            self.bss_count,
+            |i| shard_log(i, capacity),
+            None,
+            |log| {
+                flight = Some(log);
+                Ok(())
+            },
+        )?;
+        Ok((result, flight.expect("one window spans every shard")))
     }
 
     /// [`try_run_traced_with_jobs`](Self::try_run_traced_with_jobs)
@@ -262,119 +207,168 @@ impl FleetConfig {
         stream: &StreamExportConfig,
         mut sinks: StreamSinks<'_>,
     ) -> Result<StreamedFleetResult, FleetError> {
+        // Validate before touching the disk.
         self.validate()?;
         std::fs::create_dir_all(&stream.spill_dir).map_err(export_err)?;
         let spill_path = stream.spill_dir.join(unique_spill_name());
-        let out = self.run_streamed_inner(jobs, stream, &mut sinks, &spill_path);
+        let out = self.run_streamed(jobs, stream, &mut sinks, &spill_path);
         if out.is_err() {
             let _ = std::fs::remove_file(&spill_path);
         }
         out
     }
 
-    fn run_streamed_inner(
+    fn run_streamed(
         &self,
         jobs: usize,
         stream: &StreamExportConfig,
         sinks: &mut StreamSinks<'_>,
         spill_path: &std::path::Path,
     ) -> Result<StreamedFleetResult, FleetError> {
-        let window = if stream.window == 0 {
-            (4 * jobs.max(1)).max(64)
-        } else {
-            stream.window.max(1)
+        let window = match stream.window {
+            0 => (4 * jobs.max(1)).max(64),
+            w => w,
         };
-        let capacity = stream.trace_capacity.max(1);
         let mut writer = SpillWriter::create(spill_path, stream.chunk_events)?;
-
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
-        let mut totals = ClientEnergy::default();
-        let mut clients = 0usize;
-        let mut lane = String::with_capacity(4096);
-        let mut merge_nanos = 0u64;
-
         if let Some(csv) = sinks.attribution_csv.as_deref_mut() {
             csv.write_all(ATTRIBUTION_CSV_HEADER.as_bytes())
                 .map_err(export_err)?;
         }
+        // Each window's folded log appends as one sorted run. The fold
+        // never drops, so the run carries exactly the window's events
+        // plus the sum of its shards' ring-bound drops.
+        let (result, NoopProfiler) = self.drive(
+            jobs,
+            window,
+            |i| shard_log(i, stream.trace_capacity),
+            Some(sinks),
+            |mut log| {
+                let (events, dropped) = log.take_spill_chunk();
+                Ok(writer.write_run(&events, dropped)?)
+            },
+        )?;
+        Ok(StreamedFleetResult {
+            result,
+            spill: writer.finish()?,
+        })
+    }
 
+    /// The one fan-out/fold pipeline behind every entry point.
+    ///
+    /// Runs the shards in windows of `window` consecutive BSS indices,
+    /// each window fanned out over `jobs` workers with a private trace
+    /// log (`new_log(i)`) and profiler per shard, and folds every shard
+    /// in index order: reports, recorders, profiles and energy totals
+    /// add up; the attribution rows merge into the report's ledger, or
+    /// — with `sinks` — stream out and leave memory; and the window's
+    /// logs tree-fold into one log handed to `on_log`. The folds and
+    /// `on_log` together make the run's one `FleetMerge` span.
+    ///
+    /// With [`NoopTrace`] and [`NoopProfiler`] the per-shard state is
+    /// zero-sized, so the untraced run allocates no log or profile.
+    fn drive<T, P>(
+        &self,
+        jobs: usize,
+        window: usize,
+        new_log: impl Fn(usize) -> T + Sync,
+        mut sinks: Option<&mut StreamSinks<'_>>,
+        mut on_log: impl FnMut(T) -> Result<(), FleetError>,
+    ) -> Result<(FleetResult, P), FleetError>
+    where
+        T: TraceSink + Fold + Send,
+        P: StageProfiler + Fold + Default + Send,
+    {
+        self.validate()?;
+        let mut report = BssReport::default();
+        let mut recorder = Recorder::new();
+        let mut profile = P::default();
+        let (mut energy_totals, mut energy_clients) = (ClientEnergy::default(), 0);
+        let mut lane = String::new();
+        let mut merge_nanos = 0u64;
         let mut start = 0usize;
         while start < self.bss_count {
             let end = (start + window).min(self.bss_count);
             let indices: Vec<usize> = (start..end).collect();
             let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| {
-                let mut flight = FlightRecorder::with_capacity(capacity);
-                flight.set_source(i as u32);
-                run_bss_traced(self, i, &mut flight).map(|(bss, rec)| (bss, rec, flight))
+                let (mut log, mut prof) = (new_log(i), P::default());
+                run_bss(self, i, &mut log, &mut prof).map(|(bss, rec)| (bss, rec, log, prof))
             });
 
             let merge_start = Instant::now();
             let mut logs = Vec::with_capacity(indices.len());
             for shard in shards {
-                let (mut bss, rec, shard_flight) = shard?;
-                // Stream the shard's attribution rows out instead of
-                // accumulating the fleet-wide ledger: row keys are
-                // `(bss_index, aid)`, disjoint and ascending across
-                // shards, so appending per shard yields the exact rows
-                // (and bytes) the merged ledger would export.
-                let attribution = std::mem::take(&mut bss.attribution);
-                lane.clear();
-                for (key, e) in attribution.rows() {
-                    if sinks.attribution_csv.is_some() {
-                        write_csv_row(&mut lane, *key, e);
-                    }
-                    totals.merge_from(e);
-                    clients += 1;
-                }
-                if let Some(csv) = sinks.attribution_csv.as_deref_mut() {
-                    csv.write_all(lane.as_bytes()).map_err(export_err)?;
-                }
-                if let Some(jsonl) = sinks.attribution_jsonl.as_deref_mut() {
-                    lane.clear();
-                    for (key, e) in attribution.rows() {
-                        write_jsonl_row(&mut lane, *key, e);
-                    }
-                    jsonl.write_all(lane.as_bytes()).map_err(export_err)?;
+                let (mut bss, rec, log, prof) = shard?;
+                energy_totals.merge_from(&bss.attribution.totals());
+                energy_clients += bss.attribution.len();
+                if let Some(sinks) = sinks.as_deref_mut() {
+                    let ledger = std::mem::take(&mut bss.attribution);
+                    sinks.append(&ledger, &mut lane).map_err(export_err)?;
                 }
                 report.merge_from(&bss);
                 recorder.merge_from(&rec);
-                logs.push(shard_flight);
+                profile.fold(&prof);
+                logs.push(log);
             }
-            // Tree-fold the window's logs (same fold as the in-memory
-            // path) and append the window as one sorted run. The fold
-            // never drops, so the run carries exactly the window's
-            // events plus the sum of its shards' ring-bound drops.
+            // Tree-fold the window's logs. The fold is an ordered merge
+            // under the total (time, source, seq) order, so its shape
+            // cannot change the merged sequence — but pairing neighbors
+            // costs O(n log shards) where the sequential fold is
+            // quadratic in the shard count.
             while logs.len() > 1 {
                 let mut next = Vec::with_capacity(logs.len().div_ceil(2));
                 let mut halves = logs.into_iter();
                 while let Some(mut left) = halves.next() {
                     if let Some(right) = halves.next() {
-                        left.merge_from(&right);
+                        left.fold(&right);
                     }
                     next.push(left);
                 }
                 logs = next;
             }
-            let mut folded = logs
-                .pop()
-                .unwrap_or_else(|| FlightRecorder::with_capacity(capacity));
-            let (events, dropped) = folded.take_spill_chunk();
-            writer.write_run(&events, dropped)?;
+            on_log(logs.pop().expect("a window holds at least one shard"))?;
             merge_nanos += merge_start.elapsed().as_nanos() as u64;
             start = end;
         }
-        let spill = writer.finish()?;
-        // One FleetMerge span, exactly like the in-memory paths — the
-        // artifact serializes stage *call counts*, so the streamed
-        // metrics JSON must record the same single merge stage.
+        // One FleetMerge span per run, however many windows: the
+        // artifact serializes stage *call counts*.
         recorder.add_span(Stage::FleetMerge, merge_nanos);
-        Ok(StreamedFleetResult {
-            result: FleetResult::assemble(self, report, recorder),
-            spill,
-            energy_totals: totals,
-            energy_clients: clients,
-        })
+        profile.add(FleetStage::Merge, merge_nanos);
+        let result = FleetResult::assemble(self, report, recorder, energy_totals, energy_clients);
+        Ok((result, profile))
+    }
+}
+
+/// A fresh per-shard flight recorder on the shard's source lane.
+fn shard_log(bss_index: usize, capacity: usize) -> FlightRecorder {
+    let mut flight = FlightRecorder::with_capacity(capacity);
+    flight.set_source(bss_index as u32);
+    flight
+}
+
+/// Per-shard state `FleetConfig::drive` folds in index order: trace
+/// logs (an ordered merge) and stage profiles (span sums). The no-op
+/// sinks fold nothing.
+trait Fold {
+    fn fold(&mut self, other: &Self);
+}
+
+impl Fold for NoopTrace {
+    fn fold(&mut self, _: &Self) {}
+}
+
+impl Fold for FlightRecorder {
+    fn fold(&mut self, other: &Self) {
+        self.merge_from(other);
+    }
+}
+
+impl Fold for NoopProfiler {
+    fn fold(&mut self, _: &Self) {}
+}
+
+impl Fold for StageProfile {
+    fn fold(&mut self, other: &Self) {
+        self.merge_from(other);
     }
 }
 
@@ -424,6 +418,30 @@ pub struct StreamSinks<'a> {
     pub attribution_jsonl: Option<&'a mut dyn io::Write>,
 }
 
+impl StreamSinks<'_> {
+    /// Appends one shard's rows to every open lane, rendered through
+    /// `buf`. Row keys are `(bss_index, aid)`, disjoint and ascending
+    /// across shards, so appending shard by shard yields the exact
+    /// bytes the merged ledger would export.
+    fn append(&mut self, ledger: &AttributionLedger, buf: &mut String) -> io::Result<()> {
+        if let Some(csv) = self.attribution_csv.as_deref_mut() {
+            buf.clear();
+            for (key, e) in ledger.rows() {
+                write_csv_row(buf, *key, e);
+            }
+            csv.write_all(buf.as_bytes())?;
+        }
+        if let Some(jsonl) = self.attribution_jsonl.as_deref_mut() {
+            buf.clear();
+            for (key, e) in ledger.rows() {
+                write_jsonl_row(buf, *key, e);
+            }
+            jsonl.write_all(buf.as_bytes())?;
+        }
+        Ok(())
+    }
+}
+
 fn export_err(e: io::Error) -> FleetError {
     FleetError::Export(e.to_string())
 }
@@ -435,16 +453,13 @@ fn unique_spill_name() -> String {
     format!("hide-spill-{}-{n}.bin", std::process::id())
 }
 
-/// Outcome of a streamed fleet run: the aggregate scalars and metrics
-/// of a [`FleetResult`], plus the spilled trace runs the exporters
-/// stream from and the energy totals accumulated in place of the
-/// fleet-wide ledger.
+/// Outcome of a streamed fleet run: the aggregate [`FleetResult`] plus
+/// the spilled trace runs the exporters stream from.
 ///
 /// `result.report.attribution` is intentionally **empty** — the rows
-/// left memory through the [`StreamSinks`] as the fleet ran. Use
-/// [`metrics_json_with_energy`](Self::metrics_json_with_energy) (not
-/// `result.metrics_json_with_energy()`) so the energy section renders
-/// from the accumulated totals.
+/// left memory through the [`StreamSinks`] as the fleet ran — while
+/// `result`'s energy totals, and so its `"energy"` metrics section,
+/// are exactly the in-memory run's.
 #[derive(Debug)]
 pub struct StreamedFleetResult {
     /// The assembled fleet result (attribution ledger empty; see the
@@ -452,10 +467,6 @@ pub struct StreamedFleetResult {
     pub result: FleetResult,
     /// Index over the spilled trace runs; one file on disk.
     pub spill: SpillIndex,
-    /// Field-wise sum of every streamed attribution row.
-    pub energy_totals: ClientEnergy,
-    /// Number of streamed attribution rows (client lanes).
-    pub energy_clients: usize,
 }
 
 impl StreamedFleetResult {
@@ -473,27 +484,10 @@ impl StreamedFleetResult {
         self.spill.total_events()
     }
 
-    /// The `"energy"` metrics section rendered from the accumulated
-    /// totals — byte-identical to the in-memory ledger's
-    /// [`to_metrics_section`](hide_energy::AttributionLedger::to_metrics_section).
-    #[must_use]
-    pub fn energy_metrics_section(&self) -> String {
-        metrics_section_for(&self.energy_totals, self.energy_clients)
-    }
-
-    /// The spliced `hide-metrics/1` document, byte-identical to the
-    /// in-memory path's
-    /// [`metrics_json_with_energy`](FleetResult::metrics_json_with_energy).
+    /// [`FleetResult::metrics_json_with_energy`] of the streamed run.
     #[must_use]
     pub fn metrics_json_with_energy(&self) -> String {
-        let energy = self.energy_metrics_section();
-        let policy = self.result.policy_metrics_section();
-        let battery = self.result.lifetime.to_metrics_section();
-        self.result.recorder.to_json_with_sections(&[
-            ("energy", &energy),
-            ("policy", &policy),
-            ("battery", &battery),
-        ])
+        self.result.metrics_json_with_energy()
     }
 
     /// Streams the merged trace as JSON Lines into `out`, holding one
@@ -564,10 +558,23 @@ pub struct FleetResult {
     pub lifetime: LifetimeProjection,
     /// Merged observability recorder (counters, histograms, stages).
     pub recorder: Recorder,
+    /// Field-wise sum of every client lane's energy, folded shard by
+    /// shard. Every run carries it — also a streamed one, whose rows
+    /// left memory — so the `"energy"` metrics section renders one way.
+    pub energy_totals: ClientEnergy,
+    /// Number of client lanes summed into
+    /// [`energy_totals`](Self::energy_totals).
+    pub energy_clients: usize,
 }
 
 impl FleetResult {
-    fn assemble(cfg: &FleetConfig, report: BssReport, recorder: Recorder) -> Self {
+    fn assemble(
+        cfg: &FleetConfig,
+        report: BssReport,
+        recorder: Recorder,
+        energy_totals: ClientEnergy,
+        energy_clients: usize,
+    ) -> Self {
         let ratio = |num: u64, den: u64| {
             if den == 0 {
                 0.0
@@ -610,6 +617,8 @@ impl FleetResult {
                 / (cfg.duration_secs * cfg.bss_count as f64),
             report,
             recorder,
+            energy_totals,
+            energy_clients,
         }
     }
 
@@ -622,8 +631,9 @@ impl FleetResult {
 
     /// The merged per-client energy ledger (integer nanojoules, keyed
     /// by `(bss_index, aid)`), fanned in from the shards in input
-    /// order.
-    pub fn attribution(&self) -> &hide_energy::AttributionLedger {
+    /// order. Empty after a streamed run, whose rows went to the
+    /// [`StreamSinks`].
+    pub fn attribution(&self) -> &AttributionLedger {
         &self.report.attribution
     }
 
@@ -649,9 +659,11 @@ impl FleetResult {
     /// [`metrics_json`](Self::metrics_json) with the fleet-wide
     /// `"energy"` attribution, `"policy"`, and `"battery"` lifetime
     /// sections spliced in — still integer-only and byte-identical
-    /// across reruns and `jobs` counts.
+    /// across reruns, `jobs` counts and entry points (the energy
+    /// section renders from the folded totals, which a streamed run
+    /// keeps too).
     pub fn metrics_json_with_energy(&self) -> String {
-        let energy = self.report.attribution.to_metrics_section();
+        let energy = metrics_section_for(&self.energy_totals, self.energy_clients);
         let policy = self.policy_metrics_section();
         let battery = self.lifetime.to_metrics_section();
         self.recorder.to_json_with_sections(&[
@@ -780,6 +792,35 @@ mod tests {
             serial.attribution().to_jsonl(),
             parallel.attribution().to_jsonl()
         );
+
+        // Every entry point is the same driver with different sinks:
+        // plain, profiled, traced and streamed runs yield the same
+        // artifacts at any `jobs`.
+        let expected = (serial.metrics_json_with_energy(), serial.summary_json());
+        let dir = std::env::temp_dir().join(format!("hide-entry-unit-{}", std::process::id()));
+        for jobs in [1, 3] {
+            let plain = cfg.try_run_with_jobs(jobs).unwrap();
+            let (profiled, _) = cfg.try_run_profiled_with_jobs(jobs).unwrap();
+            let (traced, _) = cfg.try_run_traced_with_jobs(jobs, 1 << 14).unwrap();
+            let streamed = cfg
+                .try_run_streamed_with_jobs(
+                    jobs,
+                    &StreamExportConfig::new(&dir),
+                    StreamSinks::default(),
+                )
+                .unwrap();
+            streamed.cleanup().unwrap();
+            for (name, r) in [
+                ("plain", &plain),
+                ("profiled", &profiled),
+                ("traced", &traced),
+                ("streamed", &streamed.result),
+            ] {
+                let got = (r.metrics_json_with_energy(), r.summary_json());
+                assert_eq!(got, expected, "{name} run at jobs {jobs}");
+            }
+        }
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
