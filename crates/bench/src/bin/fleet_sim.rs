@@ -75,10 +75,10 @@
 //!
 //! `--stream-smoke` is the metro-scale CI gate: it streams the merged
 //! trace through a counting FNV-1a hasher (to a file when `--trace` is
-//! given, to a null sink otherwise), prints the content hash, and
-//! fails if peak RSS exceeds `stream_peak_rss_mb_ceiling` or
-//! throughput falls below `streamed_events_per_sec_floor` (both in
-//! `golden/perf_floors.toml`).
+//! given, to a null sink otherwise), prints the content hash and the
+//! run + spill and merge + render walls, and fails if peak RSS
+//! exceeds `stream_peak_rss_mb_ceiling` or throughput falls below
+//! `streamed_events_per_sec_floor` (both in `golden/perf_floors.toml`).
 
 use hide::fleet::{
     ChurnConfig, FleetConfig, FleetResult, StreamExportConfig, StreamSinks, StreamedFleetResult,
@@ -375,7 +375,7 @@ fn finish(
     }
     if let (Some(s), Some((events, export_wall))) = (streamed, exported) {
         if o.stream_smoke {
-            stream_smoke_checks(s, events, wall + export_wall)?;
+            stream_smoke_checks(s, events, wall, export_wall)?;
         }
     }
     if o.smoke {
@@ -526,11 +526,13 @@ fn peak_rss_mb() -> Option<f64> {
 }
 
 /// Metro-scale CI gate: bounded peak RSS and a streamed-throughput
-/// floor, thresholds from `golden/perf_floors.toml`.
+/// floor over run + spill (`run_wall`) and merge + render
+/// (`export_wall`), thresholds from `golden/perf_floors.toml`.
 fn stream_smoke_checks(
     streamed: &StreamedFleetResult,
     exported_events: Option<u64>,
-    wall: f64,
+    run_wall: f64,
+    export_wall: f64,
 ) -> Result<(), String> {
     if let Some(n) = exported_events {
         if n != streamed.events() {
@@ -540,7 +542,8 @@ fn stream_smoke_checks(
             ));
         }
     }
-    let events_per_sec = streamed.result.report.events as f64 / wall.max(1e-9);
+    log_info!("stream smoke: run + spill {run_wall:.2} s, merge + render {export_wall:.2} s");
+    let events_per_sec = streamed.result.report.events as f64 / (run_wall + export_wall).max(1e-9);
     let floor = perf_floor("streamed_events_per_sec_floor");
     log_info!(
         "stream smoke: {:.0} kernel events/sec through run+export (floor {floor:.0})",

@@ -264,6 +264,18 @@ fn streamed_100k_bss_run_is_hash_identical_across_job_counts() {
     };
 
     let serial = run(1);
+    // Recorded values: the job-count comparison below cannot see a
+    // byte that both runs render differently from before.
+    assert_eq!(
+        (serial.0, serial.1, serial.4),
+        (0xe6c2_8e74_6bb9_3fe5, 1_481_721_160, 19_464_120),
+        "streamed 100k-BSS trace moved off its recorded bytes"
+    );
+    assert_eq!(
+        (serial.2, serial.3),
+        (0xe076_b07b_603a_0793, 435_097_069),
+        "streamed 100k-BSS attribution CSV moved off its recorded bytes"
+    );
     let parallel = run(8);
     assert!(serial.4 > 1_000_000, "metro run logged too few events");
     assert_eq!(

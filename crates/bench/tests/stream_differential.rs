@@ -9,14 +9,15 @@
 //!
 //! Why bytes and not semantic equality: the `(time, source, seq)`
 //! event key is a strict total order over distinct events, so any
-//! correct merge — the in-memory tree fold or the on-disk k-way merge
-//! at any run partitioning — yields the *identical sequence*. A merge
+//! correct merge — the in-memory one-pass merge or the on-disk k-way
+//! merge at any run partitioning — yields the *identical sequence*. A merge
 //! that is merely "equivalent" (stable-sorted, re-rounded, reordered
 //! ties) is a bug this battery is designed to catch.
 
 use hide_bench as harness;
 use hide_fleet::{ChurnConfig, FleetConfig, StreamExportConfig, StreamSinks};
 use hide_obs::export;
+use hide_obs::spill::fnv1a64;
 
 /// The deployment-scale scenario `determinism.rs` pins, reused here so
 /// the streamed path is compared against a configuration with refresh
@@ -128,6 +129,22 @@ fn streamed_artifacts_match_in_memory_at_1000_bss() {
     let cfg = battery_config();
     let reference = in_memory_reference(&cfg);
     assert!(reference.events > 0, "reference run logged nothing");
+    // Recorded values: every other check here compares two outputs of
+    // the same renderers and merge, so only these catch a changed byte.
+    assert_eq!(
+        (
+            fnv1a64(reference.jsonl.as_bytes()),
+            reference.jsonl.len(),
+            reference.events
+        ),
+        (0xb3ef_7bfe_189a_4066, 16_501_792, 182_157),
+        "trace JSONL moved off its recorded bytes"
+    );
+    assert_eq!(
+        (fnv1a64(reference.chrome.as_bytes()), reference.chrome.len()),
+        (0x8321_7b1f_6aff_9ee9, 22_608_922),
+        "Chrome trace moved off its recorded bytes"
+    );
 
     for (jobs, chunk, window) in [(1, 4096, 0), (4, 7, 64), (8, 1024, 3)] {
         let streamed = streamed_run(&cfg, jobs, chunk, window);
@@ -218,6 +235,16 @@ fn constrained_capacity_drop_accounting_matches() {
         .try_run_traced_with_jobs(4, capacity)
         .expect("valid fleet config");
     assert!(flight.dropped() > 0, "capacity 16 must force drops");
+    let recorded = export::to_jsonl(&flight);
+    assert_eq!(
+        (
+            fnv1a64(recorded.as_bytes()),
+            recorded.len(),
+            flight.dropped()
+        ),
+        (0x18c5_b49f_bdd4_3c91, 286_797, 21_660),
+        "drop-truncated trace moved off its recorded bytes"
+    );
 
     let mut stream = StreamExportConfig::new(std::env::temp_dir());
     stream.trace_capacity = capacity;

@@ -21,12 +21,14 @@ use hide_energy::attribution::{
 };
 use hide_energy::battery::Battery;
 use hide_energy::profile::{DeviceProfile, NEXUS_ONE};
-use hide_obs::spill::{SpillIndex, SpillWriter};
+use hide_obs::spill::{KWayMerge, RunReader, SpillError, SpillIndex, SpillWriter};
 use hide_obs::{FlightRecorder, NoopTrace, Recorder, Stage, TraceSink};
 use hide_policy::{LifetimeProjection, WakePolicy};
 use hide_traces::scenario::Scenario;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
 /// Full description of a fleet experiment.
@@ -148,10 +150,11 @@ impl FleetConfig {
     /// recorder on: every shard records its kernel's structured events
     /// into a private [`FlightRecorder`] (source lane = BSS index,
     /// `capacity` events retained per shard), and the per-shard logs
-    /// are folded in input order with an ordered merge — so the
-    /// returned log, and anything exported from it, is byte-identical
-    /// at any `jobs` count. The [`FleetResult`] itself is identical to
-    /// the untraced run's.
+    /// are merged in one pass under the total `(time, source, seq)`
+    /// order ([`FlightRecorder::merged`]) — so the returned log, and
+    /// anything exported from it, is byte-identical at any `jobs`
+    /// count. The [`FleetResult`] itself is identical to the untraced
+    /// run's.
     ///
     /// # Errors
     ///
@@ -168,8 +171,8 @@ impl FleetConfig {
             self.bss_count,
             |i| shard_log(i, capacity),
             None,
-            |log| {
-                flight = Some(log);
+            |logs| {
+                flight = Some(FlightRecorder::merged(logs));
                 Ok(())
             },
         )?;
@@ -180,19 +183,21 @@ impl FleetConfig {
     /// rebuilt for metro scale: instead of holding every shard's
     /// flight log and attribution rows until the end, the fleet runs
     /// in **windows** of consecutive BSS indices. Each window fans out
-    /// over `jobs` workers, its logs are tree-folded and appended to a
-    /// spill file as one sorted run ([`SpillWriter`]), and its
-    /// attribution rows stream straight into the optional `sinks`
-    /// (shard keys are disjoint and ascending, so concatenation equals
-    /// the merged ledger's export). Resident memory is bounded by the
-    /// window — not the fleet — and the trace exports are produced
-    /// afterwards by a chunked k-way merge over the spilled runs
+    /// over `jobs` workers; its attribution rows stream straight into
+    /// the optional `sinks` (shard keys are disjoint and ascending, so
+    /// concatenation equals the merged ledger's export), and its logs
+    /// pass to one scoped spill thread, which merges them in one k-way
+    /// pass straight into a spill file as one sorted run
+    /// ([`SpillWriter::write_merged_run`]) while the next window
+    /// simulates. Resident memory is bounded by two windows — not the
+    /// fleet — and the trace exports are produced afterwards by a
+    /// chunked k-way merge over the spilled runs
     /// ([`StreamedFleetResult::write_trace_jsonl`]).
     ///
     /// Determinism: `(time, source, seq)` is a strict total order, so
-    /// the k-way merge pops the same sequence the in-memory tree fold
-    /// produces, at any `jobs`, window, or chunk size — every exported
-    /// byte matches the in-memory path (pinned by
+    /// the k-way merge over the spilled runs pops the same sequence the
+    /// in-memory merge produces, at any `jobs`, window, or chunk size —
+    /// every exported byte matches the in-memory path (pinned by
     /// `crates/bench/tests/stream_differential.rs`).
     ///
     /// # Errors
@@ -234,22 +239,38 @@ impl FleetConfig {
             csv.write_all(ATTRIBUTION_CSV_HEADER.as_bytes())
                 .map_err(export_err)?;
         }
-        // Each window's folded log appends as one sorted run. The fold
-        // never drops, so the run carries exactly the window's events
-        // plus the sum of its shards' ring-bound drops.
-        let (result, NoopProfiler) = self.drive(
-            jobs,
-            window,
-            |i| shard_log(i, stream.trace_capacity),
-            Some(sinks),
-            |mut log| {
-                let (events, dropped) = log.take_spill_chunk();
-                Ok(writer.write_run(&events, dropped)?)
-            },
-        )?;
-        Ok(StreamedFleetResult {
-            result,
-            spill: writer.finish()?,
+        std::thread::scope(|scope| {
+            // Each window's logs go over a rendezvous channel to the
+            // spill thread, which merges them into one sorted run (the
+            // window's events plus its shards' ring-bound drops) while
+            // the next window simulates. A hand-off waits for the
+            // previous run to finish, so at most two windows of logs
+            // are resident.
+            let (handoff, windows) = mpsc::sync_channel::<Vec<FlightRecorder>>(0);
+            let spiller = scope.spawn(move || -> Result<SpillIndex, SpillError> {
+                for mut logs in windows {
+                    writer.write_merged_run(&mut logs)?;
+                }
+                writer.finish()
+            });
+            // A failed hand-off means the spill thread stopped; its own
+            // error, joined below, is the one reported.
+            let run = self.drive(
+                jobs,
+                window,
+                |i| shard_log(i, stream.trace_capacity),
+                Some(sinks),
+                move |logs| {
+                    handoff
+                        .send(logs)
+                        .map_err(|_| FleetError::Export("the spill thread stopped".into()))
+                },
+            );
+            // `drive` has dropped the sender, so the spill thread
+            // drains the last window and exits.
+            let spill = joined(spiller)?;
+            let (result, NoopProfiler) = run?;
+            Ok(StreamedFleetResult { result, spill })
         })
     }
 
@@ -261,8 +282,9 @@ impl FleetConfig {
     /// in index order: reports, recorders, profiles and energy totals
     /// add up; the attribution rows merge into the report's ledger, or
     /// — with `sinks` — stream out and leave memory; and the window's
-    /// logs tree-fold into one log handed to `on_log`. The folds and
-    /// `on_log` together make the run's one `FleetMerge` span.
+    /// logs, in index order, go to `on_window`, which merges them or
+    /// hands them to the spill thread. The folds and `on_window`
+    /// together make the run's one `FleetMerge` span.
     ///
     /// With [`NoopTrace`] and [`NoopProfiler`] the per-shard state is
     /// zero-sized, so the untraced run allocates no log or profile.
@@ -272,10 +294,10 @@ impl FleetConfig {
         window: usize,
         new_log: impl Fn(usize) -> T + Sync,
         mut sinks: Option<&mut StreamSinks<'_>>,
-        mut on_log: impl FnMut(T) -> Result<(), FleetError>,
+        mut on_window: impl FnMut(Vec<T>) -> Result<(), FleetError>,
     ) -> Result<(FleetResult, P), FleetError>
     where
-        T: TraceSink + Fold + Send,
+        T: TraceSink + Send,
         P: StageProfiler + Fold + Default + Send,
     {
         self.validate()?;
@@ -309,23 +331,7 @@ impl FleetConfig {
                 profile.fold(&prof);
                 logs.push(log);
             }
-            // Tree-fold the window's logs. The fold is an ordered merge
-            // under the total (time, source, seq) order, so its shape
-            // cannot change the merged sequence — but pairing neighbors
-            // costs O(n log shards) where the sequential fold is
-            // quadratic in the shard count.
-            while logs.len() > 1 {
-                let mut next = Vec::with_capacity(logs.len().div_ceil(2));
-                let mut halves = logs.into_iter();
-                while let Some(mut left) = halves.next() {
-                    if let Some(right) = halves.next() {
-                        left.fold(&right);
-                    }
-                    next.push(left);
-                }
-                logs = next;
-            }
-            on_log(logs.pop().expect("a window holds at least one shard"))?;
+            on_window(logs)?;
             merge_nanos += merge_start.elapsed().as_nanos() as u64;
             start = end;
         }
@@ -345,21 +351,10 @@ fn shard_log(bss_index: usize, capacity: usize) -> FlightRecorder {
     flight
 }
 
-/// Per-shard state `FleetConfig::drive` folds in index order: trace
-/// logs (an ordered merge) and stage profiles (span sums). The no-op
-/// sinks fold nothing.
+/// Per-shard stage profiles `FleetConfig::drive` folds in index order
+/// (span sums). The no-op profiler folds nothing.
 trait Fold {
     fn fold(&mut self, other: &Self);
-}
-
-impl Fold for NoopTrace {
-    fn fold(&mut self, _: &Self) {}
-}
-
-impl Fold for FlightRecorder {
-    fn fold(&mut self, other: &Self) {
-        self.merge_from(other);
-    }
 }
 
 impl Fold for NoopProfiler {
@@ -398,7 +393,7 @@ impl StreamExportConfig {
     pub fn new(spill_dir: impl Into<PathBuf>) -> Self {
         StreamExportConfig {
             spill_dir: spill_dir.into(),
-            chunk_events: 1024,
+            chunk_events: hide_obs::DEFAULT_CHUNK_EVENTS,
             window: 0,
             trace_capacity: hide_obs::DEFAULT_TRACE_CAPACITY,
         }
@@ -444,6 +439,55 @@ impl StreamSinks<'_> {
 
 fn export_err(e: io::Error) -> FleetError {
     FleetError::Export(e.to_string())
+}
+
+/// Joins a scoped thread, re-raising its panic on this thread.
+fn joined<T>(handle: ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Bytes per block the render thread hands to the writing thread.
+const RENDER_BLOCK_BYTES: usize = 256 * 1024;
+
+/// Filled blocks queued between the render thread and the writing
+/// thread. With the block being filled and the block being written, at
+/// most `RENDER_BLOCKS_QUEUED + 2` blocks exist at once.
+const RENDER_BLOCKS_QUEUED: usize = 4;
+
+/// The render thread's writer: fills fixed-size blocks and hands each
+/// full one to the writing thread, reusing the blocks it hands back.
+struct BlockWriter {
+    block: Vec<u8>,
+    full: mpsc::SyncSender<Vec<u8>>,
+    spare: mpsc::Receiver<Vec<u8>>,
+}
+
+impl io::Write for BlockWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = buf.len().min(RENDER_BLOCK_BYTES - self.block.len());
+        self.block.extend_from_slice(&buf[..n]);
+        if self.block.len() == RENDER_BLOCK_BYTES {
+            self.flush()?;
+        }
+        Ok(n)
+    }
+
+    /// Hands the current block over, if it holds anything.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.block.is_empty() {
+            return Ok(());
+        }
+        let fresh = self
+            .spare
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(RENDER_BLOCK_BYTES));
+        let block = std::mem::replace(&mut self.block, fresh);
+        self.full
+            .send(block)
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "the trace writer stopped"))
+    }
 }
 
 fn unique_spill_name() -> String {
@@ -495,31 +539,91 @@ impl StreamedFleetResult {
     /// [`hide_obs::export::to_jsonl`] over the in-memory merged log.
     /// Returns the number of events written. Callable repeatedly.
     ///
+    /// The merge and render run on one scoped render thread, which
+    /// hands fixed-size blocks of rendered bytes through a small
+    /// bounded queue; the calling thread only writes them to `out`, so
+    /// `out` need not be `Send` and a slow sink overlaps the render.
+    ///
     /// # Errors
     ///
-    /// Decode or I/O failures surface as [`FleetError::Export`].
+    /// Decode failures, and `out`'s own write error, surface as
+    /// [`FleetError::Export`].
     pub fn write_trace_jsonl<W: io::Write>(&self, out: &mut W) -> Result<u64, FleetError> {
-        let mut merge = self.spill.merge()?;
-        Ok(hide_obs::export::stream_jsonl(&mut merge, out)?)
+        self.render_overlapped(out, |merge, blocks| {
+            hide_obs::export::stream_jsonl(merge, blocks)
+        })
     }
 
     /// Streams the merged trace in Chrome trace format into `out` (see
     /// [`hide_obs::export::to_chrome_trace`] for the `stages` caveat).
     /// Returns the number of simulation events written. Callable
-    /// repeatedly.
+    /// repeatedly. Overlapped like
+    /// [`write_trace_jsonl`](Self::write_trace_jsonl).
     ///
     /// # Errors
     ///
-    /// Decode or I/O failures surface as [`FleetError::Export`].
+    /// Decode failures, and `out`'s own write error, surface as
+    /// [`FleetError::Export`].
     pub fn write_chrome_trace<W: io::Write>(
         &self,
         stages: Option<&Recorder>,
         out: &mut W,
     ) -> Result<u64, FleetError> {
+        self.render_overlapped(out, |merge, blocks| {
+            hide_obs::export::stream_chrome_trace(merge, stages, blocks)
+        })
+    }
+
+    /// Runs `render` over the k-way merge of the spilled runs on one
+    /// scoped render thread, which fills [`RENDER_BLOCK_BYTES`] blocks
+    /// and queues at most [`RENDER_BLOCKS_QUEUED`] of them; this thread
+    /// only writes blocks to `out`, so `out` need not be `Send`, and a
+    /// slow sink overlaps the render instead of adding to it.
+    ///
+    /// Shutdown: when `out` fails, this thread stops receiving, the
+    /// render thread's next hand-off fails and it returns; when the
+    /// render fails, its sender drops and the receive loop ends. Either
+    /// way the render thread is joined before returning, and `out`'s
+    /// error takes precedence.
+    fn render_overlapped<W: io::Write>(
+        &self,
+        out: &mut W,
+        render: impl FnOnce(&mut KWayMerge<RunReader>, &mut BlockWriter) -> Result<u64, SpillError>
+            + Send,
+    ) -> Result<u64, FleetError> {
+        // Opened here, so the merge's chunk buffers come from this
+        // thread's allocator arena, which the run has already grown.
         let mut merge = self.spill.merge()?;
-        Ok(hide_obs::export::stream_chrome_trace(
-            &mut merge, stages, out,
-        )?)
+        std::thread::scope(|scope| {
+            let (full, filled) = mpsc::sync_channel(RENDER_BLOCKS_QUEUED);
+            let (recycle, spare) = mpsc::channel();
+            let renderer = scope.spawn(move || {
+                let mut blocks = BlockWriter {
+                    block: Vec::with_capacity(RENDER_BLOCK_BYTES),
+                    full,
+                    spare,
+                };
+                let written = render(&mut merge, &mut blocks)?;
+                blocks.flush()?;
+                Ok::<_, SpillError>(written)
+            });
+            let mut failed = None;
+            for mut block in filled.iter() {
+                if let Err(e) = out.write_all(&block) {
+                    failed = Some(e);
+                    break;
+                }
+                block.clear();
+                // The render thread may have returned already.
+                let _ = recycle.send(block);
+            }
+            drop(filled);
+            let rendered = joined(renderer);
+            match failed {
+                Some(e) => Err(export_err(e)),
+                None => Ok(rendered?),
+            }
+        })
     }
 
     /// Deletes the spill file. Call when every export has been
@@ -919,7 +1023,7 @@ mod tests {
         assert_eq!(csv, mem.attribution().to_csv().into_bytes());
         assert_eq!(jsonl, mem.attribution().to_jsonl().into_bytes());
 
-        // Trace exports: k-way merge over spilled runs == tree fold.
+        // Trace exports: k-way merge over spilled runs == in-memory merge.
         let mut out = Vec::new();
         streamed.write_trace_jsonl(&mut out).unwrap();
         assert_eq!(out, hide_obs::export::to_jsonl(&flight).into_bytes());
@@ -943,6 +1047,16 @@ mod tests {
         streamed.cleanup().unwrap();
         assert!(!streamed.spill.path.exists());
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn oversized_spill_chunk_is_an_export_error() {
+        let mut stream = StreamExportConfig::new(std::env::temp_dir());
+        stream.chunk_events = usize::MAX;
+        let err = small()
+            .try_run_streamed_with_jobs(1, &stream, StreamSinks::default())
+            .unwrap_err();
+        assert!(matches!(err, FleetError::Export(_)), "unexpected {err:?}");
     }
 
     #[test]

@@ -1,54 +1,157 @@
 //! Trace exporters: JSONL event logs and Chrome-trace/Perfetto JSON.
 //!
 //! Both formats are rendered with fixed field order and fixed float
-//! precision, so exporting the same [`FlightRecorder`] always yields
-//! the same bytes. The JSONL export contains **only** simulation-time
-//! data and is therefore byte-identical across reruns and `--jobs`
-//! counts; the Chrome export can optionally append wall-clock stage
-//! spans from a [`Recorder`], which makes it informative but
-//! non-deterministic — pass `None` when determinism matters.
+//! precision, so exporting the same event sequence always yields the
+//! same bytes. The JSONL export contains **only** simulation-time data
+//! and is therefore byte-identical across reruns and `--jobs` counts;
+//! the Chrome export can optionally append wall-clock stage spans from
+//! a [`Recorder`], which makes it informative but non-deterministic —
+//! pass `None` when determinism matters.
 //!
-//! Each format has two entry points sharing one per-event renderer:
-//! the in-memory functions ([`to_jsonl`], [`to_chrome_trace`]) take a
-//! merged recorder and return a `String`, while the streaming
-//! functions ([`stream_jsonl`], [`stream_chrome_trace`]) pull from any
-//! [`EventSource`] — typically a [`KWayMerge`](crate::spill::KWayMerge)
-//! over spilled runs — and push straight into an [`io::Write`],
-//! holding one event at a time. Because both paths render through the
-//! same helpers, their output is byte-identical for the same event
-//! sequence; the differential battery in
-//! `crates/bench/tests/stream_differential.rs` pins this.
+//! Each format has one per-event renderer, which writes ASCII straight
+//! into a reused byte buffer: integers through a two-digit table, and
+//! the JSONL `t` field through an exact fixed-point path that rounds
+//! the `f64`'s binary value to 9 decimals, ties to even — the bytes
+//! `format!("{t:.9}")` produces, without going through `core::fmt`.
+//! The streaming functions ([`stream_jsonl`], [`stream_chrome_trace`])
+//! pull from any [`EventSource`] — typically a
+//! [`KWayMerge`](crate::spill::KWayMerge) over spilled runs — and push
+//! into an [`io::Write`]; the in-memory functions ([`to_jsonl`],
+//! [`to_chrome_trace`]) are those same streams over a recorder's log.
+//! `crates/obs/tests/proptest_export.rs` pins the renderers against
+//! `core::fmt`.
 
-use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 
 use crate::recorder::Recorder;
-use crate::spill::{EventSource, SpillError};
+use crate::spill::{EventSource, MemSource, SpillError};
 use crate::trace::{FlightRecorder, TraceEvent, TraceEventKind};
 use crate::Stage;
 
-/// Renders one event as a single JSON line (no trailing newline).
-fn write_event_jsonl(out: &mut String, e: &TraceEvent) {
-    let _ = write!(
-        out,
-        "{{\"t\":{:.9},\"src\":{},\"seq\":{},\"kind\":\"{}\"",
-        e.time,
-        e.source,
-        e.seq,
-        e.kind.name()
-    );
-    match e.kind {
+/// Rendered bytes buffered before each write to the output.
+const WRITE_BATCH: usize = 64 * 1024;
+
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
+/// `"00" "01" … "99"`: two ASCII digits per entry.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends the decimal digits of `v`.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Seconds as whole nanoseconds: the exact binary value of `t` times
+/// 10⁹, rounded half to even — the rule `{:.9}` applies. `None` for
+/// negative (`-0.0` included) or non-finite times, and for times of
+/// 2⁶⁴ ns or more.
+fn exact_nanos(t: f64) -> Option<u64> {
+    if t.is_sign_negative() || !t.is_finite() {
+        return None;
+    }
+    let bits = t.to_bits();
+    let biased = (bits >> 52) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    // t = mantissa × 2^exp, exactly.
+    let (mantissa, exp) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    if exp >= 0 {
+        return None; // t ≥ 2⁵² s, far past 2⁶⁴ ns.
+    }
+    let scaled = u128::from(mantissa) * u128::from(NANOS_PER_SEC);
+    let shift = exp.unsigned_abs();
+    if shift >= 128 {
+        return Some(0); // scaled < 2⁸³: below half a nanosecond.
+    }
+    let whole = scaled >> shift;
+    let rest = scaled & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    let rounded = if rest > half || (rest == half && whole & 1 == 1) {
+        whole + 1
+    } else {
+        whole
+    };
+    u64::try_from(rounded).ok()
+}
+
+/// Appends simulation seconds with 9 decimals, byte-equal to
+/// `format!("{t:.9}")`.
+fn push_secs(out: &mut Vec<u8>, t: f64) {
+    let Some(ns) = exact_nanos(t) else {
+        write!(out, "{t:.9}").expect("writing to a Vec cannot fail");
+        return;
+    };
+    push_u64(out, ns / NANOS_PER_SEC);
+    out.push(b'.');
+    let mut frac = ns % NANOS_PER_SEC;
+    let mut digits = [0u8; 9];
+    for i in (0..4).rev() {
+        let pair = (frac % 100) as usize * 2;
+        frac /= 100;
+        digits[1 + 2 * i..3 + 2 * i].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    digits[0] = b'0' + frac as u8;
+    out.extend_from_slice(&digits);
+}
+
+/// Appends `"key":value` for an integer value; `key` carries its
+/// quotes and colon.
+fn push_int(out: &mut Vec<u8>, key: &[u8], v: u64) {
+    out.extend_from_slice(key);
+    push_u64(out, v);
+}
+
+/// Appends `"key":"label"`; `key` carries its quotes and colon.
+fn push_label(out: &mut Vec<u8>, key: &[u8], label: &str) {
+    out.extend_from_slice(key);
+    out.push(b'"');
+    out.extend_from_slice(label.as_bytes());
+    out.push(b'"');
+}
+
+/// Appends the payload fields of `kind`, comma-separated, in schema
+/// order. The wake class is a field in JSONL (`with_class`) but part
+/// of the event name in Chrome traces.
+fn push_fields(out: &mut Vec<u8>, kind: &TraceEventKind, with_class: bool) {
+    match *kind {
         TraceEventKind::DtimBoundary {
             buffered,
             table_entries,
         } => {
-            let _ = write!(
-                out,
-                ",\"buffered\":{buffered},\"table_entries\":{table_entries}"
-            );
+            push_int(out, b"\"buffered\":", buffered.into());
+            push_int(out, b",\"table_entries\":", table_entries.into());
         }
         TraceEventKind::BtimEmitted { bytes, bits_set } => {
-            let _ = write!(out, ",\"bytes\":{bytes},\"bits_set\":{bits_set}");
+            push_int(out, b"\"bytes\":", bytes.into());
+            push_int(out, b",\"bits_set\":", bits_set.into());
         }
         TraceEventKind::WakeDecision {
             aid,
@@ -57,25 +160,64 @@ fn write_event_jsonl(out: &mut String, e: &TraceEvent) {
             class,
             cause,
         } => {
-            let _ = write!(
-                out,
-                ",\"aid\":{aid},\"port\":{port},\"frame\":{frame_id},\"class\":\"{}\",\"cause\":\"{}\"",
-                class.name(),
-                cause.name()
-            );
+            push_int(out, b"\"aid\":", aid.into());
+            push_int(out, b",\"port\":", port.into());
+            push_int(out, b",\"frame\":", frame_id);
+            if with_class {
+                push_label(out, b",\"class\":", class.name());
+            }
+            push_label(out, b",\"cause\":", cause.name());
         }
         TraceEventKind::Join { aid, hide } => {
-            let _ = write!(out, ",\"aid\":{aid},\"hide\":{hide}");
+            push_int(out, b"\"aid\":", aid.into());
+            out.extend_from_slice(if hide {
+                b",\"hide\":true"
+            } else {
+                b",\"hide\":false"
+            });
         }
         TraceEventKind::RefreshApplied { aid }
         | TraceEventKind::RefreshLost { aid }
         | TraceEventKind::PortChurn { aid }
         | TraceEventKind::EntryExpired { aid }
-        | TraceEventKind::Leave { aid } => {
-            let _ = write!(out, ",\"aid\":{aid}");
+        | TraceEventKind::Leave { aid } => push_int(out, b"\"aid\":", aid.into()),
+    }
+}
+
+/// Renders one event as a JSON line, trailing newline included.
+fn push_jsonl_line(out: &mut Vec<u8>, e: &TraceEvent) {
+    out.extend_from_slice(b"{\"t\":");
+    push_secs(out, e.time);
+    push_int(out, b",\"src\":", e.source.into());
+    push_int(out, b",\"seq\":", e.seq);
+    push_label(out, b",\"kind\":", e.kind.name());
+    out.push(b',');
+    push_fields(out, &e.kind, true);
+    out.extend_from_slice(b"}\n");
+}
+
+/// Renders every event of `src` through `render` into `out`, batching
+/// the writes. Returns the number of events rendered.
+fn stream_events<S, W>(
+    src: &mut S,
+    buf: &mut Vec<u8>,
+    out: &mut W,
+    render: fn(&mut Vec<u8>, &TraceEvent),
+) -> Result<u64, SpillError>
+where
+    S: EventSource,
+    W: io::Write,
+{
+    let mut count = 0u64;
+    while let Some(e) = src.next_event()? {
+        render(buf, &e);
+        count += 1;
+        if buf.len() >= WRITE_BATCH {
+            out.write_all(buf)?;
+            buf.clear();
         }
     }
-    out.push('}');
+    Ok(count)
 }
 
 /// Serializes the event log as JSON Lines: one event object per line,
@@ -83,18 +225,12 @@ fn write_event_jsonl(out: &mut String, e: &TraceEvent) {
 /// `docs/metrics-schema.md`. Deterministic byte-for-byte.
 #[must_use]
 pub fn to_jsonl(rec: &FlightRecorder) -> String {
-    let mut out = String::with_capacity(rec.len() * 96);
-    for e in rec.events() {
-        write_event_jsonl(&mut out, e);
-        out.push('\n');
-    }
-    out
+    in_memory(|out| stream_jsonl(&mut log_source(rec), out))
 }
 
-/// Streams a sorted event source as JSON Lines into `out`, one event
-/// resident at a time. Renders through the same helper as
-/// [`to_jsonl`], so for the same event sequence the bytes are
-/// identical. Returns the number of events written.
+/// Streams a sorted event source as JSON Lines into `out`, holding one
+/// event and one write batch at a time. Returns the number of events
+/// written.
 ///
 /// # Errors
 ///
@@ -105,15 +241,9 @@ where
     S: EventSource,
     W: io::Write,
 {
-    let mut line = String::with_capacity(160);
-    let mut count = 0u64;
-    while let Some(e) = src.next_event()? {
-        line.clear();
-        write_event_jsonl(&mut line, &e);
-        line.push('\n');
-        out.write_all(line.as_bytes())?;
-        count += 1;
-    }
+    let mut buf = Vec::with_capacity(WRITE_BATCH + 256);
+    let count = stream_events(src, &mut buf, out, push_jsonl_line)?;
+    out.write_all(&buf)?;
     Ok(count)
 }
 
@@ -124,78 +254,44 @@ fn sim_micros(time: f64) -> u64 {
 
 /// Renders the Chrome-trace opening: header plus process-name
 /// metadata (and the stages process when present).
-fn write_chrome_prelude(out: &mut String, with_stages: bool) {
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"simulation (sim time)\"}}",
+fn push_chrome_prelude(out: &mut Vec<u8>, with_stages: bool) {
+    out.extend_from_slice(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    out.extend_from_slice(
+        b"{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+          \"args\":{\"name\":\"simulation (sim time)\"}}",
     );
     if with_stages {
-        out.push_str(
-            ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"stages (wall clock)\"}}",
+        out.extend_from_slice(
+            b",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
+              \"args\":{\"name\":\"stages (wall clock)\"}}",
         );
     }
 }
 
 /// Renders one simulation event as a Chrome instant event, with its
 /// leading `",\n"` separator.
-fn write_event_chrome(out: &mut String, e: &TraceEvent) {
-    out.push_str(",\n");
-    let name: String = match e.kind {
-        TraceEventKind::WakeDecision { class, .. } => format!("wake:{}", class.name()),
-        _ => e.kind.name().to_string(),
-    };
-    let _ = write!(
-        out,
-        "{{\"name\":\"{name}\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\",\
-         \"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{",
-        e.source,
-        sim_micros(e.time)
-    );
-    match e.kind {
-        TraceEventKind::DtimBoundary {
-            buffered,
-            table_entries,
-        } => {
-            let _ = write!(
-                out,
-                "\"buffered\":{buffered},\"table_entries\":{table_entries}"
-            );
-        }
-        TraceEventKind::BtimEmitted { bytes, bits_set } => {
-            let _ = write!(out, "\"bytes\":{bytes},\"bits_set\":{bits_set}");
-        }
-        TraceEventKind::WakeDecision {
-            aid,
-            port,
-            frame_id,
-            cause,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                "\"aid\":{aid},\"port\":{port},\"frame\":{frame_id},\"cause\":\"{}\"",
-                cause.name()
-            );
-        }
-        TraceEventKind::Join { aid, hide } => {
-            let _ = write!(out, "\"aid\":{aid},\"hide\":{hide}");
-        }
-        TraceEventKind::RefreshApplied { aid }
-        | TraceEventKind::RefreshLost { aid }
-        | TraceEventKind::PortChurn { aid }
-        | TraceEventKind::EntryExpired { aid }
-        | TraceEventKind::Leave { aid } => {
-            let _ = write!(out, "\"aid\":{aid}");
-        }
+fn push_chrome_event(out: &mut Vec<u8>, e: &TraceEvent) {
+    out.extend_from_slice(b",\n{\"name\":\"");
+    if let TraceEventKind::WakeDecision { class, .. } = e.kind {
+        out.extend_from_slice(b"wake:");
+        out.extend_from_slice(class.name().as_bytes());
+    } else {
+        out.extend_from_slice(e.kind.name().as_bytes());
     }
-    out.push_str("}}");
+    push_int(
+        out,
+        b"\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":",
+        e.source.into(),
+    );
+    push_int(out, b",\"ts\":", sim_micros(e.time));
+    out.extend_from_slice(b",\"args\":{");
+    push_fields(out, &e.kind, false);
+    out.extend_from_slice(b"}}");
 }
 
 /// Renders the wall-clock stage spans (complete events on process 2)
 /// plus the closing bracket.
-fn write_chrome_epilogue(out: &mut String, stages: Option<&Recorder>) {
+fn push_chrome_epilogue(out: &mut Vec<u8>, stages: Option<&Recorder>) {
     if let Some(rec) = stages {
         let mut offset_us = 0u64;
         for s in Stage::ALL {
@@ -204,18 +300,19 @@ fn write_chrome_epilogue(out: &mut String, stages: Option<&Recorder>) {
                 continue;
             }
             let dur_us = (t.nanos / 1_000).max(1);
-            out.push_str(",\n");
-            let _ = write!(
+            push_label(out, b",\n{\"name\":", s.name());
+            push_int(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":2,\"tid\":0,\
-                 \"ts\":{offset_us},\"dur\":{dur_us},\"args\":{{\"calls\":{}}}}}",
-                s.name(),
-                t.calls
+                b",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":2,\"tid\":0,\"ts\":",
+                offset_us,
             );
+            push_int(out, b",\"dur\":", dur_us);
+            push_int(out, b",\"args\":{\"calls\":", t.calls);
+            out.extend_from_slice(b"}}");
             offset_us += dur_us;
         }
     }
-    out.push_str("\n]}\n");
+    out.extend_from_slice(b"\n]}\n");
 }
 
 /// Serializes the event log in the Chrome trace event format (load it
@@ -229,19 +326,12 @@ fn write_chrome_epilogue(out: &mut String, stages: Option<&Recorder>) {
 /// not deterministic. Pass `None` for byte-stable output.
 #[must_use]
 pub fn to_chrome_trace(rec: &FlightRecorder, stages: Option<&Recorder>) -> String {
-    let mut out = String::with_capacity(rec.len() * 144 + 512);
-    write_chrome_prelude(&mut out, stages.is_some());
-    for e in rec.events() {
-        write_event_chrome(&mut out, e);
-    }
-    write_chrome_epilogue(&mut out, stages);
-    out
+    in_memory(|out| stream_chrome_trace(&mut log_source(rec), stages, out))
 }
 
 /// Streams a sorted event source in the Chrome trace event format into
-/// `out`, one event resident at a time. Renders through the same
-/// helpers as [`to_chrome_trace`], so for the same event sequence and
-/// the same `stages` the bytes are identical. Returns the number of
+/// `out`, holding one event and one write batch at a time (see
+/// [`to_chrome_trace`] for the `stages` caveat). Returns the number of
 /// simulation events written.
 ///
 /// # Errors
@@ -257,26 +347,29 @@ where
     S: EventSource,
     W: io::Write,
 {
-    let mut buf = String::with_capacity(512);
-    write_chrome_prelude(&mut buf, stages.is_some());
-    out.write_all(buf.as_bytes())?;
-    let mut count = 0u64;
-    while let Some(e) = src.next_event()? {
-        buf.clear();
-        write_event_chrome(&mut buf, &e);
-        out.write_all(buf.as_bytes())?;
-        count += 1;
-    }
-    buf.clear();
-    write_chrome_epilogue(&mut buf, stages);
-    out.write_all(buf.as_bytes())?;
+    let mut buf = Vec::with_capacity(WRITE_BATCH + 512);
+    push_chrome_prelude(&mut buf, stages.is_some());
+    let count = stream_events(src, &mut buf, out, push_chrome_event)?;
+    push_chrome_epilogue(&mut buf, stages);
+    out.write_all(&buf)?;
     Ok(count)
+}
+
+/// A recorder's retained log as an event source.
+fn log_source(rec: &FlightRecorder) -> MemSource {
+    MemSource::new(rec.events().copied().collect())
+}
+
+/// Runs a stream renderer into memory.
+fn in_memory(render: impl FnOnce(&mut Vec<u8>) -> Result<u64, SpillError>) -> String {
+    let mut out = Vec::new();
+    render(&mut out).expect("in-memory sources and writers cannot fail");
+    String::from_utf8(out).expect("the renderers write ASCII only")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spill::MemSource;
     use crate::trace::{TraceSink, WakeCause, WakeClass};
     use crate::MetricsSink;
 
@@ -331,6 +424,20 @@ mod tests {
     #[test]
     fn jsonl_is_deterministic() {
         assert_eq!(to_jsonl(&sample()), to_jsonl(&sample()));
+    }
+
+    #[test]
+    fn exact_ties_round_half_to_even() {
+        let t = |x: f64| {
+            let mut out = Vec::new();
+            push_secs(&mut out, x);
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(t(0.0009765625), "0.000976562");
+        assert_eq!(t(0.0029296875), "0.002929688");
+        assert_eq!(t(0.0), "0.000000000");
+        assert_eq!(t(-0.0), "-0.000000000");
+        assert_eq!(t(1234.5), "1234.500000000");
     }
 
     #[test]

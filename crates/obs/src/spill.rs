@@ -3,23 +3,25 @@
 //! back in global `(time, source, seq)` order with bounded memory.
 //!
 //! The in-memory export path accumulates every shard's
-//! [`FlightRecorder`](crate::FlightRecorder) and tree-folds them before
-//! serializing — simple, but resident memory grows with the fleet, and
-//! a metro-scale run (100k BSSes) does not fit. This module is the
-//! other half of the trade: shards (or windows of shards) spill their
-//! **already-sorted** logs to disk as *runs* of fixed-size framed
-//! chunks, and [`KWayMerge`] streams the runs straight into the
-//! exporters, holding one cursor and one decoded chunk per run.
+//! [`FlightRecorder`] and merges them before serializing — simple, but
+//! resident memory grows with the fleet, and a metro-scale run (100k
+//! BSSes) does not fit. This module is the other half of the trade:
+//! each window of shards merges its **already-sorted** logs in one
+//! [`KWayMerge`] pass straight into the spill file as one *run* of
+//! fixed-size framed chunks ([`SpillWriter::write_merged_run`]), and a
+//! second [`KWayMerge`] streams the runs back into the exporters,
+//! holding one cursor and one decoded chunk per run.
 //!
 //! # Determinism contract
 //!
 //! `(time, source, seq)` is a *strict* total order over distinct
 //! events (a source never reuses a sequence number), so any correct
-//! merge — the in-memory tree fold or the on-disk k-way merge, at any
-//! chunk size, any run partitioning, any `--jobs` count — yields the
-//! same event sequence, and therefore byte-identical exports. The
-//! codec stores `f64` time as its exact IEEE-754 bits, so nothing is
-//! lost in the round trip. The differential tests in
+//! merge — [`FlightRecorder::merge_from`], [`FlightRecorder::merged`]
+//! or the on-disk k-way merge, at any chunk size, any run
+//! partitioning, any `--jobs` count — yields the same event sequence,
+//! and therefore byte-identical exports. The codec stores `f64` time
+//! as its exact IEEE-754 bits, so nothing is lost in the round trip.
+//! The differential tests in
 //! `crates/obs/tests/proptest_spill.rs` and
 //! `crates/bench/tests/stream_differential.rs` pin this down.
 //!
@@ -40,18 +42,22 @@
 //! never panics: every malformed input maps to a structured
 //! [`SpillError`].
 
-use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use crate::trace::{TraceEvent, TraceEventKind, WakeCause, WakeClass};
+use crate::trace::{FlightRecorder, TraceEvent, TraceEventKind, WakeCause, WakeClass};
 
 /// Magic bytes opening every spill file.
 pub const SPILL_MAGIC: [u8; 8] = *b"HIDESPL1";
 
 /// Default number of events per framed chunk.
-pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
+pub const DEFAULT_CHUNK_EVENTS: usize = 1024;
+
+/// Longest encoded event frame: a wake decision (tag, time, source,
+/// seq, aid, port, frame id, class, cause).
+const MAX_EVENT_FRAME_LEN: usize = 1 + 8 + 4 + 8 + 2 + 2 + 8 + 1 + 1;
 
 const TAG_RUN: u8 = 0x01;
 const TAG_CHUNK: u8 = 0x02;
@@ -392,7 +398,7 @@ pub struct RunMeta {
 /// Appends sorted runs of framed, checksummed chunks to a spill file.
 ///
 /// Each run must be internally sorted by `(time, source, seq)` — shard
-/// logs are sorted by construction, window folds by the merge — and
+/// logs are sorted by construction, merged windows by the merge — and
 /// the writer records each run's byte range so [`SpillIndex::merge`]
 /// can stream them back without re-scanning the file.
 #[derive(Debug)]
@@ -407,11 +413,21 @@ pub struct SpillWriter {
 
 impl SpillWriter {
     /// Creates (truncating) the spill file and writes the magic.
+    /// `chunk_events` is floored at 1.
     ///
     /// # Errors
     ///
-    /// Any filesystem failure surfaces as [`SpillError::Io`].
+    /// A `chunk_events` whose chunk payload could exceed the `u32`
+    /// length field of a chunk header (over ~122.7 M events) is
+    /// rejected as an [`io::ErrorKind::InvalidInput`] before the file
+    /// is created; any filesystem failure surfaces as
+    /// [`SpillError::Io`].
     pub fn create(path: impl Into<PathBuf>, chunk_events: usize) -> Result<Self, SpillError> {
+        if chunk_events > u32::MAX as usize / MAX_EVENT_FRAME_LEN {
+            return Err(invalid_chunk(format!(
+                "chunks of {chunk_events} events could overflow the u32 chunk length"
+            )));
+        }
         let path = path.into();
         let file = File::create(&path)?;
         let mut out = BufWriter::new(file);
@@ -439,34 +455,76 @@ impl SpillWriter {
     ///
     /// Any filesystem failure surfaces as [`SpillError::Io`].
     pub fn write_run(&mut self, events: &[TraceEvent], dropped: u64) -> Result<(), SpillError> {
+        let mut src = MemSource::new(events.to_vec());
+        self.write_run_from(&mut src, events.len() as u64, dropped)
+    }
+
+    /// Appends the ordered union of `logs` as one sorted run, merged in
+    /// one [`KWayMerge`] pass and encoded chunk by chunk — the merged
+    /// run is never materialized. The run's counts are the sums of the
+    /// logs' lengths and ring-bound drops. The logs are left empty.
+    ///
+    /// # Errors
+    ///
+    /// Any filesystem failure surfaces as [`SpillError::Io`].
+    pub fn write_merged_run(&mut self, logs: &mut [FlightRecorder]) -> Result<(), SpillError> {
+        let (mut merge, events, dropped) = merge_logs(logs);
+        self.write_run_from(&mut merge, events, dropped)
+    }
+
+    /// Appends the `events` events of `src` as one run.
+    fn write_run_from<S: EventSource>(
+        &mut self,
+        src: &mut S,
+        events: u64,
+        dropped: u64,
+    ) -> Result<(), SpillError> {
         let mut header = [0u8; RUN_HEADER_LEN];
         header[0] = TAG_RUN;
-        header[1..9].copy_from_slice(&(events.len() as u64).to_le_bytes());
+        header[1..9].copy_from_slice(&events.to_le_bytes());
         header[9..17].copy_from_slice(&dropped.to_le_bytes());
         let crc = crc32_of(&header[1..17]);
         header[17..21].copy_from_slice(&crc.to_le_bytes());
         self.write_all(&header)?;
 
         let start = self.offset;
-        for chunk in events.chunks(self.chunk_events) {
+        let mut written = 0u64;
+        loop {
             self.scratch.clear();
-            for e in chunk {
-                encode_event(&mut self.scratch, e);
+            let mut count = 0usize;
+            while count < self.chunk_events {
+                let Some(e) = src.next_event()? else { break };
+                encode_event(&mut self.scratch, &e);
+                count += 1;
             }
+            if count == 0 {
+                break;
+            }
+            let count_field = u32::try_from(count).map_err(|_| {
+                invalid_chunk(format!("{count} events overflow the u32 chunk count"))
+            })?;
+            let len = self.scratch.len();
+            let len_field = u32::try_from(len)
+                .map_err(|_| invalid_chunk(format!("{len} bytes overflow the u32 chunk length")))?;
             let mut ch = [0u8; CHUNK_HEADER_LEN];
             ch[0] = TAG_CHUNK;
-            ch[1..5].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
-            ch[5..9].copy_from_slice(&(self.scratch.len() as u32).to_le_bytes());
+            ch[1..5].copy_from_slice(&count_field.to_le_bytes());
+            ch[5..9].copy_from_slice(&len_field.to_le_bytes());
             ch[9..13].copy_from_slice(&crc32_of(&self.scratch).to_le_bytes());
             self.write_all(&ch)?;
             let payload = std::mem::take(&mut self.scratch);
             self.write_all(&payload)?;
             self.scratch = payload;
+            written += count as u64;
+            if count < self.chunk_events {
+                break;
+            }
         }
+        assert_eq!(written, events, "a run header must count its events");
         self.runs.push(RunMeta {
             start,
             end: self.offset,
-            events: events.len() as u64,
+            events,
             dropped,
         });
         Ok(())
@@ -493,6 +551,29 @@ impl SpillWriter {
             bytes: self.offset,
         })
     }
+}
+
+/// A chunk the `u32` fields of its header cannot describe.
+fn invalid_chunk(reason: String) -> SpillError {
+    SpillError::Io(io::Error::new(io::ErrorKind::InvalidInput, reason))
+}
+
+/// Moves every log's events into one merge, returning it with the
+/// logs' total event count and summed ring-bound drops. The logs keep
+/// their source lane, sequence counter and capacity.
+pub(crate) fn merge_logs(logs: &mut [FlightRecorder]) -> (KWayMerge<MemSource>, u64, u64) {
+    let (mut events, mut dropped) = (0u64, 0u64);
+    let lanes = logs
+        .iter_mut()
+        .map(|log| {
+            let (lane, lane_dropped) = log.take_spill_chunk();
+            events += lane.len() as u64;
+            dropped += lane_dropped;
+            MemSource::new(lane)
+        })
+        .collect();
+    let merge = KWayMerge::new(lanes).expect("in-memory lanes cannot fail");
+    (merge, events, dropped)
 }
 
 // ---------------------------------------------------------------------
@@ -551,19 +632,11 @@ impl SpillIndex {
     ///
     /// Any filesystem or decode failure surfaces as a [`SpillError`].
     pub fn merge(&self) -> Result<KWayMerge<RunReader>, SpillError> {
-        let file = std::rc::Rc::new(File::open(&self.path)?);
+        let file = Arc::new(File::open(&self.path)?);
         let sources = self
             .runs
             .iter()
-            .map(|run| RunReader {
-                file: std::rc::Rc::clone(&file),
-                offset: run.start,
-                end: run.end,
-                remaining: run.events,
-                chunk: Vec::new().into_iter(),
-                buf: Vec::new(),
-                decoded: Vec::new(),
-            })
+            .map(|run| RunReader::open(Arc::clone(&file), run))
             .collect();
         KWayMerge::new(sources)
     }
@@ -739,21 +812,35 @@ impl EventSource for MemSource {
 /// A cursor over one run's chunk frames, decoding a chunk at a time.
 ///
 /// All cursors of a merge share one file handle; each positions the
-/// shared handle before every read, so the merge stays single-threaded
-/// and portable while holding exactly one descriptor open however many
-/// runs the file contains.
+/// shared handle before every read, so the merge stays portable while
+/// holding exactly one descriptor open however many runs the file
+/// contains. A merge may move to another thread, but it reads from one
+/// thread at a time.
 #[derive(Debug)]
 pub struct RunReader {
-    file: std::rc::Rc<File>,
+    file: Arc<File>,
     offset: u64,
     end: u64,
     remaining: u64,
-    chunk: std::vec::IntoIter<TraceEvent>,
     buf: Vec<u8>,
+    /// The current chunk's events; `next` indexes the first unread.
     decoded: Vec<TraceEvent>,
+    next: usize,
 }
 
 impl RunReader {
+    fn open(file: Arc<File>, run: &RunMeta) -> Self {
+        RunReader {
+            file,
+            offset: run.start,
+            end: run.end,
+            remaining: run.events,
+            buf: Vec::new(),
+            decoded: Vec::new(),
+            next: 0,
+        }
+    }
+
     fn read_exact_at(&mut self, len: usize) -> Result<(), SpillError> {
         self.buf.resize(len, 0);
         let mut f: &File = &self.file;
@@ -797,9 +884,9 @@ impl RunReader {
             });
         }
         self.decoded.clear();
+        self.next = 0;
         decode_chunk_events(&self.buf, count, payload_at, &mut self.decoded)?;
         self.remaining = self.remaining.saturating_sub(u64::from(count));
-        self.chunk = std::mem::take(&mut self.decoded).into_iter();
         Ok(true)
     }
 }
@@ -807,7 +894,8 @@ impl RunReader {
 impl EventSource for RunReader {
     fn next_event(&mut self) -> Result<Option<TraceEvent>, SpillError> {
         loop {
-            if let Some(e) = self.chunk.next() {
+            if let Some(&e) = self.decoded.get(self.next) {
+                self.next += 1;
                 return Ok(Some(e));
             }
             if !self.refill()? {
@@ -817,59 +905,39 @@ impl EventSource for RunReader {
     }
 }
 
-/// `f64` wrapper ordered by `total_cmp`, so heap keys are `Ord`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
+/// A lane head's merge key: exhausted lanes last — by this flag, not
+/// a sentinel, since a NaN time can map to `u64::MAX` — then the
+/// `total_cmp` image of time, source and seq. The lane index breaks
+/// the remaining tie.
+type HeadKey = (bool, u64, u32, u64);
 
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-type HeapKey = (TotalF64, u32, u64, usize);
-
-struct HeapEntry {
-    key: HeapKey,
-    event: TraceEvent,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, the merge wants the min.
-        other.key.cmp(&self.key)
+/// Maps `t` to a `u64` whose unsigned order is `f64::total_cmp`'s.
+fn time_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
 /// Streaming k-way merge over sorted [`EventSource`]s under the global
 /// `(time, source, seq)` order, with the source index as the final
-/// tie-break — the same left-wins rule the in-memory tree fold
-/// applies, so both paths pop identical sequences.
+/// tie-break — the left-wins rule of [`FlightRecorder::merge_from`],
+/// so both pop identical sequences.
+///
+/// A loser tree: each internal node keeps the lane that lost the match
+/// there, so a pop replays one leaf-to-root path of `log₂ k`
+/// comparisons against the stored losers, and moves no event.
 pub struct KWayMerge<S: EventSource> {
     sources: Vec<S>,
-    heap: BinaryHeap<HeapEntry>,
+    /// Each lane's current head, `None` once the lane is exhausted.
+    heads: Vec<Option<TraceEvent>>,
+    keys: Vec<HeadKey>,
+    /// `tree[0]` is the winning lane; `tree[1..k]` hold the losers of
+    /// the matches at internal nodes. Lane `i` is leaf `k + i`, and
+    /// node `n`'s parent is `n / 2`.
+    tree: Vec<usize>,
 }
 
 impl<S: EventSource> KWayMerge<S> {
@@ -878,17 +946,47 @@ impl<S: EventSource> KWayMerge<S> {
     /// # Errors
     ///
     /// Propagates the first source's decode or I/O failure.
-    pub fn new(mut sources: Vec<S>) -> Result<Self, SpillError> {
-        let mut heap = BinaryHeap::with_capacity(sources.len());
-        for (lane, src) in sources.iter_mut().enumerate() {
-            if let Some(event) = src.next_event()? {
-                heap.push(HeapEntry {
-                    key: (TotalF64(event.time), event.source, event.seq, lane),
-                    event,
-                });
-            }
+    pub fn new(sources: Vec<S>) -> Result<Self, SpillError> {
+        let k = sources.len();
+        let mut merge = KWayMerge {
+            sources,
+            heads: vec![None; k],
+            keys: vec![(true, 0, 0, 0); k],
+            tree: vec![0; k],
+        };
+        for lane in 0..k {
+            merge.advance(lane)?;
         }
-        Ok(KWayMerge { sources, heap })
+        if k > 0 {
+            let mut winners = vec![0; 2 * k];
+            for lane in 0..k {
+                winners[k + lane] = lane;
+            }
+            for node in (1..k).rev() {
+                let (a, b) = (winners[2 * node], winners[2 * node + 1]);
+                let (win, lose) = if merge.beats(a, b) { (a, b) } else { (b, a) };
+                winners[node] = win;
+                merge.tree[node] = lose;
+            }
+            merge.tree[0] = winners[1];
+        }
+        Ok(merge)
+    }
+
+    /// Whether lane `a`'s head pops before lane `b`'s.
+    fn beats(&self, a: usize, b: usize) -> bool {
+        (self.keys[a], a) < (self.keys[b], b)
+    }
+
+    /// Pulls `lane`'s next event into its head.
+    fn advance(&mut self, lane: usize) -> Result<(), SpillError> {
+        let next = self.sources[lane].next_event()?;
+        self.keys[lane] = match &next {
+            Some(e) => (false, time_key(e.time), e.source, e.seq),
+            None => (true, 0, 0, 0),
+        };
+        self.heads[lane] = next;
+        Ok(())
     }
 
     /// Pops the globally next event, refilling the lane it came from.
@@ -897,16 +995,25 @@ impl<S: EventSource> KWayMerge<S> {
     ///
     /// Propagates the lane's decode or I/O failure.
     pub fn next_event(&mut self) -> Result<Option<TraceEvent>, SpillError> {
-        let Some(HeapEntry { key, event }) = self.heap.pop() else {
+        let Some(&lane) = self.tree.first() else {
             return Ok(None);
         };
-        let lane = key.3;
-        if let Some(next) = self.sources[lane].next_event()? {
-            self.heap.push(HeapEntry {
-                key: (TotalF64(next.time), next.source, next.seq, lane),
-                event: next,
-            });
+        // Exhausted lanes sort last: an empty winner means all are.
+        let Some(event) = self.heads[lane].take() else {
+            return Ok(None);
+        };
+        self.advance(lane)?;
+        let mut winner = lane;
+        let mut node = (self.tree.len() + lane) / 2;
+        while node > 0 {
+            let rival = self.tree[node];
+            if self.beats(rival, winner) {
+                self.tree[node] = winner;
+                winner = rival;
+            }
+            node /= 2;
         }
+        self.tree[0] = winner;
         Ok(Some(event))
     }
 
@@ -993,16 +1100,8 @@ pub fn read_all_runs(path: &Path) -> Result<Vec<(Vec<TraceEvent>, u64)>, SpillEr
     let index = SpillIndex::load(path)?;
     let mut out = Vec::with_capacity(index.runs.len());
     for run in &index.runs {
-        let file = std::rc::Rc::new(File::open(path)?);
-        let mut reader = RunReader {
-            file,
-            offset: run.start,
-            end: run.end,
-            remaining: run.events,
-            chunk: Vec::new().into_iter(),
-            buf: Vec::new(),
-            decoded: Vec::new(),
-        };
+        let file = Arc::new(File::open(path)?);
+        let mut reader = RunReader::open(file, run);
         let mut events = Vec::with_capacity(run.events as usize);
         while let Some(e) = reader.next_event()? {
             events.push(e);
@@ -1135,6 +1234,74 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn create_rejects_a_chunk_size_the_header_cannot_hold() {
+        let path = temp_path("overflow");
+        let err = SpillWriter::create(&path, usize::MAX).unwrap_err();
+        assert!(
+            matches!(&err, SpillError::Io(e) if e.kind() == io::ErrorKind::InvalidInput),
+            "unexpected {err:?}"
+        );
+        assert!(!path.exists(), "rejected before the file is created");
+        let largest = u32::MAX as usize / MAX_EVENT_FRAME_LEN;
+        assert!(SpillWriter::create(&path, largest + 1).is_err());
+        SpillWriter::create(&path, largest).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn exhausted_lanes_sort_after_a_maximal_nan_time() {
+        // This NaN maps to the largest key, u64::MAX; exhausted lanes
+        // still sort after it.
+        let nan = f64::from_bits(0x7fff_ffff_ffff_ffff);
+        let event = |time, source| TraceEvent {
+            time,
+            source,
+            seq: 0,
+            kind: TraceEventKind::Leave { aid: 1 },
+        };
+        let lanes = vec![
+            MemSource::new(vec![event(nan, u32::MAX)]),
+            MemSource::new(Vec::new()),
+            MemSource::new(vec![event(-0.0, 2), event(0.5, 2)]),
+            MemSource::new(vec![event(0.0, 3)]),
+        ];
+        let merged = KWayMerge::new(lanes).unwrap().collect_all().unwrap();
+        let popped: Vec<(u64, u32)> = merged
+            .iter()
+            .map(|e| (e.time.to_bits(), e.source))
+            .collect();
+        assert_eq!(
+            popped,
+            vec![
+                ((-0.0f64).to_bits(), 2),
+                (0.0f64.to_bits(), 3),
+                (0.5f64.to_bits(), 2),
+                (nan.to_bits(), u32::MAX),
+            ]
+        );
+        assert!(KWayMerge::<MemSource>::new(Vec::new())
+            .unwrap()
+            .collect_all()
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn equal_keys_pop_in_lane_order() {
+        // The left-wins rule of `merge_from`: on a tied key the lower
+        // lane pops first.
+        let event = |aid| TraceEvent {
+            time: 0.5,
+            source: 1,
+            seq: 0,
+            kind: TraceEventKind::Leave { aid },
+        };
+        let lanes = (0..3).map(|aid| MemSource::new(vec![event(aid)])).collect();
+        let merged = KWayMerge::new(lanes).unwrap().collect_all().unwrap();
+        assert_eq!(merged, vec![event(0), event(1), event(2)]);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!
 //! Determinism rules mirror the recorder's: events carry **simulation
 //! time**, never wall clock; every recorder stamps its events with a
-//! `(source, seq)` pair; and [`FlightRecorder::merge_from`] performs an
-//! ordered merge on `(time, source, seq)`. Per-shard logs depend only
-//! on the shard's inputs, and shards are folded in input order, so the
-//! merged log — and every byte exported from it — is identical at any
-//! `--jobs` count.
+//! `(source, seq)` pair; and [`FlightRecorder::merge_from`] and
+//! [`FlightRecorder::merged`] perform an ordered merge on
+//! `(time, source, seq)`. Per-shard logs depend only on the shard's
+//! inputs, and the order is total, so the merged log — and every byte
+//! exported from it — is identical at any `--jobs` count.
 
 use std::collections::VecDeque;
 
@@ -341,9 +341,27 @@ impl FlightRecorder {
     /// plus the final residue is exact across any number of spill
     /// boundaries.
     pub fn take_spill_chunk(&mut self) -> (Vec<TraceEvent>, u64) {
-        let events = self.events.drain(..).collect();
+        let events = Vec::from(std::mem::take(&mut self.events));
         let dropped = std::mem::take(&mut self.dropped);
         (events, dropped)
+    }
+
+    /// The ordered union of `logs` on `(time, source, seq)`, merged in
+    /// one [`KWayMerge`](crate::KWayMerge) pass — equal to folding them
+    /// in order with [`merge_from`](Self::merge_from): it keeps the
+    /// first log's source lane, sequence counter and capacity, and sums
+    /// every log's drops. An empty `logs` gives an empty default
+    /// recorder.
+    #[must_use]
+    pub fn merged(mut logs: Vec<FlightRecorder>) -> FlightRecorder {
+        let (mut merge, events, dropped) = crate::spill::merge_logs(&mut logs);
+        let mut out = logs.into_iter().next().unwrap_or_default();
+        out.events.reserve(events as usize);
+        while let Some(e) = merge.next_event().expect("in-memory lanes cannot fail") {
+            out.events.push_back(e);
+        }
+        out.dropped = dropped;
+        out
     }
 
     /// Folds another recorder's log into this one with an ordered merge

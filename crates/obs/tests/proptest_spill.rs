@@ -177,6 +177,23 @@ fn tree_fold(lanes: &[Vec<TraceEvent>]) -> Vec<TraceEvent> {
     recorders.remove(0).events().copied().collect()
 }
 
+/// Per-source recorders replaying `lanes` under a ring of `capacity`,
+/// so small capacities drop events.
+fn recorders_from(lanes: &[Vec<TraceEvent>], capacity: usize) -> Vec<FlightRecorder> {
+    lanes
+        .iter()
+        .enumerate()
+        .map(|(source, lane)| {
+            let mut r = FlightRecorder::with_capacity(capacity);
+            r.set_source(source as u32);
+            for e in lane {
+                r.emit(e.time, e.kind);
+            }
+            r
+        })
+        .collect()
+}
+
 /// Bit-exact event equality: `PartialEq` treats `-0.0 == 0.0`, but the
 /// codec must preserve the sign bit.
 fn assert_events_bit_equal(got: &[TraceEvent], want: &[TraceEvent]) -> Result<(), TestCaseError> {
@@ -355,6 +372,37 @@ proptest! {
             .expect("merge clean file");
 
         assert_events_bit_equal(&merged, &expected)?;
+    }
+
+    /// One k-way pass over shard logs — into a recorder or straight
+    /// into a spill run — equals folding them with `merge_from` in
+    /// order: the same events, the first log's source, sequence counter
+    /// and capacity, and every log's drops.
+    #[test]
+    fn merged_logs_match_sequential_fold(
+        raw in vec(vec((0u32..500_000, any::<u8>(), any::<u64>(), any::<u64>()), 0..40), 1..6),
+        capacity in 1usize..48,
+        chunk_events in 1usize..16,
+    ) {
+        let logs = recorders_from(&lanes_from(&raw), capacity);
+        let mut fold = logs[0].clone();
+        for log in &logs[1..] {
+            fold.merge_from(log);
+        }
+
+        prop_assert_eq!(&FlightRecorder::merged(logs.clone()), &fold);
+
+        let file = TempFile(temp_spill_path());
+        let mut writer = SpillWriter::create(&file.0, chunk_events).expect("create spill");
+        let mut window = logs;
+        writer.write_merged_run(&mut window).expect("write merged run");
+        prop_assert!(window.iter().all(FlightRecorder::is_empty));
+        writer.finish().expect("finish spill");
+        let runs = read_all_runs(&file.0).expect("validated file reads");
+        prop_assert_eq!(runs.len(), 1);
+        prop_assert_eq!(runs[0].1, fold.dropped());
+        let want: Vec<TraceEvent> = fold.events().copied().collect();
+        assert_events_bit_equal(&runs[0].0, &want)?;
     }
 
     /// The merge is also correct over in-memory sources: partitioning
