@@ -10,6 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hide_analysis::delay::{DelayAnalysis, DelayConfig};
 use hide_energy::profile::NEXUS_ONE;
+use hide_obs::NoopSink;
 use hide_sim::simulation::MarkingStrategy;
 use hide_sim::solution::Solution;
 use hide_sim::SimulationBuilder;
@@ -65,7 +66,8 @@ fn marking_strategies(c: &mut Criterion) {
                     SimulationBuilder::new(&trace, NEXUS_ONE)
                         .solution(Solution::hide(0.10))
                         .marking(strategy)
-                        .run(),
+                        .run(NoopSink)
+                        .unwrap(),
                 )
             })
         });
@@ -73,11 +75,13 @@ fn marking_strategies(c: &mut Criterion) {
     // Print the energy agreement once.
     let pb = SimulationBuilder::new(&trace, NEXUS_ONE)
         .solution(Solution::hide(0.10))
-        .run();
+        .run(NoopSink)
+        .unwrap();
     let bn = SimulationBuilder::new(&trace, NEXUS_ONE)
         .solution(Solution::hide(0.10))
         .marking(MarkingStrategy::Bernoulli { seed: 9 })
-        .run();
+        .run(NoopSink)
+        .unwrap();
     println!(
         "[ablation] HIDE:10% avg power, port-based {:.1} mW vs bernoulli {:.1} mW",
         pb.energy.average_power_mw(),
@@ -95,7 +99,8 @@ fn sync_interval_tradeoff(c: &mut Criterion) {
         let sim = SimulationBuilder::new(&trace, NEXUS_ONE)
             .solution(Solution::hide(0.10))
             .sync_interval_secs(interval)
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let cfg = DelayConfig {
             sync_interval_secs: interval,
             ..DelayConfig::default()
@@ -115,7 +120,8 @@ fn sync_interval_tradeoff(c: &mut Criterion) {
                         SimulationBuilder::new(&trace, NEXUS_ONE)
                             .solution(Solution::hide(0.10))
                             .sync_interval_secs(interval)
-                            .run(),
+                            .run(NoopSink)
+                            .unwrap(),
                     )
                 })
             },
@@ -134,7 +140,8 @@ fn dtim_period_batching(c: &mut Criterion) {
     for period in [1u8, 2, 3, 5] {
         let r = SimulationBuilder::new(&trace, NEXUS_ONE)
             .dtim_period(period)
-            .run();
+            .run(NoopSink)
+            .unwrap();
         println!(
             "[ablation]   period {period}: {:.1} mW, {} wake cycles",
             r.energy.average_power_mw(),
@@ -148,7 +155,8 @@ fn dtim_period_batching(c: &mut Criterion) {
                     black_box(
                         SimulationBuilder::new(&trace, NEXUS_ONE)
                             .dtim_period(period)
-                            .run(),
+                            .run(NoopSink)
+                            .unwrap(),
                     )
                 })
             },
@@ -170,7 +178,8 @@ fn hybrid_vs_pure(c: &mut Criterion) {
     ] {
         let r = SimulationBuilder::new(&trace, NEXUS_ONE)
             .solution(solution)
-            .run();
+            .run(NoopSink)
+            .unwrap();
         println!(
             "[ablation] {name}: {:.1} mW ({} received, {} woke)",
             r.energy.average_power_mw(),
@@ -182,7 +191,8 @@ fn hybrid_vs_pure(c: &mut Criterion) {
                 black_box(
                     SimulationBuilder::new(&trace, NEXUS_ONE)
                         .solution(solution)
-                        .run(),
+                        .run(NoopSink)
+                        .unwrap(),
                 )
             })
         });

@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hide_analysis::capacity::{CapacityAnalysis, NetworkConfig};
 use hide_analysis::delay::{DelayAnalysis, DelayConfig};
 use hide_energy::profile::{GALAXY_S4, NEXUS_ONE};
+use hide_obs::{NoopSink, Recorder};
 use hide_sim::experiment::{self, PAPER_FRACTIONS};
 use hide_sim::solution::Solution;
 use hide_sim::SimulationBuilder;
@@ -56,6 +57,7 @@ fn fig7_energy_nexus(c: &mut Criterion) {
                 NEXUS_ONE,
                 &traces,
                 &PAPER_FRACTIONS,
+                &mut Recorder::new(),
             ))
         })
     });
@@ -72,6 +74,7 @@ fn fig8_energy_s4(c: &mut Criterion) {
                 GALAXY_S4,
                 &traces,
                 &PAPER_FRACTIONS,
+                &mut Recorder::new(),
             ))
         })
     });
@@ -83,7 +86,13 @@ fn fig9_suspend_fraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9");
     group.sample_size(10);
     group.bench_function("suspend_fractions", |b| {
-        b.iter(|| black_box(experiment::suspend_fractions(NEXUS_ONE, &traces)))
+        b.iter(|| {
+            black_box(experiment::suspend_fractions(
+                NEXUS_ONE,
+                &traces,
+                &mut Recorder::new(),
+            ))
+        })
     });
     group.finish();
 }
@@ -122,7 +131,8 @@ fn single_simulation(c: &mut Criterion) {
                 black_box(
                     SimulationBuilder::new(&trace, NEXUS_ONE)
                         .solution(solution)
-                        .run(),
+                        .run(NoopSink)
+                        .unwrap(),
                 )
             })
         });

@@ -71,7 +71,15 @@
 //! `--smoke` shrinks the fleet for a seconds-long CI sanity run and
 //! asserts the two tier-1 invariants inline: a loss-free control run
 //! reports zero missed wakeups, and `--jobs 1` versus all-cores
-//! produces identical metrics and summary JSON.
+//! produces identical metrics and summary JSON. It then runs two perf
+//! gates on one fixed single-shard workload (100 BSS x 100 clients,
+//! 60 s, seed 42, 5 s refresh, 10 % refresh loss, 20 % port churn,
+//! 12 s stale timeout, jobs 1; three runs of each path): the best
+//! untraced run must clear `fleet_events_per_sec_floor` from
+//! `golden/perf_floors.toml`, and the untraced (`NoopTrace`) runs must
+//! not take more than 1.25x as long as the flight-recorded ones, which
+//! would mean the "zero-cost" sink pays recording costs. The trace
+//! gate only judges runs of at least 0.05 s in total.
 //!
 //! `--stream-smoke` is the metro-scale CI gate: it streams the merged
 //! trace through a counting FNV-1a hasher (to a file when `--trace` is
@@ -81,7 +89,8 @@
 //! `streamed_events_per_sec_floor` (both in `golden/perf_floors.toml`).
 
 use hide::fleet::{
-    ChurnConfig, FleetConfig, FleetResult, StreamExportConfig, StreamSinks, StreamedFleetResult,
+    ChurnConfig, FleetConfig, FleetError, FleetResult, StreamExportConfig, StreamSinks,
+    StreamedFleetResult,
 };
 use hide::obs::{Counter, HashingWriter};
 use hide::policy::{lookup, registry_keys, WakePolicy};
@@ -641,6 +650,81 @@ fn smoke_checks(o: &Opts, result: &FleetResult, kept_rows: bool) -> Result<(), S
         ));
     }
     log_info!("smoke: ok (deterministic across jobs, loss-free run missed 0 wakeups)");
+    perf_gates()
+}
+
+/// The `--smoke` perf gates on one fixed single-shard fleet workload,
+/// independent of the command line: the kernel events/sec floor and
+/// the `NoopTrace` versus `FlightRecorder` overhead ratio. Untraced
+/// and traced runs alternate, so drift in host speed hits both alike.
+fn perf_gates() -> Result<(), String> {
+    const REPS: usize = 3;
+    // The untraced path fails when it takes this much longer than the
+    // recording path...
+    const TRACE_MAX_RATIO: f64 = 1.25;
+    // ...judged only when the traced runs take this long in total.
+    const TRACE_MIN_SECS: f64 = 0.05;
+    let cfg = FleetConfig {
+        bss_count: 100,
+        clients_per_bss: 100,
+        adoption: 0.75,
+        duration_secs: 60.0,
+        seed: 42,
+        churn: ChurnConfig {
+            refresh_interval_secs: 5.0,
+            refresh_loss: 0.1,
+            port_churn: 0.2,
+            stale_timeout_secs: 12.0,
+            ..ChurnConfig::default()
+        },
+        ..FleetConfig::default()
+    };
+    let failed = |e: FleetError| format!("perf gate run failed: {e}");
+    let (mut events, mut best_secs, mut noop_secs, mut flight_secs) = (0, f64::INFINITY, 0.0, 0.0);
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        let r = cfg.try_run_with_jobs(1).map_err(failed)?;
+        let secs = t0.elapsed().as_secs_f64();
+        events = r.report.events;
+        best_secs = best_secs.min(secs);
+        noop_secs += secs;
+
+        let t0 = Instant::now();
+        let (r, flight) = cfg
+            .try_run_traced_with_jobs(1, hide_obs::DEFAULT_TRACE_CAPACITY)
+            .map_err(failed)?;
+        flight_secs += t0.elapsed().as_secs_f64();
+        std::hint::black_box((r.report.wakeups, flight.len()));
+    }
+
+    let events_per_sec = events as f64 / best_secs.max(1e-12);
+    let floor = perf_floor("fleet_events_per_sec_floor");
+    log_info!(
+        "perf gate: fleet kernel @ {} BSS x {} clients, jobs=1: {events} events in \
+         {best_secs:.3} s (best of {REPS}) = {events_per_sec:.0} events/s (floor {floor:.0})",
+        cfg.bss_count,
+        cfg.clients_per_bss,
+    );
+    if events_per_sec < floor {
+        return Err(format!(
+            "SMOKE FAIL: fleet kernel at {events_per_sec:.0} events/s is below the \
+             {floor:.0} floor (golden/perf_floors.toml)"
+        ));
+    }
+
+    log_info!(
+        "perf gate: trace overhead over {REPS} runs each: noop_secs {noop_secs:.3}, \
+         flight_secs {flight_secs:.3} ({:+.1}%; fails above {TRACE_MAX_RATIO}x, \
+         judged from {TRACE_MIN_SECS} s)",
+        (flight_secs / noop_secs.max(1e-12) - 1.0) * 100.0,
+    );
+    if flight_secs >= TRACE_MIN_SECS && noop_secs > flight_secs * TRACE_MAX_RATIO {
+        return Err(format!(
+            "SMOKE FAIL: the NoopTrace path took {noop_secs:.3} s, more than \
+             {TRACE_MAX_RATIO}x the FlightRecorder path's {flight_secs:.3} s"
+        ));
+    }
+    log_info!("perf gate: ok (kernel above its floor, NoopTrace no slower than recording)");
     Ok(())
 }
 

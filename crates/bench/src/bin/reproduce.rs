@@ -278,7 +278,7 @@ fn run(args: &[String]) -> Result<(), Exit> {
         // the --metrics artifact is identical with or without --trace.
         let mut flight = FlightRecorder::new();
         ProtocolSimulation::new(&traces[0], NEXUS_ONE, 0.10)
-            .run_traced(&mut hide_obs::NoopSink, &mut flight)?;
+            .run(hide_obs::NoopSink, &mut flight)?;
         if let Some(path) = &trace_path {
             let events = flight.len();
             let rendered = if path.extension().is_some_and(|e| e == "jsonl") {

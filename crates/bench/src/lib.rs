@@ -4,13 +4,11 @@
 //! The `reproduce` binary drives these; the Criterion benches in
 //! `benches/` time the underlying computations.
 //!
-//! Every trace-driven renderer has a `*_with` twin taking a
-//! [`hide_obs::Recorder`] and returning `Result<_, HideError>`: it
-//! streams the simulation metrics into the recorder (per-section
-//! recorders fan in, in declaration order, so the merged totals are
-//! independent of the `--jobs` count) and surfaces failures instead of
-//! panicking. The original names are thin shims over the `*_with`
-//! versions for callers that only want the rendered text.
+//! Every trace-driven renderer is a `*_with` function taking a
+//! [`hide_obs::Recorder`]: it streams the simulation metrics into the
+//! recorder (per-section recorders fan in, in declaration order, so the
+//! merged totals are independent of the `--jobs` count). A caller that
+//! wants only the rendered text passes `&mut Recorder::new()`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,9 +17,9 @@ use hide::HideError;
 use hide_analysis::capacity::{CapacityAnalysis, NetworkConfig};
 use hide_analysis::delay::{DelayAnalysis, DelayConfig};
 use hide_energy::profile::{DeviceProfile, GALAXY_S4, NEXUS_ONE};
-use hide_obs::Recorder;
+use hide_obs::{NoopTrace, Recorder};
 use hide_sim::experiment::{self, ScenarioComparison, PAPER_FRACTIONS};
-use hide_sim::report;
+use hide_sim::{report, SimError};
 use hide_traces::record::Trace;
 use hide_traces::scenario::Scenario;
 use std::fmt::Write as _;
@@ -105,12 +103,8 @@ pub fn figure_6(traces: &[Trace]) -> String {
     report::render_trace_volumes(&experiment::trace_volumes(traces))
 }
 
-/// Runs and renders Fig. 7 (Nexus One) or Fig. 8 (Galaxy S4).
-pub fn figure_7_or_8(profile: DeviceProfile, traces: &[Trace]) -> String {
-    figure_7_or_8_with(profile, traces, &mut Recorder::new()).expect("canonical traces are valid")
-}
-
-/// Checked, instrumented [`figure_7_or_8`].
+/// Runs and renders Fig. 7 (Nexus One) or Fig. 8 (Galaxy S4),
+/// streaming the simulation metrics into `recorder`.
 ///
 /// # Errors
 ///
@@ -121,8 +115,7 @@ pub fn figure_7_or_8_with(
     traces: &[Trace],
     recorder: &mut Recorder,
 ) -> Result<String, HideError> {
-    let comparisons =
-        experiment::try_energy_comparison(profile, traces, &PAPER_FRACTIONS, recorder)?;
+    let comparisons = experiment::energy_comparison(profile, traces, &PAPER_FRACTIONS, recorder)?;
     let mut out = report::render_energy_comparison(&comparisons);
     out.push('\n');
     out.push_str(&headline(&comparisons)?);
@@ -132,7 +125,7 @@ pub fn figure_7_or_8_with(
 fn headline(comparisons: &[ScenarioComparison]) -> Result<String, HideError> {
     let mut out = String::new();
     for fraction in [0.10, 0.02] {
-        let s = experiment::try_savings_summary(comparisons, fraction)?;
+        let s = experiment::savings_summary(comparisons, fraction)?;
         let _ = writeln!(
             out,
             "HIDE:{:.0}% saves {:.0}%-{:.0}% vs receive-all on {} \
@@ -147,19 +140,15 @@ fn headline(comparisons: &[ScenarioComparison]) -> Result<String, HideError> {
     Ok(out)
 }
 
-/// Runs and renders Fig. 9 (suspend-mode time fractions, Nexus One).
-pub fn figure_9(traces: &[Trace]) -> String {
-    figure_9_with(traces, &mut Recorder::new()).expect("canonical traces are valid")
-}
-
-/// Checked, instrumented [`figure_9`].
+/// Runs and renders Fig. 9 (suspend-mode time fractions, Nexus One),
+/// streaming the simulation metrics into `recorder`.
 ///
 /// # Errors
 ///
 /// Returns [`HideError::Sim`] when a trace is degenerate.
 pub fn figure_9_with(traces: &[Trace], recorder: &mut Recorder) -> Result<String, HideError> {
     Ok(report::render_suspend_fractions(
-        &experiment::try_suspend_fractions(NEXUS_ONE, traces, recorder)?,
+        &experiment::suspend_fractions(NEXUS_ONE, traces, recorder)?,
     ))
 }
 
@@ -225,23 +214,23 @@ pub fn figure_12() -> String {
 }
 
 /// Runs and renders the extension experiments (beyond the paper):
-/// hybrid solution, DTIM batching, unicast sensitivity, fleet adoption
-/// and sync-loss robustness.
+/// hybrid solution, DTIM batching, unicast sensitivity, fleet adoption,
+/// sync-loss robustness, wakelock sensitivity, delivery latency and the
+/// protocol cross-validation.
 ///
 /// The sections are mutually independent, so each renders on its own
-/// worker; concatenating in declaration order keeps the report
-/// byte-identical to the sequential version.
-pub fn extensions(traces: &[Trace]) -> String {
-    extensions_with(traces, &mut Recorder::new())
-}
-
-/// Instrumented [`extensions`]: each section's simulations stream into
-/// a section-local recorder; locals merge into `recorder` in
-/// declaration order, so the totals match a sequential run at any job
-/// count.
+/// worker into a section-local recorder; concatenating the text and
+/// merging the locals into `recorder` in declaration order keeps both
+/// byte-identical to a sequential run at any job count.
+///
+/// # Panics
+///
+/// Panics when `traces[1]` is missing or degenerate; the canonical
+/// traces never are.
 pub fn extensions_with(traces: &[Trace], recorder: &mut Recorder) -> String {
     let trace = &traces[1]; // CS_Dept: the mid-volume trace
-    let sections: [fn(&Trace, &mut Recorder) -> String; 8] = [
+    type Section = fn(&Trace, &mut Recorder) -> Result<String, SimError>;
+    let sections: [Section; 8] = [
         ext_hybrid,
         ext_dtim,
         ext_unicast,
@@ -259,20 +248,15 @@ pub fn extensions_with(traces: &[Trace], recorder: &mut Recorder) -> String {
     let mut out = String::new();
     for (text, local) in rendered {
         recorder.merge_from(&local);
-        out.push_str(&text);
+        out.push_str(&text.expect("canonical trace is valid"));
     }
     out
 }
 
 /// Runs and renders the cross-policy × cross-device comparison over
-/// the policy registry.
-pub fn policy_matrix(policy: Option<&str>, device: Option<&str>) -> Result<String, HideError> {
-    policy_matrix_with(policy, device, &mut Recorder::new())
-}
-
-/// Instrumented [`policy_matrix`]: one small fleet per (device, policy)
-/// pair — HIDE, legacy PSM and scheduled wake over every registry
-/// device (or the `--policy`/`--device` filtered subset), with the
+/// the policy registry: one small fleet per (device, policy) pair —
+/// HIDE, legacy PSM and scheduled wake over every registry device (or
+/// the `--policy`/`--device` filtered subset), with the
 /// battery-lifetime projection each run extrapolates onto that
 /// device's battery. Sequential and seed-pinned, so the rendered table
 /// and the merged counters are byte-identical on every run.
@@ -350,7 +334,7 @@ pub fn policy_matrix_with(
     Ok(out)
 }
 
-fn ext_hybrid(trace: &Trace, recorder: &mut Recorder) -> String {
+fn ext_hybrid(trace: &Trace, recorder: &mut Recorder) -> Result<String, SimError> {
     use hide_sim::solution::Solution;
     use hide_sim::SimulationBuilder;
     let mut out = String::new();
@@ -370,8 +354,7 @@ fn ext_hybrid(trace: &Trace, recorder: &mut Recorder) -> String {
     ] {
         let r = SimulationBuilder::new(trace, NEXUS_ONE)
             .solution(solution)
-            .try_run_observed(recorder)
-            .expect("canonical trace is valid");
+            .run(&mut *recorder)?;
         let _ = writeln!(
             out,
             "{:<16} {:>10.2} {:>10} {:>10}",
@@ -381,10 +364,10 @@ fn ext_hybrid(trace: &Trace, recorder: &mut Recorder) -> String {
             r.wake_frames
         );
     }
-    out
+    Ok(out)
 }
 
-fn ext_dtim(trace: &Trace, recorder: &mut Recorder) -> String {
+fn ext_dtim(trace: &Trace, recorder: &mut Recorder) -> Result<String, SimError> {
     use hide_sim::solution::Solution;
     use hide_sim::SimulationBuilder;
     let mut out = String::new();
@@ -397,13 +380,11 @@ fn ext_dtim(trace: &Trace, recorder: &mut Recorder) -> String {
     for period in [1u8, 2, 3] {
         let all = SimulationBuilder::new(trace, NEXUS_ONE)
             .dtim_period(period)
-            .try_run_observed(recorder)
-            .expect("canonical trace is valid");
+            .run(&mut *recorder)?;
         let hide = SimulationBuilder::new(trace, NEXUS_ONE)
             .solution(Solution::hide(0.10))
             .dtim_period(period)
-            .try_run_observed(recorder)
-            .expect("canonical trace is valid");
+            .run(&mut *recorder)?;
         let _ = writeln!(
             out,
             "{:<8} {:>9.1} mW {:>7.1} mW",
@@ -412,18 +393,17 @@ fn ext_dtim(trace: &Trace, recorder: &mut Recorder) -> String {
             hide.energy.average_power_mw()
         );
     }
-    out
+    Ok(out)
 }
 
-fn ext_unicast(trace: &Trace, recorder: &mut Recorder) -> String {
+fn ext_unicast(trace: &Trace, recorder: &mut Recorder) -> Result<String, SimError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "\n--- unicast sensitivity (HIDE:10% saving vs unicast load) ---"
     );
     let rows =
-        experiment::try_unicast_sensitivity(NEXUS_ONE, trace, &[0.0, 0.1, 0.5, 1.0, 2.0], recorder)
-            .expect("canonical trace is valid");
+        experiment::unicast_sensitivity(NEXUS_ONE, trace, &[0.0, 0.1, 0.5, 1.0, 2.0], recorder)?;
     let _ = writeln!(
         out,
         "{:>12} {:>12} {:>10} {:>8}",
@@ -439,10 +419,10 @@ fn ext_unicast(trace: &Trace, recorder: &mut Recorder) -> String {
             r.saving * 100.0
         );
     }
-    out
+    Ok(out)
 }
 
-fn ext_fleet(trace: &Trace, _recorder: &mut Recorder) -> String {
+fn ext_fleet(trace: &Trace, _recorder: &mut Recorder) -> Result<String, SimError> {
     use hide_sim::network::{fleet, NetworkSimulation};
     let mut out = String::new();
     let _ = writeln!(
@@ -450,7 +430,7 @@ fn ext_fleet(trace: &Trace, _recorder: &mut Recorder) -> String {
         "\n--- fleet adoption (20 Nexus Ones on the CS_Dept trace) ---"
     );
     for adoption in [0.25, 0.50, 1.00] {
-        let r = NetworkSimulation::new(trace, NEXUS_ONE, fleet(20, adoption, 7)).run();
+        let r = NetworkSimulation::new(trace, NEXUS_ONE, fleet(20, adoption, 7)).run()?;
         let _ = writeln!(
             out,
             "adoption {:>4.0}%: fleet saving {:>5.1}%, {:.2} port msgs/s",
@@ -459,10 +439,10 @@ fn ext_fleet(trace: &Trace, _recorder: &mut Recorder) -> String {
             r.port_messages_per_sec
         );
     }
-    out
+    Ok(out)
 }
 
-fn ext_sync_loss(trace: &Trace, _recorder: &mut Recorder) -> String {
+fn ext_sync_loss(trace: &Trace, _recorder: &mut Recorder) -> Result<String, SimError> {
     use hide_sim::reliability::{self, ReliabilityConfig};
     let mut out = String::new();
     let _ = writeln!(
@@ -489,10 +469,10 @@ fn ext_sync_loss(trace: &Trace, _recorder: &mut Recorder) -> String {
             r.stale_time_fraction * 100.0
         );
     }
-    out
+    Ok(out)
 }
 
-fn ext_wakelock(trace: &Trace, _recorder: &mut Recorder) -> String {
+fn ext_wakelock(trace: &Trace, _recorder: &mut Recorder) -> Result<String, SimError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -503,7 +483,7 @@ fn ext_wakelock(trace: &Trace, _recorder: &mut Recorder) -> String {
         "{:>8} {:>12} {:>10} {:>8}",
         "tau", "receive-all", "HIDE:10%", "saving"
     );
-    for p in hide_sim::sensitivity::wakelock_sweep(trace, NEXUS_ONE, &[0.25, 0.5, 1.0, 2.0, 5.0]) {
+    for p in hide_sim::sensitivity::wakelock_sweep(trace, NEXUS_ONE, &[0.25, 0.5, 1.0, 2.0, 5.0])? {
         let _ = writeln!(
             out,
             "{:>7}s {:>9.1} mW {:>7.1} mW {:>7.1}%",
@@ -513,10 +493,10 @@ fn ext_wakelock(trace: &Trace, _recorder: &mut Recorder) -> String {
             p.hide_saving * 100.0
         );
     }
-    out
+    Ok(out)
 }
 
-fn ext_latency(trace: &Trace, _recorder: &mut Recorder) -> String {
+fn ext_latency(trace: &Trace, _recorder: &mut Recorder) -> Result<String, SimError> {
     let mut out = String::new();
     let _ = writeln!(out, "\n--- broadcast delivery latency vs DTIM period ---");
     let _ = writeln!(
@@ -535,10 +515,10 @@ fn ext_latency(trace: &Trace, _recorder: &mut Recorder) -> String {
             report.max_secs * 1e3
         );
     }
-    out
+    Ok(out)
 }
 
-fn ext_protocol(trace: &Trace, recorder: &mut Recorder) -> String {
+fn ext_protocol(trace: &Trace, recorder: &mut Recorder) -> Result<String, SimError> {
     use hide_sim::protocol_sim::ProtocolSimulation;
     let mut out = String::new();
     let _ = writeln!(
@@ -546,13 +526,8 @@ fn ext_protocol(trace: &Trace, recorder: &mut Recorder) -> String {
         "\n--- protocol cross-validation (real AP + client, encoded beacons) ---"
     );
     let sim = ProtocolSimulation::new(trace, NEXUS_ONE, 0.10);
-    let protocol = sim
-        .run_observed(recorder)
-        .expect("canonical trace is valid");
-    let marked = sim
-        .marking_equivalent()
-        .try_run_observed(recorder)
-        .expect("canonical trace is valid");
+    let protocol = sim.run(&mut *recorder, NoopTrace)?;
+    let marked = sim.marking_equivalent().run(&mut *recorder)?;
     let _ = writeln!(
         out,
         "protocol: {} beacons, {:.1} BTIM bytes/beacon, {} frames consumed",
@@ -570,10 +545,10 @@ fn ext_protocol(trace: &Trace, recorder: &mut Recorder) -> String {
         b,
         (a - b) / b * 100.0
     );
-    out
+    Ok(out)
 }
 
-/// The figure CSV files [`write_csvs`] produces, in figure order.
+/// The figure CSV files [`write_csvs_with`] produces, in figure order.
 pub const CSV_FILES: [&str; 7] = [
     "fig6_cdf.csv",
     "fig7_nexus.csv",
@@ -586,22 +561,11 @@ pub const CSV_FILES: [&str; 7] = [
 
 /// Writes plot-ready CSV files for every figure into `dir`.
 ///
-/// Each figure's content is computed on its own worker; files are then
-/// written sequentially in figure order, so both the bytes of each file
-/// and the order they land on disk are independent of the job count.
-///
-/// # Errors
-///
-/// Returns any filesystem error encountered.
-pub fn write_csvs(traces: &[Trace], dir: &std::path::Path) -> std::io::Result<()> {
-    write_csvs_with(traces, dir, &mut Recorder::new()).map_err(|e| match e {
-        HideError::Io(io) => io,
-        other => std::io::Error::other(other.to_string()),
-    })
-}
-
-/// Checked, instrumented [`write_csvs`]: per-file metrics merge into
-/// `recorder` in figure order.
+/// Each figure's content is computed on its own worker with a local
+/// recorder; files are then written, and the locals merged into
+/// `recorder`, sequentially in figure order, so the bytes of each file,
+/// the order they land on disk and the merged metrics are independent
+/// of the job count.
 ///
 /// # Errors
 ///
@@ -648,8 +612,7 @@ fn csv_content(file: &str, traces: &[Trace], recorder: &mut Recorder) -> Result<
             };
             let mut csv =
                 String::from("scenario,solution,eb_mw,ef_mw,est_mw,ewl_mw,eo_mw,total_mw,saving\n");
-            for c in experiment::try_energy_comparison(profile, traces, &PAPER_FRACTIONS, recorder)?
-            {
+            for c in experiment::energy_comparison(profile, traces, &PAPER_FRACTIONS, recorder)? {
                 for b in &c.bars {
                     let [eb, ef, est, ewl, eo] = b.stacked_mw;
                     let _ = writeln!(
@@ -663,7 +626,7 @@ fn csv_content(file: &str, traces: &[Trace], recorder: &mut Recorder) -> Result<
         }
         "fig9_suspend.csv" => {
             let mut csv = String::from("scenario,solution,suspend_fraction\n");
-            for row in experiment::try_suspend_fractions(NEXUS_ONE, traces, recorder)? {
+            for row in experiment::suspend_fractions(NEXUS_ONE, traces, recorder)? {
                 for (label, v) in &row.fractions {
                     let _ = writeln!(csv, "{},{label},{v:.5}", row.scenario);
                 }
@@ -727,14 +690,14 @@ mod tests {
     fn short_trace_figures_render() {
         let traces = Scenario::generate_all(60.0, 1);
         assert!(figure_6(&traces).contains("Starbucks"));
-        let fig9 = figure_9(&traces[..1]);
+        let fig9 = figure_9_with(&traces[..1], &mut Recorder::new()).unwrap();
         assert!(fig9.contains("HIDE:2%"));
     }
 
     #[test]
     fn extensions_render() {
         let traces = Scenario::generate_all(120.0, 1);
-        let out = extensions(&traces);
+        let out = extensions_with(&traces, &mut Recorder::new());
         assert!(out.contains("hybrid:10/4%"));
         assert!(out.contains("DTIM period"));
         assert!(out.contains("fleet saving"));
@@ -746,7 +709,7 @@ mod tests {
     fn csvs_written() {
         let traces = Scenario::generate_all(60.0, 1);
         let dir = std::env::temp_dir().join("hide_csv_test");
-        write_csvs(&traces, &dir).unwrap();
+        write_csvs_with(&traces, &dir, &mut Recorder::new()).unwrap();
         for f in [
             "fig6_cdf.csv",
             "fig7_nexus.csv",

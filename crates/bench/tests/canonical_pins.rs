@@ -5,6 +5,7 @@
 
 use hide_bench::{TRACE_DURATION_SECS, TRACE_SEED};
 use hide_energy::profile::NEXUS_ONE;
+use hide_obs::NoopSink;
 use hide_sim::solution::Solution;
 use hide_sim::SimulationBuilder;
 use hide_traces::scenario::Scenario;
@@ -43,7 +44,8 @@ fn canonical_classroom_bars_pinned() {
     for (solution, expected) in pins {
         let r = SimulationBuilder::new(&trace, NEXUS_ONE)
             .solution(solution)
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let mw = r.energy.average_power_mw();
         assert!(
             (mw - expected).abs() < 3.0,

@@ -33,19 +33,37 @@ fn parallel_and_sequential_runs_are_identical() {
     let traces = Scenario::generate_all(120.0, harness::TRACE_SEED);
 
     hide_par::set_default_jobs(1);
-    let seq_cmp = experiment::energy_comparison(NEXUS_ONE, &traces, &PAPER_FRACTIONS);
-    let seq_suspend = experiment::suspend_fractions(NEXUS_ONE, &traces);
-    let seq_ext = experiment::unicast_sensitivity(NEXUS_ONE, &traces[1], &[0.0, 0.5, 2.0]);
+    let seq_cmp =
+        experiment::energy_comparison(NEXUS_ONE, &traces, &PAPER_FRACTIONS, &mut Recorder::new())
+            .unwrap();
+    let seq_suspend =
+        experiment::suspend_fractions(NEXUS_ONE, &traces, &mut Recorder::new()).unwrap();
+    let seq_ext = experiment::unicast_sensitivity(
+        NEXUS_ONE,
+        &traces[1],
+        &[0.0, 0.5, 2.0],
+        &mut Recorder::new(),
+    )
+    .unwrap();
     let seq_dir = std::env::temp_dir().join("hide_determinism_seq");
-    harness::write_csvs(&traces, &seq_dir).unwrap();
+    harness::write_csvs_with(&traces, &seq_dir, &mut Recorder::new()).unwrap();
     let (seq_rec, seq_text) = instrumented_suite(&traces);
 
     hide_par::set_default_jobs(4);
-    let par_cmp = experiment::energy_comparison(NEXUS_ONE, &traces, &PAPER_FRACTIONS);
-    let par_suspend = experiment::suspend_fractions(NEXUS_ONE, &traces);
-    let par_ext = experiment::unicast_sensitivity(NEXUS_ONE, &traces[1], &[0.0, 0.5, 2.0]);
+    let par_cmp =
+        experiment::energy_comparison(NEXUS_ONE, &traces, &PAPER_FRACTIONS, &mut Recorder::new())
+            .unwrap();
+    let par_suspend =
+        experiment::suspend_fractions(NEXUS_ONE, &traces, &mut Recorder::new()).unwrap();
+    let par_ext = experiment::unicast_sensitivity(
+        NEXUS_ONE,
+        &traces[1],
+        &[0.0, 0.5, 2.0],
+        &mut Recorder::new(),
+    )
+    .unwrap();
     let par_dir = std::env::temp_dir().join("hide_determinism_par");
-    harness::write_csvs(&traces, &par_dir).unwrap();
+    harness::write_csvs_with(&traces, &par_dir, &mut Recorder::new()).unwrap();
     let (par_rec, par_text) = instrumented_suite(&traces);
 
     hide_par::set_default_jobs(0);

@@ -389,9 +389,9 @@ impl Clone for ClientPortTable {
 }
 
 /// The original `BTreeMap`/`BTreeSet` port table, kept purely as the
-/// measurement baseline for the hash-map rewrite (see
-/// `benches/protocol_micro.rs` and the `bench_throughput` binary).
-/// Not used by the protocol.
+/// measurement baseline for the hash-map rewrite (see the
+/// `port_table_scale` group in `benches/protocol_micro.rs`). Not used
+/// by the protocol.
 #[derive(Debug, Default, Clone)]
 pub struct BTreePortTable {
     by_port: BTreeMap<u16, BTreeSet<Aid>>,

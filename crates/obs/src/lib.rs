@@ -6,8 +6,8 @@
 //!
 //! * [`NoopSink`] is a zero-sized sink whose methods are empty and
 //!   `#[inline]`; code generic over `S: MetricsSink` monomorphizes the
-//!   calls away entirely (the `bench_throughput` binary verifies the
-//!   simulation hot path is unaffected).
+//!   calls away entirely, so an uninstrumented run pays nothing for the
+//!   instrumentation it skips.
 //! * [`Recorder`] is the real sink: flat arrays of [`Counter`]s,
 //!   fixed-bucket [`Histogram`]s keyed by [`Distribution`], and
 //!   per-[`Stage`] span timings.

@@ -7,9 +7,8 @@ use crate::metric::{Counter, Distribution};
 /// Hot paths take `S: MetricsSink` as a generic parameter so the
 /// compiler monomorphizes per sink: with [`NoopSink`] every call is an
 /// empty inlined function and the instrumented code compiles to the
-/// same machine code as the uninstrumented version (verified by
-/// `bench_throughput`); with [`crate::Recorder`] each call is an array
-/// index and an add.
+/// same machine code as the uninstrumented version; with
+/// [`crate::Recorder`] each call is an array index and an add.
 pub trait MetricsSink {
     /// Add `n` to a counter.
     fn add(&mut self, counter: Counter, n: u64);

@@ -3,9 +3,9 @@
 //! [`WakePolicy`] is enum-dispatched rather than trait-object-dispatched
 //! on purpose: the fleet engine's DTIM sweep is the hottest loop in the
 //! workspace, and an enum the engine can hoist out of the loop (`Hide`
-//! compiles to the exact pre-seam code path; see
-//! `bench_throughput` measurement 7) costs nothing where a vtable call
-//! per client per DTIM would.
+//! compiles to the exact pre-seam code path, which `fleet_sim --smoke`
+//! holds to `fleet_events_per_sec_floor`) costs nothing where a vtable
+//! call per client per DTIM would.
 
 /// Configuration of an AP-negotiated wake schedule (Wi-Fi 8 primer's
 /// scheduled-wake / TWT-style operation): the client is awake for

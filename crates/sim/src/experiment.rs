@@ -9,12 +9,11 @@
 //! * [`savings_summary`] — the headline savings ranges quoted in the
 //!   abstract and conclusion.
 //!
-//! Every runner has a checked `try_*` twin taking a
-//! [`Recorder`]: each (trace, solution) cell records into its own local
-//! recorder, and the locals are folded back **in input order** after
-//! the parallel map, so the merged metrics are byte-identical at any
-//! `--jobs` count. The plain functions are thin panicking shims kept
-//! for callers that know their traces are valid.
+//! Every simulating runner is fallible and takes a [`Recorder`]: each
+//! (trace, solution) cell records into its own local recorder, and the
+//! locals are folded back **in input order** after the parallel map,
+//! so the merged metrics are byte-identical at any `--jobs` count. A
+//! caller that wants no metrics passes `&mut Recorder::new()`.
 
 use crate::error::SimError;
 use crate::simulation::SimulationBuilder;
@@ -65,24 +64,13 @@ impl ScenarioComparison {
 ///
 /// The (trace, solution) cells are independent seeded simulations, so
 /// they fan out over [`hide_par`]'s worker pool; results come back in
-/// input order, making the output identical for any job count.
-pub fn energy_comparison(
-    profile: DeviceProfile,
-    traces: &[Trace],
-    fractions: &[f64],
-) -> Vec<ScenarioComparison> {
-    try_energy_comparison(profile, traces, fractions, &mut Recorder::new())
-        .expect("traces produce valid timelines")
-}
-
-/// Checked, instrumented [`energy_comparison`]: every cell's metrics
-/// land in `recorder` (merged in input order, so the recording is
-/// byte-identical at any `--jobs` count).
+/// input order, making the output identical for any job count. Every
+/// cell's metrics land in `recorder`, merged in input order.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Energy`] when a trace is degenerate.
-pub fn try_energy_comparison(
+pub fn energy_comparison(
     profile: DeviceProfile,
     traces: &[Trace],
     fractions: &[f64],
@@ -102,7 +90,7 @@ pub fn try_energy_comparison(
         let mut local = Recorder::new();
         let result = SimulationBuilder::new(&traces[ti], profile)
             .solution(solution)
-            .try_run_observed(&mut local);
+            .run(&mut local);
         (result, local)
     });
     let mut results = Vec::with_capacity(runs.len());
@@ -152,19 +140,13 @@ pub struct SuspendFractionRow {
 }
 
 /// Runs the Fig. 9 experiment, fanning the (trace, solution) cells out
-/// in parallel like [`energy_comparison`].
-pub fn suspend_fractions(profile: DeviceProfile, traces: &[Trace]) -> Vec<SuspendFractionRow> {
-    try_suspend_fractions(profile, traces, &mut Recorder::new())
-        .expect("traces produce valid timelines")
-}
-
-/// Checked, instrumented [`suspend_fractions`]: per-cell metrics merge
-/// into `recorder` in input order.
+/// in parallel like [`energy_comparison`]; per-cell metrics merge into
+/// `recorder` in input order.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Energy`] when a trace is degenerate.
-pub fn try_suspend_fractions(
+pub fn suspend_fractions(
     profile: DeviceProfile,
     traces: &[Trace],
     recorder: &mut Recorder,
@@ -184,7 +166,7 @@ pub fn try_suspend_fractions(
         let mut local = Recorder::new();
         let r = SimulationBuilder::new(&traces[ti], profile)
             .solution(s)
-            .try_run_observed(&mut local);
+            .run(&mut local);
         (r.map(|r| (s.label(), r.energy.suspend_fraction())), local)
     });
     let mut fractions = Vec::with_capacity(runs.len());
@@ -242,23 +224,13 @@ pub struct UnicastSensitivityRow {
 }
 
 /// Extension experiment: how background unicast traffic (which wakes
-/// the client under every solution) dilutes HIDE's savings.
-pub fn unicast_sensitivity(
-    profile: DeviceProfile,
-    trace: &Trace,
-    rates: &[f64],
-) -> Vec<UnicastSensitivityRow> {
-    try_unicast_sensitivity(profile, trace, rates, &mut Recorder::new())
-        .expect("trace produces valid timelines")
-}
-
-/// Checked, instrumented [`unicast_sensitivity`]: per-rate metrics
-/// merge into `recorder` in input order.
+/// the client under every solution) dilutes HIDE's savings. Per-rate
+/// metrics merge into `recorder` in input order.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Energy`] when the trace is degenerate.
-pub fn try_unicast_sensitivity(
+pub fn unicast_sensitivity(
     profile: DeviceProfile,
     trace: &Trace,
     rates: &[f64],
@@ -271,11 +243,11 @@ pub fn try_unicast_sensitivity(
         let row = (|| -> Result<UnicastSensitivityRow, SimError> {
             let all = SimulationBuilder::new(trace, profile)
                 .unicast(&unicast)
-                .try_run_observed(&mut local)?;
+                .run(&mut local)?;
             let hide = SimulationBuilder::new(trace, profile)
                 .solution(Solution::hide(0.10))
                 .unicast(&unicast)
-                .try_run_observed(&mut local)?;
+                .run(&mut local)?;
             Ok(UnicastSensitivityRow {
                 unicast_rate: rate,
                 receive_all_mw: all.energy.average_power_mw(),
@@ -312,26 +284,20 @@ pub struct SavingsSummary {
 
 /// Summarizes a set of [`ScenarioComparison`]s at one HIDE fraction.
 ///
-/// # Panics
-///
-/// Panics if `comparisons` lack the `receive-all`, `client-side` or
-/// requested HIDE bars (they always exist when produced by
-/// [`energy_comparison`] with that fraction included).
-pub fn savings_summary(comparisons: &[ScenarioComparison], fraction: f64) -> SavingsSummary {
-    try_savings_summary(comparisons, fraction).expect("required bars present")
-}
-
-/// Checked [`savings_summary`].
-///
 /// # Errors
 ///
-/// Returns [`SimError::MissingBar`] when a comparison lacks the
-/// `client-side` or requested HIDE bar.
-pub fn try_savings_summary(
+/// Returns [`SimError::MissingBar`] when `comparisons` is empty or a
+/// comparison lacks the `client-side` or requested HIDE bar (they
+/// always exist when produced by [`energy_comparison`] with that
+/// fraction included).
+pub fn savings_summary(
     comparisons: &[ScenarioComparison],
     fraction: f64,
 ) -> Result<SavingsSummary, SimError> {
     let label = Solution::hide(fraction).label();
+    let Some(first) = comparisons.first() else {
+        return Err(SimError::MissingBar { label });
+    };
     let mut min_saving = f64::INFINITY;
     let mut max_saving = f64::NEG_INFINITY;
     let mut extra_sum = 0.0;
@@ -347,14 +313,11 @@ pub fn try_savings_summary(
         extra_sum += hide.saving_vs_receive_all - cs.saving_vs_receive_all;
     }
     Ok(SavingsSummary {
-        device: comparisons
-            .first()
-            .map(|c| c.device.clone())
-            .unwrap_or_default(),
+        device: first.device.clone(),
         fraction,
         min_saving,
         max_saving,
-        mean_extra_vs_client_side: extra_sum / comparisons.len().max(1) as f64,
+        mean_extra_vs_client_side: extra_sum / comparisons.len() as f64,
     })
 }
 
@@ -371,7 +334,8 @@ mod tests {
     #[test]
     fn energy_comparison_has_expected_bars() {
         let traces = traces();
-        let comparisons = energy_comparison(NEXUS_ONE, &traces, &PAPER_FRACTIONS);
+        let comparisons =
+            energy_comparison(NEXUS_ONE, &traces, &PAPER_FRACTIONS, &mut Recorder::new()).unwrap();
         assert_eq!(comparisons.len(), 5);
         for c in &comparisons {
             assert_eq!(c.bars.len(), 7);
@@ -394,7 +358,8 @@ mod tests {
     #[test]
     fn stacked_components_sum_to_total() {
         let traces = traces();
-        let comparisons = energy_comparison(NEXUS_ONE, &traces[..1], &[0.10]);
+        let comparisons =
+            energy_comparison(NEXUS_ONE, &traces[..1], &[0.10], &mut Recorder::new()).unwrap();
         for bar in &comparisons[0].bars {
             let sum: f64 = bar.stacked_mw.iter().sum();
             assert!((sum - bar.total_mw).abs() < 1e-9);
@@ -404,7 +369,7 @@ mod tests {
     #[test]
     fn suspend_fractions_ordered_by_solution() {
         let traces = traces();
-        let rows = suspend_fractions(NEXUS_ONE, &traces);
+        let rows = suspend_fractions(NEXUS_ONE, &traces, &mut Recorder::new()).unwrap();
         assert_eq!(rows.len(), 5);
         for row in &rows {
             assert_eq!(row.fractions.len(), 4);
@@ -441,12 +406,26 @@ mod tests {
     #[test]
     fn savings_summary_ranges() {
         let traces = traces();
-        let comparisons = energy_comparison(NEXUS_ONE, &traces, &[0.10, 0.02]);
-        let s10 = savings_summary(&comparisons, 0.10);
-        let s2 = savings_summary(&comparisons, 0.02);
+        let comparisons =
+            energy_comparison(NEXUS_ONE, &traces, &[0.10, 0.02], &mut Recorder::new()).unwrap();
+        let s10 = savings_summary(&comparisons, 0.10).unwrap();
+        let s2 = savings_summary(&comparisons, 0.02).unwrap();
         assert!(s10.min_saving <= s10.max_saving);
         assert!(s10.min_saving > 0.0);
         assert!(s2.min_saving >= s10.min_saving - 0.05);
         assert!(s2.max_saving > s10.max_saving - 0.05);
+    }
+
+    #[test]
+    fn savings_summary_of_nothing_is_missing_bar() {
+        // Regression: an empty set used to summarize to Ok with
+        // min = inf, max = -inf and an empty device name.
+        let err = savings_summary(&[], 0.10).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::MissingBar {
+                label: "HIDE:10%".to_string()
+            }
+        );
     }
 }

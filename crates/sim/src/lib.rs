@@ -23,17 +23,21 @@
 //! let trace = Scenario::Starbucks.generate(300.0, 1);
 //! let hide = SimulationBuilder::new(&trace, NEXUS_ONE)
 //!     .solution(Solution::hide(0.10))
-//!     .run();
+//!     .run(NoopSink)?;
 //! let all = SimulationBuilder::new(&trace, NEXUS_ONE)
 //!     .solution(Solution::ReceiveAll)
-//!     .run();
+//!     .run(NoopSink)?;
 //! assert!(hide.energy.breakdown.total() < all.energy.breakdown.total());
 //! assert!(hide.energy.suspend_fraction() > all.energy.suspend_fraction());
+//! # Ok::<(), SimError>(())
 //! ```
 //!
-//! To collect metrics while running, pass a [`hide_obs::Recorder`] to
-//! the `try_run_observed`/`try_*` experiment variants; see the
-//! [`experiment`] module docs.
+//! Every run has one fallible entry point that takes its sinks by
+//! value, as [`hide_core::ap::ApCtx`] does: [`SimulationBuilder::run`]
+//! takes a metrics sink (`NoopSink` or `&mut recorder`), and
+//! [`protocol_sim::ProtocolSimulation::run`] takes a metrics sink and a
+//! trace sink (`&mut recorder, &mut flight`). The [`experiment`]
+//! runners take a [`hide_obs::Recorder`]; see their module docs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

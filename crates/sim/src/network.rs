@@ -8,9 +8,11 @@
 //! per-client and aggregate energy, the AP-side hash-table load, and
 //! the aggregate port-message airtime (the quantity behind Eq. 21).
 
+use crate::error::SimError;
 use crate::simulation::{MarkingStrategy, SimulationBuilder, SimulationResult};
 use crate::solution::Solution;
 use hide_energy::profile::DeviceProfile;
+use hide_obs::NoopSink;
 use hide_traces::record::Trace;
 use hide_wifi::frame::UdpPortMessage;
 use hide_wifi::mac::MacAddr;
@@ -110,11 +112,15 @@ impl<'a> NetworkSimulation<'a> {
     /// so they fan out over [`hide_par`]'s worker pool; the shared
     /// receive-all baseline (identical for every client) is computed
     /// once up front instead of once per client.
-    pub fn run(&self) -> NetworkResult {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Energy`] when the trace is degenerate.
+    pub fn run(&self) -> Result<NetworkResult, SimError> {
         let span = self.clients.len().max(1) as u16;
         let baseline = SimulationBuilder::new(self.trace, self.profile)
             .network_aid_span(span)
-            .run();
+            .run(NoopSink)?;
 
         let results = hide_par::par_map(&self.clients, |spec| {
             if spec.hide_enabled {
@@ -123,9 +129,9 @@ impl<'a> NetworkSimulation<'a> {
                     .marking(MarkingStrategy::PortBasedSeeded { seed: spec.seed })
                     .sync_interval_secs(self.sync_interval_secs)
                     .network_aid_span(span)
-                    .run()
+                    .run(NoopSink)
             } else {
-                baseline.clone()
+                Ok(baseline.clone())
             }
         });
 
@@ -134,6 +140,7 @@ impl<'a> NetworkSimulation<'a> {
         let mut baseline_total = 0.0;
         let mut hide_clients = 0u32;
         for (spec, result) in self.clients.iter().zip(results) {
+            let result = result?;
             if spec.hide_enabled {
                 hide_clients += 1;
             }
@@ -157,7 +164,7 @@ impl<'a> NetworkSimulation<'a> {
         .expect("within element limit");
         let msg_airtime = phy::airtime_of_total_bytes(msg.len_bytes(), DataRate::R1M);
 
-        NetworkResult {
+        Ok(NetworkResult {
             clients: outcomes,
             total_power_mw: total,
             baseline_power_mw: baseline_total,
@@ -168,7 +175,7 @@ impl<'a> NetworkSimulation<'a> {
             },
             port_messages_per_sec: msgs_per_sec,
             port_message_airtime_share: msgs_per_sec * msg_airtime,
-        }
+        })
     }
 }
 
@@ -209,7 +216,9 @@ mod tests {
     #[test]
     fn full_adoption_saves_fleet_energy() {
         let t = trace();
-        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(8, 1.0, 3)).run();
+        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(8, 1.0, 3))
+            .run()
+            .unwrap();
         assert_eq!(result.clients.len(), 8);
         assert!(result.fleet_saving > 0.3, "saving {}", result.fleet_saving);
         assert!(result.total_power_mw < result.baseline_power_mw);
@@ -221,7 +230,9 @@ mod tests {
     #[test]
     fn zero_adoption_saves_nothing() {
         let t = trace();
-        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(4, 0.0, 3)).run();
+        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(4, 0.0, 3))
+            .run()
+            .unwrap();
         assert!(result.fleet_saving.abs() < 1e-9);
         assert_eq!(result.port_messages_per_sec, 0.0);
     }
@@ -232,6 +243,7 @@ mod tests {
         let run = |p: f64| {
             NetworkSimulation::new(&t, NEXUS_ONE, fleet(10, p, 3))
                 .run()
+                .unwrap()
                 .fleet_saving
         };
         let half = run(0.5);
@@ -242,7 +254,9 @@ mod tests {
     #[test]
     fn distinct_seeds_give_distinct_port_sets() {
         let t = trace();
-        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(5, 1.0, 3)).run();
+        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(5, 1.0, 3))
+            .run()
+            .unwrap();
         let counts: Vec<usize> = result
             .clients
             .iter()
@@ -255,7 +269,9 @@ mod tests {
     #[test]
     fn port_message_airtime_share_is_tiny() {
         let t = trace();
-        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(50, 0.75, 3)).run();
+        let result = NetworkSimulation::new(&t, NEXUS_ONE, fleet(50, 0.75, 3))
+            .run()
+            .unwrap();
         // ~3.75 msgs/s * ~2 ms each: well under 1% of airtime.
         assert!(result.port_message_airtime_share < 0.01);
         assert!((result.port_messages_per_sec - 3.8).abs() < 0.2);

@@ -8,6 +8,7 @@
 //! [`crate::SimulationBuilder`] is validated against: both must agree
 //! on which DTIM intervals wake the client and (closely) on energy.
 
+use crate::error::SimError;
 use crate::solution::Solution;
 use hide_core::ap::{AccessPoint, ApCtx, BeaconMode};
 use hide_core::client::{HideClient, OpenPortRegistry, WakeDecision};
@@ -15,9 +16,7 @@ use hide_core::CoreError;
 use hide_energy::profile::DeviceProfile;
 use hide_energy::timeline::{Overhead, Timeline, TimelineFrame};
 use hide_energy::EnergyReport;
-use hide_obs::{
-    Counter, MetricsSink, NoopSink, NoopTrace, TraceEventKind, TraceSink, WakeCause, WakeClass,
-};
+use hide_obs::{Counter, MetricsSink, TraceEventKind, TraceSink, WakeCause, WakeClass};
 use hide_policy::WakePolicy;
 use hide_traces::record::Trace;
 use hide_traces::useful::Usefulness;
@@ -96,46 +95,31 @@ impl<'a> ProtocolSimulation<'a> {
         self
     }
 
-    /// Runs the protocol and evaluates the energy model on the outcome.
+    /// Runs the protocol and evaluates the energy model on the
+    /// outcome, streaming metrics into `sink` (per-beacon BTIM
+    /// footprint, AP delivery counts, port-table traffic and the
+    /// energy-model counters) and events into `trace` (every DTIM
+    /// boundary, emitted BTIM and wake decision, at simulation time).
     ///
-    /// # Errors
-    ///
-    /// Propagates protocol errors ([`CoreError`]); none occur for valid
-    /// traces.
-    pub fn run(&self) -> Result<ProtocolOutcome, CoreError> {
-        self.run_observed(&mut NoopSink)
-    }
-
-    /// [`run`](Self::run), streaming metrics into `sink`: per-beacon
-    /// BTIM footprint, AP delivery counts, port-table traffic and the
-    /// energy-model counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol errors ([`CoreError`]); none occur for valid
-    /// traces.
-    pub fn run_observed<S: MetricsSink>(&self, sink: &mut S) -> Result<ProtocolOutcome, CoreError> {
-        self.run_traced(sink, &mut NoopTrace)
-    }
-
-    /// [`run_observed`](Self::run_observed) with event tracing: every
-    /// DTIM boundary, emitted BTIM, and wake decision streams into
-    /// `trace` at simulation time. All protocol wakes here are proper
-    /// by construction (a single client whose refreshes are never
-    /// lost), so every `WakeDecision` carries class `Proper`; the frame
+    /// Both sinks are taken by value, as [`ApCtx`] takes them: pass
+    /// `(NoopSink, NoopTrace)` for an uninstrumented run, whose sink
+    /// calls compile to nothing, or `(&mut recorder, &mut flight)` to
+    /// keep what they collect. All protocol wakes here are proper by
+    /// construction (a single client whose refreshes are never lost),
+    /// so every HIDE `WakeDecision` carries class `Proper`; the frame
     /// id is the running delivered-frame count of the first consumed
-    /// frame. The untraced entry points delegate here with no-op sinks,
-    /// so all three compile to the same hot path.
+    /// frame.
     ///
     /// # Errors
     ///
-    /// Propagates protocol errors ([`CoreError`]); none occur for valid
-    /// traces.
-    pub fn run_traced<S: MetricsSink, T: TraceSink>(
+    /// Returns [`SimError::Energy`] when the trace is degenerate (zero
+    /// duration) and [`SimError::Core`] when the protocol rejects an
+    /// operation; none occurs for a valid trace.
+    pub fn run<S: MetricsSink, T: TraceSink>(
         &self,
-        sink: &mut S,
-        trace: &mut T,
-    ) -> Result<ProtocolOutcome, CoreError> {
+        mut sink: S,
+        mut trace: T,
+    ) -> Result<ProtocolOutcome, SimError> {
         let tau = self.profile.wakelock_secs;
         let marking = Usefulness::port_based(self.trace, self.useful_fraction);
         let hide_mode = self.policy.uses_port_refresh();
@@ -201,8 +185,8 @@ impl<'a> ProtocolSimulation<'a> {
                 .emit_dtim_beacon(
                     i,
                     &mut ApCtx::untimed()
-                        .with_metrics(&mut *sink)
-                        .with_trace(&mut *trace),
+                        .with_metrics(&mut sink)
+                        .with_trace(&mut trace),
                 )
                 .to_bytes();
             stats.beacons += 1;
@@ -219,7 +203,7 @@ impl<'a> ProtocolSimulation<'a> {
                 if !in_window {
                     continue;
                 }
-                let delivered = ap.drain_broadcasts(&mut ApCtx::untimed().with_metrics(&mut *sink));
+                let delivered = ap.drain_broadcasts(&mut ApCtx::untimed().with_metrics(&mut sink));
                 if delivered.is_empty() {
                     continue;
                 }
@@ -259,7 +243,7 @@ impl<'a> ProtocolSimulation<'a> {
             }
 
             let decision = client.handle_beacon(&beacon)?;
-            let delivered = ap.drain_broadcasts(&mut ApCtx::untimed().with_metrics(&mut *sink));
+            let delivered = ap.drain_broadcasts(&mut ApCtx::untimed().with_metrics(&mut sink));
 
             if decision == WakeDecision::WakeForBroadcast {
                 stats.wake_intervals += 1;
@@ -324,8 +308,7 @@ impl<'a> ProtocolSimulation<'a> {
             None => self.beacon_interval,
         };
         let mut timeline =
-            Timeline::new(self.trace.duration, heard_beacon_interval, timeline_frames)
-                .expect("protocol timeline is valid");
+            Timeline::new(self.trace.duration, heard_beacon_interval, timeline_frames)?;
         timeline.recompute_more_data();
 
         let msg_len = 24 + 2 + 2 * marking.useful_ports().len().min(100);
@@ -334,9 +317,9 @@ impl<'a> ProtocolSimulation<'a> {
             port_messages: stats.port_messages,
             port_message_airtime: phy::airtime_of_total_bytes(msg_len, DataRate::R1M),
         };
-        ap.port_table().observe_into(sink);
+        ap.port_table().observe_into(&mut sink);
         sink.add(Counter::PortMessages, stats.port_messages);
-        let energy = hide_energy::evaluate_observed(&self.profile, &timeline, &overhead, sink);
+        let energy = hide_energy::evaluate_observed(&self.profile, &timeline, &overhead, &mut sink);
         Ok(ProtocolOutcome { energy, stats })
     }
 
@@ -354,13 +337,14 @@ impl<'a> ProtocolSimulation<'a> {
 mod tests {
     use super::*;
     use hide_energy::profile::NEXUS_ONE;
+    use hide_obs::{NoopSink, NoopTrace};
     use hide_traces::scenario::Scenario;
 
     #[test]
     fn protocol_run_completes_with_sane_stats() {
         let trace = Scenario::CsDept.generate(300.0, 81);
         let outcome = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.10)
-            .run()
+            .run(NoopSink, NoopTrace)
             .unwrap();
         assert!(outcome.stats.beacons >= 2929); // 300 s / 102.4 ms
         assert!(outcome.stats.wake_intervals > 0);
@@ -378,8 +362,8 @@ mod tests {
         // at most one beacon interval per frame).
         let trace = Scenario::Starbucks.generate(600.0, 83);
         let protocol = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.10);
-        let outcome = protocol.run().unwrap();
-        let marked = protocol.marking_equivalent().run();
+        let outcome = protocol.run(NoopSink, NoopTrace).unwrap();
+        let marked = protocol.marking_equivalent().run(NoopSink).unwrap();
 
         assert_eq!(
             outcome.stats.frames_consumed as usize, marked.received_frames,
@@ -397,7 +381,7 @@ mod tests {
     fn zero_useful_fraction_never_wakes() {
         let trace = Scenario::Wrl.generate(200.0, 85);
         let outcome = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.0)
-            .run()
+            .run(NoopSink, NoopTrace)
             .unwrap();
         assert_eq!(outcome.stats.wake_intervals, 0);
         assert_eq!(outcome.stats.frames_consumed, 0);
@@ -409,9 +393,9 @@ mod tests {
         use hide_obs::{Counter, Recorder};
         let trace = Scenario::Starbucks.generate(120.0, 89);
         let sim = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.10);
-        let plain = sim.run().unwrap();
+        let plain = sim.run(NoopSink, NoopTrace).unwrap();
         let mut rec = Recorder::new();
-        let observed = sim.run_observed(&mut rec).unwrap();
+        let observed = sim.run(&mut rec, NoopTrace).unwrap();
         assert_eq!(plain, observed);
         assert_eq!(rec.counter(Counter::BtimBeacons), observed.stats.beacons);
         assert_eq!(rec.counter(Counter::BtimBytes), observed.stats.btim_bytes);
@@ -436,8 +420,11 @@ mod tests {
         use hide_policy::WakePolicy;
         let trace = Scenario::Starbucks.generate(300.0, 91);
         let base = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.10);
-        let hide = base.clone().run().unwrap();
-        let psm = base.policy(WakePolicy::LegacyPsm).run().unwrap();
+        let hide = base.clone().run(NoopSink, NoopTrace).unwrap();
+        let psm = base
+            .policy(WakePolicy::LegacyPsm)
+            .run(NoopSink, NoopTrace)
+            .unwrap();
         assert_eq!(psm.stats.port_messages, 0);
         assert_eq!(psm.stats.btim_bytes, 0);
         assert!(psm.stats.wake_intervals >= hide.stats.wake_intervals);
@@ -458,13 +445,17 @@ mod tests {
         use hide_policy::{ScheduleConfig, WakePolicy};
         let trace = Scenario::Starbucks.generate(300.0, 91);
         let base = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.10);
-        let psm = base.clone().policy(WakePolicy::LegacyPsm).run().unwrap();
+        let psm = base
+            .clone()
+            .policy(WakePolicy::LegacyPsm)
+            .run(NoopSink, NoopTrace)
+            .unwrap();
         let sched = base
             .policy(WakePolicy::ScheduledWake(ScheduleConfig {
                 interval_dtims: 8,
                 period_dtims: 1,
             }))
-            .run()
+            .run(NoopSink, NoopTrace)
             .unwrap();
         assert!(sched.stats.wake_intervals <= sched.stats.beacons / 8 + 1);
         assert!(sched.stats.wake_intervals < psm.stats.wake_intervals);
@@ -477,10 +468,21 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_trace_is_error_not_panic() {
+        // Regression: a zero-duration trace used to panic on the
+        // timeline `expect` although `run` returns `Result`.
+        let trace = Trace::new("bad", 0.0, vec![]);
+        let err = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.1)
+            .run(NoopSink, NoopTrace)
+            .unwrap_err();
+        assert!(matches!(err, SimError::Energy(_)), "{err:?}");
+    }
+
+    #[test]
     fn btim_bytes_accumulate_per_beacon() {
         let trace = Scenario::Starbucks.generate(60.0, 87);
         let outcome = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.10)
-            .run()
+            .run(NoopSink, NoopTrace)
             .unwrap();
         // Every beacon carries at least the 4-byte empty BTIM.
         assert!(outcome.stats.btim_bytes >= outcome.stats.beacons * 4);

@@ -96,6 +96,7 @@ mod tests {
     use super::*;
     use crate::experiment::{self, PAPER_FRACTIONS};
     use hide_energy::profile::NEXUS_ONE;
+    use hide_obs::Recorder;
     use hide_traces::scenario::Scenario;
 
     #[test]
@@ -106,13 +107,20 @@ mod tests {
         assert!(vol_table.contains("Classroom"));
         assert!(vol_table.contains("mean fps"));
 
-        let comparisons = experiment::energy_comparison(NEXUS_ONE, &traces[..1], &PAPER_FRACTIONS);
+        let comparisons = experiment::energy_comparison(
+            NEXUS_ONE,
+            &traces[..1],
+            &PAPER_FRACTIONS,
+            &mut Recorder::new(),
+        )
+        .unwrap();
         let energy_table = render_energy_comparison(&comparisons);
         assert!(energy_table.contains("receive-all"));
         assert!(energy_table.contains("HIDE:2%"));
         assert!(energy_table.contains("Eo/T"));
 
-        let rows = experiment::suspend_fractions(NEXUS_ONE, &traces[..1]);
+        let rows =
+            experiment::suspend_fractions(NEXUS_ONE, &traces[..1], &mut Recorder::new()).unwrap();
         let suspend_table = render_suspend_fractions(&rows);
         assert!(suspend_table.contains("HIDE:10%"));
         assert!(suspend_table.contains('%'));

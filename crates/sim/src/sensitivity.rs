@@ -6,9 +6,11 @@
 //! how much the headline comparison depends on those choices — the
 //! robustness questions a reviewer would ask.
 
+use crate::error::SimError;
 use crate::solution::Solution;
 use crate::SimulationBuilder;
 use hide_energy::profile::DeviceProfile;
+use hide_obs::NoopSink;
 use hide_traces::record::Trace;
 
 /// One point of a parameter sweep.
@@ -26,24 +28,28 @@ pub struct SensitivityPoint {
     pub hide_saving: f64,
 }
 
-fn point(trace: &Trace, profile: DeviceProfile, value: f64) -> SensitivityPoint {
-    let all = SimulationBuilder::new(trace, profile).run();
+fn point(trace: &Trace, profile: DeviceProfile, value: f64) -> Result<SensitivityPoint, SimError> {
+    let all = SimulationBuilder::new(trace, profile).run(NoopSink)?;
     let cs = SimulationBuilder::new(trace, profile)
         .solution(Solution::client_side_lower_bound())
-        .run();
+        .run(NoopSink)?;
     let hide = SimulationBuilder::new(trace, profile)
         .solution(Solution::hide(0.10))
-        .run();
-    SensitivityPoint {
+        .run(NoopSink)?;
+    Ok(SensitivityPoint {
         value,
         receive_all_mw: all.energy.average_power_mw(),
         client_side_mw: cs.energy.average_power_mw(),
         hide_mw: hide.energy.average_power_mw(),
         hide_saving: hide.energy.saving_vs(&all.energy),
-    }
+    })
 }
 
 /// Sweeps the per-frame wakelock duration `τ`.
+///
+/// # Errors
+///
+/// Returns [`SimError::Energy`] when the trace is degenerate.
 ///
 /// # Panics
 ///
@@ -52,7 +58,7 @@ pub fn wakelock_sweep(
     trace: &Trace,
     base: DeviceProfile,
     taus_secs: &[f64],
-) -> Vec<SensitivityPoint> {
+) -> Result<Vec<SensitivityPoint>, SimError> {
     // Validate before fanning out so the panic carries its message
     // instead of surfacing as a worker-thread failure.
     for &tau in taus_secs {
@@ -62,11 +68,17 @@ pub fn wakelock_sweep(
         let profile = base.derive().wakelock_secs(tau).build();
         point(trace, profile, tau)
     })
+    .into_iter()
+    .collect()
 }
 
 /// Sweeps a multiplier on the suspend/resume *energies* (`E_rm`,
 /// `E_sp`), interpolating between Nexus-One-like and worse-than-S4
 /// state-transfer costs.
+///
+/// # Errors
+///
+/// Returns [`SimError::Energy`] when the trace is degenerate.
 ///
 /// # Panics
 ///
@@ -75,7 +87,7 @@ pub fn state_cost_sweep(
     trace: &Trace,
     base: DeviceProfile,
     multipliers: &[f64],
-) -> Vec<SensitivityPoint> {
+) -> Result<Vec<SensitivityPoint>, SimError> {
     for &k in multipliers {
         assert!(k > 0.0, "multiplier must be positive");
     }
@@ -87,6 +99,8 @@ pub fn state_cost_sweep(
             .build();
         point(trace, profile, k)
     })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -103,7 +117,7 @@ mod tests {
     fn hide_wins_across_wakelock_durations() {
         // The headline conclusion must not hinge on τ = 1 s.
         let t = trace();
-        let sweep = wakelock_sweep(&t, NEXUS_ONE, &[0.25, 0.5, 1.0, 2.0, 5.0]);
+        let sweep = wakelock_sweep(&t, NEXUS_ONE, &[0.25, 0.5, 1.0, 2.0, 5.0]).unwrap();
         for p in &sweep {
             assert!(
                 p.hide_mw < p.receive_all_mw,
@@ -124,7 +138,7 @@ mod tests {
     #[test]
     fn longer_wakelocks_raise_all_solutions() {
         let t = trace();
-        let sweep = wakelock_sweep(&t, NEXUS_ONE, &[0.5, 1.0, 2.0]);
+        let sweep = wakelock_sweep(&t, NEXUS_ONE, &[0.5, 1.0, 2.0]).unwrap();
         for w in sweep.windows(2) {
             assert!(w[1].receive_all_mw >= w[0].receive_all_mw);
             assert!(w[1].hide_mw >= w[0].hide_mw);
@@ -136,7 +150,7 @@ mod tests {
         // As suspend/resume get pricier, the client-side solution —
         // which thrashes state transfers — degrades faster than HIDE.
         let t = trace();
-        let sweep = state_cost_sweep(&t, NEXUS_ONE, &[1.0, 2.0, 4.0]);
+        let sweep = state_cost_sweep(&t, NEXUS_ONE, &[1.0, 2.0, 4.0]).unwrap();
         let cs_growth = sweep.last().unwrap().client_side_mw / sweep[0].client_side_mw;
         let hide_growth = sweep.last().unwrap().hide_mw / sweep[0].hide_mw;
         assert!(

@@ -1,11 +1,13 @@
 //! The trace-driven simulation: trace + solution → reception timeline →
 //! energy report.
 
+use crate::error::SimError;
 use crate::solution::Solution;
+use hide_core::CoreError;
 use hide_energy::profile::DeviceProfile;
-use hide_energy::timeline::{EnergyError, Overhead, Timeline, TimelineFrame};
+use hide_energy::timeline::{Overhead, Timeline, TimelineFrame};
 use hide_energy::EnergyReport;
-use hide_obs::{Counter, Distribution, MetricsSink, NoopSink};
+use hide_obs::{Counter, Distribution, MetricsSink};
 use hide_traces::record::Trace;
 use hide_traces::unicast::UnicastTrace;
 use hide_traces::useful::Usefulness;
@@ -142,32 +144,24 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Runs the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnergyError`] when the trace is degenerate (zero
-    /// duration or unsorted frames).
-    pub fn try_run(&self) -> Result<SimulationResult, EnergyError> {
-        self.try_run_observed(&mut NoopSink)
-    }
-
-    /// [`SimulationBuilder::try_run`] with instrumentation: counts the
-    /// run, its trace/delivered/hidden/wake frames and UDP Port
+    /// Runs the simulation, streaming its metrics into `sink`: counts
+    /// the run, its trace/delivered/hidden/wake frames and UDP Port
     /// Messages, feeds the per-run delivered and hidden counts into
     /// their distributions, and forwards the sink into the energy model
-    /// ([`hide_energy::evaluate_observed`]). [`SimulationBuilder::try_run`]
-    /// delegates here with a [`NoopSink`], so the uninstrumented path
-    /// monomorphizes to identical code.
+    /// ([`hide_energy::evaluate_observed`]).
+    ///
+    /// The sink is taken by value, as [`hide_core::ap::ApCtx`] takes
+    /// its sinks: pass [`NoopSink`](hide_obs::NoopSink) for an
+    /// uninstrumented run (its calls compile to nothing) or
+    /// `&mut recorder` to keep the metrics.
     ///
     /// # Errors
     ///
-    /// Returns [`EnergyError`] when the trace is degenerate (zero
-    /// duration or unsorted frames).
-    pub fn try_run_observed<S: MetricsSink>(
-        &self,
-        sink: &mut S,
-    ) -> Result<SimulationResult, EnergyError> {
+    /// Returns [`SimError::Energy`] when the trace is degenerate (zero
+    /// duration or unsorted frames) and [`SimError::Core`] when a UDP
+    /// Port Message cannot carry [`Self::ports_per_message`] ports
+    /// (more than `OpenUdpPorts::MAX_PORTS`).
+    pub fn run<S: MetricsSink>(&self, mut sink: S) -> Result<SimulationResult, SimError> {
         let tau = self.profile.wakelock_secs;
 
         // Build the reception timeline for the chosen solution. Every
@@ -292,7 +286,7 @@ impl<'a> SimulationBuilder<'a> {
         }
 
         let overhead = if self.solution.has_hide_overhead() {
-            self.hide_overhead(&timeline)
+            self.hide_overhead(&timeline)?
         } else {
             Overhead::NONE
         };
@@ -307,7 +301,7 @@ impl<'a> SimulationBuilder<'a> {
         sink.observe(Distribution::DeliveredPerRun, received_frames as u64);
         sink.observe(Distribution::HiddenPerRun, hidden);
 
-        let energy = hide_energy::evaluate_observed(&self.profile, &timeline, &overhead, sink);
+        let energy = hide_energy::evaluate_observed(&self.profile, &timeline, &overhead, &mut sink);
         Ok(SimulationResult {
             solution: self.solution,
             scenario: self.trace.scenario.clone(),
@@ -318,16 +312,6 @@ impl<'a> SimulationBuilder<'a> {
             wake_frames,
             trace_frames: self.trace.len(),
         })
-    }
-
-    /// Runs the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trace is degenerate; use
-    /// [`SimulationBuilder::try_run`] to handle that case.
-    pub fn run(&self) -> SimulationResult {
-        self.try_run().expect("trace produces a valid timeline")
     }
 
     fn mark_useful(&self, fraction: f64) -> Usefulness {
@@ -343,7 +327,7 @@ impl<'a> SimulationBuilder<'a> {
     }
 
     /// The `Eo` inputs of Eqs. (15)–(19) for this configuration.
-    fn hide_overhead(&self, timeline: &Timeline) -> Overhead {
+    fn hide_overhead(&self, timeline: &Timeline) -> Result<Overhead, CoreError> {
         // One UDP Port Message per sync interval (Eq. 18, M = f · T).
         let port_messages = (self.trace.duration / self.sync_interval_secs).ceil() as u64;
         // Eq. (19): the message's MAC bytes, preceded by the PHY
@@ -351,9 +335,8 @@ impl<'a> SimulationBuilder<'a> {
         let msg = UdpPortMessage::new(
             MacAddr::station(1),
             MacAddr::station(0),
-            (0..self.ports_per_message as u16).map(|i| 1024 + i),
-        )
-        .expect("port count within element limit");
+            (0..self.ports_per_message).map(|i| 1024u16.wrapping_add(i as u16)),
+        )?;
         let port_message_airtime =
             phy::airtime_of_total_bytes(msg.len_bytes(), self.port_message_rate);
 
@@ -361,11 +344,11 @@ impl<'a> SimulationBuilder<'a> {
         // 1..=network_aid_span; header (2) + offset (1) + bitmap bytes.
         let bitmap_bytes = (self.network_aid_span as usize) / 8 + 1;
         let btim_bytes_per_beacon = (2 + 1 + bitmap_bytes) as f64;
-        Overhead {
+        Ok(Overhead {
             btim_bytes_total: btim_bytes_per_beacon * timeline.beacon_count() as f64,
             port_messages,
             port_message_airtime,
-        }
+        })
     }
 }
 
@@ -409,6 +392,7 @@ pub struct SimulationResult {
 mod tests {
     use super::*;
     use hide_energy::profile::{GALAXY_S4, NEXUS_ONE};
+    use hide_obs::NoopSink;
     use hide_traces::scenario::Scenario;
 
     fn trace() -> Trace {
@@ -418,7 +402,7 @@ mod tests {
     #[test]
     fn receive_all_receives_everything() {
         let t = trace();
-        let r = SimulationBuilder::new(&t, NEXUS_ONE).run();
+        let r = SimulationBuilder::new(&t, NEXUS_ONE).run(NoopSink).unwrap();
         assert_eq!(r.received_frames, t.len());
         assert_eq!(r.wake_frames, t.len());
         assert_eq!(r.energy.breakdown.overhead, 0.0);
@@ -430,7 +414,8 @@ mod tests {
         let t = trace();
         let r = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.10))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert!(r.received_frames < t.len());
         assert_eq!(r.received_frames, r.wake_frames);
         let achieved = r.achieved_useful_fraction.unwrap();
@@ -443,7 +428,8 @@ mod tests {
         let t = trace();
         let r = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::client_side(0.10))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert_eq!(r.received_frames, t.len());
         assert!(r.wake_frames < t.len());
         assert_eq!(r.energy.breakdown.overhead, 0.0);
@@ -454,7 +440,8 @@ mod tests {
         let t = trace();
         let r = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::client_side_lower_bound())
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert_eq!(r.wake_frames, 0);
         assert_eq!(r.energy.breakdown.wakelock, 0.0);
         // But state transfers still cost plenty.
@@ -464,13 +451,15 @@ mod tests {
     #[test]
     fn hide_beats_receive_all_and_client_side() {
         let t = trace();
-        let all = SimulationBuilder::new(&t, NEXUS_ONE).run();
+        let all = SimulationBuilder::new(&t, NEXUS_ONE).run(NoopSink).unwrap();
         let cs = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::client_side_lower_bound())
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let hide = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.10))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert!(hide.energy.breakdown.total() < all.energy.breakdown.total());
         assert!(hide.energy.breakdown.total() < cs.energy.breakdown.total());
     }
@@ -481,7 +470,8 @@ mod tests {
         let run = |f: f64| {
             SimulationBuilder::new(&t, NEXUS_ONE)
                 .solution(Solution::hide(f))
-                .run()
+                .run(NoopSink)
+                .unwrap()
                 .energy
                 .breakdown
                 .total()
@@ -492,10 +482,11 @@ mod tests {
     #[test]
     fn hide_suspends_more_than_alternatives() {
         let t = trace();
-        let all = SimulationBuilder::new(&t, NEXUS_ONE).run();
+        let all = SimulationBuilder::new(&t, NEXUS_ONE).run(NoopSink).unwrap();
         let hide = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.02))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert!(hide.energy.suspend_fraction() > all.energy.suspend_fraction());
     }
 
@@ -505,10 +496,11 @@ mod tests {
         // client-side solution helps much less there.
         let t = Scenario::Classroom.generate(900.0, 23);
         let saving = |p| {
-            let all = SimulationBuilder::new(&t, p).run();
+            let all = SimulationBuilder::new(&t, p).run(NoopSink).unwrap();
             let cs = SimulationBuilder::new(&t, p)
                 .solution(Solution::client_side_lower_bound())
-                .run();
+                .run(NoopSink)
+                .unwrap();
             cs.energy.saving_vs(&all.energy)
         };
         assert!(saving(GALAXY_S4) < saving(NEXUS_ONE));
@@ -521,7 +513,8 @@ mod tests {
             SimulationBuilder::new(&t, NEXUS_ONE)
                 .solution(Solution::hide(0.10))
                 .sync_interval_secs(interval)
-                .run()
+                .run(NoopSink)
+                .unwrap()
                 .energy
                 .breakdown
                 .overhead
@@ -537,7 +530,8 @@ mod tests {
         let t = trace();
         let r = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.10))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert!(r.energy.breakdown.overhead < 0.05 * r.energy.breakdown.total());
     }
 
@@ -546,11 +540,13 @@ mod tests {
         let t = Scenario::Wml.generate(1800.0, 29);
         let pb = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.10))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let bn = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.10))
             .marking(MarkingStrategy::Bernoulli { seed: 5 })
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let a = pb.energy.breakdown.total();
         let b = bn.energy.breakdown.total();
         assert!((a - b).abs() / a < 0.35, "port-based {a} vs bernoulli {b}");
@@ -559,7 +555,28 @@ mod tests {
     #[test]
     fn degenerate_trace_is_error() {
         let t = Trace::new("bad", 0.0, vec![]);
-        assert!(SimulationBuilder::new(&t, NEXUS_ONE).try_run().is_err());
+        let err = SimulationBuilder::new(&t, NEXUS_ONE)
+            .run(NoopSink)
+            .unwrap_err();
+        assert!(matches!(err, SimError::Energy(_)), "{err:?}");
+    }
+
+    #[test]
+    fn port_list_beyond_one_element_is_error_not_panic() {
+        // Regression: 128 ports used to panic on the port-message
+        // `expect`; the Open UDP Ports element holds at most 127.
+        use hide_wifi::ie::OpenUdpPorts;
+        let t = trace();
+        let hide = |ports| {
+            SimulationBuilder::new(&t, NEXUS_ONE)
+                .solution(Solution::hide(0.1))
+                .ports_per_message(ports)
+                .run(NoopSink)
+        };
+        assert_eq!(OpenUdpPorts::MAX_PORTS, 127);
+        assert!(hide(127).is_ok());
+        let err = hide(128).unwrap_err();
+        assert!(matches!(err, SimError::Core(_)), "{err:?}");
     }
 
     #[test]
@@ -570,13 +587,16 @@ mod tests {
         let t = trace();
         let hide10 = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.10))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let hide4 = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.04))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let hybrid = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hybrid(0.10, 0.04))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert_eq!(hybrid.received_frames, hide10.received_frames);
         assert!(hybrid.wake_frames < hybrid.received_frames);
         let (e10, e4, eh) = (
@@ -593,7 +613,8 @@ mod tests {
         let t = trace();
         let hybrid = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hybrid(0.10, 0.04))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let achieved = hybrid.achieved_useful_fraction.unwrap();
         assert!((achieved - 0.04).abs() < 0.03, "achieved {achieved}");
     }
@@ -605,8 +626,11 @@ mod tests {
         // prior wakelock; on a real trace the net wake count stays in
         // the same ballpark.
         let t = trace();
-        let base = SimulationBuilder::new(&t, NEXUS_ONE).run();
-        let batched = SimulationBuilder::new(&t, NEXUS_ONE).dtim_period(3).run();
+        let base = SimulationBuilder::new(&t, NEXUS_ONE).run(NoopSink).unwrap();
+        let batched = SimulationBuilder::new(&t, NEXUS_ONE)
+            .dtim_period(3)
+            .run(NoopSink)
+            .unwrap();
         let (b, a) = (base.energy.resume_count, batched.energy.resume_count);
         assert!(
             a as f64 <= b as f64 * 1.3 + 5.0,
@@ -639,7 +663,10 @@ mod tests {
             },
         ];
         let t = Trace::new("burst", 10.0, frames);
-        let r = SimulationBuilder::new(&t, NEXUS_ONE).dtim_period(2).run();
+        let r = SimulationBuilder::new(&t, NEXUS_ONE)
+            .dtim_period(2)
+            .run(NoopSink)
+            .unwrap();
         // Both frames delivered, one wake session.
         assert_eq!(r.received_frames, 2);
         assert_eq!(r.energy.resume_count, 1);
@@ -659,11 +686,13 @@ mod tests {
         let unicast = UnicastTrace::poisson(t.duration, 0.2, 13);
         let hide_quiet = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.02))
-            .run();
+            .run(NoopSink)
+            .unwrap();
         let hide_busy = SimulationBuilder::new(&t, NEXUS_ONE)
             .solution(Solution::hide(0.02))
             .unicast(&unicast)
-            .run();
+            .run(NoopSink)
+            .unwrap();
         assert!(hide_busy.energy.breakdown.total() > hide_quiet.energy.breakdown.total());
         assert!(hide_busy.energy.resume_count >= hide_quiet.energy.resume_count);
         assert!(hide_busy.energy.suspend_fraction() < hide_quiet.energy.suspend_fraction());
@@ -677,11 +706,13 @@ mod tests {
             let unicast = UnicastTrace::poisson(t.duration, rate, 13);
             let all = SimulationBuilder::new(&t, NEXUS_ONE)
                 .unicast(&unicast)
-                .run();
+                .run(NoopSink)
+                .unwrap();
             let hide = SimulationBuilder::new(&t, NEXUS_ONE)
                 .solution(Solution::hide(0.10))
                 .unicast(&unicast)
-                .run();
+                .run(NoopSink)
+                .unwrap();
             hide.energy.saving_vs(&all.energy)
         };
         // Heavy unicast keeps the device awake anyway, so HIDE's
@@ -694,8 +725,11 @@ mod tests {
         use hide_traces::unicast::UnicastTrace;
         let t = trace();
         let none = UnicastTrace::none(t.duration);
-        let with = SimulationBuilder::new(&t, NEXUS_ONE).unicast(&none).run();
-        let without = SimulationBuilder::new(&t, NEXUS_ONE).run();
+        let with = SimulationBuilder::new(&t, NEXUS_ONE)
+            .unicast(&none)
+            .run(NoopSink)
+            .unwrap();
+        let without = SimulationBuilder::new(&t, NEXUS_ONE).run(NoopSink).unwrap();
         assert_eq!(
             with.energy.breakdown.total(),
             without.energy.breakdown.total()

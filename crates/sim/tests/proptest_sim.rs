@@ -2,6 +2,7 @@
 //! generated traces.
 
 use hide_energy::profile::{GALAXY_S4, NEXUS_ONE};
+use hide_obs::{Counter, NoopSink, Recorder};
 use hide_sim::solution::Solution;
 use hide_sim::SimulationBuilder;
 use hide_traces::record::{Trace, TraceFrame};
@@ -49,10 +50,10 @@ proptest! {
         s4 in any::<bool>(),
     ) {
         let profile = if s4 { GALAXY_S4 } else { NEXUS_ONE };
-        let all = SimulationBuilder::new(&trace, profile).run();
+        let all = SimulationBuilder::new(&trace, profile).run(NoopSink).unwrap();
         let hide = SimulationBuilder::new(&trace, profile)
             .solution(Solution::hide(fraction))
-            .run();
+            .run(NoopSink).unwrap();
         // Compare the filtering-sensitive components; Eo is the price
         // of the protocol and Eb is identical by construction.
         let filtered = |r: &hide_sim::SimulationResult| {
@@ -83,7 +84,7 @@ proptest! {
     fn received_matches_marking(trace in trace_strategy(), fraction in 0.0f64..1.0) {
         let r = SimulationBuilder::new(&trace, NEXUS_ONE)
             .solution(Solution::hide(fraction))
-            .run();
+            .run(NoopSink).unwrap();
         let achieved = r.achieved_useful_fraction.unwrap();
         let expected = (achieved * trace.len() as f64).round() as usize;
         prop_assert_eq!(r.received_frames, expected);
@@ -94,10 +95,10 @@ proptest! {
     /// frames; its radio energy equals receive-all's.
     #[test]
     fn client_side_radio_equals_receive_all(trace in trace_strategy()) {
-        let all = SimulationBuilder::new(&trace, NEXUS_ONE).run();
+        let all = SimulationBuilder::new(&trace, NEXUS_ONE).run(NoopSink).unwrap();
         let cs = SimulationBuilder::new(&trace, NEXUS_ONE)
             .solution(Solution::client_side_lower_bound())
-            .run();
+            .run(NoopSink).unwrap();
         prop_assert_eq!(cs.received_frames, all.received_frames);
         prop_assert_eq!(cs.wake_frames, 0);
         prop_assert!((cs.energy.breakdown.frames - all.energy.breakdown.frames).abs() < 1e-9);
@@ -117,7 +118,8 @@ proptest! {
         ] {
             let r = SimulationBuilder::new(&trace, NEXUS_ONE)
                 .solution(solution)
-                .run();
+                .run(NoopSink)
+                .unwrap();
             let total = r.energy.breakdown.total();
             prop_assert!(total.is_finite() && total >= 0.0, "{solution}: {total}");
             let sf = r.energy.suspend_fraction();
@@ -129,12 +131,41 @@ proptest! {
     /// they are delivered (modulo the final-interval spill).
     #[test]
     fn dtim_batching_preserves_frames(trace in trace_strategy(), period in 2u8..5) {
-        let base = SimulationBuilder::new(&trace, NEXUS_ONE).run();
+        let base = SimulationBuilder::new(&trace, NEXUS_ONE).run(NoopSink).unwrap();
         let batched = SimulationBuilder::new(&trace, NEXUS_ONE)
             .dtim_period(period)
-            .run();
+            .run(NoopSink).unwrap();
         prop_assert!(batched.received_frames <= base.received_frames);
         // At most the frames of the last DTIM window can spill.
         prop_assert!(base.received_frames - batched.received_frames <= 16);
+    }
+
+    /// The uninstrumented run and the recorded run agree exactly, and
+    /// the recorder's per-run counters match the result they describe.
+    #[test]
+    fn noop_run_equals_recorded_run(trace in trace_strategy()) {
+        for solution in [
+            Solution::ReceiveAll,
+            Solution::client_side_lower_bound(),
+            Solution::client_side(0.3),
+            Solution::hide(0.3),
+            Solution::hybrid(0.3, 0.1),
+        ] {
+            let sim = SimulationBuilder::new(&trace, NEXUS_ONE).solution(solution);
+            let plain = sim.run(NoopSink).unwrap();
+            let mut rec = Recorder::new();
+            let recorded = sim.run(&mut rec).unwrap();
+            prop_assert_eq!(&plain, &recorded, "{}", solution);
+            prop_assert_eq!(rec.counter(Counter::SimsRun), 1);
+            prop_assert_eq!(
+                rec.counter(Counter::FramesDelivered),
+                recorded.received_frames as u64
+            );
+            prop_assert_eq!(
+                rec.counter(Counter::FramesHidden),
+                (recorded.trace_frames - recorded.received_frames) as u64
+            );
+            prop_assert_eq!(rec.counter(Counter::FramesWake), recorded.wake_frames as u64);
+        }
     }
 }

@@ -13,7 +13,7 @@ use hide::prelude::*;
 use hide::sim::network::{fleet, NetworkSimulation};
 use hide::sim::reliability::{self, ReliabilityConfig};
 
-fn main() {
+fn main() -> Result<(), HideError> {
     let trace = Scenario::Classroom.generate(600.0, 2024);
     println!(
         "shared medium: {} trace, {:.1} broadcast frames/s\n",
@@ -27,7 +27,7 @@ fn main() {
         "adoption", "fleet power", "baseline", "saving", "port msgs/s"
     );
     for adoption in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let result = NetworkSimulation::new(&trace, NEXUS_ONE, fleet(20, adoption, 7)).run();
+        let result = NetworkSimulation::new(&trace, NEXUS_ONE, fleet(20, adoption, 7)).run()?;
         println!(
             "{:>9.0}% {:>11.0} mW {:>11.0} mW {:>11.1}% {:>14.2}",
             adoption * 100.0,
@@ -39,7 +39,7 @@ fn main() {
     }
 
     println!("\nper-client detail at 50% adoption:");
-    let result = NetworkSimulation::new(&trace, NEXUS_ONE, fleet(20, 0.5, 7)).run();
+    let result = NetworkSimulation::new(&trace, NEXUS_ONE, fleet(20, 0.5, 7)).run()?;
     for c in result.clients.iter().take(6) {
         println!(
             "  {:<10} {:<12} useful {:>4.1}%  {:>6.1} mW  saving {:>5.1}%",
@@ -83,4 +83,5 @@ fn main() {
         "\n(802.11 retransmission keeps the table fresh until loss rates\n\
          far beyond anything a working WLAN exhibits)"
     );
+    Ok(())
 }

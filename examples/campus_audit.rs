@@ -13,7 +13,7 @@ use hide::energy::battery::Battery;
 use hide::energy::profile::ALL_PROFILES;
 use hide::prelude::*;
 
-fn main() {
+fn main() -> Result<(), HideError> {
     let duration = 900.0; // 15-minute sample per venue
     let traces: Vec<Trace> = Scenario::ALL
         .iter()
@@ -32,13 +32,13 @@ fn main() {
             "venue", "recv-all", "HIDE:10%", "HIDE:2%", "sav 10%", "sav 2%", "standby x"
         );
         for trace in &traces {
-            let all = SimulationBuilder::new(trace, profile).run();
+            let all = SimulationBuilder::new(trace, profile).run(NoopSink)?;
             let hide10 = SimulationBuilder::new(trace, profile)
                 .solution(Solution::hide(0.10))
-                .run();
+                .run(NoopSink)?;
             let hide2 = SimulationBuilder::new(trace, profile)
                 .solution(Solution::hide(0.02))
-                .run();
+                .run(NoopSink)?;
 
             // Standby life handling broadcast traffic: battery over
             // (broadcast power + suspend floor).
@@ -68,21 +68,20 @@ fn main() {
         "venue", "recv-all", "client-side", "HIDE:10%", "HIDE:2%"
     );
     for trace in &traces {
-        let frac = |s: Solution| {
-            SimulationBuilder::new(trace, NEXUS_ONE)
+        let frac = |s: Solution| -> Result<f64, SimError> {
+            let r = SimulationBuilder::new(trace, NEXUS_ONE)
                 .solution(s)
-                .run()
-                .energy
-                .suspend_fraction()
-                * 100.0
+                .run(NoopSink)?;
+            Ok(r.energy.suspend_fraction() * 100.0)
         };
         println!(
             "{:<12} {:>9.1}% {:>10.1}% {:>8.1}% {:>7.1}%",
             trace.scenario,
-            frac(Solution::ReceiveAll),
-            frac(Solution::client_side_lower_bound()),
-            frac(Solution::hide(0.10)),
-            frac(Solution::hide(0.02)),
+            frac(Solution::ReceiveAll)?,
+            frac(Solution::client_side_lower_bound())?,
+            frac(Solution::hide(0.10))?,
+            frac(Solution::hide(0.02))?,
         );
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@ use hide::energy::battery::Battery;
 use hide::prelude::*;
 use hide::traces::generate::{self, GeneratorParams, PortMix};
 
-fn main() {
+fn main() -> Result<(), HideError> {
     let params = GeneratorParams {
         idle_rate_fps: 2.0,
         burst_rate_fps: 16.0,
@@ -39,10 +39,10 @@ fn main() {
             println!("{hour:>6} {:>8} {:>12} {:>10} {:>10}", 0, "-", "-", "-");
             continue;
         }
-        let all = SimulationBuilder::new(&slice, NEXUS_ONE).run();
+        let all = SimulationBuilder::new(&slice, NEXUS_ONE).run(NoopSink)?;
         let hide = SimulationBuilder::new(&slice, NEXUS_ONE)
             .solution(Solution::hide(0.10))
-            .run();
+            .run(NoopSink)?;
         energy_all += all.energy.breakdown.total();
         energy_hide += hide.energy.breakdown.total();
         println!(
@@ -77,4 +77,5 @@ fn main() {
         battery.standby_days(p_hide),
         battery.life_extension(p_all, p_hide),
     );
+    Ok(())
 }

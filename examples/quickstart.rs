@@ -7,7 +7,7 @@
 
 use hide::prelude::*;
 
-fn main() {
+fn main() -> Result<(), HideError> {
     // 10 minutes of coffee-shop broadcast traffic, deterministic seed.
     let trace = Scenario::Starbucks.generate(600.0, 42);
     println!(
@@ -29,11 +29,11 @@ fn main() {
         "{:<14} {:>10} {:>12} {:>10}",
         "solution", "avg power", "suspended", "wake-ups"
     );
-    let baseline = SimulationBuilder::new(&trace, NEXUS_ONE).run();
+    let baseline = SimulationBuilder::new(&trace, NEXUS_ONE).run(NoopSink)?;
     for solution in solutions {
         let result = SimulationBuilder::new(&trace, NEXUS_ONE)
             .solution(solution)
-            .run();
+            .run(NoopSink)?;
         println!(
             "{:<14} {:>7.1} mW {:>11.1}% {:>10}",
             solution.label(),
@@ -49,4 +49,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

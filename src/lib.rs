@@ -31,11 +31,12 @@
 //! let trace = Scenario::Starbucks.generate(60.0, 42);
 //! let hide = SimulationBuilder::new(&trace, NEXUS_ONE)
 //!     .solution(Solution::hide(0.10))
-//!     .run();
+//!     .run(NoopSink)?;
 //! let all = SimulationBuilder::new(&trace, NEXUS_ONE)
 //!     .solution(Solution::ReceiveAll)
-//!     .run();
+//!     .run(NoopSink)?;
 //! assert!(hide.energy.breakdown.total() < all.energy.breakdown.total());
+//! # Ok::<(), HideError>(())
 //! ```
 
 #![forbid(unsafe_code)]

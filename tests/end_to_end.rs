@@ -186,7 +186,8 @@ fn prelude_pipeline_smoke() {
     let trace = Scenario::Wrl.generate(120.0, 5);
     let result = SimulationBuilder::new(&trace, GALAXY_S4)
         .solution(Solution::hide(0.05))
-        .run();
+        .run(NoopSink)
+        .unwrap();
     assert!(result.energy.breakdown.total() > 0.0);
     assert!(result.energy.suspend_fraction() > 0.0);
     let _: SimulationResult = result;

@@ -7,8 +7,10 @@ use hide::prelude::*;
 fn protocol_simulation_through_facade() {
     let trace = Scenario::Starbucks.generate(300.0, 11);
     let protocol = ProtocolSimulation::new(&trace, NEXUS_ONE, 0.10);
-    let outcome = protocol.run().expect("protocol run succeeds");
-    let marked = protocol.marking_equivalent().run();
+    let outcome = protocol
+        .run(NoopSink, NoopTrace)
+        .expect("protocol run succeeds");
+    let marked = protocol.marking_equivalent().run(NoopSink).unwrap();
     assert_eq!(
         outcome.stats.frames_consumed as usize,
         marked.received_frames
@@ -21,7 +23,9 @@ fn protocol_simulation_through_facade() {
 #[test]
 fn fleet_and_battery_arithmetic_compose() {
     let trace = Scenario::Wrl.generate(300.0, 12);
-    let result = NetworkSimulation::new(&trace, GALAXY_S4, fleet(6, 1.0, 4)).run();
+    let result = NetworkSimulation::new(&trace, GALAXY_S4, fleet(6, 1.0, 4))
+        .run()
+        .unwrap();
     assert!(result.fleet_saving > 0.3);
 
     // Fleet saving translates into standby life via the battery model.
@@ -39,13 +43,15 @@ fn hybrid_and_unicast_compose() {
     let result = SimulationBuilder::new(&trace, NEXUS_ONE)
         .solution(Solution::hybrid(0.10, 0.04))
         .unicast(&unicast)
-        .run();
+        .run(NoopSink)
+        .unwrap();
     assert!(result.energy.breakdown.total() > 0.0);
     assert!(result.wake_frames < result.received_frames + unicast.len());
     // Unicast deliveries wake the phone on top of the hybrid filter.
     let quiet = SimulationBuilder::new(&trace, NEXUS_ONE)
         .solution(Solution::hybrid(0.10, 0.04))
-        .run();
+        .run(NoopSink)
+        .unwrap();
     assert!(result.energy.breakdown.total() > quiet.energy.breakdown.total());
 }
 

@@ -6,6 +6,7 @@
 use hide::analysis::capacity::{CapacityAnalysis, NetworkConfig};
 use hide::analysis::delay::{DelayAnalysis, DelayConfig};
 use hide::energy::profile::{GALAXY_S4, NEXUS_ONE};
+use hide::obs::Recorder;
 use hide::sim::experiment::{self, PAPER_FRACTIONS};
 use hide::traces::scenario::Scenario;
 
@@ -17,8 +18,9 @@ const SEED: u64 = 2016;
 #[test]
 fn nexus_one_savings_at_10_percent() {
     let traces = Scenario::generate_all(DURATION, SEED);
-    let comparisons = experiment::energy_comparison(NEXUS_ONE, &traces, &[0.10]);
-    let s = experiment::savings_summary(&comparisons, 0.10);
+    let comparisons =
+        experiment::energy_comparison(NEXUS_ONE, &traces, &[0.10], &mut Recorder::new()).unwrap();
+    let s = experiment::savings_summary(&comparisons, 0.10).unwrap();
     assert!(
         s.min_saving > 0.30 && s.max_saving < 0.80,
         "Nexus One @10%: {:.0}%-{:.0}% outside the paper's band",
@@ -31,8 +33,9 @@ fn nexus_one_savings_at_10_percent() {
 #[test]
 fn galaxy_s4_savings_at_10_percent() {
     let traces = Scenario::generate_all(DURATION, SEED);
-    let comparisons = experiment::energy_comparison(GALAXY_S4, &traces, &[0.10]);
-    let s = experiment::savings_summary(&comparisons, 0.10);
+    let comparisons =
+        experiment::energy_comparison(GALAXY_S4, &traces, &[0.10], &mut Recorder::new()).unwrap();
+    let s = experiment::savings_summary(&comparisons, 0.10).unwrap();
     assert!(
         s.min_saving > 0.18 && s.max_saving < 0.80,
         "Galaxy S4 @10%: {:.0}%-{:.0}% outside the paper's band",
@@ -46,8 +49,9 @@ fn galaxy_s4_savings_at_10_percent() {
 fn savings_at_2_percent() {
     let traces = Scenario::generate_all(DURATION, SEED);
     for (profile, lo, hi) in [(NEXUS_ONE, 0.60, 0.90), (GALAXY_S4, 0.55, 0.90)] {
-        let comparisons = experiment::energy_comparison(profile, &traces, &[0.02]);
-        let s = experiment::savings_summary(&comparisons, 0.02);
+        let comparisons =
+            experiment::energy_comparison(profile, &traces, &[0.02], &mut Recorder::new()).unwrap();
+        let s = experiment::savings_summary(&comparisons, 0.02).unwrap();
         assert!(
             s.min_saving > lo && s.max_saving < hi,
             "{} @2%: {:.0}%-{:.0}%",
@@ -64,7 +68,9 @@ fn savings_at_2_percent() {
 fn hide_dominates_client_side_everywhere() {
     let traces = Scenario::generate_all(DURATION, SEED);
     for profile in [NEXUS_ONE, GALAXY_S4] {
-        let comparisons = experiment::energy_comparison(profile, &traces, &PAPER_FRACTIONS);
+        let comparisons =
+            experiment::energy_comparison(profile, &traces, &PAPER_FRACTIONS, &mut Recorder::new())
+                .unwrap();
         for c in &comparisons {
             let cs = c.bar("client-side").unwrap().saving_vs_receive_all;
             for f in PAPER_FRACTIONS {
@@ -86,8 +92,9 @@ fn hide_dominates_client_side_everywhere() {
 #[test]
 fn client_side_weaker_on_s4() {
     let traces = Scenario::generate_all(DURATION, SEED);
-    let nexus = experiment::energy_comparison(NEXUS_ONE, &traces, &[]);
-    let s4 = experiment::energy_comparison(GALAXY_S4, &traces, &[]);
+    let nexus =
+        experiment::energy_comparison(NEXUS_ONE, &traces, &[], &mut Recorder::new()).unwrap();
+    let s4 = experiment::energy_comparison(GALAXY_S4, &traces, &[], &mut Recorder::new()).unwrap();
     for (n, s) in nexus.iter().zip(&s4) {
         let n_cs = n.bar("client-side").unwrap().saving_vs_receive_all;
         let s_cs = s.bar("client-side").unwrap().saving_vs_receive_all;
@@ -105,7 +112,7 @@ fn client_side_weaker_on_s4() {
 #[test]
 fn suspend_fractions_shape() {
     let traces = Scenario::generate_all(DURATION, SEED);
-    let rows = experiment::suspend_fractions(NEXUS_ONE, &traces);
+    let rows = experiment::suspend_fractions(NEXUS_ONE, &traces, &mut Recorder::new()).unwrap();
     for row in &rows {
         let get = |label: &str| {
             row.fractions
