@@ -445,8 +445,8 @@ fn report(result: &FleetResult, wall: f64) {
     println!(
         "energy {:.3} J vs baseline {:.3} J -> saving {:.2}%  \
          port-msg airtime share {:.5}",
-        r.total_energy_j,
-        r.baseline_energy_j,
+        result.energy_totals.spent_nj() as f64 / 1e9,
+        r.baseline_nj as f64 / 1e9,
         result.fleet_saving * 100.0,
         result.port_message_airtime_share,
     );

@@ -322,7 +322,7 @@ pub fn policy_matrix_with(
                 "{:<12} {:<14} {:>10.3} {:>9.2} {:>8} {:>8} {:>11.1} {:>+9.2}",
                 entry.key,
                 p.name(),
-                r.total_energy_j,
+                result.energy_totals.spent_nj() as f64 / 1e9,
                 result.fleet_saving * 100.0,
                 r.wakeups,
                 r.missed_wakeups,

@@ -9,11 +9,15 @@
 //! the global.
 
 use hide_bench as harness;
+use hide_energy::attribution::{joules_to_nj, WakePricing};
 use hide_energy::profile::NEXUS_ONE;
 use hide_fleet::{ChurnConfig, FleetConfig, StreamExportConfig, StreamSinks};
 use hide_obs::{HashingWriter, Recorder};
 use hide_sim::experiment::{self, PAPER_FRACTIONS};
 use hide_traces::scenario::Scenario;
+use hide_wifi::frame::UdpPortMessage;
+use hide_wifi::mac::MacAddr;
+use hide_wifi::phy::{self, DataRate};
 
 /// Runs the full instrumented suite at the current job count and
 /// returns the merged recorder plus the rendered figure text.
@@ -173,14 +177,27 @@ fn fleet_runs_are_identical_across_job_counts() {
         parallel.attribution().to_jsonl(),
         "attribution JSONL differs between job counts"
     );
-    // Differential invariant at deployment scale: the ledger's spent
-    // column reproduces the aggregate joule tally (±0.5 nJ per charge).
-    let spent_j = serial.attribution().spent_nj() as f64 / 1e9;
-    let total_j = serial.report.total_energy_j;
-    assert!(
-        (spent_j - total_j).abs() / total_j < 1e-5,
-        "attributed {spent_j} J vs aggregate {total_j} J"
+    // Exact identities at deployment scale: the merged rows spend what
+    // the folded totals spend, and every wake and refresh column is its
+    // event count times one integer price (every client lists
+    // `ports_per_client` ports, so every UDP Port Message costs the
+    // same).
+    let (r, t) = (&serial.report, &serial.energy_totals);
+    assert_eq!(serial.attribution().spent_nj(), t.spent_nj());
+    let p = WakePricing::from_profile(&cfg.profile);
+    let ports = 1..=cfg.churn.ports_per_client as u16;
+    let msg = UdpPortMessage::new(MacAddr::station(1), MacAddr::station(0), ports).unwrap();
+    let msg_nj = joules_to_nj(
+        phy::airtime_of_total_bytes(msg.len_bytes(), DataRate::R1M) * cfg.profile.tx_power,
     );
+    assert_eq!(
+        t.proper_nj,
+        (r.hide_wakeups - r.spurious_wakeups) * p.wake_nj
+    );
+    assert_eq!(t.spurious_nj.total(), r.spurious_wakeups * p.wake_nj);
+    assert_eq!(t.legacy_nj, (r.wakeups - r.hide_wakeups) * p.wake_nj);
+    assert_eq!(t.missed_forgone_nj.total(), r.missed_wakeups * p.forgone_nj);
+    assert_eq!(t.refresh_tx_nj, r.refreshes_sent * msg_nj);
     // With refresh loss active some missed-wakeup energy must appear,
     // and it stays out of the spent column by construction.
     assert!(serial.attribution().totals().missed_forgone_nj.total() > 0);

@@ -74,28 +74,16 @@ pub struct WakePricing {
 
 impl WakePricing {
     /// Derives the integer prices from a Table I profile, by way of its
-    /// [`TransitionTable`](crate::fsm::TransitionTable). The table
-    /// stores the profile's constants verbatim and
-    /// [`from_table`](Self::from_table) performs the same operations in
-    /// the same order, so the prices are bit-identical to the
-    /// flat-constant derivation this replaced.
+    /// [`TransitionTable`](crate::fsm::TransitionTable): the wake price
+    /// is the `Suspended → Resuming` plus `ActiveIdle → Suspending` edge
+    /// energies plus the wakelock dwell in `ActiveIdle`; the forgone
+    /// price subtracts the `Suspended` dwell over the same window; the
+    /// beacon price is the profile's `E^u_b`. Each price rounds once to
+    /// a whole nanojoule.
     #[must_use]
     pub fn from_profile(profile: &DeviceProfile) -> Self {
-        let mut pricing = Self::from_table(&crate::fsm::TransitionTable::from_profile(profile));
-        pricing.beacon_nj = joules_to_nj(profile.beacon_energy);
-        pricing
-    }
-
-    /// Derives the integer prices from a multi-radio transition table:
-    /// the wake price is the `Suspended → Resuming` plus `ActiveIdle →
-    /// Suspending` edge energies plus the wakelock dwell in
-    /// `ActiveIdle`; the forgone price subtracts the `Suspended` dwell
-    /// over the same window. The table carries no beacon length, so
-    /// `beacon_nj` is 0 — [`from_profile`](Self::from_profile) fills it
-    /// in.
-    #[must_use]
-    pub fn from_table(table: &crate::fsm::TransitionTable) -> Self {
-        use crate::fsm::RadioState;
+        use crate::fsm::{RadioState, TransitionTable};
+        let table = TransitionTable::from_profile(profile);
         let wake_j = table.wake_cycle_energy_j()
             + table.wakelock_hold_secs * table.power_w(RadioState::ActiveIdle);
         let window_secs = table.resume_secs() + table.wakelock_hold_secs + table.suspend_secs();
@@ -104,7 +92,7 @@ impl WakePricing {
         WakePricing {
             wake_nj,
             forgone_nj: wake_nj.saturating_sub(joules_to_nj(floor_j)),
-            beacon_nj: 0,
+            beacon_nj: joules_to_nj(profile.beacon_energy),
         }
     }
 }

@@ -16,7 +16,7 @@
 //!   against the table (via
 //!   [`machine::run_with_table`](crate::machine::run_with_table))
 //!   instead of reading flat per-state powers off the profile;
-//! * [`WakePricing::from_table`](crate::attribution::WakePricing::from_table)
+//! * [`WakePricing::from_profile`](crate::attribution::WakePricing::from_profile)
 //!   derives the fleet engine's pre-rounded wake prices from the same
 //!   table.
 //!

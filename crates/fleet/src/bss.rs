@@ -96,17 +96,15 @@ pub struct BssReport {
     /// fell outside its service window. Deferred, not missed: the AP
     /// still holds the traffic for the next window.
     pub deferred_wakeups: u64,
-    /// Energy actually spent by the population, joules.
-    pub total_energy_j: f64,
     /// Energy the same population would spend all-legacy (receive-all),
-    /// joules.
-    pub baseline_energy_j: f64,
+    /// nanojoules, priced with the ledger's integers.
+    pub baseline_nj: u64,
     /// Airtime consumed by UDP Port Messages, seconds (Eq. 21
     /// numerator).
     pub refresh_airtime_secs: f64,
     /// Per-client, per-cause energy ledger (integer nanojoules), keyed
-    /// by `(bss_index, aid)`. Mirrors every charge made into
-    /// [`BssReport::total_energy_j`] plus the counterfactual
+    /// by `(bss_index, aid)`: the run's one record of energy spent
+    /// ([`AttributionLedger::spent_nj`]), plus the counterfactual
     /// forgone-suspend cost of missed wakeups.
     pub attribution: AttributionLedger,
 }
@@ -129,8 +127,7 @@ impl BssReport {
         self.useful_opportunities += other.useful_opportunities;
         self.scheduled_wakes += other.scheduled_wakes;
         self.deferred_wakeups += other.deferred_wakeups;
-        self.total_energy_j += other.total_energy_j;
-        self.baseline_energy_j += other.baseline_energy_j;
+        self.baseline_nj += other.baseline_nj;
         self.refresh_airtime_secs += other.refresh_airtime_secs;
         self.attribution.merge_from(&other.attribution);
     }
@@ -302,10 +299,8 @@ struct Engine<'a> {
     /// reconstructs exact `τ_lp` hit/miss tallies for the batched
     /// sweep.
     present_prefix: Vec<u32>,
-    /// `E_rm + E_sp` plus the wakelock tail, charged per wakeup.
-    wake_cost_j: f64,
-    /// The same wake prices pre-rounded to integer nanojoules, charged
-    /// into the per-client ledger so engine-online attribution equals a
+    /// Wake and beacon prices in integer nanojoules, charged into the
+    /// per-client ledger so engine-online attribution equals a
     /// trace-join (`count × price`) bit-for-bit.
     pricing: WakePricing,
     /// This shard's trace-source lane (the BSS index), the first half of
@@ -371,10 +366,7 @@ impl<'a> Engine<'a> {
         }
         queue.schedule(Self::dtim_interval(), Event::Dtim);
 
-        let profile = &cfg.profile;
-        let wake_cost_j =
-            profile.wake_cycle_energy() + profile.wakelock_secs * profile.active_idle_power;
-        let pricing = WakePricing::from_profile(profile);
+        let pricing = WakePricing::from_profile(&cfg.profile);
 
         Engine {
             cfg,
@@ -394,7 +386,6 @@ impl<'a> Engine<'a> {
             flagged_first: Vec::new(),
             useful_first: Vec::new(),
             present_prefix: Vec::new(),
-            wake_cost_j,
             pricing,
             source: bss_index as u32,
             sched: cfg
@@ -467,7 +458,6 @@ impl<'a> Engine<'a> {
         let airtime = phy::airtime_of_total_bytes(len_bytes, DataRate::R1M);
         self.report.refreshes_sent += 1;
         self.report.refresh_airtime_secs += airtime;
-        self.report.total_energy_j += airtime * self.cfg.profile.tx_power;
         self.lane(aid).refresh_tx_nj += joules_to_nj(airtime * self.cfg.profile.tx_power);
         let lost = churn.refresh_loss > 0.0 && self.clients.rngs[i].gen_bool(churn.refresh_loss);
         if lost {
@@ -636,7 +626,6 @@ impl<'a> Engine<'a> {
     /// de-sync recorded in the client state — equivalent to the
     /// analyzer's backward walk over the trace).
     fn handle_dtim<T: TraceSink>(&mut self, now: f64, rec: &mut Recorder, trace: &mut T) {
-        let profile = &self.cfg.profile;
         // Whether a scheduled-wake client's service window covers this
         // DTIM. Policies without a schedule are always "in window".
         let in_window = self
@@ -673,54 +662,26 @@ impl<'a> Engine<'a> {
         }
 
         // Empty-burst fast path: with nothing buffered the full sweep
-        // below degenerates, bit-exactly, to charging each associated
-        // client its beacon — every burst term adds `+0.0` to a
-        // non-negative finite sum (an identity), every ledger burst add
-        // is `+= 0`, the flag pass scans zero ports, and the τ_lp
-        // charge is `(0, 0, 0)`. Most DTIMs in sparse scenarios take
-        // this path, so the sweep cost tracks traffic, not time.
+        // below degenerates to charging each beacon-receiving client
+        // its beacon — every burst charge is `+= 0`, the flag pass
+        // scans zero ports, and the τ_lp charge is `(0, 0, 0)`. Most
+        // DTIMs in sparse scenarios take this path, so the sweep cost
+        // tracks traffic, not time. A suspended scheduled-wake client
+        // outside its window deep-sleeps through the beacon; the
+        // receive-all baseline hears every one.
         if self.buffered.is_empty() {
             let beacon_nj = self.pricing.beacon_nj;
-            let beacon_j = profile.beacon_energy;
-            if self.sched.is_none() {
-                // Accumulate the two sums in registers — the add sequence
-                // is the one the general sweep performs, so the result is
-                // bit-identical; only the per-iteration store is hoisted.
-                let mut total = self.report.total_energy_j;
-                let mut baseline = self.report.baseline_energy_j;
-                let lanes = &mut self.lanes;
-                let touched = &mut self.lane_touched;
-                for &aid in &self.clients.aids {
-                    let Some(aid) = aid else {
-                        continue;
-                    };
-                    total += beacon_j;
-                    baseline += beacon_j;
-                    let v = aid.value() as usize;
-                    if lanes.len() <= v {
-                        lanes.resize(v + 1, ClientEnergy::default());
-                        touched.resize(v + 1, false);
-                    }
-                    touched[v] = true;
-                    lanes[v].beacon_nj += beacon_nj;
-                }
-                self.report.total_energy_j = total;
-                self.report.baseline_energy_j = baseline;
-            } else {
-                // Scheduled wake: suspended clients outside the window
-                // deep-sleep through the beacon (no charge); the
-                // receive-all baseline still hears every one.
-                for i in 0..self.clients.len() {
-                    let Some(aid) = self.clients.aids[i] else {
-                        continue;
-                    };
-                    self.report.baseline_energy_j += beacon_j;
-                    if !self.clients.suspended[i] || in_window {
-                        self.report.total_energy_j += beacon_j;
-                        self.lane(aid).beacon_nj += beacon_nj;
-                    }
+            let mut associated = 0u64;
+            for i in 0..self.clients.len() {
+                let Some(aid) = self.clients.aids[i] else {
+                    continue;
+                };
+                associated += 1;
+                if self.sched.is_none() || !self.clients.suspended[i] || in_window {
+                    self.lane(aid).beacon_nj += beacon_nj;
                 }
             }
+            self.report.baseline_nj += associated * beacon_nj;
             self.ap.port_table().charge_lookups(0, 0, 0);
             let next = now + Self::dtim_interval();
             if next < self.cfg.duration_secs {
@@ -732,7 +693,7 @@ impl<'a> Engine<'a> {
         let burst_rx_j: f64 = self
             .buffered
             .iter()
-            .map(|(_, f)| f.airtime() * profile.rx_power)
+            .map(|(_, f)| f.airtime() * self.cfg.profile.rx_power)
             .sum();
         let mut ports: Vec<u16> = self.buffered.iter().map(|(_, f)| f.dst_port).collect();
         ports.sort_unstable();
@@ -776,75 +737,56 @@ impl<'a> Engine<'a> {
         // the same integer, keeping the ledger merge-exact.
         let burst_rx_nj = joules_to_nj(burst_rx_j);
         let pricing = self.pricing;
-        let wake_cost_j = self.wake_cost_j;
-        let beacon_j = profile.beacon_energy;
-        let have_burst = !self.buffered.is_empty();
+        let (mut associated, mut suspended) = (0u64, 0u64);
         let (mut lp_lookups, mut lp_hits) = (0u64, 0u64);
         for i in 0..n {
             let Some(aid) = self.clients.aids[i] else {
                 continue;
             };
+            associated += 1;
             // Every associated client receives the DTIM beacon — except
             // a suspended scheduled-wake client outside its service
-            // window, which deep-sleeps through it. The receive-all
-            // baseline hears every beacon regardless of policy.
-            let receives_beacon = self.sched.is_none() || !self.clients.suspended[i] || in_window;
-            if receives_beacon {
-                self.report.total_energy_j += beacon_j;
-                self.report.baseline_energy_j += beacon_j;
+            // window, which deep-sleeps through it.
+            if self.sched.is_none() || !self.clients.suspended[i] || in_window {
                 self.lane(aid).beacon_nj += pricing.beacon_nj;
-            } else {
-                self.report.baseline_energy_j += beacon_j;
             }
 
             if !self.clients.suspended[i] {
                 // Radio already awake: the burst is heard either way.
-                self.report.total_energy_j += burst_rx_j;
-                self.report.baseline_energy_j += burst_rx_j;
                 self.lane(aid).burst_rx_nj += burst_rx_nj;
                 continue;
             }
-            if have_burst {
-                // Receive-all baseline wakes for any buffered traffic.
-                self.report.baseline_energy_j += wake_cost_j + burst_rx_j;
-            }
+            suspended += 1;
             if !self.clients.hide[i] {
-                if have_burst {
-                    // A scheduled-wake client wakes only inside its
-                    // service window; an out-of-window useful burst is
-                    // deferred to the next window, never missed (the
-                    // AP still holds it). Legacy PSM (and the legacy
-                    // share of a HIDE fleet) wakes for any burst.
-                    let wakes = match self.sched {
-                        None => true,
-                        Some(_) => in_window,
-                    };
-                    if wakes {
-                        self.report.wakeups += 1;
-                        if self.sched.is_some() {
-                            self.report.scheduled_wakes += 1;
-                            rec.incr(Counter::FleetScheduledWakes);
-                        }
-                        self.report.total_energy_j += wake_cost_j + burst_rx_j;
-                        let e = self.lane(aid);
-                        e.charge_wake(WakeClass::Legacy, WakeCause::Proper, &pricing);
-                        e.burst_rx_nj += burst_rx_nj;
-                        if trace.is_enabled() {
-                            trace.emit(
-                                now,
-                                TraceEventKind::WakeDecision {
-                                    aid: aid.value(),
-                                    port: 0,
-                                    frame_id: self.buffered.first().map(|(id, _)| *id).unwrap_or(0),
-                                    class: WakeClass::Legacy,
-                                    cause: WakeCause::Proper,
-                                },
-                            );
-                        }
-                    } else if self.useful_first[i] != NO_PORT_IDX {
-                        self.report.deferred_wakeups += 1;
-                        rec.incr(Counter::FleetDeferredWakeups);
+                // A scheduled-wake client wakes only inside its service
+                // window; an out-of-window useful burst is deferred to
+                // the next window, never missed (the AP still holds
+                // it). Legacy PSM (and the legacy share of a HIDE
+                // fleet) wakes for any burst.
+                if self.sched.is_none() || in_window {
+                    self.report.wakeups += 1;
+                    if self.sched.is_some() {
+                        self.report.scheduled_wakes += 1;
+                        rec.incr(Counter::FleetScheduledWakes);
                     }
+                    let e = self.lane(aid);
+                    e.charge_wake(WakeClass::Legacy, WakeCause::Proper, &pricing);
+                    e.burst_rx_nj += burst_rx_nj;
+                    if trace.is_enabled() {
+                        trace.emit(
+                            now,
+                            TraceEventKind::WakeDecision {
+                                aid: aid.value(),
+                                port: 0,
+                                frame_id: self.buffered.first().map(|(id, _)| *id).unwrap_or(0),
+                                class: WakeClass::Legacy,
+                                cause: WakeCause::Proper,
+                            },
+                        );
+                    }
+                } else if self.useful_first[i] != NO_PORT_IDX {
+                    self.report.deferred_wakeups += 1;
+                    rec.incr(Counter::FleetDeferredWakeups);
                 }
                 continue;
             }
@@ -872,7 +814,6 @@ impl<'a> Engine<'a> {
             if let Some(port) = flagged_port {
                 self.report.wakeups += 1;
                 self.report.hide_wakeups += 1;
-                self.report.total_energy_j += wake_cost_j + burst_rx_j;
                 let (class, cause) = if useful {
                     rec.incr(Counter::FleetWakeupsProper);
                     (WakeClass::Proper, WakeCause::Proper)
@@ -921,6 +862,10 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        // The receive-all baseline: every associated client hears the
+        // beacon and the burst, and every suspended one wakes for it.
+        self.report.baseline_nj +=
+            associated * (pricing.beacon_nj + burst_rx_nj) + suspended * pricing.wake_nj;
         // One bulk τ_lp charge replaces per-call atomics; the snapshot
         // the run observes at the end is identical.
         self.ap
@@ -1065,10 +1010,32 @@ pub(crate) fn run_bss<T: TraceSink, P: StageProfiler>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::profile::NoopProfiler;
     use hide_obs::NoopTrace;
+
+    /// Asserts that every ledger column in `t` is its event count in
+    /// `report` times one integer price — the ledger's exact identities.
+    /// Every client lists `ports_per_client` ports, so every UDP Port
+    /// Message has the same length and the same price.
+    pub(crate) fn assert_priced_exactly(cfg: &FleetConfig, report: &BssReport, t: &ClientEnergy) {
+        let p = WakePricing::from_profile(&cfg.profile);
+        let ports = 1..=cfg.churn.ports_per_client as u16;
+        let msg = UdpPortMessage::new(MacAddr::station(1), MacAddr::station(0), ports).unwrap();
+        let msg_nj = joules_to_nj(
+            phy::airtime_of_total_bytes(msg.len_bytes(), DataRate::R1M) * cfg.profile.tx_power,
+        );
+        let r = report;
+        assert_eq!(
+            t.proper_nj,
+            (r.hide_wakeups - r.spurious_wakeups) * p.wake_nj
+        );
+        assert_eq!(t.spurious_nj.total(), r.spurious_wakeups * p.wake_nj);
+        assert_eq!(t.legacy_nj, (r.wakeups - r.hide_wakeups) * p.wake_nj);
+        assert_eq!(t.missed_forgone_nj.total(), r.missed_wakeups * p.forgone_nj);
+        assert_eq!(t.refresh_tx_nj, r.refreshes_sent * msg_nj);
+    }
 
     #[test]
     fn exp_is_positive_with_requested_mean() {
@@ -1104,21 +1071,14 @@ mod tests {
         assert!(report.events > 0);
         assert!(report.associations > 0);
         assert!(report.refreshes_sent > 0);
-        assert!(report.total_energy_j > 0.0);
-        assert!(report.baseline_energy_j >= report.total_energy_j * 0.5);
+        let spent = report.attribution.spent_nj();
+        assert!(spent > 0);
+        assert!(report.baseline_nj >= spent / 2);
         assert_eq!(rec.counter(Counter::FleetBssRuns), 1);
         assert_eq!(rec.counter(Counter::FleetEvents), report.events);
-        // The ledger mirrors every spent-energy charge: summed over the
-        // clients it reproduces the aggregate joule tally to within the
-        // per-charge ±0.5 nJ rounding.
-        assert!(!report.attribution.is_empty());
-        let spent_j = report.attribution.spent_nj() as f64 / 1e9;
-        let rel = (spent_j - report.total_energy_j).abs() / report.total_energy_j;
-        assert!(
-            rel < 1e-5,
-            "ledger {spent_j} vs aggregate {}",
-            report.total_energy_j
-        );
+        // The ledger prices each event with one integer, so every wake
+        // and refresh column is exactly its count times that price.
+        assert_priced_exactly(&cfg, &report, &report.attribution.totals());
         // All ledger keys live on this shard's source lane.
         assert!(report.attribution.rows().iter().all(|((s, _), _)| *s == 0));
     }

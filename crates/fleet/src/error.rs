@@ -1,6 +1,7 @@
 //! Error type for the fleet layer.
 
 use hide_core::CoreError;
+use hide_policy::ProjectionError;
 use std::fmt;
 
 /// Anything a fleet run can fail with.
@@ -41,6 +42,11 @@ pub enum FleetError {
     },
     /// A client needs at least one listened-on port.
     NoPorts,
+    /// The named device profile fails
+    /// [`DeviceProfile::is_consistent`](hide_energy::profile::DeviceProfile::is_consistent):
+    /// a negative or NaN constant would be charged as a wrong but
+    /// plausible nanojoule price.
+    InconsistentProfile(&'static str),
     /// The HIDE protocol layer rejected an operation mid-run.
     Core(CoreError),
     /// The out-of-core export pipeline failed: spill-file I/O, a codec
@@ -72,6 +78,12 @@ impl fmt::Display for FleetError {
                  interval ({refresh_interval_secs} s)"
             ),
             FleetError::NoPorts => write!(f, "clients must listen on at least one port"),
+            FleetError::InconsistentProfile(name) => write!(
+                f,
+                "device profile {name:?} is inconsistent: every duration, energy and \
+                 power must be positive, suspend power below active-idle power and \
+                 idle power below receive power"
+            ),
             FleetError::Core(e) => write!(f, "protocol failure during fleet run: {e}"),
             FleetError::Export(msg) => write!(f, "streamed export failed: {msg}"),
         }
@@ -90,6 +102,17 @@ impl std::error::Error for FleetError {
 impl From<CoreError> for FleetError {
     fn from(e: CoreError) -> Self {
         FleetError::Core(e)
+    }
+}
+
+/// A lifetime projection over a validated fleet config cannot fail;
+/// should it, the error names the same knob the config check would.
+impl From<ProjectionError> for FleetError {
+    fn from(e: ProjectionError) -> Self {
+        match e {
+            ProjectionError::InvalidDuration(d) => FleetError::InvalidDuration(d),
+            ProjectionError::NoClients => FleetError::NoClients,
+        }
     }
 }
 
@@ -122,6 +145,7 @@ mod tests {
                 refresh_interval_secs: 5.0,
             },
             FleetError::NoPorts,
+            FleetError::InconsistentProfile("Nexus One"),
             FleetError::Export("spill file truncated at byte 9".into()),
         ];
         for e in cases {
@@ -131,6 +155,14 @@ mod tests {
         let wrapped = FleetError::from(CoreError::NoFreeAid);
         assert!(wrapped.to_string().contains("protocol failure"));
         assert!(std::error::Error::source(&wrapped).is_some());
+        assert_eq!(
+            FleetError::from(ProjectionError::InvalidDuration(0.0)),
+            FleetError::InvalidDuration(0.0)
+        );
+        assert_eq!(
+            FleetError::from(ProjectionError::NoClients),
+            FleetError::NoClients
+        );
         let spill = FleetError::from(hide_obs::SpillError::Truncated { offset: 9 });
         assert_eq!(
             spill,

@@ -78,7 +78,8 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Checks the whole configuration, including the churn model.
+    /// Checks the whole configuration, including the device profile and
+    /// the churn model.
     ///
     /// # Errors
     ///
@@ -98,6 +99,9 @@ impl FleetConfig {
                 what: "adoption",
                 value: self.adoption,
             });
+        }
+        if !self.profile.is_consistent() {
+            return Err(FleetError::InconsistentProfile(self.profile.name));
         }
         self.churn.validate()
     }
@@ -339,7 +343,7 @@ impl FleetConfig {
         // artifact serializes stage *call counts*.
         recorder.add_span(Stage::FleetMerge, merge_nanos);
         profile.add(FleetStage::Merge, merge_nanos);
-        let result = FleetResult::assemble(self, report, recorder, energy_totals, energy_clients);
+        let result = FleetResult::assemble(self, report, recorder, energy_totals, energy_clients)?;
         Ok((result, profile))
     }
 }
@@ -663,8 +667,10 @@ pub struct FleetResult {
     /// Merged observability recorder (counters, histograms, stages).
     pub recorder: Recorder,
     /// Field-wise sum of every client lane's energy, folded shard by
-    /// shard. Every run carries it — also a streamed one, whose rows
-    /// left memory — so the `"energy"` metrics section renders one way.
+    /// shard: the fleet's energy record, whose
+    /// [`spent_nj`](ClientEnergy::spent_nj) is the energy spent. Every
+    /// run carries it — also a streamed one, whose rows left memory —
+    /// so the `"energy"` metrics section renders one way.
     pub energy_totals: ClientEnergy,
     /// Number of client lanes summed into
     /// [`energy_totals`](Self::energy_totals).
@@ -678,7 +684,7 @@ impl FleetResult {
         recorder: Recorder,
         energy_totals: ClientEnergy,
         energy_clients: usize,
-    ) -> Self {
+    ) -> Result<Self, FleetError> {
         let ratio = |num: u64, den: u64| {
             if den == 0 {
                 0.0
@@ -686,32 +692,20 @@ impl FleetResult {
                 num as f64 / den as f64
             }
         };
-        let fleet_saving = if report.baseline_energy_j > 0.0 {
-            1.0 - report.total_energy_j / report.baseline_energy_j
+        let spent_nj = energy_totals.spent_nj();
+        let fleet_saving = if report.baseline_nj > 0 {
+            1.0 - ratio(spent_nj, report.baseline_nj)
         } else {
             0.0
         };
-        let clients = (cfg.bss_count * cfg.clients_per_bss) as u64;
-        let lifetime = if report.total_energy_j > 0.0 && report.baseline_energy_j > 0.0 {
-            LifetimeProjection::project(
-                &cfg.battery,
-                report.total_energy_j,
-                report.baseline_energy_j,
-                cfg.duration_secs,
-                clients,
-            )
-        } else {
-            // A horizon too short for any charge projects nothing.
-            LifetimeProjection {
-                capacity_mwh: (cfg.battery.capacity_wh() * 1e3).round() as u64,
-                clients,
-                avg_draw_uw: 0,
-                projected_secs: 0,
-                baseline_secs: 0,
-                lifetime_gain_ppm: 0,
-            }
-        };
-        FleetResult {
+        let lifetime = LifetimeProjection::project(
+            &cfg.battery,
+            spent_nj,
+            report.baseline_nj,
+            cfg.duration_secs,
+            (cfg.bss_count * cfg.clients_per_bss) as u64,
+        )?;
+        Ok(FleetResult {
             fleet_saving,
             policy: cfg.policy,
             lifetime,
@@ -723,7 +717,7 @@ impl FleetResult {
             recorder,
             energy_totals,
             energy_clients,
-        }
+        })
     }
 
     /// The merged `hide-metrics/1` JSON document. Byte-identical across
@@ -779,14 +773,17 @@ impl FleetResult {
 
     /// A small deterministic JSON document with the derived fleet
     /// scalars (energy, rates, Eq. 21 share). Formatted with fixed
-    /// precision so it is byte-stable too.
+    /// precision so it is byte-stable too; the two joule fields render
+    /// the integer nanojoules exactly.
     pub fn summary_json(&self) -> String {
+        const NJ_PER_J: u64 = 1_000_000_000;
         let r = &self.report;
+        let spent_nj = self.energy_totals.spent_nj();
         format!(
             concat!(
                 "{{\"schema\":\"hide-fleet-summary/1\",",
-                "\"total_energy_j\":{:.9},",
-                "\"baseline_energy_j\":{:.9},",
+                "\"total_energy_j\":{}.{:09},",
+                "\"baseline_energy_j\":{}.{:09},",
                 "\"fleet_saving\":{:.9},",
                 "\"missed_wakeup_rate\":{:.9},",
                 "\"spurious_wakeup_rate\":{:.9},",
@@ -798,8 +795,10 @@ impl FleetResult {
                 "\"entries_expired\":{},\"wakeups\":{},",
                 "\"missed_wakeups\":{},\"spurious_wakeups\":{}}}"
             ),
-            r.total_energy_j,
-            r.baseline_energy_j,
+            spent_nj / NJ_PER_J,
+            spent_nj % NJ_PER_J,
+            r.baseline_nj / NJ_PER_J,
+            r.baseline_nj % NJ_PER_J,
             self.fleet_saving,
             self.missed_wakeup_rate,
             self.spurious_wakeup_rate,
@@ -875,6 +874,25 @@ mod tests {
     }
 
     #[test]
+    fn inconsistent_profile_is_rejected_before_any_charge() {
+        // A negative transmit power would be charged as 0 nJ per refresh
+        // and a NaN receive power as 0 nJ per burst: plausible, wrong
+        // numbers. Validation names the profile instead.
+        for profile in [
+            NEXUS_ONE.derive().tx_power(-1.2).build(),
+            NEXUS_ONE.derive().rx_power(f64::NAN).build(),
+        ] {
+            let cfg = FleetConfig {
+                profile,
+                ..FleetConfig::default()
+            };
+            let want = Err(FleetError::InconsistentProfile("Nexus One"));
+            assert_eq!(cfg.validate(), want);
+            assert_eq!(cfg.try_run_with_jobs(1).map(|_| ()), want);
+        }
+    }
+
+    #[test]
     fn jobs_count_does_not_change_output() {
         let cfg = small();
         let serial = cfg.try_run_with_jobs(1).unwrap();
@@ -929,15 +947,12 @@ mod tests {
 
     #[test]
     fn attributed_energy_matches_aggregate() {
-        let result = small().try_run_with_jobs(2).unwrap();
+        let cfg = small();
+        let result = cfg.try_run_with_jobs(2).unwrap();
         let ledger = result.attribution();
         assert!(!ledger.is_empty());
-        let spent_j = ledger.spent_nj() as f64 / 1e9;
-        let total = result.report.total_energy_j;
-        assert!(
-            (spent_j - total).abs() / total < 1e-5,
-            "ledger {spent_j} vs aggregate {total}"
-        );
+        assert_eq!(ledger.spent_nj(), result.energy_totals.spent_nj());
+        crate::bss::tests::assert_priced_exactly(&cfg, &result.report, &result.energy_totals);
         // The spliced artifact still parses as balanced integer-only JSON.
         let json = result.metrics_json_with_energy();
         assert!(json.contains("\"energy\": {\"clients\":"));
@@ -988,7 +1003,7 @@ mod tests {
             ..small()
         };
         let result = cfg.try_run().unwrap();
-        assert!(result.report.total_energy_j < result.report.baseline_energy_j);
+        assert!(result.energy_totals.spent_nj() < result.report.baseline_nj);
         assert!(result.fleet_saving > 0.0 && result.fleet_saving < 1.0);
         assert!(result.port_message_airtime_share > 0.0);
         assert!(result.port_message_airtime_share < 0.05);

@@ -1,10 +1,15 @@
-//! Fleet-level attribution invariants: the differential check against
-//! the aggregate joule tally, the loss-free zero-missed-energy
-//! guarantee, and the engine-online vs trace-join exact equality.
+//! Fleet-level attribution invariants: every ledger column is exactly
+//! its event count times one integer price, the loss-free
+//! zero-missed-energy guarantee, and the engine-online vs trace-join
+//! exact equality.
 
+use hide_energy::attribution::{joules_to_nj, WakePricing};
 use hide_energy::AttributionLedger;
-use hide_fleet::{ChurnConfig, FleetConfig};
+use hide_fleet::{ChurnConfig, FleetConfig, FleetResult};
 use hide_obs::provenance;
+use hide_wifi::frame::UdpPortMessage;
+use hide_wifi::mac::MacAddr;
+use hide_wifi::phy::{self, DataRate};
 use proptest::prelude::*;
 
 fn base(seed: u64) -> FleetConfig {
@@ -27,10 +32,29 @@ fn base(seed: u64) -> FleetConfig {
     }
 }
 
-/// Pinned differential epsilon: every ledger charge rounds once to a
-/// whole nanojoule, so the relative gap to the f64 aggregate stays far
-/// below this at any realistic charge count.
-const DIFFERENTIAL_REL_EPS: f64 = 1e-5;
+/// Asserts the ledger's exact identities: the merged rows spend what
+/// the folded totals spend, and each wake and refresh column is its
+/// event count times one integer price. Every client lists
+/// `ports_per_client` ports, so every UDP Port Message costs the same.
+fn assert_priced_exactly(cfg: &FleetConfig, result: &FleetResult) {
+    let (r, t) = (&result.report, &result.energy_totals);
+    assert_eq!(result.attribution().spent_nj(), t.spent_nj());
+    assert!(t.spent_nj() > 0);
+    let p = WakePricing::from_profile(&cfg.profile);
+    let ports = 1..=cfg.churn.ports_per_client as u16;
+    let msg = UdpPortMessage::new(MacAddr::station(1), MacAddr::station(0), ports).unwrap();
+    let msg_nj = joules_to_nj(
+        phy::airtime_of_total_bytes(msg.len_bytes(), DataRate::R1M) * cfg.profile.tx_power,
+    );
+    assert_eq!(
+        t.proper_nj,
+        (r.hide_wakeups - r.spurious_wakeups) * p.wake_nj
+    );
+    assert_eq!(t.spurious_nj.total(), r.spurious_wakeups * p.wake_nj);
+    assert_eq!(t.legacy_nj, (r.wakeups - r.hide_wakeups) * p.wake_nj);
+    assert_eq!(t.missed_forgone_nj.total(), r.missed_wakeups * p.forgone_nj);
+    assert_eq!(t.refresh_tx_nj, r.refreshes_sent * msg_nj);
+}
 
 #[test]
 fn differential_spent_equals_aggregate_energy() {
@@ -38,13 +62,7 @@ fn differential_spent_equals_aggregate_energy() {
     cfg.churn.refresh_loss = 0.3;
     cfg.churn.port_churn = 0.3;
     let result = cfg.try_run_with_jobs(2).unwrap();
-    let spent_j = result.attribution().spent_nj() as f64 / 1e9;
-    let total_j = result.report.total_energy_j;
-    assert!(total_j > 0.0);
-    assert!(
-        (spent_j - total_j).abs() / total_j < DIFFERENTIAL_REL_EPS,
-        "ledger {spent_j} J vs aggregate {total_j} J"
-    );
+    assert_priced_exactly(&cfg, &result);
 }
 
 proptest! {
@@ -81,16 +99,13 @@ proptest! {
         prop_assert!(result.attribution().wake_columns_eq(&priced));
     }
 
-    /// The differential invariant holds across seeds, not just the
-    /// pinned scenario.
+    /// The exact identities hold across seeds, not just the pinned
+    /// scenario.
     #[test]
     fn differential_holds_across_seeds(seed in 0u64..1 << 48) {
         let mut cfg = base(seed);
         cfg.churn.refresh_loss = 0.2;
         let result = cfg.try_run_with_jobs(2).unwrap();
-        let spent_j = result.attribution().spent_nj() as f64 / 1e9;
-        let total_j = result.report.total_energy_j;
-        prop_assert!(total_j > 0.0);
-        prop_assert!((spent_j - total_j).abs() / total_j < DIFFERENTIAL_REL_EPS);
+        assert_priced_exactly(&cfg, &result);
     }
 }

@@ -66,17 +66,17 @@ fn psm_never_beats_hide_loss_free() {
                 .try_run_with_jobs(2)
                 .unwrap();
             assert_eq!(hide.report.missed_wakeups, 0);
+            let (psm_nj, hide_nj) = (psm.energy_totals.spent_nj(), hide.energy_totals.spent_nj());
             assert!(
-                psm.report.total_energy_j >= hide.report.total_energy_j,
-                "seed {seed} {}: psm {} J < hide {} J",
+                psm_nj >= hide_nj,
+                "seed {seed} {}: psm {psm_nj} nJ < hide {hide_nj} nJ",
                 profile.name,
-                psm.report.total_energy_j,
-                hide.report.total_energy_j
             );
             // PSM *is* the receive-all baseline run as a live protocol.
-            let rel = (psm.report.total_energy_j - psm.report.baseline_energy_j).abs()
-                / psm.report.baseline_energy_j;
-            assert!(rel < 1e-9, "seed {seed}: psm diverges from its baseline");
+            assert_eq!(
+                psm_nj, psm.report.baseline_nj,
+                "seed {seed}: psm diverges from its baseline"
+            );
         }
     }
 }
@@ -120,7 +120,7 @@ fn scheduled_wake_defers_instead_of_missing() {
     let psm = traffic_bearing(2016, NEXUS_ONE, WakePolicy::LegacyPsm)
         .try_run_with_jobs(2)
         .unwrap();
-    assert!(sched.report.total_energy_j < psm.report.total_energy_j);
+    assert!(sched.energy_totals.spent_nj() < psm.energy_totals.spent_nj());
 }
 
 #[test]

@@ -20,9 +20,9 @@
 //!   service interval/period).
 //!
 //! [`lifetime`] closes the loop with Life-Add-style battery-lifetime
-//! projections: joules spent over a horizon become projected standby
-//! seconds per policy, emitted as the integer-only `battery` section of
-//! the `hide-metrics/1` artifact.
+//! projections: nanojoules spent over a horizon become projected
+//! standby seconds per policy, emitted as the integer-only `battery`
+//! section of the `hide-metrics/1` artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +31,6 @@ pub mod lifetime;
 pub mod registry;
 pub mod wake;
 
-pub use lifetime::LifetimeProjection;
+pub use lifetime::{LifetimeProjection, ProjectionError};
 pub use registry::{builtin, lookup, registry_keys, DeviceEntry};
 pub use wake::{ScheduleConfig, WakePolicy};

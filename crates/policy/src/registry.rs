@@ -13,7 +13,6 @@ use hide_energy::fsm::TransitionTable;
 use hide_energy::profile::{
     DeviceProfile, GALAXY_S4, IOT_CAM, NEXUS_ONE, NOTE_4, PIXEL_3A, TABLET_PRO,
 };
-use hide_energy::WakePricing;
 
 /// One registry row: a device profile plus everything the policy layer
 /// adds on top of the raw energy constants.
@@ -49,14 +48,6 @@ impl DeviceEntry {
             self.promotion_pkts_per_sec,
             self.inactivity_timer_secs,
         )
-    }
-
-    /// Pre-rounded integer wake prices for this device — the exact
-    /// integers [`WakePricing::from_profile`] derives, via the
-    /// transition table.
-    #[must_use]
-    pub fn pricing(&self) -> WakePricing {
-        WakePricing::from_profile(&self.profile)
     }
 }
 
@@ -177,17 +168,5 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), builtin().len());
-    }
-
-    #[test]
-    fn pricing_comes_from_the_transition_table() {
-        // DeviceEntry::pricing and a hand-derived table price agree on
-        // the wake columns for every registry device.
-        for e in builtin() {
-            let via_profile = e.pricing();
-            let via_table = WakePricing::from_table(&e.transition_table());
-            assert_eq!(via_profile.wake_nj, via_table.wake_nj, "{}", e.key);
-            assert_eq!(via_profile.forgone_nj, via_table.forgone_nj, "{}", e.key);
-        }
     }
 }
