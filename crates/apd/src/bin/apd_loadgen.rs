@@ -157,7 +157,7 @@ fn main() -> ExitCode {
         println!("apd_loadgen: clean shutdown, snapshot verified ({clients} clients)");
     }
 
-    // --- telemetry overhead: identical workload, NoopRuntime daemon ---
+    // --- telemetry overhead: identical workload, NoopSpans daemon ---
     let noop_rate = if flag("--target").is_none() {
         let noop_handle =
             DaemonHandle::spawn(ApdConfig::new().shards(shards).runtime_telemetry(false))

@@ -53,9 +53,9 @@ pub struct ApdConfig {
     /// router starts dropping them (management frames are never
     /// dropped).
     pub backpressure_watermark: usize,
-    /// Record wall-clock stage latencies through the live
-    /// [`hide_obs::AtomicRuntime`] seam. When `false` the daemon is
-    /// compiled against [`hide_obs::NoopRuntime`] and never reads the
+    /// Record wall-clock stage latencies into the live
+    /// [`hide_obs::AtomicRuntime`] plane. When `false` the daemon is
+    /// compiled against [`hide_obs::NoopSpans`] and never reads the
     /// clock on the hot path; `health`/`expo` still work but report
     /// empty stage histograms.
     pub runtime_telemetry: bool,

@@ -25,7 +25,7 @@ use crate::shard::{monotonic_secs, shard_of, Shard, ShardCmd, ShardFinal, ShardS
 use crate::snapshot::ApdSnapshot;
 use crate::telemetry::{self, RouterCounters, RuntimePlane, ShardHealth};
 use hide_core::ap::{AccessPoint, ApSnapshot};
-use hide_obs::{log_info, AtomicRuntime, NoopRuntime, Recorder, RtStage, RuntimeSink};
+use hide_obs::{log_info, AtomicRuntime, NoopSpans, Recorder, RtStage, SpanSink};
 use hide_wifi::frame::AnyFrame;
 use hide_wifi::mac::MacAddr;
 use std::net::{SocketAddr, UdpSocket};
@@ -256,7 +256,7 @@ impl DaemonHandle {
         } else {
             // Monomorphized against the no-op sink: the hot paths
             // never read the clock for stage timing.
-            Self::spawn_inner(cfg, NoopRuntime, None)
+            Self::spawn_inner(cfg, NoopSpans, None)
         }
     }
 
@@ -266,7 +266,7 @@ impl DaemonHandle {
         hists: Option<Arc<AtomicRuntime>>,
     ) -> Result<DaemonHandle, ApdError>
     where
-        R: RuntimeSink + Clone + 'static,
+        R: SpanSink<RtStage> + Clone + Send + 'static,
     {
         let data_socket = UdpSocket::bind(&cfg.bind_addr)?;
         data_socket.set_read_timeout(Some(POLL_INTERVAL))?;
@@ -350,7 +350,7 @@ impl DaemonHandle {
             let txs = shard_txs.clone();
             let depths = depths.clone();
             let watermark = cfg.backpressure_watermark;
-            let runtime = runtime.clone();
+            let mut runtime = runtime.clone();
             std::thread::Builder::new()
                 .name("apd-router".into())
                 .spawn(move || {
@@ -360,7 +360,7 @@ impl DaemonHandle {
                         &depths,
                         watermark,
                         &counters,
-                        &runtime,
+                        &mut runtime,
                         &shutdown,
                     );
                 })?
@@ -597,13 +597,13 @@ impl DaemonHandle {
 /// The router loop: receive, parse, route. The `recv` stage times the
 /// blocking receive of datagrams that actually arrive; the `route`
 /// stage times parse plus shard dispatch.
-fn route_loop<R: RuntimeSink>(
+fn route_loop<R: SpanSink<RtStage>>(
     socket: &UdpSocket,
     txs: &[Sender<ShardCmd>],
     depths: &[Arc<AtomicUsize>],
     watermark: usize,
     counters: &RouterCounters,
-    runtime: &R,
+    runtime: &mut R,
     shutdown: &AtomicBool,
 ) {
     let mut buf = [0u8; 65536];

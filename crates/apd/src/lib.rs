@@ -23,7 +23,7 @@
 //! * **Two observability planes** — the deterministic `hide-metrics/1`
 //!   plane (byte-identical with offline replays) and a wall-clock
 //!   runtime plane ([`telemetry`]): stage latency histograms recorded
-//!   through the zero-cost [`hide_obs::RuntimeSink`] seam, per-shard
+//!   through the zero-cost [`hide_obs::SpanSink`] seam, per-shard
 //!   health gauges, a stall watchdog, and the `hide-apd-health/1` /
 //!   Prometheus-style `expo` outputs. Nothing from the wall-clock
 //!   plane ever feeds the deterministic artifact.

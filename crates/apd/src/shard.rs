@@ -9,7 +9,7 @@
 
 use crate::telemetry::{ShardHealth, GAUGE_SAMPLE_EVERY};
 use hide_core::ap::{AccessPoint, ApCtx, ApSnapshot};
-use hide_obs::{Recorder, RtStage, RuntimeSink};
+use hide_obs::{Recorder, RtStage, SpanSink};
 use hide_wifi::frame::AnyFrame;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,7 +89,7 @@ pub(crate) struct ShardFinal {
     pub recorder: Recorder,
 }
 
-pub(crate) struct Shard<R: RuntimeSink> {
+pub(crate) struct Shard<R: SpanSink<RtStage>> {
     pub ap: AccessPoint,
     pub reply_socket: UdpSocket,
     pub rx: Receiver<ShardCmd>,
@@ -98,7 +98,7 @@ pub(crate) struct Shard<R: RuntimeSink> {
     /// Staleness window in seconds; `None` disables expiry and makes
     /// refreshes untimed.
     pub stale_timeout_secs: Option<f64>,
-    /// Wall-clock stage-latency sink ([`hide_obs::NoopRuntime`] when
+    /// Wall-clock stage-latency sink ([`hide_obs::NoopSpans`] when
     /// runtime telemetry is off — then the clock is never read here).
     pub runtime: R,
     /// This shard's live health cells (watchdog and `health` readers).
@@ -108,7 +108,7 @@ pub(crate) struct Shard<R: RuntimeSink> {
     pub epoch: Instant,
 }
 
-impl<R: RuntimeSink> Shard<R> {
+impl<R: SpanSink<RtStage>> Shard<R> {
     /// Runs the shard loop until shutdown (or all senders dropped).
     pub fn run(mut self) -> ShardFinal {
         let mut stats = ShardStats::default();

@@ -11,9 +11,10 @@
 //!
 //! * **Stage latency histograms** — the router and shard hot paths
 //!   time four stages (socket recv, parse+route, per-shard handle,
-//!   reply send) through the zero-cost [`hide_obs::RuntimeSink`]
-//!   seam; with telemetry enabled they land in a shared
-//!   [`AtomicRuntime`] any thread can snapshot.
+//!   reply send) through the zero-cost [`hide_obs::SpanSink`]
+//!   seam; with telemetry enabled every thread's clone of one
+//!   `Arc<`[`AtomicRuntime`]`>` records into the shared plane, which
+//!   any thread can snapshot.
 //! * **Per-shard health cells** — each shard keeps cheap atomics
 //!   up to date (inbound queue depth, broadcast backlog, port-table
 //!   occupancy, client count, processed-command counter, last-progress
@@ -98,7 +99,7 @@ pub(crate) struct RuntimePlane {
     /// Process epoch all progress stamps are relative to.
     pub epoch: Instant,
     /// The live stage histograms, or `None` when the daemon runs with
-    /// the zero-cost [`hide_obs::NoopRuntime`].
+    /// the zero-cost [`hide_obs::NoopSpans`].
     pub hists: Option<Arc<AtomicRuntime>>,
     /// One health cell per shard, in shard order.
     pub shards: Vec<Arc<ShardHealth>>,

@@ -7,8 +7,9 @@ use hide_apd::ctrl::{CtrlRequest, CtrlResponse};
 use hide_apd::{ApdConfig, ApdSnapshot, DaemonHandle};
 use hide_core::ap::{AccessPoint, ApCtx};
 use hide_wifi::assoc::{AssociationRequest, Disassociation};
-use hide_wifi::frame::{AnyFrame, UdpPortMessage};
+use hide_wifi::frame::{AnyFrame, BroadcastDataFrame, UdpPortMessage};
 use hide_wifi::mac::MacAddr;
+use hide_wifi::udp::UdpDatagram;
 use std::net::UdpSocket;
 use std::time::Duration;
 
@@ -274,6 +275,67 @@ fn backpressure_drops_data_not_management() {
     );
     assert!(stats.shards.port_messages >= 1);
     handle.shutdown().unwrap();
+}
+
+/// Every stage of the wall-clock plane counts exactly its unit of
+/// work: each datagram is received and routed once, each frame and
+/// each tick is handled once, and each association response and ACK is
+/// sent once. With telemetry off nothing is timed.
+#[test]
+fn stage_counts_are_exact_over_loopback() {
+    const A: u64 = 4; // association requests
+    const P: u64 = 6; // port messages from associated clients
+    const D: u64 = 5; // broadcast data frames
+    const T: u64 = 3; // DTIM ticks
+    let bssid = MacAddr::station(0);
+    let data = BroadcastDataFrame::new(
+        bssid,
+        UdpDatagram::new([10, 0, 0, 2], [255; 4], 4000, 5353, vec![0; 64]),
+        false,
+    );
+    for telemetry in [true, false] {
+        let cfg = ApdConfig::new().shards(1).runtime_telemetry(telemetry);
+        let handle = DaemonHandle::spawn(cfg).unwrap();
+        let socket = client_socket(handle.data_addr());
+        for i in 0..A as u32 {
+            let req =
+                AssociationRequest::new(MacAddr::station(1 + i), bssid, "hide").with_hide_support();
+            socket.send(&req.to_bytes()).unwrap();
+            assert!(matches!(
+                recv_frame(&socket),
+                AnyFrame::AssociationResponse(_)
+            ));
+        }
+        for k in 0..P as u32 {
+            let client = MacAddr::station(1 + k % A as u32);
+            let msg = UdpPortMessage::new(client, bssid, [5353]).unwrap();
+            socket.send(&msg.to_bytes()).unwrap();
+            assert!(matches!(recv_frame(&socket), AnyFrame::Ack(_)));
+        }
+        for _ in 0..D {
+            socket.send(&data.to_bytes()).unwrap();
+        }
+        wait_until(|| handle.stats().unwrap().shards.broadcasts_enqueued == D);
+        handle.tick(T).unwrap();
+
+        let want = if telemetry {
+            [A + P + D, A + P + D, A + P + D + T, A + P]
+        } else {
+            [0; 4]
+        };
+        let counts = || -> Vec<(&'static str, u64)> {
+            hide_apd::parse_health_stage_counts(&handle.health_json())
+        };
+        // Stats is served after the queued frames and ticks, so the
+        // shard's spans have all landed once it returns; the router
+        // closes a route span just after handing its frame on.
+        handle.stats().unwrap();
+        wait_until(|| counts()[1].1 >= want[1]);
+        let labels = ["recv", "route", "handle", "send"];
+        let want: Vec<(&str, u64)> = labels.into_iter().zip(want).collect();
+        assert_eq!(counts(), want, "telemetry on: {telemetry}");
+        handle.shutdown().unwrap();
+    }
 }
 
 fn wait_until(mut cond: impl FnMut() -> bool) {

@@ -33,13 +33,13 @@
 use crate::error::FleetError;
 use crate::fleet::FleetConfig;
 use crate::kernel::{derive_seed, EventQueue};
-use crate::profile::{FleetStage, StageProfiler};
+use crate::profile::FleetStage;
 use hide_core::ap::{AccessPoint, ApCtx, ClientPortTable};
 use hide_core::error::CoreError;
 use hide_energy::attribution::{joules_to_nj, AttributionLedger, ClientEnergy, WakePricing};
 use hide_obs::{
-    Counter, Distribution, MetricsSink, Recorder, Stage, TraceEventKind, TraceSink, WakeCause,
-    WakeClass,
+    Counter, Distribution, MetricsSink, Recorder, SpanSink, Stage, TraceEventKind, TraceSink,
+    WakeCause, WakeClass,
 };
 use hide_traces::record::TraceFrame;
 use hide_traces::stream::FrameStream;
@@ -912,38 +912,32 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn run<T: TraceSink, P: StageProfiler>(
+    fn run<T: TraceSink, P: SpanSink<FleetStage>>(
         mut self,
         rec: &mut Recorder,
         trace: &mut T,
         prof: &mut P,
     ) -> Result<BssReport, FleetError> {
         loop {
-            let pop_start = P::ENABLED.then(std::time::Instant::now);
+            let popping = prof.start();
             let Some((now, event)) = self.queue.pop() else {
                 break;
             };
-            if let Some(t) = pop_start {
-                prof.add(FleetStage::QueuePop, t.elapsed().as_nanos() as u64);
-            }
+            prof.finish(FleetStage::QueuePop, popping);
             if now >= self.cfg.duration_secs {
                 break;
             }
             self.report.events += 1;
-            if P::ENABLED {
-                let stage = match &event {
-                    Event::Dtim => FleetStage::DtimSweep,
-                    Event::Arrival(_) => FleetStage::Arrival,
-                    Event::Refresh { .. } => FleetStage::Refresh,
-                    Event::Join { .. } | Event::Leave { .. } => FleetStage::Churn,
-                    Event::Suspend { .. } | Event::Resume { .. } => FleetStage::Churn,
-                };
-                let t = std::time::Instant::now();
-                self.dispatch(now, event, rec, trace)?;
-                prof.add(stage, t.elapsed().as_nanos() as u64);
-            } else {
-                self.dispatch(now, event, rec, trace)?;
-            }
+            let stage = match &event {
+                Event::Dtim => FleetStage::DtimSweep,
+                Event::Arrival(_) => FleetStage::Arrival,
+                Event::Refresh { .. } => FleetStage::Refresh,
+                Event::Join { .. } | Event::Leave { .. } => FleetStage::Churn,
+                Event::Suspend { .. } | Event::Resume { .. } => FleetStage::Churn,
+            };
+            let handling = prof.start();
+            self.dispatch(now, event, rec, trace)?;
+            prof.finish(stage, handling);
         }
         self.ap.port_table().observe_into(rec);
         // Materialize the dense lanes into the report's sorted ledger:
@@ -970,20 +964,19 @@ impl<'a> Engine<'a> {
 /// simulation-time order and its per-stage wall time into `prof`.
 /// Neither touches the metrics side — the engine performs online
 /// provenance attribution either way, and spans land in the
-/// fleet-local [`StageProfiler`], not the golden-gated recorder — so
-/// tracing and profiling never change the `hide-metrics/1` artifact.
-pub(crate) fn run_bss<T: TraceSink, P: StageProfiler>(
+/// fleet-local [`FleetStage`] profile, not the golden-gated recorder —
+/// so tracing and profiling never change the `hide-metrics/1` artifact.
+pub(crate) fn run_bss<T: TraceSink, P: SpanSink<FleetStage>>(
     cfg: &FleetConfig,
     bss_index: usize,
     trace: &mut T,
     prof: &mut P,
 ) -> Result<(BssReport, Recorder), FleetError> {
     let start = std::time::Instant::now();
+    let setup = prof.start();
     let mut rec = Recorder::new();
     let engine = Engine::new(cfg, bss_index);
-    if P::ENABLED {
-        prof.add(FleetStage::Setup, start.elapsed().as_nanos() as u64);
-    }
+    prof.finish(FleetStage::Setup, setup);
     let loop_start = std::time::Instant::now();
     let report = engine.run(&mut rec, trace, prof)?;
     rec.add_span(
@@ -1012,8 +1005,7 @@ pub(crate) fn run_bss<T: TraceSink, P: StageProfiler>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::profile::NoopProfiler;
-    use hide_obs::NoopTrace;
+    use hide_obs::{NoopSpans, NoopTrace};
 
     /// Asserts that every ledger column in `t` is its event count in
     /// `report` times one integer price — the ledger's exact identities.
@@ -1067,7 +1059,7 @@ pub(crate) mod tests {
             duration_secs: 20.0,
             ..FleetConfig::default()
         };
-        let (report, rec) = run_bss(&cfg, 0, &mut NoopTrace, &mut NoopProfiler).unwrap();
+        let (report, rec) = run_bss(&cfg, 0, &mut NoopTrace, &mut NoopSpans).unwrap();
         assert!(report.events > 0);
         assert!(report.associations > 0);
         assert!(report.refreshes_sent > 0);
@@ -1089,12 +1081,12 @@ pub(crate) mod tests {
             duration_secs: 15.0,
             ..FleetConfig::default()
         };
-        let (r1, m1) = run_bss(&cfg, 3, &mut NoopTrace, &mut NoopProfiler).unwrap();
-        let (r2, m2) = run_bss(&cfg, 3, &mut NoopTrace, &mut NoopProfiler).unwrap();
+        let (r1, m1) = run_bss(&cfg, 3, &mut NoopTrace, &mut NoopSpans).unwrap();
+        let (r2, m2) = run_bss(&cfg, 3, &mut NoopTrace, &mut NoopSpans).unwrap();
         assert_eq!(r1, r2);
         assert_eq!(m1.to_json(), m2.to_json());
         // Different indices decorrelate.
-        let (r3, _) = run_bss(&cfg, 4, &mut NoopTrace, &mut NoopProfiler).unwrap();
+        let (r3, _) = run_bss(&cfg, 4, &mut NoopTrace, &mut NoopSpans).unwrap();
         assert_ne!(r1, r3);
     }
 }

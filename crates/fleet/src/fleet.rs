@@ -14,7 +14,7 @@
 use crate::bss::{run_bss, BssReport};
 use crate::churn::ChurnConfig;
 use crate::error::FleetError;
-use crate::profile::{FleetStage, NoopProfiler, StageProfile, StageProfiler};
+use crate::profile::{FleetStage, StageProfile};
 use hide_energy::attribution::{
     metrics_section_for, write_csv_row, write_jsonl_row, AttributionLedger, ClientEnergy,
     ATTRIBUTION_CSV_HEADER,
@@ -22,7 +22,7 @@ use hide_energy::attribution::{
 use hide_energy::battery::Battery;
 use hide_energy::profile::{DeviceProfile, NEXUS_ONE};
 use hide_obs::spill::{KWayMerge, RunReader, SpillError, SpillIndex, SpillWriter};
-use hide_obs::{FlightRecorder, NoopTrace, Recorder, Stage, TraceSink};
+use hide_obs::{FlightRecorder, NoopSpans, NoopTrace, Recorder, SpanSink, Stage, TraceSink};
 use hide_policy::{LifetimeProjection, WakePolicy};
 use hide_traces::scenario::Scenario;
 use std::io::{self, Write as _};
@@ -125,7 +125,7 @@ impl FleetConfig {
     /// Returns a validation error before any work starts, or the first
     /// (lowest-index) shard's protocol failure.
     pub fn try_run_with_jobs(&self, jobs: usize) -> Result<FleetResult, FleetError> {
-        let (result, NoopProfiler) =
+        let (result, NoopSpans) =
             self.drive(jobs, self.bss_count, |_| NoopTrace, None, |_| Ok(()))?;
         Ok(result)
     }
@@ -137,7 +137,7 @@ impl FleetConfig {
     /// returned [`FleetResult`] is byte-identical to the unprofiled
     /// run's — but the run itself is a little slower (two timer reads
     /// per kernel event), so the default paths stay on
-    /// [`NoopProfiler`].
+    /// [`NoopSpans`].
     ///
     /// # Errors
     ///
@@ -170,7 +170,7 @@ impl FleetConfig {
         capacity: usize,
     ) -> Result<(FleetResult, FlightRecorder), FleetError> {
         let mut flight = None;
-        let (result, NoopProfiler) = self.drive(
+        let (result, NoopSpans) = self.drive(
             jobs,
             self.bss_count,
             |i| shard_log(i, capacity),
@@ -273,7 +273,7 @@ impl FleetConfig {
             // `drive` has dropped the sender, so the spill thread
             // drains the last window and exits.
             let spill = joined(spiller)?;
-            let (result, NoopProfiler) = run?;
+            let (result, NoopSpans) = run?;
             Ok(StreamedFleetResult { result, spill })
         })
     }
@@ -290,7 +290,7 @@ impl FleetConfig {
     /// hands them to the spill thread. The folds and `on_window`
     /// together make the run's one `FleetMerge` span.
     ///
-    /// With [`NoopTrace`] and [`NoopProfiler`] the per-shard state is
+    /// With [`NoopTrace`] and [`NoopSpans`] the per-shard state is
     /// zero-sized, so the untraced run allocates no log or profile.
     fn drive<T, P>(
         &self,
@@ -302,7 +302,7 @@ impl FleetConfig {
     ) -> Result<(FleetResult, P), FleetError>
     where
         T: TraceSink + Send,
-        P: StageProfiler + Fold + Default + Send,
+        P: SpanSink<FleetStage> + Default + Send,
     {
         self.validate()?;
         let mut report = BssReport::default();
@@ -332,7 +332,7 @@ impl FleetConfig {
                 }
                 report.merge_from(&bss);
                 recorder.merge_from(&rec);
-                profile.fold(&prof);
+                profile.merge_from(&prof);
                 logs.push(log);
             }
             on_window(logs)?;
@@ -342,7 +342,7 @@ impl FleetConfig {
         // One FleetMerge span per run, however many windows: the
         // artifact serializes stage *call counts*.
         recorder.add_span(Stage::FleetMerge, merge_nanos);
-        profile.add(FleetStage::Merge, merge_nanos);
+        profile.add_span(FleetStage::Merge, merge_nanos);
         let result = FleetResult::assemble(self, report, recorder, energy_totals, energy_clients)?;
         Ok((result, profile))
     }
@@ -353,22 +353,6 @@ fn shard_log(bss_index: usize, capacity: usize) -> FlightRecorder {
     let mut flight = FlightRecorder::with_capacity(capacity);
     flight.set_source(bss_index as u32);
     flight
-}
-
-/// Per-shard stage profiles `FleetConfig::drive` folds in index order
-/// (span sums). The no-op profiler folds nothing.
-trait Fold {
-    fn fold(&mut self, other: &Self);
-}
-
-impl Fold for NoopProfiler {
-    fn fold(&mut self, _: &Self) {}
-}
-
-impl Fold for StageProfile {
-    fn fold(&mut self, other: &Self) {
-        self.merge_from(other);
-    }
 }
 
 /// Knobs of the out-of-core streamed export
@@ -943,6 +927,32 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// The profiled run's stage calls are exact: one setup span per
+    /// shard and one merge span per run; one handler span per kernel
+    /// event; and one pop span per event, plus at most one per shard
+    /// for the pop that ends its loop at the horizon.
+    #[test]
+    fn profiled_stage_calls_are_exact() {
+        let cfg = small();
+        for jobs in [1, 3] {
+            let (result, profile) = cfg.try_run_profiled_with_jobs(jobs).unwrap();
+            let calls = |stage| profile.stage(stage).calls;
+            let (events, shards) = (result.report.events, cfg.bss_count as u64);
+            assert!(events > 0);
+            assert_eq!(calls(FleetStage::Setup), shards);
+            assert_eq!(calls(FleetStage::Merge), 1);
+            assert_eq!(
+                calls(FleetStage::DtimSweep)
+                    + calls(FleetStage::Churn)
+                    + calls(FleetStage::Refresh)
+                    + calls(FleetStage::Arrival),
+                events
+            );
+            let pops = calls(FleetStage::QueuePop);
+            assert!(events <= pops && pops <= events + shards, "{pops} pops");
+        }
     }
 
     #[test]

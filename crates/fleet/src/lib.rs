@@ -78,4 +78,4 @@ pub use error::FleetError;
 pub use fleet::{FleetConfig, FleetResult, StreamExportConfig, StreamSinks, StreamedFleetResult};
 pub use hide_policy::{ScheduleConfig, WakePolicy};
 pub use kernel::{derive_seed, EventQueue, HeapEventQueue};
-pub use profile::{FleetStage, NoopProfiler, StageProfile, StageProfiler};
+pub use profile::{FleetStage, StageProfile};

@@ -3,22 +3,23 @@
 //! The global [`hide_obs::Stage`] timings ride inside the
 //! `hide-metrics/1` artifact, whose key set is golden-gated — adding a
 //! stage there would move every golden. Kernel profiling therefore
-//! lives in this fleet-local seam instead: a [`StageProfiler`] trait
-//! with a zero-cost [`NoopProfiler`] (the same compile-time on/off
-//! idiom as [`hide_obs::TraceSink`]), accumulating into a
-//! [`StageProfile`] that exports its own `hide-fleet-stages/1` JSON
-//! line. Wall-clock is inherently nondeterministic, so this schema is
-//! **never** embedded in `hide-metrics/1` and never diffed against
-//! goldens — it exists so kernel work can see where the time goes.
+//! keeps its own stage type, [`FleetStage`], behind the workspace's one
+//! wall-clock seam, [`hide_obs::SpanSink`]: the kernel is generic over
+//! `P: SpanSink<FleetStage>`, [`hide_obs::NoopSpans`] compiles every
+//! timer out, and [`StageProfile`] accumulates the spans and exports
+//! its own `hide-fleet-stages/1` JSON line. Wall-clock is inherently
+//! nondeterministic, so this schema is **never** embedded in
+//! `hide-metrics/1` and never diffed against goldens — it exists so
+//! kernel work can see where the time goes.
 //!
 //! Granularity: the event loop attributes each handler invocation to
 //! one [`FleetStage`] bucket (timer calls per kernel event are cheap
-//! relative to a handler, and [`NoopProfiler`] compiles them out
-//! entirely). `queue_pop` covers only the wheel pop itself; schedules
+//! relative to a handler, and [`hide_obs::NoopSpans`] compiles them
+//! out entirely). `queue_pop` covers only the wheel pop itself; schedules
 //! made *inside* a handler are charged to that handler's bucket, which
 //! is where a calendar-structure regression would surface anyway.
 
-use hide_obs::StageTiming;
+use hide_obs::{SpanSink, StageTiming};
 use std::fmt::Write as _;
 
 /// The fleet kernel's profiling buckets.
@@ -82,28 +83,6 @@ impl FleetStage {
     }
 }
 
-/// A sink for per-stage span timings. The engine's event loop is
-/// generic over this, so the no-op path costs nothing — the
-/// compile-time on/off idiom [`hide_obs::TraceSink`] uses.
-pub trait StageProfiler {
-    /// `false` compiles every timer read out of the event loop.
-    const ENABLED: bool;
-
-    /// Records one completed span of `nanos` against `stage`.
-    fn add(&mut self, stage: FleetStage, nanos: u64);
-}
-
-/// The profiler that records nothing at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopProfiler;
-
-impl StageProfiler for NoopProfiler {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn add(&mut self, _stage: FleetStage, _nanos: u64) {}
-}
-
 /// Accumulated per-stage wall time, one [`StageTiming`] per bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageProfile {
@@ -127,14 +106,6 @@ impl StageProfile {
     #[must_use]
     pub fn total_nanos(&self) -> u64 {
         self.timings.iter().map(|t| t.nanos).sum()
-    }
-
-    /// Adds another profile into this one (shard fan-in).
-    pub fn merge_from(&mut self, other: &StageProfile) {
-        for (mine, theirs) in self.timings.iter_mut().zip(other.timings.iter()) {
-            mine.calls += theirs.calls;
-            mine.nanos += theirs.nanos;
-        }
     }
 
     /// One line of `hide-fleet-stages/1` JSON: per-bucket calls and
@@ -182,14 +153,22 @@ impl StageProfile {
     }
 }
 
-impl StageProfiler for StageProfile {
+impl SpanSink<FleetStage> for StageProfile {
     const ENABLED: bool = true;
 
     #[inline]
-    fn add(&mut self, stage: FleetStage, nanos: u64) {
+    fn add_span(&mut self, stage: FleetStage, nanos: u64) {
         let t = &mut self.timings[stage.index()];
         t.calls += 1;
         t.nanos += nanos;
+    }
+
+    /// Adds another profile into this one (shard fan-in).
+    fn merge_from(&mut self, other: &StageProfile) {
+        for (mine, theirs) in self.timings.iter_mut().zip(other.timings.iter()) {
+            mine.calls += theirs.calls;
+            mine.nanos += theirs.nanos;
+        }
     }
 }
 
@@ -200,11 +179,11 @@ mod tests {
     #[test]
     fn add_merge_and_totals() {
         let mut a = StageProfile::new();
-        a.add(FleetStage::QueuePop, 100);
-        a.add(FleetStage::QueuePop, 50);
-        a.add(FleetStage::DtimSweep, 300);
+        a.add_span(FleetStage::QueuePop, 100);
+        a.add_span(FleetStage::QueuePop, 50);
+        a.add_span(FleetStage::DtimSweep, 300);
         let mut b = StageProfile::new();
-        b.add(FleetStage::Merge, 25);
+        b.add_span(FleetStage::Merge, 25);
         a.merge_from(&b);
         assert_eq!(a.stage(FleetStage::QueuePop).calls, 2);
         assert_eq!(a.stage(FleetStage::QueuePop).nanos, 150);
@@ -215,7 +194,7 @@ mod tests {
     #[test]
     fn json_is_schema_tagged_and_covers_every_stage() {
         let mut p = StageProfile::new();
-        p.add(FleetStage::Setup, 7);
+        p.add_span(FleetStage::Setup, 7);
         let json = p.to_json();
         assert!(json.starts_with("{\"schema\": \"hide-fleet-stages/1\""));
         for stage in FleetStage::ALL {
@@ -228,10 +207,12 @@ mod tests {
     }
 
     #[test]
-    fn noop_profiler_is_disabled() {
-        const { assert!(!NoopProfiler::ENABLED) };
-        const { assert!(StageProfile::ENABLED) };
-        let mut p = NoopProfiler;
-        p.add(FleetStage::Churn, 1); // no-op, just exercising the call
+    fn profile_times_through_the_seam() {
+        const { assert!(!<hide_obs::NoopSpans as SpanSink<FleetStage>>::ENABLED) };
+        let mut p = StageProfile::new();
+        let t = p.start();
+        assert!(t.is_some());
+        p.finish(FleetStage::Churn, t);
+        assert_eq!(p.stage(FleetStage::Churn).calls, 1);
     }
 }

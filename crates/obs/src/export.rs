@@ -24,7 +24,7 @@
 use std::io::{self, Write as _};
 
 use crate::recorder::Recorder;
-use crate::spill::{EventSource, MemSource, SpillError};
+use crate::spill::{EventSource, SpillError};
 use crate::trace::{FlightRecorder, TraceEvent, TraceEventKind};
 use crate::Stage;
 
@@ -225,7 +225,7 @@ where
 /// `docs/metrics-schema.md`. Deterministic byte-for-byte.
 #[must_use]
 pub fn to_jsonl(rec: &FlightRecorder) -> String {
-    in_memory(|out| stream_jsonl(&mut log_source(rec), out))
+    in_memory(|out| stream_jsonl(&mut rec.events().copied(), out))
 }
 
 /// Streams a sorted event source as JSON Lines into `out`, holding one
@@ -326,7 +326,7 @@ fn push_chrome_epilogue(out: &mut Vec<u8>, stages: Option<&Recorder>) {
 /// not deterministic. Pass `None` for byte-stable output.
 #[must_use]
 pub fn to_chrome_trace(rec: &FlightRecorder, stages: Option<&Recorder>) -> String {
-    in_memory(|out| stream_chrome_trace(&mut log_source(rec), stages, out))
+    in_memory(|out| stream_chrome_trace(&mut rec.events().copied(), stages, out))
 }
 
 /// Streams a sorted event source in the Chrome trace event format into
@@ -353,11 +353,6 @@ where
     push_chrome_epilogue(&mut buf, stages);
     out.write_all(&buf)?;
     Ok(count)
-}
-
-/// A recorder's retained log as an event source.
-fn log_source(rec: &FlightRecorder) -> MemSource {
-    MemSource::new(rec.events().copied().collect())
 }
 
 /// Runs a stream renderer into memory.
@@ -468,7 +463,7 @@ mod tests {
     #[test]
     fn streamed_jsonl_is_byte_identical_to_in_memory() {
         let rec = sample();
-        let mut src = MemSource::new(rec.events().copied().collect());
+        let mut src = rec.events().copied();
         let mut out = Vec::new();
         let n = stream_jsonl(&mut src, &mut out).unwrap();
         assert_eq!(n, 5);
@@ -478,7 +473,7 @@ mod tests {
     #[test]
     fn streamed_chrome_trace_is_byte_identical_to_in_memory() {
         let rec = sample();
-        let mut src = MemSource::new(rec.events().copied().collect());
+        let mut src = rec.events().copied();
         let mut out = Vec::new();
         let n = stream_chrome_trace(&mut src, None, &mut out).unwrap();
         assert_eq!(n, 5);
@@ -487,7 +482,7 @@ mod tests {
         // With stage spans attached, the epilogue must match too.
         let mut stages = Recorder::new();
         stages.add_span(Stage::Fleet, 2_000_000);
-        let mut src = MemSource::new(rec.events().copied().collect());
+        let mut src = rec.events().copied();
         let mut out = Vec::new();
         stream_chrome_trace(&mut src, Some(&stages), &mut out).unwrap();
         assert_eq!(out, to_chrome_trace(&rec, Some(&stages)).into_bytes());

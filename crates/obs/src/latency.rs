@@ -1,47 +1,65 @@
-//! Log-scale latency histograms for the wall-clock telemetry plane.
+//! Fixed-bucket log-linear histograms with deterministic, mergeable
+//! state: one implementation, two layouts.
 //!
-//! [`LatencyHistogram`] is the wall-clock sibling of the deterministic
-//! [`crate::Histogram`]: fixed log-scale buckets (so two histograms
-//! merge by elementwise addition), sized for nanosecond latencies from
-//! ~100 ns to ~10 s, with deterministic quantile readout. Unlike the
-//! deterministic plane it is *expected* to hold wall-clock values, so
-//! it must never feed the `hide-metrics/1` artifact — it belongs to
-//! `hide-apd-health/1` and the Prometheus-style exposition.
+//! [`LogHistogram`] is written once, generic over its bucket count and
+//! its sub-bucket bits. The layout is fixed at compile time, so two
+//! histograms of one layout merge by elementwise addition — the
+//! property the per-worker fan-in in `hide-par` and the daemon's
+//! per-shard fold rely on.
 //!
 //! # Bucket layout
 //!
-//! An HdrHistogram-style linear-log grid with 8 sub-buckets per power
-//! of two (3 mantissa bits, so ≤ 12.5 % relative bucket width):
+//! An HdrHistogram-style linear-log grid with `2^SUB_BITS` sub-buckets
+//! per power of two:
 //!
-//! * values `0..8` get one exact bucket each (indices 0..8);
-//! * a value with floor-log2 `e >= 3` lands in index
-//!   `(e - 3) * 8 + 8 + sub`, where `sub` is the 3 bits after the
-//!   leading one;
-//! * everything at or above 2^34 ns (~17.2 s) saturates into the last
-//!   bucket, comfortably past the 10 s ceiling the daemon cares about.
+//! * values `0..2^SUB_BITS` get one exact bucket each;
+//! * a value with floor-log2 `e >= SUB_BITS` lands in index
+//!   `(e - SUB_BITS) * 2^SUB_BITS + 2^SUB_BITS + sub`, where `sub` is
+//!   the `SUB_BITS` bits after the leading one;
+//! * the last bucket saturates.
 //!
 //! The layout is pure integer arithmetic on `u64`, so bucket
 //! boundaries are identical on every platform — a property the
 //! cross-platform proptests pin.
-
-/// Mantissa bits per bucket: 2^3 = 8 sub-buckets per octave.
-const SUB_BITS: u32 = 3;
-
-/// Sub-buckets per power of two.
-const SUBS: u64 = 1 << SUB_BITS;
+//!
+//! # The two instantiations
+//!
+//! * [`Histogram`] — 32 buckets, 0 sub-bucket bits: bucket 0 holds
+//!   `0`, bucket `i` holds `[2^(i-1), 2^i)`, and bucket 31 absorbs
+//!   everything from `2^30` up. The deterministic plane keeps it
+//!   ([`crate::Recorder`], the `hide-metrics/1` `distributions`).
+//! * [`LatencyHistogram`] — 256 buckets, 3 sub-bucket bits (≤ 12.5 %
+//!   relative bucket width), sized for nanosecond latencies from
+//!   ~100 ns to ~10 s; 2^34 ns (~17.2 s) and beyond saturates. The
+//!   wall-clock plane keeps it (`hide-apd-health/1`, the
+//!   Prometheus-style exposition); it must never feed `hide-metrics/1`.
+//!
+//! Each layout serves a caller the other cannot. A recorder holds nine
+//! distributions, and an in-memory fleet run holds every shard's
+//! recorder until its window folds, so 256 buckets there would grow
+//! each recorder from 3192 B to 19 320 B. Power-of-two buckets are
+//! ±50 % wide, too coarse for the daemon's p50/p99.
 
 /// Number of buckets in every [`LatencyHistogram`]: 8 exact unit
 /// buckets plus 31 octaves (exponents 3..=33) of 8 sub-buckets.
-pub const LATENCY_BUCKETS: usize = (SUBS + (34 - SUB_BITS as u64) * SUBS) as usize;
+pub const LATENCY_BUCKETS: usize = 256;
 
-/// A mergeable log-scale histogram of nanosecond latencies.
+/// The deterministic plane's histogram: 32 power-of-two buckets.
+pub type Histogram = LogHistogram<32, 0>;
+
+/// The wall-clock plane's histogram of nanosecond latencies: 8
+/// sub-buckets per power of two.
+pub type LatencyHistogram = LogHistogram<LATENCY_BUCKETS, 3>;
+
+/// A fixed-bucket log-linear histogram: `BUCKETS` buckets with
+/// `2^SUB_BITS` sub-buckets per power of two (see the module docs).
 ///
 /// Recording is an index computation plus an array increment; merging
-/// is elementwise addition (associative and commutative), so per-shard
-/// histograms fold into a daemon-wide view in any order.
+/// is elementwise addition (associative and commutative), so partial
+/// histograms fold into one in any order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; LATENCY_BUCKETS],
+pub struct LogHistogram<const BUCKETS: usize, const SUB_BITS: u32> {
+    buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
     /// `u64::MAX` while empty so the first `record` always wins.
@@ -49,12 +67,20 @@ pub struct LatencyHistogram {
     max: u64,
 }
 
-impl LatencyHistogram {
+/// `Copy` on purpose: a [`Histogram`] is a few hundred bytes of plain
+/// integers, which lets a recorder hold `[Histogram; N]` without
+/// allocation and lets callers snapshot one with `=`.
+impl Copy for Histogram {}
+
+impl<const BUCKETS: usize, const SUB_BITS: u32> LogHistogram<BUCKETS, SUB_BITS> {
+    /// Sub-buckets per power of two.
+    const SUBS: u64 = 1 << SUB_BITS;
+
     /// An empty histogram.
     #[must_use]
     pub const fn new() -> Self {
-        LatencyHistogram {
-            buckets: [0; LATENCY_BUCKETS],
+        LogHistogram {
+            buckets: [0; BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -62,49 +88,51 @@ impl LatencyHistogram {
         }
     }
 
-    /// The bucket a nanosecond value lands in.
+    /// The bucket a value lands in.
     #[inline]
     #[must_use]
-    pub fn bucket_index(nanos: u64) -> usize {
-        if nanos < SUBS {
-            nanos as usize
+    pub fn bucket_index(value: u64) -> usize {
+        if value < Self::SUBS {
+            value as usize
         } else {
-            let exp = 63 - u64::from(nanos.leading_zeros());
-            let sub = (nanos >> (exp - u64::from(SUB_BITS))) & (SUBS - 1);
-            let index = (exp - u64::from(SUB_BITS)) * SUBS + SUBS + sub;
-            (index as usize).min(LATENCY_BUCKETS - 1)
+            let exp = 63 - u64::from(value.leading_zeros());
+            let sub = (value >> (exp - u64::from(SUB_BITS))) & (Self::SUBS - 1);
+            let index = (exp - u64::from(SUB_BITS)) * Self::SUBS + Self::SUBS + sub;
+            (index as usize).min(BUCKETS - 1)
         }
     }
 
-    /// Inclusive lower bound of a bucket, in nanoseconds.
+    /// Inclusive lower bound of a bucket.
     #[must_use]
     pub fn bucket_lower_bound(index: usize) -> u64 {
         let index = index as u64;
-        if index < SUBS {
+        if index < Self::SUBS {
             index
         } else {
-            let octave = (index - SUBS) / SUBS;
-            let sub = (index - SUBS) % SUBS;
-            (SUBS + sub) << octave
+            let octave = (index - Self::SUBS) / Self::SUBS;
+            let sub = (index - Self::SUBS) % Self::SUBS;
+            (Self::SUBS + sub) << octave
         }
     }
 
-    /// Record one latency observation, in nanoseconds.
+    /// Record one observation.
     #[inline]
-    pub fn record(&mut self, nanos: u64) {
-        self.buckets[Self::bucket_index(nanos)] += 1;
+    pub fn record(&mut self, value: u64) {
+        self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(nanos);
-        if nanos < self.min {
-            self.min = nanos;
+        self.sum = self.sum.saturating_add(value);
+        if value < self.min {
+            self.min = value;
         }
-        if nanos > self.max {
-            self.max = nanos;
+        if value > self.max {
+            self.max = value;
         }
     }
 
-    /// Fold another histogram into this one (elementwise addition).
-    pub fn merge_from(&mut self, other: &LatencyHistogram) {
+    /// Fold another histogram into this one (elementwise addition —
+    /// associative and commutative, so fan-in order cannot change the
+    /// result).
+    pub fn merge_from(&mut self, other: &Self) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -120,7 +148,7 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Sum of recorded observations (saturating), in nanoseconds.
+    /// Sum of recorded observations (saturating).
     #[must_use]
     pub fn sum(&self) -> u64 {
         self.sum
@@ -136,13 +164,14 @@ impl LatencyHistogram {
         }
     }
 
-    /// Largest recorded observation (exact, not bucketed).
+    /// Largest recorded observation (exact, not bucketed), or 0 when
+    /// empty.
     #[must_use]
     pub fn max(&self) -> u64 {
         self.max
     }
 
-    /// Mean latency in nanoseconds, or 0.0 when empty.
+    /// Mean of recorded observations, or 0.0 when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -163,9 +192,9 @@ impl LatencyHistogram {
     /// separate atomics. `count` is derived from the buckets so
     /// quantile walks always terminate consistently.
     #[must_use]
-    pub(crate) fn from_raw(buckets: [u64; LATENCY_BUCKETS], sum: u64, min: u64, max: u64) -> Self {
+    pub(crate) fn from_raw(buckets: [u64; BUCKETS], sum: u64, min: u64, max: u64) -> Self {
         let count = buckets.iter().sum();
-        LatencyHistogram {
+        LogHistogram {
             buckets,
             count,
             sum,
@@ -174,13 +203,13 @@ impl LatencyHistogram {
         }
     }
 
-    /// The latency at quantile `q` in `[0, 1]`, in nanoseconds.
+    /// The value at quantile `q` in `[0, 1]`.
     ///
     /// Walks the bucket counts to the observation of rank
     /// `ceil(q * count)` and returns that bucket's lower bound clamped
     /// into `[min, max]` — deterministic, monotone in `q`, within one
-    /// bucket width (≤ 12.5 %) of the true order statistic, and exact
-    /// at the extremes. Returns 0 when the histogram is empty.
+    /// bucket width of the true order statistic, and exact at the
+    /// extremes. Returns 0 when the histogram is empty.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -202,6 +231,24 @@ impl LatencyHistogram {
         hi
     }
 
+    /// The non-empty buckets as `(bucket index, observation count)`
+    /// pairs, in bucket order.
+    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| (i, n))
+    }
+}
+
+impl<const BUCKETS: usize, const SUB_BITS: u32> Default for LogHistogram<BUCKETS, SUB_BITS> {
+    fn default() -> Self {
+        LogHistogram::new()
+    }
+}
+
+impl LatencyHistogram {
     /// Shorthand: the p50/p90/p99/max readout the health artifact
     /// reports.
     #[must_use]
@@ -214,22 +261,6 @@ impl LatencyHistogram {
             p99_ns: self.quantile(0.99),
             max_ns: self.max(),
         }
-    }
-
-    /// The non-empty buckets as `(lower bound ns, observation count)`
-    /// pairs, in latency order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (Self::bucket_lower_bound(i), n))
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram::new()
     }
 }
 
@@ -253,6 +284,110 @@ pub struct LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The power-of-two layout, bit for bit: bucket 0 holds 0, bucket
+    /// `i` holds `[2^(i-1), 2^i)`, bucket 31 everything from 2^30 up.
+    #[test]
+    fn power_of_two_bucket_boundaries() {
+        assert_eq!(Histogram::bucket_index(0), 0);
+        assert_eq!(Histogram::bucket_index(1), 1);
+        assert_eq!(Histogram::bucket_index(2), 2);
+        assert_eq!(Histogram::bucket_index(3), 2);
+        assert_eq!(Histogram::bucket_index(4), 3);
+        assert_eq!(Histogram::bucket_index(1023), 10);
+        assert_eq!(Histogram::bucket_index(1024), 11);
+        assert_eq!(Histogram::bucket_index((1 << 30) - 1), 30);
+        assert_eq!(Histogram::bucket_index(1 << 30), 31);
+        assert_eq!(Histogram::bucket_index(u64::MAX), 31);
+        assert_eq!(Histogram::bucket_lower_bound(0), 0);
+        for i in 1..31 {
+            let lo = Histogram::bucket_lower_bound(i);
+            assert_eq!(lo, 1 << (i - 1));
+            assert_eq!(Histogram::bucket_index(lo), i);
+            assert_eq!(Histogram::bucket_index(2 * lo - 1), i);
+        }
+    }
+
+    /// Both layouts keep the memory shape the recorder and the daemon
+    /// size themselves by: the buckets plus four words.
+    #[test]
+    fn layouts_keep_their_size() {
+        assert_eq!(std::mem::size_of::<Histogram>(), (32 + 4) * 8);
+        assert_eq!(
+            std::mem::size_of::<LatencyHistogram>(),
+            (LATENCY_BUCKETS + 4) * 8
+        );
+    }
+
+    #[test]
+    fn records_summary_stats() {
+        let mut h = Histogram::new();
+        assert!(h.is_empty());
+        assert_eq!(h.min(), 0);
+        for v in [5, 0, 12, 12] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.sum(), 29);
+        assert_eq!(h.min(), 0);
+        assert_eq!(h.max(), 12);
+        assert_eq!(
+            h.nonzero_buckets().collect::<Vec<_>>(),
+            vec![
+                (0, 1), // the 0
+                (3, 1), // 5 in [4, 8)
+                (4, 2), // 12 twice in [8, 16)
+            ]
+        );
+    }
+
+    /// Merge must be associative and commutative with the sequential
+    /// recording as identity — the determinism property hide-par needs.
+    #[test]
+    fn merge_is_associative_and_commutative() {
+        let parts: [&[u64]; 3] = [&[1, 7, 7, 900], &[], &[0, 0, 3]];
+        let mut seq = Histogram::new();
+        let mut hs: Vec<Histogram> = Vec::new();
+        for part in parts {
+            let mut h = Histogram::new();
+            for &v in part {
+                h.record(v);
+                seq.record(v);
+            }
+            hs.push(h);
+        }
+
+        // (a + b) + c
+        let mut left = hs[0];
+        left.merge_from(&hs[1]);
+        left.merge_from(&hs[2]);
+        // a + (b + c)
+        let mut bc = hs[1];
+        bc.merge_from(&hs[2]);
+        let mut right = hs[0];
+        right.merge_from(&bc);
+        // c + b + a
+        let mut rev = hs[2];
+        rev.merge_from(&hs[1]);
+        rev.merge_from(&hs[0]);
+
+        assert_eq!(left, seq);
+        assert_eq!(right, seq);
+        assert_eq!(rev, seq);
+    }
+
+    #[test]
+    fn merge_with_empty_is_identity() {
+        let mut h = Histogram::new();
+        h.record(42);
+        let snapshot = h;
+        h.merge_from(&Histogram::new());
+        assert_eq!(h, snapshot);
+
+        let mut e = Histogram::new();
+        e.merge_from(&snapshot);
+        assert_eq!(e, snapshot);
+    }
 
     #[test]
     fn bucket_boundaries_are_deterministic() {

@@ -19,14 +19,21 @@
 //! exportable as JSONL or Chrome-trace JSON ([`crate::export`]) and
 //! analyzable for wakeup provenance ([`crate::provenance`]).
 //!
-//! A third seam serves long-running services and is deliberately kept
-//! on the *other* side of the determinism fence: the wall-clock
-//! runtime plane ([`crate::runtime`]) times hot-path stages into
-//! log-scale [`LatencyHistogram`]s behind a [`RuntimeSink`]
-//! ([`NoopRuntime`] is zero-cost and never reads the clock), and the
-//! leveled structured logger ([`crate::log`]) gates stderr output and
-//! retains recent warn/error records. Nothing from this plane may
-//! feed the `hide-metrics/1` artifact.
+//! A third seam is deliberately kept on the *other* side of the
+//! determinism fence: [`SpanSink`] ([`crate::runtime`]) is the one
+//! wall-clock timing seam, generic over the stage type. The daemon
+//! times its hot-path stages through it into log-scale
+//! [`LatencyHistogram`]s ([`AtomicRuntime`]), and the fleet kernel
+//! times its stages into its own profile; [`NoopSpans`] is zero-cost
+//! and never reads the clock. The leveled structured logger
+//! ([`crate::log`]) gates stderr output and retains recent warn/error
+//! records. Nothing from this plane may feed the `hide-metrics/1`
+//! artifact.
+//!
+//! Both planes bucket through one histogram implementation,
+//! [`LogHistogram`], in two layouts: the deterministic [`Histogram`]
+//! (32 power-of-two buckets) and the wall-clock [`LatencyHistogram`]
+//! (8 sub-buckets per power of two).
 //!
 //! # Determinism rules
 //!
@@ -67,7 +74,6 @@
 #![warn(missing_docs)]
 
 pub mod export;
-pub mod hist;
 pub mod latency;
 pub mod log;
 pub mod metric;
@@ -78,17 +84,16 @@ pub mod sink;
 pub mod spill;
 pub mod trace;
 
-pub use hist::Histogram;
-pub use latency::{LatencyHistogram, LatencySummary, LATENCY_BUCKETS};
+pub use latency::{Histogram, LatencyHistogram, LatencySummary, LogHistogram, LATENCY_BUCKETS};
 pub use log::{LogLevel, LogRecord};
 pub use metric::{Counter, Distribution, Stage};
 pub use provenance::{CauseCounts, ClientKey, ClientWakes, ProvenanceBreakdown, ProvenanceLedger};
 pub use recorder::{Recorder, StageTiming};
-pub use runtime::{AtomicRuntime, NoopRuntime, RateMeter, RtStage, RuntimeSink};
+pub use runtime::{AtomicRuntime, NoopSpans, RateMeter, RtStage, SpanSink};
 pub use sink::{MetricsSink, NoopSink};
 pub use spill::{
-    EventSource, HashingWriter, KWayMerge, MemSource, RunMeta, RunReader, SpillError, SpillIndex,
-    SpillWriter, DEFAULT_CHUNK_EVENTS, SPILL_MAGIC,
+    EventSource, HashingWriter, KWayMerge, RunMeta, RunReader, SpillError, SpillIndex, SpillWriter,
+    DEFAULT_CHUNK_EVENTS, SPILL_MAGIC,
 };
 pub use trace::{
     FlightRecorder, NoopTrace, TraceEvent, TraceEventKind, TraceSink, WakeCause, WakeClass,

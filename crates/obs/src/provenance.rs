@@ -370,7 +370,7 @@ mod tests {
         let mut other = FlightRecorder::new();
         other.set_source(9);
         other.emit(0.15, TraceEventKind::RefreshLost { aid: 1 });
-        fr.merge_from(&other);
+        let mut fr = FlightRecorder::merged(vec![fr, other]);
         fr.emit(0.3, wake(WakeClass::Missed));
         let b = analyze(&fr);
         assert_eq!(b.missed.unknown, 1);
@@ -396,7 +396,7 @@ mod tests {
         let mut b = FlightRecorder::new();
         b.set_source(5);
         b.emit(0.15, wake_for(1, WakeClass::Legacy, WakeCause::Proper));
-        a.merge_from(&b);
+        let a = FlightRecorder::merged(vec![a, b]);
 
         let ledger = per_client(&a);
         assert_eq!(ledger.len(), 3);

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::hist::Histogram;
+use crate::latency::Histogram;
 use crate::metric::{Counter, Distribution, Stage};
 use crate::sink::MetricsSink;
 

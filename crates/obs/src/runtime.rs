@@ -1,28 +1,79 @@
-//! The wall-clock runtime-telemetry seam.
+//! The wall-clock span seam, and the daemon's runtime plane behind it.
 //!
-//! This is the third zero-cost instrumentation seam in the workspace,
-//! and the first one that is *allowed* to observe wall-clock time:
+//! [`SpanSink`] is the one timing seam of the workspace, and the only
+//! instrumentation seam that is *allowed* to observe wall-clock time:
 //!
 //! * [`crate::MetricsSink`] — deterministic counters/histograms
 //!   (feeds `hide-metrics/1`, byte-identical at any `--jobs`);
 //! * [`crate::TraceSink`] — deterministic structured events;
-//! * [`RuntimeSink`] (this module) — wall-clock stage latencies for
-//!   long-running services (feeds `hide-apd-health/1` and the
-//!   Prometheus-style exposition, **never** the deterministic
-//!   artifacts).
+//! * [`SpanSink`] (this module) — wall-clock stage spans, generic over
+//!   the stage type: the daemon's [`RtStage`]s (feeding
+//!   `hide-apd-health/1` and the Prometheus-style exposition) and the
+//!   fleet kernel's stages (feeding `hide-fleet-stages/1`), **never**
+//!   the deterministic artifacts.
 //!
-//! Hot paths are generic over `R: RuntimeSink`. With [`NoopRuntime`]
-//! the [`RuntimeSink::start`] token is `()` and both calls inline to
-//! nothing — crucially, the clock is never read — so the
+//! Hot paths are generic over `P: SpanSink<S>` and bracket each stage
+//! with [`SpanSink::start`] and [`SpanSink::finish`]. With
+//! [`NoopSpans`] the start token is a constant `None` and both calls
+//! inline to nothing — crucially, the clock is never read — so the
 //! uninstrumented daemon pays zero cost, a claim `apd_loadgen --smoke`
-//! enforces against the budget in `golden/perf_floors.toml`. With
-//! [`AtomicRuntime`] each stage records into a lock-free
-//! [`LatencyHistogram`]-shaped grid of atomics that any thread can
-//! snapshot without stopping the world.
+//! enforces against the budget in `golden/perf_floors.toml`. Behind an
+//! `Arc<`[`AtomicRuntime`]`>` each daemon stage records into a
+//! lock-free [`LatencyHistogram`]-shaped grid of atomics that any
+//! thread can snapshot without stopping the world.
 
 use crate::latency::{LatencyHistogram, LATENCY_BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Where instrumented code sends its wall-clock spans, one per
+/// execution of a stage of type `S`.
+///
+/// The `start`/`finish` pair brackets one stage execution. Both are
+/// provided: they read the clock only when [`ENABLED`](Self::ENABLED),
+/// so an implementation writes just [`add_span`](Self::add_span).
+pub trait SpanSink<S> {
+    /// `false` compiles every clock read out of the instrumented code.
+    const ENABLED: bool;
+
+    /// Records one completed span of `nanos` against `stage`.
+    fn add_span(&mut self, stage: S, nanos: u64);
+
+    /// Begins a span: the current instant, or `None` without reading
+    /// the clock when the sink is disabled.
+    #[inline]
+    fn start(&self) -> Option<Instant> {
+        Self::ENABLED.then(Instant::now)
+    }
+
+    /// Ends the span `started` by [`start`](Self::start) and records it
+    /// against `stage`.
+    #[inline]
+    fn finish(&mut self, stage: S, started: Option<Instant>) {
+        if let Some(t) = started {
+            self.add_span(stage, t.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Folds another sink's spans into this one (the per-shard fan-in).
+    /// The default folds nothing: right for a sink that records
+    /// nothing, or for clones that share one plane.
+    #[inline]
+    fn merge_from(&mut self, _other: &Self) {}
+}
+
+/// The span sink that records nothing — and never reads the clock —
+/// at zero cost, for every stage type.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoopSpans;
+
+impl<S> SpanSink<S> for NoopSpans {
+    const ENABLED: bool = false;
+
+    #[inline(always)]
+    fn add_span(&mut self, _stage: S, _nanos: u64) {}
+}
 
 /// The instrumented stages of a service hot path, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,42 +125,10 @@ impl RtStage {
     }
 }
 
-/// Where a service hot path sends its wall-clock stage timings.
-///
-/// The `start`/`finish` pair brackets one stage execution; the token
-/// carries the start instant so the no-op implementation never touches
-/// the clock.
-pub trait RuntimeSink: Send + Sync {
-    /// Opaque start token returned by [`RuntimeSink::start`].
-    type Timer: Copy;
-
-    /// Begin timing a stage execution.
-    fn start(&self) -> Self::Timer;
-
-    /// Finish timing and record the elapsed nanoseconds for `stage`.
-    fn finish(&self, stage: RtStage, timer: Self::Timer);
-}
-
-/// A runtime sink that discards everything — and never reads the
-/// clock — at zero cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRuntime;
-
-impl RuntimeSink for NoopRuntime {
-    type Timer = ();
-
-    #[inline]
-    fn start(&self) -> Self::Timer {}
-
-    #[inline]
-    fn finish(&self, _stage: RtStage, _timer: Self::Timer) {}
-}
-
 /// One lock-free latency grid: the atomic twin of
 /// [`LatencyHistogram`], snapshot-able while threads keep recording.
 struct AtomicLatency {
     buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -119,7 +138,6 @@ impl AtomicLatency {
     fn new() -> Self {
         AtomicLatency {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -129,7 +147,6 @@ impl AtomicLatency {
     #[inline]
     fn record(&self, nanos: u64) {
         self.buckets[LatencyHistogram::bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(nanos, Ordering::Relaxed);
         self.min.fetch_min(nanos, Ordering::Relaxed);
         self.max.fetch_max(nanos, Ordering::Relaxed);
@@ -185,47 +202,14 @@ impl Default for AtomicRuntime {
     }
 }
 
-impl RuntimeSink for AtomicRuntime {
-    type Timer = Instant;
+/// Each daemon thread holds its own clone; every clone records into
+/// the one shared plane, so there is nothing to fold.
+impl SpanSink<RtStage> for Arc<AtomicRuntime> {
+    const ENABLED: bool = true;
 
     #[inline]
-    fn start(&self) -> Self::Timer {
-        Instant::now()
-    }
-
-    #[inline]
-    fn finish(&self, stage: RtStage, timer: Self::Timer) {
-        self.record_nanos(stage, timer.elapsed().as_nanos() as u64);
-    }
-}
-
-/// Forwarding impls so call sites can hold `Arc<R>` or `&R` without
-/// extra generics.
-impl<R: RuntimeSink + ?Sized> RuntimeSink for &R {
-    type Timer = R::Timer;
-
-    #[inline]
-    fn start(&self) -> Self::Timer {
-        (**self).start()
-    }
-
-    #[inline]
-    fn finish(&self, stage: RtStage, timer: Self::Timer) {
-        (**self).finish(stage, timer);
-    }
-}
-
-impl<R: RuntimeSink + ?Sized> RuntimeSink for std::sync::Arc<R> {
-    type Timer = R::Timer;
-
-    #[inline]
-    fn start(&self) -> Self::Timer {
-        (**self).start()
-    }
-
-    #[inline]
-    fn finish(&self, stage: RtStage, timer: Self::Timer) {
-        (**self).finish(stage, timer);
+    fn add_span(&mut self, stage: RtStage, nanos: u64) {
+        self.record_nanos(stage, nanos);
     }
 }
 
@@ -305,14 +289,16 @@ mod tests {
 
     /// Drive the seam the way the daemon does: generically, so the
     /// noop monomorphization is exercised without unit-value lints.
-    fn time_one_stage<R: RuntimeSink>(sink: &R) {
+    fn time_one_stage<P: SpanSink<RtStage>>(sink: &mut P, stage: RtStage) {
         let t = sink.start();
-        sink.finish(RtStage::Recv, t);
+        sink.finish(stage, t);
     }
 
     #[test]
-    fn noop_runtime_is_inert() {
-        time_one_stage(&NoopRuntime);
+    fn noop_spans_are_inert() {
+        const { assert!(!<NoopSpans as SpanSink<RtStage>>::ENABLED) };
+        assert!(SpanSink::<RtStage>::start(&NoopSpans).is_none());
+        time_one_stage(&mut NoopSpans, RtStage::Recv);
     }
 
     #[test]
@@ -329,22 +315,24 @@ mod tests {
 
     #[test]
     fn atomic_runtime_times_through_the_seam() {
-        let rt = AtomicRuntime::new();
+        let mut rt = Arc::new(AtomicRuntime::new());
         let t = rt.start();
+        assert!(t.is_some());
         std::hint::black_box(0u64);
         rt.finish(RtStage::Send, t);
         assert_eq!(rt.snapshot(RtStage::Send).count(), 1);
     }
 
     #[test]
-    fn arc_forwarding_reaches_the_shared_plane() {
-        let rt = std::sync::Arc::new(AtomicRuntime::new());
-        fn drive<R: RuntimeSink>(sink: &R) {
-            let t = sink.start();
-            sink.finish(RtStage::Route, t);
-        }
-        drive(&rt);
-        assert_eq!(rt.snapshot(RtStage::Route).count(), 1);
+    fn arc_clones_reach_the_shared_plane() {
+        let mut router = Arc::new(AtomicRuntime::new());
+        let mut shard = Arc::clone(&router);
+        time_one_stage(&mut router, RtStage::Route);
+        time_one_stage(&mut shard, RtStage::Route);
+        // Clones share the plane, so folding one into another adds
+        // nothing.
+        router.merge_from(&shard);
+        assert_eq!(router.snapshot(RtStage::Route).count(), 2);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!
 //! `(time, source, seq)` is a *strict* total order over distinct
 //! events (a source never reuses a sequence number), so any correct
-//! merge — [`FlightRecorder::merge_from`], [`FlightRecorder::merged`]
-//! or the on-disk k-way merge, at any chunk size, any run
-//! partitioning, any `--jobs` count — yields the same event sequence,
-//! and therefore byte-identical exports. The codec stores `f64` time
+//! merge — [`FlightRecorder::merged`] in memory or the on-disk k-way
+//! merge, at any chunk size, any run partitioning, any `--jobs` count
+//! — yields the same event sequence, and therefore byte-identical
+//! exports. The codec stores `f64` time
 //! as its exact IEEE-754 bits, so nothing is lost in the round trip.
 //! The differential tests in
 //! `crates/obs/tests/proptest_spill.rs` and
@@ -455,8 +455,7 @@ impl SpillWriter {
     ///
     /// Any filesystem failure surfaces as [`SpillError::Io`].
     pub fn write_run(&mut self, events: &[TraceEvent], dropped: u64) -> Result<(), SpillError> {
-        let mut src = MemSource::new(events.to_vec());
-        self.write_run_from(&mut src, events.len() as u64, dropped)
+        self.write_run_from(&mut events.iter().copied(), events.len() as u64, dropped)
     }
 
     /// Appends the ordered union of `logs` as one sorted run, merged in
@@ -561,7 +560,9 @@ fn invalid_chunk(reason: String) -> SpillError {
 /// Moves every log's events into one merge, returning it with the
 /// logs' total event count and summed ring-bound drops. The logs keep
 /// their source lane, sequence counter and capacity.
-pub(crate) fn merge_logs(logs: &mut [FlightRecorder]) -> (KWayMerge<MemSource>, u64, u64) {
+pub(crate) fn merge_logs(
+    logs: &mut [FlightRecorder],
+) -> (KWayMerge<std::vec::IntoIter<TraceEvent>>, u64, u64) {
     let (mut events, mut dropped) = (0u64, 0u64);
     let lanes = logs
         .iter_mut()
@@ -569,7 +570,7 @@ pub(crate) fn merge_logs(logs: &mut [FlightRecorder]) -> (KWayMerge<MemSource>, 
             let (lane, lane_dropped) = log.take_spill_chunk();
             events += lane.len() as u64;
             dropped += lane_dropped;
-            MemSource::new(lane)
+            lane.into_iter()
         })
         .collect();
     let merge = KWayMerge::new(lanes).expect("in-memory lanes cannot fail");
@@ -776,7 +777,7 @@ fn scan(bytes: &[u8]) -> Result<Vec<RunMeta>, SpillError> {
 }
 
 /// A streaming source of events in `(time, source, seq)` order —
-/// either a decoded spill run or an in-memory buffer.
+/// either a decoded spill run or an in-memory sequence.
 pub trait EventSource {
     /// The next event, `Ok(None)` at end of stream.
     ///
@@ -786,26 +787,13 @@ pub trait EventSource {
     fn next_event(&mut self) -> Result<Option<TraceEvent>, SpillError>;
 }
 
-/// An in-memory [`EventSource`] — the zero-disk counterpart used by
-/// tests and by single-recorder exports.
-#[derive(Debug)]
-pub struct MemSource {
-    events: std::vec::IntoIter<TraceEvent>,
-}
-
-impl MemSource {
-    /// Wraps an already-sorted event vector.
-    #[must_use]
-    pub fn new(events: Vec<TraceEvent>) -> Self {
-        MemSource {
-            events: events.into_iter(),
-        }
-    }
-}
-
-impl EventSource for MemSource {
+/// Any in-memory event iterator is a source that never fails — a
+/// recorder's log (`rec.events().copied()`), a slice, or an owned
+/// `Vec`'s `into_iter()`.
+impl<I: Iterator<Item = TraceEvent>> EventSource for I {
+    #[inline]
     fn next_event(&mut self) -> Result<Option<TraceEvent>, SpillError> {
-        Ok(self.events.next())
+        Ok(self.next())
     }
 }
 
@@ -923,8 +911,8 @@ fn time_key(t: f64) -> u64 {
 
 /// Streaming k-way merge over sorted [`EventSource`]s under the global
 /// `(time, source, seq)` order, with the source index as the final
-/// tie-break — the left-wins rule of [`FlightRecorder::merge_from`],
-/// so both pop identical sequences.
+/// tie-break (on a tied key the lower lane pops first), so merges in
+/// memory and on disk pop identical sequences.
 ///
 /// A loser tree: each internal node keeps the lane that lost the match
 /// there, so a pop replays one leaf-to-root path of `log₂ k`
@@ -1180,8 +1168,7 @@ mod tests {
         for t in [0.2, 0.5] {
             b.emit(t, TraceEventKind::EntryExpired { aid: 2 });
         }
-        let mut reference = a.clone();
-        reference.merge_from(&b);
+        let reference = FlightRecorder::merged(vec![a.clone(), b.clone()]);
 
         let path = temp_path("merge");
         let mut w = SpillWriter::create(&path, 2).unwrap();
@@ -1263,10 +1250,10 @@ mod tests {
             kind: TraceEventKind::Leave { aid: 1 },
         };
         let lanes = vec![
-            MemSource::new(vec![event(nan, u32::MAX)]),
-            MemSource::new(Vec::new()),
-            MemSource::new(vec![event(-0.0, 2), event(0.5, 2)]),
-            MemSource::new(vec![event(0.0, 3)]),
+            vec![event(nan, u32::MAX)].into_iter(),
+            Vec::new().into_iter(),
+            vec![event(-0.0, 2), event(0.5, 2)].into_iter(),
+            vec![event(0.0, 3)].into_iter(),
         ];
         let merged = KWayMerge::new(lanes).unwrap().collect_all().unwrap();
         let popped: Vec<(u64, u32)> = merged
@@ -1282,7 +1269,7 @@ mod tests {
                 (nan.to_bits(), u32::MAX),
             ]
         );
-        assert!(KWayMerge::<MemSource>::new(Vec::new())
+        assert!(KWayMerge::<std::vec::IntoIter<TraceEvent>>::new(Vec::new())
             .unwrap()
             .collect_all()
             .unwrap()
@@ -1291,15 +1278,14 @@ mod tests {
 
     #[test]
     fn equal_keys_pop_in_lane_order() {
-        // The left-wins rule of `merge_from`: on a tied key the lower
-        // lane pops first.
+        // The left-wins rule: on a tied key the lower lane pops first.
         let event = |aid| TraceEvent {
             time: 0.5,
             source: 1,
             seq: 0,
             kind: TraceEventKind::Leave { aid },
         };
-        let lanes = (0..3).map(|aid| MemSource::new(vec![event(aid)])).collect();
+        let lanes = (0..3).map(|aid| vec![event(aid)].into_iter()).collect();
         let merged = KWayMerge::new(lanes).unwrap().collect_all().unwrap();
         assert_eq!(merged, vec![event(0), event(1), event(2)]);
     }

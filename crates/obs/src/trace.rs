@@ -9,11 +9,11 @@
 //!
 //! Determinism rules mirror the recorder's: events carry **simulation
 //! time**, never wall clock; every recorder stamps its events with a
-//! `(source, seq)` pair; and [`FlightRecorder::merge_from`] and
-//! [`FlightRecorder::merged`] perform an ordered merge on
-//! `(time, source, seq)`. Per-shard logs depend only on the shard's
-//! inputs, and the order is total, so the merged log — and every byte
-//! exported from it — is identical at any `--jobs` count.
+//! `(source, seq)` pair; and [`FlightRecorder::merged`] performs an
+//! ordered merge on `(time, source, seq)`. Per-shard logs depend only
+//! on the shard's inputs, and the order is total, so the merged log —
+//! and every byte exported from it — is identical at any `--jobs`
+//! count.
 
 use std::collections::VecDeque;
 
@@ -180,14 +180,6 @@ impl TraceEvent {
     pub fn sort_key(&self) -> (f64, u32, u64) {
         (self.time, self.source, self.seq)
     }
-
-    fn precedes(&self, other: &TraceEvent) -> bool {
-        match self.time.total_cmp(&other.time) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => (self.source, self.seq) <= (other.source, other.seq),
-        }
-    }
 }
 
 /// A sink for structured trace events.
@@ -261,7 +253,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 /// Live recording keeps at most `capacity` events, dropping the oldest
 /// (and counting the drops) when full — a flight recorder keeps the
 /// most recent window, which is the window that explains a failure.
-/// [`FlightRecorder::merge_from`] never drops: per-shard logs are
+/// [`FlightRecorder::merged`] never drops: per-shard logs are
 /// complete within their own bound, and the merged log is their ordered
 /// union, so fan-in order cannot change the bytes exported from it.
 #[derive(Debug, Clone, PartialEq)]
@@ -347,10 +339,11 @@ impl FlightRecorder {
     }
 
     /// The ordered union of `logs` on `(time, source, seq)`, merged in
-    /// one [`KWayMerge`](crate::KWayMerge) pass — equal to folding them
-    /// in order with [`merge_from`](Self::merge_from): it keeps the
-    /// first log's source lane, sequence counter and capacity, and sums
-    /// every log's drops. An empty `logs` gives an empty default
+    /// one [`KWayMerge`](crate::KWayMerge) pass. It keeps the first
+    /// log's source lane, sequence counter and capacity, and sums every
+    /// log's drops. Merging never drops events (only live recording
+    /// does), so merging per-shard logs yields the same log however the
+    /// shards were scheduled. An empty `logs` gives an empty default
     /// recorder.
     #[must_use]
     pub fn merged(mut logs: Vec<FlightRecorder>) -> FlightRecorder {
@@ -362,37 +355,6 @@ impl FlightRecorder {
         }
         out.dropped = dropped;
         out
-    }
-
-    /// Folds another recorder's log into this one with an ordered merge
-    /// on `(time, source, seq)`.
-    ///
-    /// Merging never drops events (only live recording does), so
-    /// folding per-shard recorders in input order yields the same log
-    /// regardless of how the shards were scheduled.
-    pub fn merge_from(&mut self, other: &FlightRecorder) {
-        self.dropped += other.dropped;
-        if other.events.is_empty() {
-            return;
-        }
-        let mut merged = VecDeque::with_capacity(self.events.len() + other.events.len());
-        let mut mine = self.events.iter().copied().peekable();
-        let mut theirs = other.events.iter().copied().peekable();
-        loop {
-            match (mine.peek(), theirs.peek()) {
-                (Some(a), Some(b)) => {
-                    if a.precedes(b) {
-                        merged.push_back(mine.next().unwrap());
-                    } else {
-                        merged.push_back(theirs.next().unwrap());
-                    }
-                }
-                (Some(_), None) => merged.push_back(mine.next().unwrap()),
-                (None, Some(_)) => merged.push_back(theirs.next().unwrap()),
-                (None, None) => break,
-            }
-        }
-        self.events = merged;
     }
 }
 
@@ -478,8 +440,7 @@ mod tests {
     fn merge_interleaves_by_time_then_source() {
         let a = rec(0, &[0.1, 0.5, 0.5]);
         let b = rec(1, &[0.2, 0.5]);
-        let mut merged = a.clone();
-        merged.merge_from(&b);
+        let merged = FlightRecorder::merged(vec![a, b]);
         let keys: Vec<(f64, u32, u64)> = merged.events().map(|e| e.sort_key()).collect();
         assert_eq!(
             keys,
@@ -496,15 +457,10 @@ mod tests {
     #[test]
     fn merge_order_of_disjoint_sources_is_immaterial() {
         let shards = [rec(0, &[0.3, 0.9]), rec(1, &[0.1]), rec(2, &[0.3, 0.4])];
-        let mut fwd = FlightRecorder::new();
-        for s in &shards {
-            fwd.merge_from(s);
-        }
-        let mut rev = FlightRecorder::new();
-        for s in shards.iter().rev() {
-            rev.merge_from(s);
-        }
-        assert_eq!(fwd, rev);
+        let fwd = FlightRecorder::merged(shards.to_vec());
+        let rev = FlightRecorder::merged(shards.iter().rev().cloned().collect());
+        assert!(fwd.events().eq(rev.events()));
+        assert_eq!(fwd.len(), 5);
     }
 
     #[test]
@@ -519,7 +475,8 @@ mod tests {
             a.emit(t, TraceEventKind::RefreshLost { aid: 1 });
         }
         let b = rec(1, &[0.15, 0.25, 0.35]);
-        a.merge_from(&b);
+        let mut a = FlightRecorder::merged(vec![a, b]);
+        assert_eq!(a.capacity(), 3, "the first log's ring bound carries over");
         assert_eq!(a.len(), 6, "merge itself never drops");
         assert_eq!(a.dropped(), 0);
         a.emit(0.4, TraceEventKind::RefreshLost { aid: 2 });
@@ -582,7 +539,7 @@ mod tests {
         }
         assert_eq!(b.dropped(), 2);
 
-        a.merge_from(&b);
+        let a = FlightRecorder::merged(vec![a, b]);
         assert_eq!(a.dropped(), 3, "merged residue excludes spilled drops");
         assert_eq!(spilled_a + a.dropped(), 4, "file + live == total");
         assert_eq!(a.len(), 4);
@@ -596,8 +553,7 @@ mod tests {
             a.emit(t, TraceEventKind::RefreshLost { aid: 1 });
         }
         let b = rec(1, &[0.15, 0.25, 0.35]);
-        let mut merged = a.clone();
-        merged.merge_from(&b);
+        let merged = FlightRecorder::merged(vec![a, b]);
         assert_eq!(merged.len(), 5);
         assert_eq!(merged.dropped(), 1);
     }

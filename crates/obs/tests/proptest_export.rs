@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 
 use hide_obs::export::{stream_chrome_trace, stream_jsonl};
 use hide_obs::trace::{TraceEvent, TraceEventKind, WakeCause, WakeClass};
-use hide_obs::{MemSource, Recorder, Stage};
+use hide_obs::{Recorder, Stage};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -167,15 +167,14 @@ fn oracle_chrome(events: &[TraceEvent], stages: Option<&Recorder>) -> String {
 
 fn jsonl(events: &[TraceEvent]) -> String {
     let mut out = Vec::new();
-    let n = stream_jsonl(&mut MemSource::new(events.to_vec()), &mut out).expect("in memory");
+    let n = stream_jsonl(&mut events.iter().copied(), &mut out).expect("in memory");
     assert_eq!(n, events.len() as u64);
     String::from_utf8(out).expect("ASCII")
 }
 
 fn chrome(events: &[TraceEvent], stages: Option<&Recorder>) -> String {
     let mut out = Vec::new();
-    let n = stream_chrome_trace(&mut MemSource::new(events.to_vec()), stages, &mut out)
-        .expect("in memory");
+    let n = stream_chrome_trace(&mut events.iter().copied(), stages, &mut out).expect("in memory");
     assert_eq!(n, events.len() as u64);
     String::from_utf8(out).expect("ASCII")
 }

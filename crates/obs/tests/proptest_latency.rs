@@ -1,10 +1,12 @@
-//! Property tests for the wall-clock [`LatencyHistogram`]: the merge
-//! algebra the daemon's per-shard fan-in relies on, the quantile
-//! readout's ordering guarantees, and the cross-platform determinism
-//! of the bucket layout (pure integer arithmetic, so the boundaries
-//! must be reproducible from first principles).
+//! Property tests for the log-linear histogram, run over both of its
+//! instantiations — the wall-clock [`LatencyHistogram`] and the
+//! deterministic power-of-two [`Histogram`]: the merge algebra the
+//! per-shard and per-worker fan-ins rely on, the quantile readout's
+//! ordering guarantees, and the cross-platform determinism of the
+//! bucket layout (pure integer arithmetic, so the boundaries must be
+//! reproducible from first principles).
 
-use hide_obs::latency::{LatencyHistogram, LATENCY_BUCKETS};
+use hide_obs::latency::{Histogram, LatencyHistogram, LogHistogram, LATENCY_BUCKETS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -21,62 +23,129 @@ fn nanos_strategy() -> impl Strategy<Value = u64> {
     })
 }
 
-fn record_all(values: &[u64]) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
+fn record_all<const B: usize, const S: u32>(values: &[u64]) -> LogHistogram<B, S> {
+    let mut h = LogHistogram::new();
     for &v in values {
         h.record(v);
     }
     h
 }
 
+/// Merge is associative and commutative with sequential recording as
+/// the identity, and preserves exact counts and extremes.
+fn check_merge<const B: usize, const S: u32>(
+    a: &[u64],
+    b: &[u64],
+    c: &[u64],
+) -> Result<(), TestCaseError> {
+    let (ha, hb, hc) = (
+        record_all::<B, S>(a),
+        record_all::<B, S>(b),
+        record_all::<B, S>(c),
+    );
+    let mut seq = LogHistogram::<B, S>::new();
+    for &v in a.iter().chain(b).chain(c) {
+        seq.record(v);
+    }
+
+    // (a + b) + c
+    let mut left = ha.clone();
+    left.merge_from(&hb);
+    left.merge_from(&hc);
+    // a + (b + c)
+    let mut bc = hb.clone();
+    bc.merge_from(&hc);
+    let mut right = ha.clone();
+    right.merge_from(&bc);
+    // c + b + a
+    let mut rev = hc.clone();
+    rev.merge_from(&hb);
+    rev.merge_from(&ha);
+
+    prop_assert_eq!(&left, &seq);
+    prop_assert_eq!(&right, &seq);
+    prop_assert_eq!(&rev, &seq);
+    prop_assert_eq!(seq.count(), (a.len() + b.len() + c.len()) as u64);
+    Ok(())
+}
+
+/// Quantiles are monotone in q and bracketed by min/max.
+fn check_monotone<const B: usize, const S: u32>(
+    h: &LogHistogram<B, S>,
+) -> Result<(), TestCaseError> {
+    let mut prev = 0u64;
+    for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0] {
+        let at = h.quantile(q);
+        prop_assert!(at >= prev, "quantile({q}) = {at} < {prev}");
+        prop_assert!(at >= h.min());
+        prop_assert!(at <= h.max());
+        prev = at;
+    }
+    Ok(())
+}
+
+/// A quantile readout is within one bucket of the true order
+/// statistic.
+fn check_quantile_error<const B: usize, const S: u32>(values: &[u64]) -> Result<(), TestCaseError> {
+    let h = record_all::<B, S>(values);
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    for q in [0.5, 0.9, 0.99] {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        let truth = sorted[rank - 1];
+        let read = h.quantile(q);
+        // The readout is the truth's bucket lower bound (clamped into
+        // the observed range), so it never overshoots and undershoots
+        // by at most the bucket width.
+        prop_assert!(read <= truth);
+        let bucket_lo =
+            LogHistogram::<B, S>::bucket_lower_bound(LogHistogram::<B, S>::bucket_index(truth));
+        prop_assert!(
+            read >= bucket_lo.min(h.min()).min(truth),
+            "q={q}: read {read}, truth {truth}, bucket_lo {bucket_lo}"
+        );
+    }
+    Ok(())
+}
+
+/// The bucket function is deterministic from first principles on
+/// every platform: index and boundary round-trip, and the mapping is
+/// monotone non-decreasing in the value.
+fn check_layout<const B: usize, const S: u32>(v: u64) -> Result<(), TestCaseError> {
+    let i = LogHistogram::<B, S>::bucket_index(v);
+    prop_assert!(i < B);
+    let lo = LogHistogram::<B, S>::bucket_lower_bound(i);
+    prop_assert!(lo <= v);
+    prop_assert_eq!(LogHistogram::<B, S>::bucket_index(lo), i);
+    if i + 1 < B {
+        let hi = LogHistogram::<B, S>::bucket_lower_bound(i + 1);
+        prop_assert!(v < hi);
+    }
+    if v > 0 {
+        prop_assert!(LogHistogram::<B, S>::bucket_index(v - 1) <= i);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Merge is associative and commutative with sequential recording
-    /// as the identity, and preserves exact counts and extremes.
     #[test]
     fn merge_associative_commutative_exact(
         a in vec(nanos_strategy(), 0..64),
         b in vec(nanos_strategy(), 0..64),
         c in vec(nanos_strategy(), 0..64),
     ) {
-        let (ha, hb, hc) = (record_all(&a), record_all(&b), record_all(&c));
-        let mut seq = LatencyHistogram::new();
-        for &v in a.iter().chain(&b).chain(&c) {
-            seq.record(v);
-        }
-
-        // (a + b) + c
-        let mut left = ha.clone();
-        left.merge_from(&hb);
-        left.merge_from(&hc);
-        // a + (b + c)
-        let mut bc = hb.clone();
-        bc.merge_from(&hc);
-        let mut right = ha.clone();
-        right.merge_from(&bc);
-        // c + b + a
-        let mut rev = hc.clone();
-        rev.merge_from(&hb);
-        rev.merge_from(&ha);
-
-        prop_assert_eq!(&left, &seq);
-        prop_assert_eq!(&right, &seq);
-        prop_assert_eq!(&rev, &seq);
-        prop_assert_eq!(seq.count(), (a.len() + b.len() + c.len()) as u64);
+        check_merge::<LATENCY_BUCKETS, 3>(&a, &b, &c)?;
+        check_merge::<32, 0>(&a, &b, &c)?;
     }
 
-    /// Quantiles are monotone in q, bracketed by min/max, and the
-    /// summary readout is internally ordered.
+    /// The summary readout of the latency layout is also internally
+    /// ordered.
     #[test]
     fn quantiles_are_monotone(values in vec(nanos_strategy(), 1..256)) {
-        let h = record_all(&values);
-        let mut prev = 0u64;
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0] {
-            let at = h.quantile(q);
-            prop_assert!(at >= prev, "quantile({q}) = {at} < {prev}");
-            prop_assert!(at >= h.min());
-            prop_assert!(at <= h.max());
-            prev = at;
-        }
+        let h: LatencyHistogram = record_all(&values);
+        check_monotone(&h)?;
+        let p: Histogram = record_all(&values);
+        check_monotone(&p)?;
         let s = h.summary();
         prop_assert!(s.p50_ns <= s.p90_ns);
         prop_assert!(s.p90_ns <= s.p99_ns);
@@ -85,45 +154,17 @@ proptest! {
         prop_assert_eq!(s.max_ns, *values.iter().max().unwrap());
     }
 
-    /// A quantile readout is within one bucket (≤ 12.5 % relative, or
-    /// exact below 8 ns) of the true order statistic.
+    /// Within one bucket: ≤ 12.5 % relative (exact below 8 ns) for the
+    /// latency layout, within a power of two for [`Histogram`].
     #[test]
     fn quantile_error_is_bounded(values in vec(0u64..20_000_000_000, 1..128)) {
-        let h = record_all(&values);
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        for q in [0.5, 0.9, 0.99] {
-            let rank = ((q * sorted.len() as f64).ceil() as usize)
-                .clamp(1, sorted.len());
-            let truth = sorted[rank - 1];
-            let read = h.quantile(q);
-            // The readout is the truth's bucket lower bound (clamped
-            // into the observed range), so it never overshoots and
-            // undershoots by at most the bucket width.
-            prop_assert!(read <= truth);
-            let bucket_lo = LatencyHistogram::bucket_lower_bound(
-                LatencyHistogram::bucket_index(truth));
-            prop_assert!(read >= bucket_lo.min(h.min()).min(truth),
-                "q={q}: read {read}, truth {truth}, bucket_lo {bucket_lo}");
-        }
+        check_quantile_error::<LATENCY_BUCKETS, 3>(&values)?;
+        check_quantile_error::<32, 0>(&values)?;
     }
 
-    /// The bucket function is deterministic from first principles on
-    /// every platform: index and boundary round-trip, and the mapping
-    /// is monotone non-decreasing in the value.
     #[test]
     fn bucket_layout_is_deterministic(v in any::<u64>()) {
-        let i = LatencyHistogram::bucket_index(v);
-        prop_assert!(i < LATENCY_BUCKETS);
-        let lo = LatencyHistogram::bucket_lower_bound(i);
-        prop_assert!(lo <= v);
-        prop_assert_eq!(LatencyHistogram::bucket_index(lo), i);
-        if i + 1 < LATENCY_BUCKETS {
-            let hi = LatencyHistogram::bucket_lower_bound(i + 1);
-            prop_assert!(v < hi);
-        }
-        if v > 0 {
-            prop_assert!(LatencyHistogram::bucket_index(v - 1) <= i);
-        }
+        check_layout::<LATENCY_BUCKETS, 3>(v)?;
+        check_layout::<32, 0>(v)?;
     }
 }

@@ -148,33 +148,46 @@ fn lanes_from(raw: &[Vec<(u32, u8, u64, u64)>]) -> Vec<Vec<TraceEvent>> {
         .collect()
 }
 
-/// The in-memory reference: tree-fold the lanes through
-/// `FlightRecorder::merge_from`, exactly as the parallel fan-in does.
-fn tree_fold(lanes: &[Vec<TraceEvent>]) -> Vec<TraceEvent> {
-    let mut recorders: Vec<FlightRecorder> = lanes
-        .iter()
-        .enumerate()
-        .map(|(source, lane)| {
-            let mut r = FlightRecorder::new();
-            r.set_source(source as u32);
-            for e in lane {
-                r.emit(e.time, e.kind);
-            }
-            r
-        })
-        .collect();
-    while recorders.len() > 1 {
-        let mut next = Vec::with_capacity(recorders.len().div_ceil(2));
-        for pair in recorders.chunks(2) {
-            let mut left = pair[0].clone();
-            if let Some(right) = pair.get(1) {
-                left.merge_from(right);
-            }
-            next.push(left);
+/// The reference two-log merge: a two-pointer walk on
+/// `(time, source, seq)` under `f64::total_cmp`, the left log winning a
+/// tied key. The k-way merges are checked against it.
+fn two_way_merge(left: &[TraceEvent], right: &[TraceEvent]) -> Vec<TraceEvent> {
+    let precedes = |a: &TraceEvent, b: &TraceEvent| match a.time.total_cmp(&b.time) {
+        std::cmp::Ordering::Less => true,
+        std::cmp::Ordering::Greater => false,
+        std::cmp::Ordering::Equal => (a.source, a.seq) <= (b.source, b.seq),
+    };
+    let mut merged = Vec::with_capacity(left.len() + right.len());
+    let (mut i, mut j) = (0, 0);
+    while i < left.len() && j < right.len() {
+        if precedes(&left[i], &right[j]) {
+            merged.push(left[i]);
+            i += 1;
+        } else {
+            merged.push(right[j]);
+            j += 1;
         }
-        recorders = next;
     }
-    recorders.remove(0).events().copied().collect()
+    merged.extend_from_slice(&left[i..]);
+    merged.extend_from_slice(&right[j..]);
+    merged
+}
+
+/// The in-memory reference: tree-fold the lanes pairwise through
+/// [`two_way_merge`], as a parallel fan-in would.
+fn tree_fold(lanes: &[Vec<TraceEvent>]) -> Vec<TraceEvent> {
+    let mut level = lanes.to_vec();
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match pair {
+                [left, right] => two_way_merge(left, right),
+                [left] => left.clone(),
+                _ => unreachable!("chunks(2) yields one or two lanes"),
+            })
+            .collect();
+    }
+    level.pop().unwrap_or_default()
 }
 
 /// Per-source recorders replaying `lanes` under a ring of `capacity`,
@@ -375,9 +388,10 @@ proptest! {
     }
 
     /// One k-way pass over shard logs — into a recorder or straight
-    /// into a spill run — equals folding them with `merge_from` in
-    /// order: the same events, the first log's source, sequence counter
-    /// and capacity, and every log's drops.
+    /// into a spill run — equals folding their retained events through
+    /// the two-log merge in order, with every log's drops summed; the
+    /// merged recorder carries on with the first log's source lane,
+    /// sequence counter and capacity.
     #[test]
     fn merged_logs_match_sequential_fold(
         raw in vec(vec((0u32..500_000, any::<u8>(), any::<u64>(), any::<u64>()), 0..40), 1..6),
@@ -385,12 +399,24 @@ proptest! {
         chunk_events in 1usize..16,
     ) {
         let logs = recorders_from(&lanes_from(&raw), capacity);
-        let mut fold = logs[0].clone();
-        for log in &logs[1..] {
-            fold.merge_from(log);
-        }
+        let retained: Vec<Vec<TraceEvent>> =
+            logs.iter().map(|log| log.events().copied().collect()).collect();
+        let want = retained[1..]
+            .iter()
+            .fold(retained[0].clone(), |acc, lane| two_way_merge(&acc, lane));
+        let want_dropped: u64 = logs.iter().map(FlightRecorder::dropped).sum();
 
-        prop_assert_eq!(&FlightRecorder::merged(logs.clone()), &fold);
+        let mut merged = FlightRecorder::merged(logs.clone());
+        assert_events_bit_equal(&merged.events().copied().collect::<Vec<_>>(), &want)?;
+        prop_assert_eq!(merged.dropped(), want_dropped);
+        prop_assert_eq!(merged.capacity(), logs[0].capacity());
+        // The next live event is stamped as the first log's would be.
+        let mut first = logs[0].clone();
+        let probe = TraceEventKind::RefreshLost { aid: 1 };
+        merged.emit(1e9, probe);
+        first.emit(1e9, probe);
+        let (m, f) = (merged.events().last(), first.events().last());
+        prop_assert_eq!(m.map(|e| (e.source, e.seq)), f.map(|e| (e.source, e.seq)));
 
         let file = TempFile(temp_spill_path());
         let mut writer = SpillWriter::create(&file.0, chunk_events).expect("create spill");
@@ -400,8 +426,7 @@ proptest! {
         writer.finish().expect("finish spill");
         let runs = read_all_runs(&file.0).expect("validated file reads");
         prop_assert_eq!(runs.len(), 1);
-        prop_assert_eq!(runs[0].1, fold.dropped());
-        let want: Vec<TraceEvent> = fold.events().copied().collect();
+        prop_assert_eq!(runs[0].1, want_dropped);
         assert_events_bit_equal(&runs[0].0, &want)?;
     }
 
@@ -421,10 +446,7 @@ proptest! {
                 .then(x.seq.cmp(&y.seq))
         });
 
-        let sources: Vec<hide_obs::MemSource> = lanes
-            .iter()
-            .map(|lane| hide_obs::MemSource::new(lane.clone()))
-            .collect();
+        let sources: Vec<_> = lanes.iter().map(|lane| lane.clone().into_iter()).collect();
         let merged = KWayMerge::new(sources)
             .expect("mem sources never fail to open")
             .collect_all()
