@@ -16,8 +16,8 @@
 //!
 //! # Hot-path layout
 //!
-//! The DTIM sweep visits every client of the BSS a hundred times a
-//! simulated second, so the population is stored **struct-of-arrays**
+//! The DTIM sweep visits every client of the BSS at each DTIM with
+//! buffered traffic, so the population is stored **struct-of-arrays**
 //! (`Clients`): the sweep touches only the three hot columns (AID,
 //! suspended, HIDE flag) as dense parallel vectors instead of striding
 //! over per-client RNG state and port lists. Wake flags are computed
@@ -29,6 +29,16 @@
 //! the metrics artifact is unchanged byte-for-byte. Energy charges go
 //! to dense per-AID lanes and materialize into the sorted
 //! [`AttributionLedger`] once, at the end of the run.
+//!
+//! Beacons are not charged per DTIM. A client hears one beacon per
+//! DTIM boundary while it is associated (a suspended scheduled-wake
+//! client only those inside its service window), so each client slot
+//! records where its current *beacon segment* started on a running
+//! DTIM count and settles `beacons × beacon_nj` into its lane when the
+//! segment ends: at leave, at a scheduled-wake suspend or resume, and
+//! at the end of the run. Integer adds commute, so every lane and
+//! total equals the per-DTIM charge's, and a DTIM with nothing
+//! buffered costs O(1) instead of a pass over the population.
 
 use crate::error::FleetError;
 use crate::fleet::FleetConfig;
@@ -183,6 +193,10 @@ struct Clients {
     /// only on the slot's fixed MAC and its ports), so steady-state
     /// refreshes transmit without reconstructing the frame.
     msgs: Vec<Option<UdpPortMessage>>,
+    /// The reading of the slot's beacon clock
+    /// ([`Engine::beacon_clock`]) when its current beacon segment
+    /// started; the beacons heard since are the clock minus this.
+    beacon_marks: Vec<u64>,
     rngs: Vec<StdRng>,
 }
 
@@ -198,6 +212,7 @@ impl Clients {
             last_desync: Vec::with_capacity(n),
             churned_since_sync: Vec::with_capacity(n),
             msgs: Vec::with_capacity(n),
+            beacon_marks: Vec::with_capacity(n),
             rngs: Vec::with_capacity(n),
         }
     }
@@ -212,6 +227,7 @@ impl Clients {
         self.last_desync.push(None);
         self.churned_since_sync.push(false);
         self.msgs.push(None);
+        self.beacon_marks.push(0);
         self.rngs.push(rng);
     }
 
@@ -308,11 +324,17 @@ struct Engine<'a> {
     source: u32,
     /// Negotiated wake schedule as `(interval, period)` DTIM counts —
     /// `Some` only under [`hide_policy::WakePolicy::ScheduledWake`].
-    /// `None` keeps the per-client sweep on the exact pre-seam
-    /// instruction sequence.
     sched: Option<(u64, u64)>,
-    /// 0-based index of the next DTIM boundary, the schedule's clock.
-    dtim_index: u64,
+    /// DTIM boundaries so far: the schedule's clock (the 0-based index
+    /// of the next boundary), and the beacon clock of every client but
+    /// a suspended scheduled-wake one.
+    dtims: u64,
+    /// DTIM boundaries so far inside the service window — the beacon
+    /// clock of a suspended scheduled-wake client. Equals `dtims`
+    /// when no schedule is set.
+    window_dtims: u64,
+    /// Clients associated right now.
+    associated: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -392,7 +414,9 @@ impl<'a> Engine<'a> {
                 .policy
                 .schedule()
                 .map(|s| (u64::from(s.interval_dtims), u64::from(s.period_dtims))),
-            dtim_index: 0,
+            dtims: 0,
+            window_dtims: 0,
+            associated: 0,
         }
     }
 
@@ -415,10 +439,35 @@ impl<'a> Engine<'a> {
         &mut self.lanes[v]
     }
 
-    /// Re-syncs the truth table and transmits a UDP Port Message,
-    /// possibly re-sampling ports (port churn) and possibly losing the
-    /// message on the way to the AP. Tx energy is charged either way —
-    /// the client cannot know the message was lost.
+    /// The running DTIM count slot `i`'s beacons are charged against:
+    /// every boundary, except that a suspended scheduled-wake client
+    /// deep-sleeps through the beacons outside its service window.
+    #[inline]
+    fn beacon_clock(&self, i: usize) -> u64 {
+        if self.sched.is_some() && self.clients.suspended[i] {
+            self.window_dtims
+        } else {
+            self.dtims
+        }
+    }
+
+    /// Ends slot `i`'s beacon segment: charges `aid`'s lane the beacons
+    /// heard since it started (touching the lane only if there were
+    /// any) and starts the next segment at the clock's current reading.
+    fn settle_beacons(&mut self, i: usize, aid: Aid) {
+        let clock = self.beacon_clock(i);
+        let beacons = clock - self.clients.beacon_marks[i];
+        self.clients.beacon_marks[i] = clock;
+        if beacons > 0 {
+            self.lane(aid).beacon_nj += beacons * self.pricing.beacon_nj;
+        }
+    }
+
+    /// Transmits a UDP Port Message, possibly re-sampling ports (port
+    /// churn, the only time ground truth moves while a client stays
+    /// associated) and possibly losing the message on the way to the
+    /// AP. Tx energy is charged either way — the client cannot know
+    /// the message was lost.
     fn refresh<T: TraceSink>(
         &mut self,
         i: usize,
@@ -433,6 +482,7 @@ impl<'a> Engine<'a> {
                 &self.port_universe,
                 churn.ports_per_client,
             );
+            self.truth.update_client(aid, &self.clients.ports[i]);
             self.clients.msgs[i] = None;
             self.clients.churned_since_sync[i] = true;
             self.clients.last_desync[i] = Some(WakeCause::PortChurn);
@@ -440,7 +490,6 @@ impl<'a> Engine<'a> {
                 trace.emit(now, TraceEventKind::PortChurn { aid: aid.value() });
             }
         }
-        self.truth.update_client(aid, &self.clients.ports[i]);
         if self.clients.msgs[i].is_none() {
             self.clients.msgs[i] = Some(
                 UdpPortMessage::new(
@@ -504,6 +553,8 @@ impl<'a> Engine<'a> {
         self.clients.aids[i] = Some(aid);
         self.aid_slot[aid.value() as usize] = i as u32;
         self.clients.suspended[i] = false;
+        self.clients.beacon_marks[i] = self.dtims;
+        self.associated += 1;
         // A (re)join is a provenance sync point: the AP starts from a
         // clean slate for this AID.
         self.clients.last_desync[i] = None;
@@ -554,6 +605,8 @@ impl<'a> Engine<'a> {
         if trace.is_enabled() {
             trace.emit(now, TraceEventKind::Leave { aid: aid.value() });
         }
+        self.settle_beacons(i, aid);
+        self.associated -= 1;
         self.truth.remove_client(aid);
         let notice = Disassociation::new(
             self.clients.macs[i],
@@ -595,10 +648,21 @@ impl<'a> Engine<'a> {
 
     fn handle_suspend_resume(&mut self, i: usize, epoch: u64, now: f64, suspend: bool) {
         let churn = &self.cfg.churn;
-        if epoch != self.clients.epochs[i] || self.clients.aids[i].is_none() {
+        if epoch != self.clients.epochs[i] {
             return;
         }
-        self.clients.suspended[i] = suspend;
+        let Some(aid) = self.clients.aids[i] else {
+            return;
+        };
+        if self.sched.is_some() {
+            // The one state change that moves a slot between beacon
+            // clocks: settle on the old one, restart on the new one.
+            self.settle_beacons(i, aid);
+            self.clients.suspended[i] = suspend;
+            self.clients.beacon_marks[i] = self.beacon_clock(i);
+        } else {
+            self.clients.suspended[i] = suspend;
+        }
         if suspend {
             let dwell = exp(&mut self.clients.rngs[i], churn.mean_suspended_secs);
             self.queue
@@ -630,8 +694,9 @@ impl<'a> Engine<'a> {
         // DTIM. Policies without a schedule are always "in window".
         let in_window = self
             .sched
-            .is_none_or(|(interval, period)| self.dtim_index % interval < period);
-        self.dtim_index += 1;
+            .is_none_or(|(interval, period)| self.dtims % interval < period);
+        self.dtims += 1;
+        self.window_dtims += u64::from(in_window);
         let expired = self
             .ap
             .expire_stale_port_entries(now - self.cfg.churn.stale_timeout_secs);
@@ -661,28 +726,12 @@ impl<'a> Engine<'a> {
             );
         }
 
-        // Empty-burst fast path: with nothing buffered the full sweep
-        // below degenerates to charging each beacon-receiving client
-        // its beacon — every burst charge is `+= 0`, the flag pass
-        // scans zero ports, and the τ_lp charge is `(0, 0, 0)`. Most
-        // DTIMs in sparse scenarios take this path, so the sweep cost
-        // tracks traffic, not time. A suspended scheduled-wake client
-        // outside its window deep-sleeps through the beacon; the
-        // receive-all baseline hears every one.
+        // Empty-burst fast path: with nothing buffered the sweep below
+        // charges nothing (beacons settle per presence segment), so the
+        // boundary costs O(1) and the sweep cost tracks traffic, not
+        // time. The receive-all baseline hears every beacon.
         if self.buffered.is_empty() {
-            let beacon_nj = self.pricing.beacon_nj;
-            let mut associated = 0u64;
-            for i in 0..self.clients.len() {
-                let Some(aid) = self.clients.aids[i] else {
-                    continue;
-                };
-                associated += 1;
-                if self.sched.is_none() || !self.clients.suspended[i] || in_window {
-                    self.lane(aid).beacon_nj += beacon_nj;
-                }
-            }
-            self.report.baseline_nj += associated * beacon_nj;
-            self.ap.port_table().charge_lookups(0, 0, 0);
+            self.report.baseline_nj += self.associated * self.pricing.beacon_nj;
             let next = now + Self::dtim_interval();
             if next < self.cfg.duration_secs {
                 self.queue.schedule(next, Event::Dtim);
@@ -737,20 +786,12 @@ impl<'a> Engine<'a> {
         // the same integer, keeping the ledger merge-exact.
         let burst_rx_nj = joules_to_nj(burst_rx_j);
         let pricing = self.pricing;
-        let (mut associated, mut suspended) = (0u64, 0u64);
+        let mut suspended = 0u64;
         let (mut lp_lookups, mut lp_hits) = (0u64, 0u64);
         for i in 0..n {
             let Some(aid) = self.clients.aids[i] else {
                 continue;
             };
-            associated += 1;
-            // Every associated client receives the DTIM beacon — except
-            // a suspended scheduled-wake client outside its service
-            // window, which deep-sleeps through it.
-            if self.sched.is_none() || !self.clients.suspended[i] || in_window {
-                self.lane(aid).beacon_nj += pricing.beacon_nj;
-            }
-
             if !self.clients.suspended[i] {
                 // Radio already awake: the burst is heard either way.
                 self.lane(aid).burst_rx_nj += burst_rx_nj;
@@ -865,7 +906,7 @@ impl<'a> Engine<'a> {
         // The receive-all baseline: every associated client hears the
         // beacon and the burst, and every suspended one wakes for it.
         self.report.baseline_nj +=
-            associated * (pricing.beacon_nj + burst_rx_nj) + suspended * pricing.wake_nj;
+            self.associated * (pricing.beacon_nj + burst_rx_nj) + suspended * pricing.wake_nj;
         // One bulk τ_lp charge replaces per-call atomics; the snapshot
         // the run observes at the end is identical.
         self.ap
@@ -940,6 +981,13 @@ impl<'a> Engine<'a> {
             prof.finish(stage, handling);
         }
         self.ap.port_table().observe_into(rec);
+        // Every client still associated at the horizon ends its beacon
+        // segment here.
+        for i in 0..self.clients.len() {
+            if let Some(aid) = self.clients.aids[i] {
+                self.settle_beacons(i, aid);
+            }
+        }
         // Materialize the dense lanes into the report's sorted ledger:
         // the source half of every key is this shard's constant, so
         // ascending AID order is ascending key order.

@@ -1,6 +1,5 @@
-//! The discrete-event kernel: a hierarchical timing wheel with seeded
-//! tie-breaking, plus the binary-heap calendar it replaced (kept as the
-//! differential baseline, mirroring how the port table kept its BTree).
+//! The discrete-event kernel: a binary-heap event calendar with seeded
+//! tie-breaking.
 //!
 //! Events pop in ascending time order ([`f64::total_cmp`], so the order
 //! is total even for pathological times). Two events at exactly the
@@ -12,34 +11,25 @@
 //! the seed and the schedule calls — reruns and any `--jobs` count see
 //! the identical event sequence.
 //!
-//! # The timing wheel
+//! # Why a binary heap
 //!
-//! [`EventQueue`] stores events in a 64-rung hierarchy keyed by the
-//! monotone bit-image of the event time (the same transformation
-//! `total_cmp` sorts by, so key order *is* time order). Rung `r` holds
-//! every pending event whose key first differs from the wheel's
-//! *floor* — the key of the most recently popped event — at bit
-//! `r - 1`: the bottom rungs resolve near-future times at full
-//! precision while a single top rung coarsely banks the far future,
-//! which is exactly the hierarchical-wheel/ladder-queue shape. A
-//! `schedule` appends to its rung in O(1); a `pop` drains the lowest
-//! occupied rung, re-laddering its events against the new floor (each
-//! event only ever moves to a strictly lower rung, so the amortized
-//! cost per event is O(1) with a worst case of 64 moves). Rung 0 holds
-//! events at *exactly* the floor time, kept sorted by `(tie, seq)` so
-//! simultaneous events still pop in the seeded order.
+//! Each BSS runs its own calendar, and it stays shallow: a few pending
+//! timers per client plus one DTIM and one arrival. At 100 clients per
+//! BSS under the `fleet_sim` churn defaults no queue holds more than
+//! 286 events, where a heap push or pop costs a few comparisons on
+//! cache-resident memory. The hierarchical timing wheel that used to
+//! sit here was sized for a million resident events, and in a
+//! micro-benchmark it took 1.5–1.9× the heap's time per event at every
+//! depth a BSS can reach (DESIGN §14 has the measurements).
 //!
 //! # Determinism contract
 //!
-//! The wheel pops the identical `(time, tie, seq)` sequence as
-//! [`HeapEventQueue`]: the key image preserves `total_cmp` order,
-//! equal times always share a rung (so the `(tie, seq)` sort is total
-//! within them), and events scheduled before the floor fall back to a
-//! small heap that, holding strictly earlier keys, always pops first.
-//! `crates/fleet/tests/proptest_kernel.rs` pins the equivalence as an
-//! executable spec; because the pop order is provably unchanged, every
-//! `hide-metrics/1` artifact produced through the kernel is
-//! byte-identical to the heap era's.
+//! The pop sequence is the `(time, tie, seq)` order, with the tie
+//! stream drawn once per `schedule` call in call order.
+//! `crates/fleet/tests/proptest_kernel.rs` pins it against a
+//! sorted-`Vec` oracle that replays the same tie stream, so every
+//! `hide-metrics/1` artifact produced through the kernel depends only
+//! on the seed and the schedule calls.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,20 +50,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub fn derive_seed(base: u64, index: u64) -> u64 {
     let mut state = base ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     splitmix64(&mut state)
-}
-
-/// The monotone bit-image of a time: unsigned keys that compare exactly
-/// like [`f64::total_cmp`] (sign bit flipped for positives, all bits
-/// flipped for negatives). Equal times map to equal keys and vice
-/// versa, so bucketing by key can never split a tie group.
-#[inline]
-fn time_key(time: f64) -> u64 {
-    let bits = time.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
 }
 
 /// One scheduled entry. Ordering is (time, tie, seq) ascending; the
@@ -111,26 +87,7 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Panics unless `time` is finite — shared schedule-time validation.
-///
-/// A NaN deadline is always a caller bug (`total_cmp` would sort it
-/// after infinity), and an infinite one is the same bug in disguise:
-/// `+inf` sorts last and silently starves the event instead of failing
-/// loudly, `-inf` jumps the whole queue.
-#[inline]
-fn check_finite(time: f64) {
-    assert!(
-        time.is_finite(),
-        "event time must be finite (got {time}); NaN and infinite deadlines \
-         would starve or hijack the queue"
-    );
-}
-
-/// Rungs in the wheel hierarchy: one per key bit, plus rung 0 for
-/// events at exactly the floor time.
-const RUNGS: usize = 65;
-
-/// A deterministic event calendar — the hierarchical timing wheel.
+/// A deterministic event calendar.
 ///
 /// # Example
 ///
@@ -146,23 +103,7 @@ const RUNGS: usize = 65;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// `rungs[0]` — events at exactly the floor key, sorted descending
-    /// by `(tie, seq)` so the next pop is `pop()` off the back.
-    /// `rungs[r]` for `r ≥ 1` — unsorted events whose key first
-    /// differs from the floor at bit `r - 1`.
-    rungs: Vec<Vec<Scheduled<E>>>,
-    /// One bit per rung: which rungs are non-empty (bit `r` ⇔
-    /// `rungs[r]`), so finding the lowest occupied rung is one
-    /// `trailing_zeros`.
-    occupied: u128,
-    /// Key of the most recently popped wheel event; every wheel-held
-    /// key is ≥ the floor.
-    floor: u64,
-    /// Cold fallback for events scheduled *before* the floor (a pop
-    /// from the past). Their keys are strictly below every wheel key,
-    /// so they always pop first — preserving min-order exactly.
-    overdue: BinaryHeap<Scheduled<E>>,
-    len: usize,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     tie_state: u64,
     popped: u64,
@@ -173,184 +114,6 @@ impl<E> EventQueue<E> {
     /// `seed`.
     pub fn with_seed(seed: u64) -> Self {
         EventQueue {
-            rungs: (0..RUNGS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-            floor: 0,
-            overdue: BinaryHeap::new(),
-            len: 0,
-            seq: 0,
-            tie_state: seed ^ 0x6a09_e667_f3bc_c908,
-            popped: 0,
-        }
-    }
-
-    /// The rung for `key` relative to the current floor: 0 when equal,
-    /// otherwise one past the highest differing bit.
-    #[inline]
-    fn rung_of(&self, key: u64) -> usize {
-        (64 - (key ^ self.floor).leading_zeros()) as usize
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `time` is not finite — a NaN deadline is always a
-    /// caller bug, and `total_cmp` would sort `+inf` after every real
-    /// time and silently starve the event (`-inf` would hijack the
-    /// queue head instead).
-    pub fn schedule(&mut self, time: f64, event: E) {
-        check_finite(time);
-        let tie = splitmix64(&mut self.tie_state);
-        let entry = Scheduled {
-            time,
-            tie,
-            seq: self.seq,
-            event,
-        };
-        self.seq += 1;
-        self.len += 1;
-        let key = time_key(time);
-        if key < self.floor {
-            self.overdue.push(entry);
-            return;
-        }
-        self.insert_wheel(key, entry);
-    }
-
-    /// Places an entry (whose key is ≥ the floor) into its rung.
-    #[inline]
-    fn insert_wheel(&mut self, key: u64, entry: Scheduled<E>) {
-        let r = self.rung_of(key);
-        if r == 0 {
-            // Same time as the floor: keep the rung sorted descending
-            // by (tie, seq) so the minimum stays at the back.
-            let rung = &mut self.rungs[0];
-            let at = rung.partition_point(|e| (e.tie, e.seq) > (entry.tie, entry.seq));
-            rung.insert(at, entry);
-        } else {
-            self.rungs[r].push(entry);
-        }
-        self.occupied |= 1 << r;
-    }
-
-    /// Drains the lowest occupied rung (which must be ≥ 1), advances
-    /// the floor to its minimum key and re-ladders its events — each
-    /// lands on a strictly lower rung, with the minimum's tie group
-    /// arriving sorted in rung 0.
-    fn reladder(&mut self, r: usize) {
-        let batch = std::mem::take(&mut self.rungs[r]);
-        self.occupied &= !(1 << r);
-        // The new floor is the batch's minimum (time, tie, seq) key;
-        // every key in the rung shares the bits above r-1, so each
-        // event re-buckets strictly below r and progress is guaranteed.
-        let min_key = batch
-            .iter()
-            .map(|e| time_key(e.time))
-            .min()
-            .expect("reladder only runs on an occupied rung");
-        self.floor = min_key;
-        for entry in batch {
-            let key = time_key(entry.time);
-            debug_assert!(self.rung_of(key) < r);
-            self.insert_wheel(key, entry);
-        }
-    }
-
-    /// Removes and returns the earliest event as `(time, event)`.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.pop_keyed().map(|(time, _, _, event)| (time, event))
-    }
-
-    /// [`EventQueue::pop`] including the deterministic ordering keys:
-    /// `(time, tie, seq, event)`. The tie/seq exposure exists so
-    /// differential tests and benches can pin the full pop order
-    /// against [`HeapEventQueue`].
-    pub fn pop_keyed(&mut self) -> Option<(f64, u64, u64, E)> {
-        // Overdue events hold keys strictly below the floor — and the
-        // wheel holds only keys ≥ floor — so when any exist they are
-        // the global minimum and must drain first.
-        if let Some(s) = self.overdue.pop() {
-            self.len -= 1;
-            self.popped += 1;
-            return Some((s.time, s.tie, s.seq, s.event));
-        }
-        if self.occupied == 0 {
-            return None;
-        }
-        let lowest = self.occupied.trailing_zeros() as usize;
-        if lowest != 0 {
-            self.reladder(lowest);
-        }
-        let rung = &mut self.rungs[0];
-        let s = rung.pop().expect("rung 0 holds the re-laddered minimum");
-        if rung.is_empty() {
-            self.occupied &= !1;
-        }
-        self.len -= 1;
-        self.popped += 1;
-        Some((s.time, s.tie, s.seq, s.event))
-    }
-
-    /// Time of the next event without removing it.
-    ///
-    /// Peeking does not re-ladder (it takes `&self`), so when the next
-    /// event sits in a higher rung this scans that rung for its
-    /// minimum — O(rung length), fine for the occasional inspection
-    /// the engines make of it.
-    pub fn peek_time(&self) -> Option<f64> {
-        let overdue = self.overdue.peek().map(|s| s.time);
-        if overdue.is_some() {
-            return overdue;
-        }
-        if self.occupied == 0 {
-            return None;
-        }
-        let lowest = self.occupied.trailing_zeros() as usize;
-        if lowest == 0 {
-            return self.rungs[0].last().map(|s| s.time);
-        }
-        self.rungs[lowest]
-            .iter()
-            .map(|s| s.time)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Number of events currently scheduled.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total events popped so far (the kernel's work measure).
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-}
-
-/// The binary-heap calendar queue the timing wheel replaced, retained
-/// verbatim as the differential baseline: same seeded tie stream, same
-/// `(time, tie, seq)` contract, same API. `benches/event_queue_scale`
-/// measures the swap and the kernel proptest pins pop-order
-/// equivalence — the same keep-the-old-structure idiom as
-/// [`BTreePortTable`](hide_core::ap::BTreePortTable).
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-    tie_state: u64,
-    popped: u64,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue whose tie-breaking stream derives from
-    /// `seed`. Seed-compatible with [`EventQueue::with_seed`].
-    pub fn with_seed(seed: u64) -> Self {
-        HeapEventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
             tie_state: seed ^ 0x6a09_e667_f3bc_c908,
@@ -362,10 +125,16 @@ impl<E> HeapEventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics when `time` is not finite, matching
-    /// [`EventQueue::schedule`].
+    /// Panics when `time` is not finite — a NaN deadline is always a
+    /// caller bug, and `total_cmp` would sort `+inf` after every real
+    /// time and silently starve the event (`-inf` would hijack the
+    /// queue head instead).
     pub fn schedule(&mut self, time: f64, event: E) {
-        check_finite(time);
+        assert!(
+            time.is_finite(),
+            "event time must be finite (got {time}); NaN and infinite deadlines \
+             would starve or hijack the queue"
+        );
         let tie = splitmix64(&mut self.tie_state);
         self.heap.push(Scheduled {
             time,
@@ -381,7 +150,9 @@ impl<E> HeapEventQueue<E> {
         self.pop_keyed().map(|(time, _, _, event)| (time, event))
     }
 
-    /// [`HeapEventQueue::pop`] including the `(time, tie, seq)` keys.
+    /// [`EventQueue::pop`] including the deterministic ordering keys:
+    /// `(time, tie, seq, event)`. The tie/seq exposure exists so tests
+    /// can pin the full pop order against an oracle.
     pub fn pop_keyed(&mut self) -> Option<(f64, u64, u64, E)> {
         let s = self.heap.pop()?;
         self.popped += 1;
@@ -409,37 +180,15 @@ impl<E> HeapEventQueue<E> {
     }
 }
 
+/// The sorted-`Vec` calendar oracle the kernel tests share.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::SortedCalendar;
     use super::*;
-
-    #[test]
-    fn time_key_is_monotone_in_total_cmp() {
-        let times = [
-            f64::MIN,
-            -1e300,
-            -2.0,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.0,
-            1.0000000000000002,
-            1e300,
-            f64::MAX,
-        ];
-        for pair in times.windows(2) {
-            assert!(pair[0].total_cmp(&pair[1]) == Ordering::Less);
-            assert!(
-                time_key(pair[0]) < time_key(pair[1]),
-                "key order broke between {} and {}",
-                pair[0],
-                pair[1]
-            );
-        }
-        // Equal times map to equal keys, so ties cannot split rungs.
-        assert_eq!(time_key(3.25), time_key(3.25));
-    }
 
     #[test]
     fn pops_in_time_order() {
@@ -506,12 +255,11 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_before_the_floor_still_pops_first() {
+    fn scheduling_before_the_last_pop_still_pops_first() {
         let mut q = EventQueue::with_seed(5);
         q.schedule(10.0, "b");
         assert_eq!(q.pop(), Some((10.0, "b")));
-        // The wheel floor sits at t=10; a past schedule takes the
-        // overdue path and must still pop before anything pending.
+        // A schedule in the past is still the earliest pending event.
         q.schedule(3.0, "past");
         q.schedule(11.0, "future");
         assert_eq!(q.peek_time(), Some(3.0));
@@ -545,8 +293,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn positive_infinity_rejected() {
-        // Pre-wheel, +inf was accepted and sorted last forever — a
-        // silently starved event. Now it fails at the call site.
+        // `total_cmp` would sort +inf after every real time — a
+        // silently starved event. It fails at the call site instead.
         let mut q = EventQueue::with_seed(0);
         q.schedule(f64::INFINITY, ());
     }
@@ -559,37 +307,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finite")]
-    fn heap_baseline_rejects_non_finite_too() {
-        let mut q = HeapEventQueue::with_seed(0);
-        q.schedule(f64::INFINITY, ());
-    }
-
-    #[test]
-    fn wheel_matches_heap_on_a_mixed_workload() {
+    fn matches_sorted_oracle_on_a_mixed_workload() {
         // A compact inline differential check; the proptest owns the
         // exhaustive version.
-        let mut wheel = EventQueue::with_seed(42);
-        let mut heap = HeapEventQueue::with_seed(42);
+        let mut queue = EventQueue::with_seed(42);
+        let mut oracle = SortedCalendar::with_seed(42);
         let mut t = 0.25f64;
         for i in 0..200u32 {
             let time = if i % 7 == 0 { 1e9 + t } else { t };
-            wheel.schedule(time, i);
-            heap.schedule(time, i);
+            queue.schedule(time, i);
+            oracle.schedule(time, i);
             t += if i % 3 == 0 { 0.0 } else { 0.125 };
             if i % 5 == 4 {
-                assert_eq!(wheel.pop_keyed(), heap.pop_keyed());
+                assert_eq!(queue.pop_keyed(), oracle.pop_keyed());
             }
+            assert_eq!(queue.len(), oracle.len());
         }
         loop {
-            let a = wheel.pop_keyed();
-            let b = heap.pop_keyed();
+            let a = queue.pop_keyed();
+            let b = oracle.pop_keyed();
             assert_eq!(a, b);
             if a.is_none() {
                 break;
             }
         }
-        assert_eq!(wheel.popped(), heap.popped());
+        assert_eq!(queue.popped(), 200);
     }
 
     #[test]

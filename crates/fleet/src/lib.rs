@@ -12,11 +12,9 @@
 //!
 //! # Architecture
 //!
-//! * [`kernel`] — a hierarchical timing wheel with seeded
+//! * [`kernel`] — a binary-heap event calendar with seeded
 //!   tie-breaking ([`EventQueue`]): the pop order is a pure function of
 //!   the seed, so reruns and any `--jobs` count see the same sequence.
-//!   The binary-heap calendar it replaced survives as
-//!   [`HeapEventQueue`], the differential baseline.
 //! * [`churn`] — the client lifecycle model ([`ChurnConfig`]):
 //!   presence and activity as independent alternating-renewal
 //!   processes, plus refresh period, loss, port churn, and the AP's
@@ -25,7 +23,9 @@
 //!   [`AccessPoint`](hide_core::ap::AccessPoint), a ground-truth port
 //!   table for wakeup classification, and a *streaming* broadcast
 //!   source ([`hide_traces::stream::FrameStream`]) so the trace is
-//!   never materialized.
+//!   never materialized. The engine works per event, not per client
+//!   per DTIM: beacons are charged once per presence segment as
+//!   count × price, so a DTIM with nothing buffered costs O(1).
 //! * [`fleet`] — shard-by-BSS execution over [`hide_par`], merged in
 //!   input order into one [`Recorder`](hide_obs::Recorder) aggregate;
 //!   the metrics JSON is byte-identical at any parallelism.
@@ -77,5 +77,5 @@ pub use churn::ChurnConfig;
 pub use error::FleetError;
 pub use fleet::{FleetConfig, FleetResult, StreamExportConfig, StreamSinks, StreamedFleetResult};
 pub use hide_policy::{ScheduleConfig, WakePolicy};
-pub use kernel::{derive_seed, EventQueue, HeapEventQueue};
+pub use kernel::{derive_seed, EventQueue};
 pub use profile::{FleetStage, StageProfile};

@@ -15,9 +15,9 @@
 //! Granularity: the event loop attributes each handler invocation to
 //! one [`FleetStage`] bucket (timer calls per kernel event are cheap
 //! relative to a handler, and [`hide_obs::NoopSpans`] compiles them
-//! out entirely). `queue_pop` covers only the wheel pop itself; schedules
-//! made *inside* a handler are charged to that handler's bucket, which
-//! is where a calendar-structure regression would surface anyway.
+//! out entirely). `queue_pop` covers only the heap pop itself; a
+//! schedule made *inside* a handler is an O(log n) heap push charged to
+//! that handler's bucket, so a calendar regression shows up in both.
 
 use hide_obs::{SpanSink, StageTiming};
 use std::fmt::Write as _;
@@ -28,7 +28,7 @@ pub enum FleetStage {
     /// Engine construction: client sampling, stream setup, initial
     /// schedule.
     Setup,
-    /// Timing-wheel pops (the kernel's dequeue half).
+    /// Event-calendar pops (the kernel's dequeue half).
     QueuePop,
     /// DTIM boundaries: expiry, batched flag pass, client sweep.
     DtimSweep,

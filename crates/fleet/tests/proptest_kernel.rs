@@ -1,17 +1,19 @@
-//! Property-based differential test: the hierarchical timing wheel
+//! Property-based differential test: the event calendar
 //! ([`EventQueue`]) must pop the *identical* `(time, tie, seq, event)`
-//! sequence as the retained binary-heap calendar ([`HeapEventQueue`])
-//! for any interleaving of schedules and pops — exact time ties,
-//! zero-delay self-reschedules, and far-horizon outliers included.
-//! Both queues draw their tie-break words from the same seeded
-//! SplitMix64 stream, so any divergence is a wheel ordering bug, not
-//! noise.
+//! sequence as a sorted-`Vec` oracle ([`SortedCalendar`]) for any
+//! interleaving of schedules and pops — exact time ties, zero-delay
+//! self-reschedules, and far-horizon outliers included. The oracle
+//! replays the calendar's seeded SplitMix64 tie stream, so any
+//! divergence is a calendar ordering bug, not noise.
 
-use hide_fleet::{EventQueue, HeapEventQueue};
+mod oracle;
+
+use hide_fleet::EventQueue;
+use oracle::SortedCalendar;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// One scripted action against both queues.
+/// One scripted action against both calendars.
 #[derive(Debug, Clone, Copy)]
 enum Action {
     Schedule(f64),
@@ -20,10 +22,10 @@ enum Action {
     PopThenReschedule(Option<f64>),
 }
 
-/// Actions mix three time regimes the wheel buckets differently — a
-/// dense near-horizon band (sub-second gaps), repeats of round values
-/// (rung-0 tie groups), and far-horizon outliers (top rungs) — with
-/// pops, some of which self-reschedule at zero or positive delay.
+/// Actions mix three time regimes — a dense near-horizon band
+/// (sub-second gaps), repeats of round values (exact tie groups), and
+/// far-horizon outliers — with pops, some of which self-reschedule at
+/// zero or positive delay.
 fn action_strategy() -> impl Strategy<Value = Action> {
     (0u32..8, 0u32..2_000, 0u32..100).prop_map(|(kind, t, d)| match kind {
         0..=2 => Action::Schedule(t as f64 * 0.1024),
@@ -36,67 +38,67 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 }
 
 proptest! {
-    /// Replay a random schedule/pop script against both queues and
+    /// Replay a random schedule/pop script against both calendars and
     /// demand keyed-pop equality at every step, then drain both.
     #[test]
-    fn wheel_and_heap_pop_identical_keyed_sequences(
+    fn queue_and_oracle_pop_identical_keyed_sequences(
         seed in any::<u64>(),
         script in vec(action_strategy(), 1..200),
     ) {
-        let mut wheel = EventQueue::with_seed(seed);
-        let mut heap = HeapEventQueue::with_seed(seed);
+        let mut queue = EventQueue::with_seed(seed);
+        let mut oracle = SortedCalendar::with_seed(seed);
         let mut next_id: u32 = 0;
         for action in script {
             match action {
                 Action::Schedule(t) => {
-                    wheel.schedule(t, next_id);
-                    heap.schedule(t, next_id);
+                    queue.schedule(t, next_id);
+                    oracle.schedule(t, next_id);
                     next_id += 1;
                 }
                 Action::PopThenReschedule(delay) => {
-                    let w = wheel.pop_keyed();
-                    let h = heap.pop_keyed();
-                    prop_assert_eq!(w, h);
-                    if let (Some((t, _, _, ev)), Some(delay)) = (w, delay) {
-                        wheel.schedule(t + delay, ev);
-                        heap.schedule(t + delay, ev);
+                    let q = queue.pop_keyed();
+                    let o = oracle.pop_keyed();
+                    prop_assert_eq!(q, o);
+                    if let (Some((t, _, _, ev)), Some(delay)) = (q, delay) {
+                        queue.schedule(t + delay, ev);
+                        oracle.schedule(t + delay, ev);
                     }
                 }
             }
-            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(queue.len(), oracle.len());
         }
         loop {
-            let w = wheel.pop_keyed();
-            let h = heap.pop_keyed();
-            prop_assert_eq!(w, h);
-            if w.is_none() {
+            let q = queue.pop_keyed();
+            let o = oracle.pop_keyed();
+            prop_assert_eq!(q, o);
+            if q.is_none() {
                 break;
             }
         }
-        prop_assert!(wheel.is_empty() && heap.is_empty());
+        prop_assert!(queue.is_empty() && oracle.len() == 0);
     }
 
-    /// Exact ties are the adversarial case for a bucketed queue: many
-    /// events on one timestamp must still come out in seeded-tie order.
+    /// Exact ties are the adversarial case: many events on one
+    /// timestamp must still come out in seeded-tie order.
     #[test]
     fn exact_tie_groups_pop_in_identical_order(
         seed in any::<u64>(),
         group_sizes in vec(1usize..12, 1..8),
     ) {
-        let mut wheel = EventQueue::with_seed(seed);
-        let mut heap = HeapEventQueue::with_seed(seed);
+        let mut queue = EventQueue::with_seed(seed);
+        let mut oracle = SortedCalendar::with_seed(seed);
         let mut id: u32 = 0;
         for (g, &size) in group_sizes.iter().enumerate() {
             let t = g as f64 * 0.1024;
             for _ in 0..size {
-                wheel.schedule(t, id);
-                heap.schedule(t, id);
+                queue.schedule(t, id);
+                oracle.schedule(t, id);
                 id += 1;
             }
         }
-        while let Some(h) = heap.pop_keyed() {
-            prop_assert_eq!(wheel.pop_keyed(), Some(h));
+        while let Some(o) = oracle.pop_keyed() {
+            prop_assert_eq!(queue.pop_keyed(), Some(o));
         }
-        prop_assert!(wheel.pop_keyed().is_none());
+        prop_assert!(queue.pop_keyed().is_none());
     }
 }
