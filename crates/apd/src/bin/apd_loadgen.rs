@@ -261,7 +261,8 @@ fn smoke_scrape(handle: &DaemonHandle) -> Result<(), String> {
     let health = health
         .strip_prefix("ok ")
         .ok_or_else(|| format!("health request failed: {health:?}"))?;
-    if !health.contains("\"schema\": \"hide-apd-health/1\"") {
+    let doc = hide_obs::json::parse(health).map_err(|e| format!("health reply: {e}"))?;
+    if doc.get("schema").and_then(|s| s.as_str()) != Some("hide-apd-health/1") {
         return Err("health reply is not a hide-apd-health/1 document".into());
     }
     for (stage, count) in hide_apd::parse_health_stage_counts(health) {

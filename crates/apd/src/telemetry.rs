@@ -27,6 +27,7 @@
 //!   escalating through the leveled logger (warn on stall, error
 //!   while a stall persists, info on recovery).
 
+use hide_obs::json::{self, Value};
 use hide_obs::runtime::RATE_WINDOW_SLOTS;
 use hide_obs::{log_error, log_info, log_warn};
 use hide_obs::{AtomicRuntime, RateMeter, RtStage};
@@ -218,24 +219,6 @@ pub(crate) fn watchdog_loop(
     }
 }
 
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the `hide-apd-health/1` JSON artifact.
 pub(crate) fn health_json(plane: &RuntimePlane, counters: &RouterCounters) -> String {
     let uptime = plane.epoch.elapsed().as_secs_f64();
@@ -327,16 +310,16 @@ pub(crate) fn health_json(plane: &RuntimePlane, counters: &RouterCounters) -> St
     out.push_str("  \"recent_log\": [\n");
     let records = hide_obs::log::recent_records();
     for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "    {{\"ts\": \"{}\", \"level\": \"{}\", \"target\": \"{}\", \
-             \"message\": \"{}\"}}{}",
+            "    {{\"ts\": \"{}\", \"level\": \"{}\", \"target\": ",
             hide_obs::log::rfc3339_nanos(r.unix_nanos),
             r.level.label(),
-            json_escape(&r.target),
-            json_escape(&r.message),
-            if i + 1 < records.len() { "," } else { "" },
         );
+        json::push_string(&mut out, &r.target);
+        out.push_str(", \"message\": ");
+        json::push_string(&mut out, &r.message);
+        out.push_str(if i + 1 < records.len() { "},\n" } else { "}\n" });
     }
     out.push_str("  ]\n}");
     out
@@ -450,11 +433,11 @@ pub(crate) fn expo_text(plane: &RuntimePlane, counters: &RouterCounters) -> Stri
 
 // ---------------------------------------------------------------------
 // Health-artifact readers (the `apd_top` table and the smoke gates).
-// The renderer above is the only writer of this format, so a tolerant
-// line/key scan — not a JSON parser — is all the readers need.
+// They parse the document, so the renderer's line layout is free to
+// change; a document that does not parse reads as empty.
 // ---------------------------------------------------------------------
 
-/// One shard row scraped back out of a `hide-apd-health/1` document.
+/// One shard row read back out of a `hide-apd-health/1` document.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct ShardRow {
@@ -478,55 +461,53 @@ pub struct ShardRow {
     pub stalled: bool,
 }
 
-fn scan_u64(line: &str, key: &str) -> Option<u64> {
-    let at = line.find(&format!("\"{key}\": "))?;
-    let rest = &line[at + key.len() + 4..];
-    let digits: String = rest
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// The `u64` at `path` under `v`.
+fn u64_at(v: &Value, path: &[&str]) -> Option<u64> {
+    path.iter().try_fold(v, |v, key| v.get(key))?.as_u64()
 }
 
-/// Scrape the per-shard rows out of a `hide-apd-health/1` document.
-#[must_use]
-pub fn parse_health_shards(health: &str) -> Vec<ShardRow> {
-    health
-        .lines()
-        .filter(|line| line.contains("\"shard\": "))
-        .filter_map(|line| {
+/// The shard rows of a parsed health document; a row missing a field
+/// is skipped.
+fn shard_rows(health: &Value) -> Vec<ShardRow> {
+    let rows = health
+        .get("shards")
+        .and_then(Value::as_array)
+        .unwrap_or_default();
+    rows.iter()
+        .filter_map(|row| {
             Some(ShardRow {
-                shard: scan_u64(line, "shard")?,
-                queue_depth: scan_u64(line, "queue_depth")?,
-                backlog: scan_u64(line, "backlog")?,
-                watermark: scan_u64(line, "watermark")?,
-                ports: scan_u64(line, "ports")?,
-                clients: scan_u64(line, "clients")?,
-                processed: scan_u64(line, "processed")?,
-                last_progress_age_ms: scan_u64(line, "last_progress_age_ms")?,
-                stalled: line.contains("\"stalled\": true"),
+                shard: u64_at(row, &["shard"])?,
+                queue_depth: u64_at(row, &["queue_depth"])?,
+                backlog: u64_at(row, &["backlog"])?,
+                watermark: u64_at(row, &["watermark"])?,
+                ports: u64_at(row, &["ports"])?,
+                clients: u64_at(row, &["clients"])?,
+                processed: u64_at(row, &["processed"])?,
+                last_progress_age_ms: u64_at(row, &["last_progress_age_ms"])?,
+                stalled: row.get("stalled")?.as_bool()?,
             })
         })
         .collect()
 }
 
-/// Scrape the per-stage observation counts (`recv`, `route`, `handle`,
+/// Read the per-shard rows out of a `hide-apd-health/1` document.
+#[must_use]
+pub fn parse_health_shards(health: &str) -> Vec<ShardRow> {
+    json::parse(health).map_or_else(|_| Vec::new(), |v| shard_rows(&v))
+}
+
+/// Read the per-stage observation counts (`recv`, `route`, `handle`,
 /// `send`, in pipeline order) out of a `hide-apd-health/1` document.
 #[must_use]
 pub fn parse_health_stage_counts(health: &str) -> Vec<(&'static str, u64)> {
+    let doc = json::parse(health).ok();
     RtStage::ALL
         .iter()
         .map(|stage| {
-            let count = health
-                .lines()
-                .find(|line| {
-                    line.trim_start()
-                        .starts_with(&format!("\"{}\": ", stage.label()))
-                })
-                .and_then(|line| scan_u64(line, "count"))
-                .unwrap_or(0);
-            (stage.label(), count)
+            let count = doc
+                .as_ref()
+                .and_then(|v| u64_at(v, &["stages", stage.label(), "count"]));
+            (stage.label(), count.unwrap_or(0))
         })
         .collect()
 }
@@ -534,10 +515,9 @@ pub fn parse_health_stage_counts(health: &str) -> Vec<(&'static str, u64)> {
 /// Number of shards a `hide-apd-health/1` document reports as stalled.
 #[must_use]
 pub fn parse_health_stalled_shards(health: &str) -> u64 {
-    health
-        .lines()
-        .find(|line| line.contains("\"stalled_shards\": "))
-        .and_then(|line| scan_u64(line, "stalled_shards"))
+    json::parse(health)
+        .ok()
+        .and_then(|v| u64_at(&v, &["watchdog", "stalled_shards"]))
         .unwrap_or(0)
 }
 
@@ -545,37 +525,20 @@ pub fn parse_health_stalled_shards(health: &str) -> u64 {
 /// `hide-apd-health/1` document.
 #[must_use]
 pub fn render_top(health: &str) -> String {
-    let shards = parse_health_shards(health);
-    let rates = health
-        .lines()
-        .find(|line| line.contains("\"msgs_per_sec_1s\""))
-        .map(|line| {
-            let grab = |key: &str| -> f64 {
-                line.find(&format!("\"{key}\": "))
-                    .map(|at| {
-                        line[at + key.len() + 4..]
-                            .chars()
-                            .take_while(|c| c.is_ascii_digit() || *c == '.')
-                            .collect::<String>()
-                            .parse()
-                            .unwrap_or(0.0)
-                    })
-                    .unwrap_or(0.0)
-            };
-            (
-                grab("msgs_per_sec_1s"),
-                grab("msgs_per_sec_10s"),
-                grab("msgs_per_sec_60s"),
-            )
-        })
-        .unwrap_or((0.0, 0.0, 0.0));
+    let doc = json::parse(health).ok();
+    let shards = doc.as_ref().map(shard_rows).unwrap_or_default();
+    let rate = |window: &str| {
+        doc.as_ref()
+            .and_then(|v| v.get("rates")?.get(window)?.as_f64())
+            .unwrap_or(0.0)
+    };
 
     let mut out = format!(
         "msgs/s 1s {:>10.1}  10s {:>10.1}  60s {:>10.1}\n\
          {:>5} {:>7} {:>9} {:>7} {:>8} {:>10} {:>9} {:>8}\n",
-        rates.0,
-        rates.1,
-        rates.2,
+        rate("msgs_per_sec_1s"),
+        rate("msgs_per_sec_10s"),
+        rate("msgs_per_sec_60s"),
         "shard",
         "queue",
         "backlog",
@@ -634,6 +597,11 @@ mod tests {
         assert_eq!(counts[2], ("handle", 1));
         assert_eq!(parse_health_shards(&json).len(), 2);
         assert_eq!(parse_health_stalled_shards(&json), 0);
+        // The readers parse the document, so its line layout is free.
+        let one_line = json.replace('\n', "");
+        assert_eq!(parse_health_shards(&one_line), parse_health_shards(&json));
+        assert_eq!(parse_health_stage_counts(&one_line), counts);
+        assert_eq!(render_top(&one_line), render_top(&json));
     }
 
     #[test]

@@ -1,50 +1,26 @@
-//! `hide-metrics-diff`: structural regression gate for `hide-metrics/1`
-//! artifacts.
+//! `hide-metrics-diff`: names the keys that moved between two
+//! `hide-metrics/1` artifacts.
 //!
 //! ```text
 //! hide-metrics-diff <golden.json> <candidate.json>
-//!                   [--profile FILE.toml]
-//!                   [--tol KEY=REL]... [--ignore KEY]... [--tol-default REL]
 //! ```
 //!
 //! Both files must carry the `hide-metrics/1` schema identifier. Every
 //! numeric leaf is flattened to a dotted key (`counters.fleet_events`,
 //! `distributions.frames_per_dtim.sum`, `stages.fleet.calls`; histogram
 //! buckets become `...buckets.<bucket>`), and golden and candidate are
-//! compared key by key:
+//! compared key by key, exactly: a key present on one side only, or a
+//! value that differs, is a regression. Leaves are signed integers
+//! (`battery.lifetime_gain_ppm` is negative when a policy costs
+//! energy); any other number is a parse error.
 //!
-//! * a key present on one side only is a structural regression;
-//! * values must match exactly unless a tolerance applies — `--tol
-//!   KEY=REL` allows a relative drift of `REL` (|a−b| / max(a, 1)) for
-//!   `KEY` and everything under `KEY.`, `--tol-default REL` for all
-//!   keys;
-//! * `--ignore KEY` drops `KEY` and everything under it entirely.
-//!
-//! `--profile FILE.toml` loads the same rules from a checked-in TOML
-//! file (see `golden/tolerances.toml`), replacing long ad-hoc flag
-//! lists in CI:
-//!
-//! ```toml
-//! default_tolerance = 0.0
-//!
-//! [[rule]]            # loosen a whole subtree
-//! key = "stages"
-//! tolerance = 0.05
-//!
-//! [[rule]]            # or drop one entirely
-//! key = "distributions.noisy"
-//! ignore = true
-//! ```
-//!
-//! Profile rules load before the command-line flags, and the longest
-//! matching key still wins; when a profile rule and a flag name the
-//! *same* key, the flag wins. `--tol-default` likewise overrides the
-//! profile's `default_tolerance`.
-//!
-//! Exit status: 0 when the artifacts agree within tolerance, 1 on any
-//! regression, 2 on usage or parse errors. CI runs this against the
-//! checked-in goldens under `golden/` (see the `metrics-gate` job).
+//! Exit status: 0 when the artifacts agree, 1 on any regression, 2 on
+//! usage or parse errors. CI gates the goldens under `golden/` with
+//! `cmp` and runs this only after a `cmp` fails, to name the keys that
+//! moved (see the `metrics-gate` job).
 
+use hide_obs::json::{self, Kind, Value};
+use std::cmp::Ordering;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -60,246 +36,58 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
-    let mut files = Vec::new();
-    let mut rules = Rules::default();
-    // Profile rules load first: same-key command-line rules are pushed
-    // after them, and `Rules::tolerance` resolves length ties in favor
-    // of the later rule, so flags override the checked-in profile.
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--profile" {
-            let path = args
-                .get(i + 1)
-                .ok_or("--profile expects a TOML file path")?;
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            profile::apply(&text, &mut rules).map_err(|e| format!("{path}: {e}"))?;
-            i += 2;
-        } else {
-            i += 1;
-        }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag {flag:?}"));
     }
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--profile" => i += 2, // handled in the pre-pass
-            "--tol" => {
-                let v = args.get(i + 1).ok_or("--tol expects KEY=REL")?;
-                let (key, rel) = v.split_once('=').ok_or("--tol expects KEY=REL")?;
-                let rel: f64 = rel.parse().map_err(|_| format!("bad tolerance {rel:?}"))?;
-                rules.tolerances.push((key.to_string(), rel));
-                i += 2;
-            }
-            "--tol-default" => {
-                let v = args.get(i + 1).ok_or("--tol-default expects REL")?;
-                rules.default_tol = v.parse().map_err(|_| format!("bad tolerance {v:?}"))?;
-                i += 2;
-            }
-            "--ignore" => {
-                let v = args.get(i + 1).ok_or("--ignore expects KEY")?;
-                rules.ignored.push(v.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            _ => {
-                files.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    let [golden_path, candidate_path] = files
-        .try_into()
-        .map_err(|_| "usage: hide-metrics-diff <golden> <candidate> [options]".to_string())?;
-
-    let golden = load(&golden_path)?;
-    let candidate = load(&candidate_path)?;
-    let report = diff(&golden, &candidate, &rules);
+    let [golden_path, candidate_path] = args else {
+        return Err("usage: hide-metrics-diff <golden> <candidate>".to_string());
+    };
+    let golden = load(golden_path)?;
+    let candidate = load(candidate_path)?;
+    let report = diff(&golden, &candidate);
     for line in &report.lines {
         println!("{line}");
     }
     println!(
-        "{} keys compared, {} ignored, {} regression{}",
+        "{} keys compared, {} regression{}",
         report.compared,
-        report.ignored,
         report.regressions,
         if report.regressions == 1 { "" } else { "s" }
     );
     Ok(report.regressions == 0)
 }
 
-fn load(path: &str) -> Result<Vec<(String, u64)>, String> {
+fn load(path: &str) -> Result<Vec<(String, i128)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let value = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    flatten_artifact(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Parses one `hide-metrics/1` document and flattens its numeric
+/// leaves.
+fn flatten_artifact(text: &str) -> Result<Vec<(String, i128)>, String> {
+    let value = json::parse(text).map_err(|e| e.to_string())?;
     let schema = value
         .get("schema")
-        .and_then(Json::as_str)
-        .ok_or(format!("{path}: missing \"schema\" field"))?;
+        .and_then(Value::as_str)
+        .ok_or("missing \"schema\" field")?;
     if schema != "hide-metrics/1" {
-        return Err(format!("{path}: unsupported schema {schema:?}"));
+        return Err(format!("unsupported schema {schema:?}"));
     }
     let mut flat = Vec::new();
-    flatten("", &value, &mut flat);
+    flatten("", &value, &mut flat)?;
     Ok(flat)
-}
-
-/// Tolerance and ignore rules. A rule for `KEY` applies to the key
-/// itself and to every key under `KEY.`; the longest matching
-/// tolerance rule wins over the default.
-#[derive(Default)]
-struct Rules {
-    tolerances: Vec<(String, f64)>,
-    ignored: Vec<String>,
-    default_tol: f64,
-}
-
-impl Rules {
-    fn covers(rule: &str, key: &str) -> bool {
-        key == rule || (key.starts_with(rule) && key.as_bytes()[rule.len()] == b'.')
-    }
-
-    fn is_ignored(&self, key: &str) -> bool {
-        self.ignored.iter().any(|r| Rules::covers(r, key))
-    }
-
-    fn tolerance(&self, key: &str) -> f64 {
-        self.tolerances
-            .iter()
-            .filter(|(r, _)| Rules::covers(r, key))
-            .max_by_key(|(r, _)| r.len())
-            .map_or(self.default_tol, |&(_, rel)| rel)
-    }
-}
-
-/// Tolerance-profile parser: the TOML subset the checked-in profiles
-/// use. Top-level `default_tolerance = F`, then `[[rule]]` blocks each
-/// carrying `key = "..."` plus either `tolerance = F` or
-/// `ignore = true`. Comments (`#`) and blank lines are allowed;
-/// anything else is a parse error — a profile gates CI, so unknown
-/// syntax must fail loudly rather than be skipped.
-mod profile {
-    use super::Rules;
-
-    #[derive(Default)]
-    struct PendingRule {
-        line: usize,
-        key: Option<String>,
-        tolerance: Option<f64>,
-        ignore: Option<bool>,
-    }
-
-    fn flush(pending: PendingRule, rules: &mut Rules) -> Result<(), String> {
-        let at = pending.line;
-        let key = pending
-            .key
-            .ok_or(format!("rule at line {at}: missing `key`"))?;
-        match (pending.tolerance, pending.ignore.unwrap_or(false)) {
-            (Some(_), true) => Err(format!(
-                "rule at line {at}: `tolerance` and `ignore = true` are mutually exclusive"
-            )),
-            (Some(rel), false) => {
-                rules.tolerances.push((key, rel));
-                Ok(())
-            }
-            (None, true) => {
-                rules.ignored.push(key);
-                Ok(())
-            }
-            (None, false) => Err(format!(
-                "rule at line {at}: needs `tolerance = REL` or `ignore = true`"
-            )),
-        }
-    }
-
-    fn parse_tolerance(v: &str, at: usize) -> Result<f64, String> {
-        let rel: f64 = v
-            .parse()
-            .map_err(|_| format!("line {at}: bad tolerance {v:?}"))?;
-        if rel.is_finite() && rel >= 0.0 {
-            Ok(rel)
-        } else {
-            Err(format!("line {at}: tolerance must be finite and >= 0"))
-        }
-    }
-
-    fn parse_key(v: &str, at: usize) -> Result<String, String> {
-        let inner = v
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or(format!("line {at}: key must be a quoted string"))?;
-        if inner.is_empty() || inner.contains('"') {
-            return Err(format!("line {at}: bad key {v:?}"));
-        }
-        Ok(inner.to_string())
-    }
-
-    /// Parses `text` and appends its rules to `rules`.
-    pub fn apply(text: &str, rules: &mut Rules) -> Result<(), String> {
-        let mut pending: Option<PendingRule> = None;
-        for (i, raw) in text.lines().enumerate() {
-            let at = i + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[rule]]" {
-                if let Some(done) = pending.take() {
-                    flush(done, rules)?;
-                }
-                pending = Some(PendingRule {
-                    line: at,
-                    ..PendingRule::default()
-                });
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(format!("line {at}: unsupported table {line:?}"));
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or(format!("line {at}: expected `name = value`"))?;
-            let (k, v) = (k.trim(), v.trim());
-            match (&mut pending, k) {
-                (None, "default_tolerance") => {
-                    rules.default_tol = parse_tolerance(v, at)?;
-                }
-                (None, other) => {
-                    return Err(format!("line {at}: unknown top-level key {other:?}"));
-                }
-                (Some(rule), "key") => {
-                    rule.key = Some(parse_key(v, at)?);
-                }
-                (Some(rule), "tolerance") => {
-                    rule.tolerance = Some(parse_tolerance(v, at)?);
-                }
-                (Some(rule), "ignore") => {
-                    rule.ignore = Some(match v {
-                        "true" => true,
-                        "false" => false,
-                        _ => return Err(format!("line {at}: `ignore` must be true or false")),
-                    });
-                }
-                (Some(_), other) => {
-                    return Err(format!("line {at}: unknown rule key {other:?}"));
-                }
-            }
-        }
-        if let Some(done) = pending.take() {
-            flush(done, rules)?;
-        }
-        Ok(())
-    }
 }
 
 struct DiffReport {
     lines: Vec<String>,
     compared: usize,
-    ignored: usize,
     regressions: usize,
 }
 
-/// Structural comparison of two flattened artifacts. Both inputs are
+/// Exact comparison of two flattened artifacts. Both inputs are
 /// sorted-merged so a key present on one side only is detected in one
 /// pass.
-fn diff(golden: &[(String, u64)], candidate: &[(String, u64)], rules: &Rules) -> DiffReport {
+fn diff(golden: &[(String, i128)], candidate: &[(String, i128)]) -> DiffReport {
     let mut golden: Vec<_> = golden.to_vec();
     let mut candidate: Vec<_> = candidate.to_vec();
     golden.sort();
@@ -308,75 +96,50 @@ fn diff(golden: &[(String, u64)], candidate: &[(String, u64)], rules: &Rules) ->
     let mut report = DiffReport {
         lines: Vec::new(),
         compared: 0,
-        ignored: 0,
         regressions: 0,
     };
     let (mut gi, mut ci) = (0, 0);
     while gi < golden.len() || ci < candidate.len() {
         let order = match (golden.get(gi), candidate.get(ci)) {
             (Some((g, _)), Some((c, _))) => g.cmp(c),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => unreachable!(),
+            (Some(_), None) => Ordering::Less,
+            (None, _) => Ordering::Greater,
         };
-        match order {
-            std::cmp::Ordering::Less => {
+        let line = match order {
+            Ordering::Less => {
                 let (key, value) = &golden[gi];
                 gi += 1;
-                if rules.is_ignored(key) {
-                    report.ignored += 1;
-                } else {
-                    report.regressions += 1;
-                    report
-                        .lines
-                        .push(format!("{key}: missing from candidate (golden {value})"));
-                }
+                format!("{key}: missing from candidate (golden {value})")
             }
-            std::cmp::Ordering::Greater => {
+            Ordering::Greater => {
                 let (key, value) = &candidate[ci];
                 ci += 1;
-                if rules.is_ignored(key) {
-                    report.ignored += 1;
-                } else {
-                    report.regressions += 1;
-                    report
-                        .lines
-                        .push(format!("{key}: not in golden (candidate {value})"));
-                }
+                format!("{key}: not in golden (candidate {value})")
             }
-            std::cmp::Ordering::Equal => {
+            Ordering::Equal => {
                 let (key, g) = &golden[gi];
-                let (_, c) = &candidate[ci];
+                let c = candidate[ci].1;
                 gi += 1;
                 ci += 1;
-                if rules.is_ignored(key) {
-                    report.ignored += 1;
-                    continue;
-                }
                 report.compared += 1;
-                if g == c {
+                if *g == c {
                     continue;
                 }
-                let rel = g.abs_diff(*c) as f64 / (*g.max(&1)) as f64;
-                let tol = rules.tolerance(key);
-                if rel > tol {
-                    report.regressions += 1;
-                    report.lines.push(format!(
-                        "{key}: golden {g}, candidate {c} \
-                         (relative drift {rel:.6} > tolerance {tol})"
-                    ));
-                }
+                format!("{key}: golden {g}, candidate {c}")
             }
-        }
+        };
+        report.regressions += 1;
+        report.lines.push(line);
     }
     report
 }
 
-/// Flattens numeric leaves to dotted keys. Arrays whose elements are
-/// all `[bucket, count]` integer pairs (histogram buckets) become
+/// Flattens integer leaves to dotted keys; strings are skipped and any
+/// other leaf is an error. Arrays whose elements are all
+/// `[bucket, count]` integer pairs (histogram buckets) become
 /// `prefix.<bucket> = count` so bucket insertions don't shift sibling
 /// keys; any other array indexes positionally.
-fn flatten(prefix: &str, value: &Json, out: &mut Vec<(String, u64)>) {
+fn flatten(prefix: &str, value: &Value, out: &mut Vec<(String, i128)>) -> Result<(), String> {
     let child = |key: &str| {
         if prefix.is_empty() {
             key.to_string()
@@ -384,22 +147,18 @@ fn flatten(prefix: &str, value: &Json, out: &mut Vec<(String, u64)>) {
             format!("{prefix}.{key}")
         }
     };
-    match value {
-        Json::Num(n) => out.push((prefix.to_string(), *n)),
-        Json::Str(_) => {}
-        Json::Obj(fields) => {
-            for (key, v) in fields {
-                flatten(&child(key), v, out);
+    match &value.kind {
+        Kind::String(_) => {}
+        Kind::Object(members) => {
+            for (key, v) in members {
+                flatten(&child(key), v, out)?;
             }
         }
-        Json::Arr(items) => {
-            let pairs: Option<Vec<(u64, u64)>> = items
+        Kind::Array(items) => {
+            let pairs: Option<Vec<(i128, i128)>> = items
                 .iter()
-                .map(|item| match item {
-                    Json::Arr(p) => match p.as_slice() {
-                        [Json::Num(b), Json::Num(n)] => Some((*b, *n)),
-                        _ => None,
-                    },
+                .map(|item| match item.as_array()? {
+                    [b, n] => Some((integer(b).ok()?, integer(n).ok()?)),
                     _ => None,
                 })
                 .collect();
@@ -411,242 +170,82 @@ fn flatten(prefix: &str, value: &Json, out: &mut Vec<(String, u64)>) {
                 }
                 None => {
                     for (i, item) in items.iter().enumerate() {
-                        flatten(&child(&i.to_string()), item, out);
+                        flatten(&child(&i.to_string()), item, out)?;
                     }
                 }
             }
         }
+        _ => out.push((prefix.to_string(), integer(value)?)),
     }
+    Ok(())
 }
 
-/// The `hide-metrics/1` value space: objects, arrays, strings, and
-/// non-negative integers. No dependency needed for a grammar this
-/// small.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-mod json {
-    use super::Json;
-
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while bytes
-            .get(*pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&want) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", want as char, *pos))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_obj(bytes, pos),
-            Some(b'[') => parse_arr(bytes, pos),
-            Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-            Some(b'0'..=b'9') => parse_num(bytes, pos),
-            Some(&b) => Err(format!("unexpected {:?} at byte {}", b as char, *pos)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            fields.push((key, parse_value(bytes, pos)?));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let start = *pos;
-        while let Some(&b) = bytes.get(*pos) {
-            if b == b'\\' {
-                return Err(format!("escape sequences unsupported (byte {})", *pos));
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|e| e.to_string())?
-                    .to_string();
-                *pos += 1;
-                return Ok(s);
-            }
-            *pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        if bytes
-            .get(*pos)
-            .is_some_and(|b| matches!(b, b'.' | b'e' | b'E'))
-        {
-            return Err(format!(
-                "non-integer number at byte {start} (hide-metrics/1 is integer-only)"
-            ));
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or(format!("bad number at byte {start}"))
-    }
+/// The integer a leaf holds, over the whole `i64` and `u64` range.
+fn integer(value: &Value) -> Result<i128, String> {
+    value
+        .as_i64()
+        .map(i128::from)
+        .or_else(|| value.as_u64().map(i128::from))
+        .ok_or(format!(
+            "non-integer value at byte {} (hide-metrics/1 is integer-only)",
+            value.offset
+        ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn artifact(pairs: &[(&str, u64)]) -> Vec<(String, u64)> {
+    fn artifact(pairs: &[(&str, i128)]) -> Vec<(String, i128)> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
     }
 
     #[test]
     fn parses_and_flattens_a_real_artifact() {
         let rec = hide_obs::Recorder::new();
-        let value = json::parse(&rec.to_json()).unwrap();
-        assert_eq!(
-            value.get("schema").and_then(Json::as_str),
-            Some("hide-metrics/1")
-        );
-        let mut flat = Vec::new();
-        flatten("", &value, &mut flat);
-        assert!(flat.iter().any(|(k, _)| k == "counters.fleet_events"));
-        assert!(flat
-            .iter()
-            .any(|(k, _)| k == "counters.fleet_missed_refresh_lost"));
-        assert!(flat.iter().any(|(k, _)| k == "stages.fleet_merge.calls"));
-        assert!(flat
-            .iter()
-            .any(|(k, _)| k == "distributions.frames_per_dtim.sum"));
+        let flat = flatten_artifact(&rec.to_json()).unwrap();
+        for key in [
+            "counters.fleet_events",
+            "counters.fleet_missed_refresh_lost",
+            "stages.fleet_merge.calls",
+            "distributions.frames_per_dtim.sum",
+        ] {
+            assert!(flat.iter().any(|(k, _)| k == key), "{key}");
+        }
     }
 
     #[test]
     fn identical_artifacts_pass_and_drift_fails() {
         let a = artifact(&[("counters.x", 10), ("counters.y", 0)]);
-        let rules = Rules::default();
-        assert_eq!(diff(&a, &a, &rules).regressions, 0);
+        assert_eq!(diff(&a, &a).regressions, 0);
 
         let b = artifact(&[("counters.x", 11), ("counters.y", 0)]);
-        let report = diff(&a, &b, &rules);
+        let report = diff(&a, &b);
         assert_eq!(report.regressions, 1);
         assert!(report.lines[0].contains("counters.x"));
     }
 
     #[test]
-    fn tolerance_rules_apply_to_subtrees_and_longest_wins() {
-        let a = artifact(&[("counters.x", 100), ("counters.x.sub", 100)]);
-        let b = artifact(&[("counters.x", 105), ("counters.x.sub", 140)]);
-        let rules = Rules {
-            tolerances: vec![("counters".into(), 0.5), ("counters.x.sub".into(), 0.01)],
-            ..Rules::default()
-        };
-        // counters.x drifts 5% under the 50% subtree rule; the longer
-        // counters.x.sub rule clamps that leaf to 1% and it fails.
-        let report = diff(&a, &b, &rules);
+    fn negative_leaves_diff_clean_and_their_drift_is_one_regression() {
+        let doc = r#"{"schema": "hide-metrics/1", "battery": {"lifetime_gain_ppm": -436769, "clients": 16}}"#;
+        let a = flatten_artifact(doc).unwrap();
+        assert!(a.contains(&("battery.lifetime_gain_ppm".to_string(), -436_769)));
+        assert_eq!(diff(&a, &a).regressions, 0);
+        let b = flatten_artifact(&doc.replace("-436769", "-436770")).unwrap();
+        let report = diff(&a, &b);
         assert_eq!(report.regressions, 1);
-        assert!(report.lines[0].contains("counters.x.sub"));
-        // A prefix rule must not leak onto lexical near-matches.
-        assert!(!Rules::covers("counters.x", "counters.xy"));
+        assert_eq!(
+            report.lines,
+            ["battery.lifetime_gain_ppm: golden -436769, candidate -436770"]
+        );
     }
 
     #[test]
-    fn structural_differences_are_regressions_unless_ignored() {
+    fn structural_differences_are_regressions() {
         let a = artifact(&[("counters.x", 1), ("stages.old.calls", 2)]);
         let b = artifact(&[("counters.x", 1), ("stages.new.calls", 2)]);
-        assert_eq!(diff(&a, &b, &Rules::default()).regressions, 2);
-        let rules = Rules {
-            ignored: vec!["stages".into()],
-            ..Rules::default()
-        };
-        let report = diff(&a, &b, &rules);
-        assert_eq!(report.regressions, 0);
-        assert_eq!(report.ignored, 2);
+        let report = diff(&a, &b);
+        assert_eq!(report.regressions, 2);
         assert_eq!(report.compared, 1);
     }
 
@@ -654,124 +253,37 @@ mod tests {
     fn buckets_flatten_by_bucket_value_not_position() {
         let value = json::parse(r#"{"buckets": [[3, 7], [9, 1]]}"#).unwrap();
         let mut flat = Vec::new();
-        flatten("", &value, &mut flat);
+        flatten("", &value, &mut flat).unwrap();
         assert_eq!(flat, artifact(&[("buckets.3", 7), ("buckets.9", 1)]));
     }
 
     #[test]
-    fn profile_toml_parses_all_rule_forms() {
-        let text = r#"
-            # tolerance profile for the CI metrics gate
-            default_tolerance = 0.01
-
-            [[rule]]
-            key = "stages"        # loosen wall-clock-adjacent call counts
-            tolerance = 0.25
-
-            [[rule]]
-            key = "counters.fleet_missed_refresh_lost"
-            tolerance = 0.0
-
-            [[rule]]
-            key = "distributions.noisy"
-            ignore = true
-        "#;
-        let mut rules = Rules::default();
-        profile::apply(text, &mut rules).unwrap();
-        assert_eq!(rules.default_tol, 0.01);
+    fn rejects_non_metrics_json() {
+        let err = flatten_artifact(r#"{"schema": "hide-metrics/1", "a": 1.5}"#).unwrap_err();
         assert_eq!(
-            rules.tolerances,
-            vec![
-                ("stages".to_string(), 0.25),
-                ("counters.fleet_missed_refresh_lost".to_string(), 0.0),
-            ]
+            err,
+            "non-integer value at byte 34 (hide-metrics/1 is integer-only)"
         );
-        assert_eq!(rules.ignored, vec!["distributions.noisy".to_string()]);
-        // Subtree resolution works through profile-loaded rules too.
-        assert_eq!(rules.tolerance("stages.fleet.calls"), 0.25);
-        assert_eq!(rules.tolerance("counters.fleet_missed_refresh_lost"), 0.0);
-        assert_eq!(rules.tolerance("counters.other"), 0.01);
-        assert!(rules.is_ignored("distributions.noisy.sum"));
-    }
-
-    #[test]
-    fn profile_rules_yield_to_cli_rules_on_the_same_key() {
-        // Profile loads first; a CLI rule on the identical key is
-        // pushed later and wins the longest-match tie. A *longer*
-        // profile rule still beats a shorter CLI rule.
-        let mut rules = Rules::default();
-        profile::apply(
-            "[[rule]]\nkey = \"counters.x\"\ntolerance = 0.5\n\
-             [[rule]]\nkey = \"counters.x.deep\"\ntolerance = 0.9\n",
-            &mut rules,
-        )
-        .unwrap();
-        rules.tolerances.push(("counters.x".into(), 0.1)); // CLI --tol
-        assert_eq!(rules.tolerance("counters.x"), 0.1);
-        assert_eq!(rules.tolerance("counters.x.other"), 0.1);
-        assert_eq!(rules.tolerance("counters.x.deep"), 0.9);
-    }
-
-    #[test]
-    fn profile_parse_errors_are_loud() {
-        let cases: &[(&str, &str)] = &[
-            ("default_tolerance = fast", "bad tolerance"),
-            ("default_tolerance = -0.5", "finite and >= 0"),
-            ("wrong_top = 1", "unknown top-level key"),
-            ("[[rule]]\ntolerance = 0.1", "missing `key`"),
-            ("[[rule]]\nkey = \"a\"", "needs `tolerance"),
-            ("[[rule]]\nkey = unquoted\nignore = true", "quoted string"),
-            ("[[rule]]\nkey = \"a\"\nignore = maybe", "true or false"),
-            (
-                "[[rule]]\nkey = \"a\"\ntolerance = 0.1\nignore = true",
-                "mutually exclusive",
-            ),
-            ("[table]", "unsupported table"),
-            ("[[rule]]\nkey = \"a\"\nwhat = 1", "unknown rule key"),
-            ("just words", "expected `name = value`"),
-        ];
-        for (text, want) in cases {
-            let err = profile::apply(text, &mut Rules::default()).unwrap_err();
-            assert!(err.contains(want), "{text:?} -> {err:?} (wanted {want:?})");
+        let deep = "[".repeat(200_000);
+        for text in [
+            r#"{"schema": "hide-metrics/1", "a": true}"#,
+            r#"{"schema": "hide-metrics/2"}"#,
+            r#"{"a": 1}"#,
+            "[1, 2",
+            r#"{"schema": "hide-metrics/1"} x"#,
+            &deep,
+        ] {
+            assert!(flatten_artifact(text).is_err(), "{text:.40}");
         }
     }
 
     #[test]
-    fn profile_driven_diff_matches_flag_driven_diff() {
-        let a = artifact(&[
-            ("counters.fleet_missed_refresh_lost", 5),
-            ("stages.fleet.calls", 100),
-            ("energy.spent_nj", 1_000_000),
-        ]);
-        let b = artifact(&[
-            ("counters.fleet_missed_refresh_lost", 5),
-            ("stages.fleet.calls", 110),
-            ("energy.spent_nj", 1_000_001),
-        ]);
-        let mut profiled = Rules::default();
-        profile::apply(
-            "default_tolerance = 0.0\n\
-             [[rule]]\nkey = \"stages\"\ntolerance = 0.25\n\
-             [[rule]]\nkey = \"energy\"\ntolerance = 0.0\n",
-            &mut profiled,
-        )
-        .unwrap();
-        let flagged = Rules {
-            tolerances: vec![("stages".into(), 0.25), ("energy".into(), 0.0)],
-            ..Rules::default()
-        };
-        let pr = diff(&a, &b, &profiled);
-        let fr = diff(&a, &b, &flagged);
-        assert_eq!(pr.regressions, fr.regressions);
-        // stages drift passes under 25%; the energy drift is pinned.
-        assert_eq!(pr.regressions, 1);
-        assert!(pr.lines[0].contains("energy.spent_nj"));
-    }
-
-    #[test]
-    fn rejects_non_metrics_json() {
-        assert!(json::parse("{\"a\": 1.5}").is_err());
-        assert!(json::parse("[1, 2").is_err());
-        assert!(json::parse("{\"a\": 1} x").is_err());
+    fn takes_exactly_two_paths_and_no_flags() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for flag in ["--profile", "--tol", "--tol-default", "--ignore"] {
+            let err = run(&args(&["a.json", "b.json", flag, "x"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag:?}"));
+        }
+        assert!(run(&args(&["a.json"])).unwrap_err().starts_with("usage"));
     }
 }

@@ -35,6 +35,10 @@
 //! (32 power-of-two buckets) and the wall-clock [`LatencyHistogram`]
 //! (8 sub-buckets per power of two).
 //!
+//! The workspace reads its own JSON documents (traces, metrics
+//! artifacts, the daemon's health report) through one reader,
+//! [`crate::json`], whose escaper is also the one that writers use.
+//!
 //! # Determinism rules
 //!
 //! The recorder is built for **byte-identical output at any `--jobs`
@@ -74,6 +78,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod json;
 pub mod latency;
 pub mod log;
 pub mod metric;

@@ -1,49 +1,22 @@
 //! Trace serialization: JSON save/load so generated traces can be
 //! inspected, archived and replayed byte-identically.
 //!
-//! The codec is self-contained: a trace has a fixed, flat shape (a
-//! header plus an array of frames of four scalars and a rate tag), so a
-//! small hand-rolled writer/parser covers it without an external JSON
-//! dependency. Floats are emitted with Rust's shortest round-trip
-//! formatting (`{:?}`), which guarantees save → load is lossless.
+//! A trace has a fixed, flat shape (a header plus an array of frames of
+//! four scalars and a rate tag): a small writer emits it, and the
+//! workspace's JSON reader ([`hide_obs::json`]) reads it back before the
+//! typed checks here. Floats are emitted with Rust's shortest
+//! round-trip formatting (`{:?}`), which guarantees save → load is
+//! lossless.
 
 use crate::record::{Trace, TraceFrame};
+use hide_obs::json::{self, Kind, Value};
 use hide_wifi::phy::DataRate;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-/// A JSON encoding/decoding failure: what went wrong and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Human-readable description of the failure.
-    msg: String,
-    /// Byte offset in the input where decoding failed (0 for encoding).
-    offset: usize,
-}
-
-impl JsonError {
-    fn new(msg: impl Into<String>, offset: usize) -> Self {
-        JsonError {
-            msg: msg.into(),
-            offset,
-        }
-    }
-
-    /// Byte offset in the input at which decoding failed.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.msg, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
+pub use hide_obs::json::JsonError;
 
 /// Errors from trace (de)serialization.
 #[derive(Debug)]
@@ -107,24 +80,6 @@ fn rate_from_tag(tag: &str, offset: usize) -> Result<DataRate, JsonError> {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Serializes a trace to JSON.
 ///
 /// # Errors
@@ -135,7 +90,7 @@ pub fn to_json(trace: &Trace) -> Result<String, TraceIoError> {
     // ~64 bytes per frame is a comfortable overestimate.
     let mut out = String::with_capacity(64 + trace.frames.len() * 64);
     out.push_str("{\"scenario\":");
-    push_json_string(&mut out, &trace.scenario);
+    json::push_string(&mut out, &trace.scenario);
     out.push_str(",\"duration\":");
     out.push_str(&format!("{:?}", trace.duration));
     out.push_str(",\"frames\":[");
@@ -156,233 +111,29 @@ pub fn to_json(trace: &Trace) -> Result<String, TraceIoError> {
     Ok(out)
 }
 
-/// A minimal recursive-descent JSON parser over the input bytes.
-struct Parser<'a> {
-    input: &'a [u8],
-    pos: usize,
-}
-
-/// A parsed JSON value. Numbers stay as text slices so the caller picks
-/// the integer/float interpretation.
-enum Value {
-    String(String),
-    Number(f64),
-    Bool(bool),
-    Array(Vec<(usize, Value)>),
-    Object(Vec<(String, usize, Value)>),
-    Null,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            input: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: impl Into<String>) -> JsonError {
-        JsonError::new(msg, self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.input.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", byte as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.input[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected keyword {word:?}")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| JsonError::new("invalid utf-8 in number", start))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| JsonError::new(format!("invalid number {text:?}"), start))
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .input
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid codepoint"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance over one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.input[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            let at = self.pos;
-            items.push((at, self.parse_value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let at = self.pos;
-            let value = self.parse_value()?;
-            fields.push((key, at, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-}
-
-fn field<'v>(
-    fields: &'v [(String, usize, Value)],
+fn field<'v, 'a>(
+    obj: &'v Value<'a>,
     name: &str,
     obj_at: usize,
-) -> Result<(usize, &'v Value), JsonError> {
-    fields
-        .iter()
-        .find(|(k, _, _)| k == name)
-        .map(|(_, at, v)| (*at, v))
+) -> Result<&'v Value<'a>, JsonError> {
+    obj.get(name)
         .ok_or_else(|| JsonError::new(format!("missing field {name:?}"), obj_at))
 }
 
-fn as_f64(v: (usize, &Value), name: &str) -> Result<f64, JsonError> {
-    match v.1 {
-        Value::Number(n) => Ok(*n),
-        _ => Err(JsonError::new(
-            format!("field {name:?} must be a number"),
-            v.0,
-        )),
-    }
+fn as_f64(v: &Value, name: &str) -> Result<f64, JsonError> {
+    v.as_f64()
+        .ok_or_else(|| JsonError::new(format!("field {name:?} must be a number"), v.offset))
 }
 
-fn as_u16(v: (usize, &Value), name: &str) -> Result<u16, JsonError> {
+fn as_u16(v: &Value, name: &str) -> Result<u16, JsonError> {
     let n = as_f64(v, name)?;
     if n.fract() == 0.0 && (0.0..=u16::MAX as f64).contains(&n) {
         Ok(n as u16)
     } else {
-        Err(JsonError::new(format!("field {name:?} must be a u16"), v.0))
+        Err(JsonError::new(
+            format!("field {name:?} must be a u16"),
+            v.offset,
+        ))
     }
 }
 
@@ -392,55 +143,46 @@ fn as_u16(v: (usize, &Value), name: &str) -> Result<u16, JsonError> {
 ///
 /// Returns [`TraceIoError::Json`] on malformed input.
 pub fn from_json(json: &str) -> Result<Trace, TraceIoError> {
-    let mut parser = Parser::new(json);
-    let root = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.peek().is_some() {
-        return Err(JsonError::new("trailing data after trace object", parser.pos).into());
+    let root = json::parse(json)?;
+    if !matches!(root.kind, Kind::Object(_)) {
+        return Err(JsonError::new("trace must be a JSON object", 0).into());
     }
 
-    let fields = match root {
-        Value::Object(f) => f,
-        _ => return Err(JsonError::new("trace must be a JSON object", 0).into()),
-    };
-
-    let scenario = match field(&fields, "scenario", 0)? {
-        (_, Value::String(s)) => s.clone(),
-        (at, _) => return Err(JsonError::new("field \"scenario\" must be a string", at).into()),
-    };
-    let duration = as_f64(field(&fields, "duration", 0)?, "duration")?;
-    let raw_frames = match field(&fields, "frames", 0)? {
-        (_, Value::Array(items)) => items,
-        (at, _) => return Err(JsonError::new("field \"frames\" must be an array", at).into()),
-    };
+    let scenario = field(&root, "scenario", 0)?;
+    let scenario = scenario
+        .as_str()
+        .ok_or_else(|| JsonError::new("field \"scenario\" must be a string", scenario.offset))?;
+    let duration = as_f64(field(&root, "duration", 0)?, "duration")?;
+    let raw_frames = field(&root, "frames", 0)?;
+    let raw_frames = raw_frames
+        .as_array()
+        .ok_or_else(|| JsonError::new("field \"frames\" must be an array", raw_frames.offset))?;
 
     let mut frames = Vec::with_capacity(raw_frames.len());
-    for (at, item) in raw_frames {
-        let f = match item {
-            Value::Object(f) => f,
-            _ => return Err(JsonError::new("frame must be a JSON object", *at).into()),
-        };
-        let rate = match field(f, "rate", *at)? {
-            (rat, Value::String(tag)) => rate_from_tag(tag, rat)?,
-            (rat, _) => return Err(JsonError::new("field \"rate\" must be a string", rat).into()),
-        };
-        let more_data = match field(f, "more_data", *at)? {
-            (_, Value::Bool(b)) => *b,
-            (mat, _) => {
-                return Err(JsonError::new("field \"more_data\" must be a bool", mat).into())
-            }
-        };
+    for f in raw_frames {
+        if !matches!(f.kind, Kind::Object(_)) {
+            return Err(JsonError::new("frame must be a JSON object", f.offset).into());
+        }
+        let rate = field(f, "rate", f.offset)?;
+        let tag = rate
+            .as_str()
+            .ok_or_else(|| JsonError::new("field \"rate\" must be a string", rate.offset))?;
+        let rate = rate_from_tag(tag, rate.offset)?;
+        let more_data = field(f, "more_data", f.offset)?;
+        let more_data = more_data.as_bool().ok_or_else(|| {
+            JsonError::new("field \"more_data\" must be a bool", more_data.offset)
+        })?;
         frames.push(TraceFrame {
-            time: as_f64(field(f, "time", *at)?, "time")?,
-            len_bytes: as_u16(field(f, "len_bytes", *at)?, "len_bytes")?,
+            time: as_f64(field(f, "time", f.offset)?, "time")?,
+            len_bytes: as_u16(field(f, "len_bytes", f.offset)?, "len_bytes")?,
             rate,
-            dst_port: as_u16(field(f, "dst_port", *at)?, "dst_port")?,
+            dst_port: as_u16(field(f, "dst_port", f.offset)?, "dst_port")?,
             more_data,
         });
     }
 
     Ok(Trace {
-        scenario,
+        scenario: scenario.to_string(),
         duration,
         frames,
     })
@@ -533,8 +275,22 @@ mod tests {
     }
 
     #[test]
-    fn bad_rate_tag_is_json_error() {
+    fn bad_rate_tag_is_json_error_at_the_tag() {
         let json = r#"{"scenario":"x","duration":1.0,"frames":[{"time":0.0,"len_bytes":100,"rate":"R54M","dst_port":1,"more_data":false}]}"#;
-        assert!(matches!(from_json(json), Err(TraceIoError::Json(_))));
+        match from_json(json) {
+            Err(TraceIoError::Json(e)) => {
+                assert_eq!(e.offset(), 76);
+                assert_eq!(e.to_string(), "unknown data rate \"R54M\" at byte 76");
+            }
+            other => panic!("expected a json error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(matches!(
+            from_json(&"[".repeat(200_000)),
+            Err(TraceIoError::Json(_))
+        ));
     }
 }
