@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hide_core::ap::{
-    calculate_broadcast_flags, AccessPoint, ApCtx, BTreePortTable, BroadcastBuffer, ClientPortTable,
+    calculate_broadcast_flags, AccessPoint, ApCtx, BroadcastBuffer, ClientPortTable,
 };
 use hide_wifi::bitmap::PartialVirtualBitmap;
 use hide_wifi::frame::{Beacon, BroadcastDataFrame, UdpPortMessage};
@@ -57,22 +57,9 @@ fn port_table_ops(c: &mut Criterion) {
     group.finish();
 }
 
-fn seeded_btree(clients: u16, ports_each: usize, seed: u64) -> BTreePortTable {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut table = BTreePortTable::new();
-    for c in 1..=clients {
-        let ports: Vec<u16> = (0..ports_each)
-            .map(|_| rng.gen_range(1024..u16::MAX))
-            .collect();
-        table.update_client(Aid::new(c).unwrap(), &ports);
-    }
-    table
-}
-
 fn port_table_scale(c: &mut Criterion) {
-    // The hash-map table vs. the BTree baseline it replaced, at BSS
-    // sizes where the asymptotics show (the paper's capacity analysis
-    // goes to ~50 nodes; stress well beyond that).
+    // The table at BSS sizes where the asymptotics show (the paper's
+    // capacity analysis goes to ~50 nodes; stress well beyond that).
     let mut group = c.benchmark_group("port_table_scale");
     let refresh: Vec<u16> = (3000..3100).collect();
     for clients in [1000u16, 2000] {
@@ -89,31 +76,11 @@ fn port_table_scale(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("btree/refresh_100_ports", clients),
-            &clients,
-            |b, &clients| {
-                let mut table = seeded_btree(clients, 100, 7);
-                let probe = Aid::new(2005).unwrap();
-                b.iter(|| {
-                    table.update_client(probe, black_box(&refresh));
-                    table.remove_client(probe);
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("hash/lookup", clients),
             &clients,
             |b, &clients| {
                 let table = seeded_table(clients, 100, 7);
                 b.iter(|| black_box(table.postings_for_port(black_box(30000)).len()))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("btree/lookup", clients),
-            &clients,
-            |b, &clients| {
-                let table = seeded_btree(clients, 100, 7);
-                b.iter(|| black_box(table.clients_for_port(black_box(30000)).len()))
             },
         );
     }

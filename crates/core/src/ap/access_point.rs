@@ -3,6 +3,7 @@
 use crate::ap::snapshot::{ApSnapshot, ClientSnapshot, PortEntrySnapshot};
 use crate::ap::{calculate_broadcast_flags_observed, ApCtx, BroadcastBuffer, ClientPortTable};
 use crate::error::CoreError;
+use crate::fx::FxHashMap;
 use hide_obs::{MetricsSink, TraceEventKind, TraceSink};
 use hide_wifi::assoc::{self, AssociationRequest, AssociationResponse, Disassociation};
 use hide_wifi::bitmap::PartialVirtualBitmap;
@@ -28,10 +29,10 @@ pub enum BeaconMode {
     TimOnly,
 }
 
-/// Record the AP keeps per associated client.
+/// Record the AP keeps per associated client, in the slot of its AID.
 #[derive(Debug, Clone)]
 struct ClientRecord {
-    aid: Aid,
+    mac: MacAddr,
     /// Set once the client has sent a UDP Port Message; legacy clients
     /// never do.
     hide_enabled: bool,
@@ -48,8 +49,13 @@ struct ClientRecord {
 #[derive(Debug, Clone)]
 pub struct AccessPoint {
     bssid: MacAddr,
-    clients: BTreeMap<MacAddr, ClientRecord>,
-    by_aid: BTreeMap<Aid, MacAddr>,
+    /// Client records indexed by `aid - aid_lo`, grown to the highest
+    /// AID handed out so far (not to `aid_hi`).
+    slots: Vec<Option<ClientRecord>>,
+    /// MAC → AID of every associated client, for frames that carry
+    /// only a MAC. Never iterated, so its order reaches no output; it
+    /// holds at most the AID range's 2007 keys.
+    aids: FxHashMap<MacAddr, Aid>,
     port_table: ClientPortTable,
     buffer: BroadcastBuffer,
     dtim_period: u8,
@@ -93,8 +99,8 @@ impl AccessPoint {
         }
         Ok(AccessPoint {
             bssid,
-            clients: BTreeMap::new(),
-            by_aid: BTreeMap::new(),
+            slots: Vec::new(),
+            aids: FxHashMap::default(),
             port_table: ClientPortTable::new(),
             buffer: BroadcastBuffer::new(),
             dtim_period: 1,
@@ -158,13 +164,13 @@ impl AccessPoint {
     ///
     /// Returns [`CoreError::NoFreeAid`] when all 2007 AIDs are taken.
     pub fn associate(&mut self, mac: MacAddr) -> Result<Aid, CoreError> {
-        if let Some(record) = self.clients.get(&mac) {
-            return Ok(record.aid);
+        if let Some(&aid) = self.aids.get(&mac) {
+            return Ok(aid);
         }
         // Lowest free AID in O(log free): freed values all sit below
         // the fresh watermark, so the heap minimum (when present) beats
         // every never-assigned value — the same answer the linear
-        // "first v in 1..=MAX_AID not in by_aid" scan produces.
+        // "first v in 1..=MAX_AID not assigned" scan produces.
         let v = if let Some(Reverse(v)) = self.freed_aids.pop() {
             v
         } else if self.next_fresh_aid <= self.aid_hi {
@@ -175,17 +181,42 @@ impl AccessPoint {
             return Err(CoreError::NoFreeAid);
         };
         let aid = Aid::new(v).expect("range is valid");
-        debug_assert!(!self.by_aid.contains_key(&aid));
-        self.clients.insert(
+        let slot = self.slot_mut(v);
+        debug_assert!(slot.is_none());
+        *slot = Some(ClientRecord {
             mac,
-            ClientRecord {
-                aid,
-                hide_enabled: false,
-                unicast_buffered: 0,
-            },
-        );
-        self.by_aid.insert(aid, mac);
+            hide_enabled: false,
+            unicast_buffered: 0,
+        });
+        self.aids.insert(mac, aid);
         Ok(aid)
+    }
+
+    /// The slot of AID value `v`, which must lie in `aid_lo..=aid_hi`,
+    /// growing the slab to reach it.
+    fn slot_mut(&mut self, v: u16) -> &mut Option<ClientRecord> {
+        let i = usize::from(v - self.aid_lo);
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        &mut self.slots[i]
+    }
+
+    /// The record in the slot of AID value `v`, if a client holds it.
+    /// Safe for any `v`: values outside the slab are simply absent.
+    fn record_at(&self, v: u16) -> Option<&ClientRecord> {
+        let i = v.checked_sub(self.aid_lo)?;
+        self.slots.get(usize::from(i))?.as_ref()
+    }
+
+    /// The record of associated client `mac`, with its AID.
+    fn record_mut(&mut self, mac: MacAddr) -> Result<(Aid, &mut ClientRecord), CoreError> {
+        let aid = *self.aids.get(&mac).ok_or(CoreError::UnknownClient(mac))?;
+        let record = self
+            .slot_mut(aid.value())
+            .as_mut()
+            .expect("every mapped AID holds a record");
+        Ok((aid, record))
     }
 
     /// Processes an over-the-air association request, assigning an AID
@@ -199,7 +230,7 @@ impl AccessPoint {
         match self.associate(request.client()) {
             Ok(aid) => {
                 if request.supports_hide() {
-                    if let Some(record) = self.clients.get_mut(&request.client()) {
+                    if let Some(record) = self.slot_mut(aid.value()) {
                         record.hide_enabled = true;
                     }
                 }
@@ -229,30 +260,32 @@ impl AccessPoint {
     ///
     /// Returns [`CoreError::UnknownClient`] when `mac` is not associated.
     pub fn disassociate(&mut self, mac: MacAddr) -> Result<(), CoreError> {
-        let record = self
-            .clients
+        let aid = self
+            .aids
             .remove(&mac)
             .ok_or(CoreError::UnknownClient(mac))?;
-        self.by_aid.remove(&record.aid);
-        self.freed_aids.push(Reverse(record.aid.value()));
-        self.port_table.remove_client(record.aid);
+        *self.slot_mut(aid.value()) = None;
+        self.freed_aids.push(Reverse(aid.value()));
+        self.port_table.remove_client(aid);
         self.pending_fragments.remove(&mac);
         Ok(())
     }
 
     /// The AID of an associated client.
     pub fn aid_of(&self, mac: MacAddr) -> Option<Aid> {
-        self.clients.get(&mac).map(|r| r.aid)
+        self.aids.get(&mac).copied()
     }
 
     /// Number of associated clients.
     pub fn client_count(&self) -> usize {
-        self.clients.len()
+        self.aids.len()
     }
 
     /// Whether a client has HIDE enabled (has ever sent a port message).
     pub fn is_hide_enabled(&self, mac: MacAddr) -> bool {
-        self.clients.get(&mac).is_some_and(|r| r.hide_enabled)
+        self.aid_of(mac)
+            .and_then(|aid| self.record_at(aid.value()))
+            .is_some_and(|r| r.hide_enabled)
     }
 
     /// Processes a UDP Port Message: refreshes the Client UDP Port
@@ -277,12 +310,8 @@ impl AccessPoint {
         ctx: &mut ApCtx<S, T>,
     ) -> Result<Ack, CoreError> {
         let now = ctx.now();
-        let record = self
-            .clients
-            .get_mut(&msg.client())
-            .ok_or(CoreError::UnknownClient(msg.client()))?;
+        let (aid, record) = self.record_mut(msg.client())?;
         record.hide_enabled = true;
-        let aid = record.aid;
         self.port_messages_received += 1;
 
         let refresh = |table: &mut ClientPortTable, ports: &[u16]| match now {
@@ -329,10 +358,7 @@ impl AccessPoint {
     ///
     /// Returns [`CoreError::UnknownClient`] when `mac` is not associated.
     pub fn buffer_unicast(&mut self, mac: MacAddr) -> Result<(), CoreError> {
-        let record = self
-            .clients
-            .get_mut(&mac)
-            .ok_or(CoreError::UnknownClient(mac))?;
+        let (_, record) = self.record_mut(mac)?;
         record.unicast_buffered += 1;
         Ok(())
     }
@@ -344,10 +370,7 @@ impl AccessPoint {
     ///
     /// Returns [`CoreError::UnknownClient`] when `mac` is not associated.
     pub fn ps_poll(&mut self, mac: MacAddr) -> Result<u32, CoreError> {
-        let record = self
-            .clients
-            .get_mut(&mac)
-            .ok_or(CoreError::UnknownClient(mac))?;
+        let (_, record) = self.record_mut(mac)?;
         record.unicast_buffered = record.unicast_buffered.saturating_sub(1);
         Ok(record.unicast_buffered)
     }
@@ -426,9 +449,9 @@ impl AccessPoint {
 
     fn build_beacon(&self, index: u64, dtim_count: u8, flags: PartialVirtualBitmap) -> Beacon {
         let mut unicast = PartialVirtualBitmap::new();
-        for record in self.clients.values() {
-            if record.unicast_buffered > 0 {
-                unicast.set(record.aid);
+        for (v, record) in (self.aid_lo..).zip(&self.slots) {
+            if record.as_ref().is_some_and(|r| r.unicast_buffered > 0) {
+                unicast.set(Aid::new(v).expect("slots lie inside the AID range"));
             }
         }
         let tim = Tim::new(
@@ -498,17 +521,19 @@ impl AccessPoint {
     pub fn snapshot(&self) -> ApSnapshot {
         let mut freed: Vec<u16> = self.freed_aids.iter().map(|Reverse(v)| *v).collect();
         freed.sort_unstable();
-        let clients = self
-            .clients
-            .iter()
-            .map(|(mac, record)| ClientSnapshot {
-                mac: *mac,
-                aid: record.aid.value(),
-                hide_enabled: record.hide_enabled,
-                unicast_buffered: record.unicast_buffered,
+        let mut clients: Vec<ClientSnapshot> = (self.aid_lo..)
+            .zip(&self.slots)
+            .filter_map(|(aid, record)| {
+                record.as_ref().map(|r| ClientSnapshot {
+                    mac: r.mac,
+                    aid,
+                    hide_enabled: r.hide_enabled,
+                    unicast_buffered: r.unicast_buffered,
+                })
             })
             .collect();
-        let mut port_entries: Vec<PortEntrySnapshot> = self
+        clients.sort_unstable_by_key(|c| c.mac);
+        let port_entries = self
             .port_table
             .client_aids()
             .into_iter()
@@ -518,7 +543,6 @@ impl AccessPoint {
                 ports: self.port_table.ports_of(aid).to_vec(),
             })
             .collect();
-        port_entries.sort_unstable_by_key(|e| e.aid);
         ApSnapshot {
             bssid: self.bssid,
             ssid: self.ssid.clone(),
@@ -584,34 +608,29 @@ impl AccessPoint {
                     client.aid
                 )));
             }
-            if ap.by_aid.insert(aid, client.mac).is_some() {
+            if ap.record_at(client.aid).is_some() {
                 return Err(CoreError::Snapshot(format!(
                     "AID {} assigned to two clients",
                     client.aid
                 )));
             }
-            if ap
-                .clients
-                .insert(
-                    client.mac,
-                    ClientRecord {
-                        aid,
-                        hide_enabled: client.hide_enabled,
-                        unicast_buffered: client.unicast_buffered,
-                    },
-                )
-                .is_some()
-            {
+            if ap.aids.insert(client.mac, aid).is_some() {
                 return Err(CoreError::Snapshot(format!(
                     "client {} appears twice",
                     client.mac
                 )));
             }
+            // Range-checked above, so the AID has a slot.
+            *ap.slot_mut(client.aid) = Some(ClientRecord {
+                mac: client.mac,
+                hide_enabled: client.hide_enabled,
+                unicast_buffered: client.unicast_buffered,
+            });
         }
         for entry in &snapshot.port_entries {
             let aid = Aid::new(entry.aid)
                 .map_err(|_| CoreError::Snapshot(format!("entry AID {} is invalid", entry.aid)))?;
-            if !ap.by_aid.contains_key(&aid) {
+            if ap.record_at(entry.aid).is_none() {
                 return Err(CoreError::Snapshot(format!(
                     "port entry for unassociated AID {}",
                     entry.aid

@@ -14,5 +14,5 @@ pub use ctx::ApCtx;
 pub use flags::{
     calculate_broadcast_flags, calculate_broadcast_flags_into, calculate_broadcast_flags_observed,
 };
-pub use port_table::{BTreePortTable, ClientPortTable, ExpiryReport, TableOpCounts};
+pub use port_table::{ClientPortTable, ExpiryReport, TableOpCounts};
 pub use snapshot::{ApSnapshot, ClientSnapshot, PortEntrySnapshot};

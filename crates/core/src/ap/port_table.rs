@@ -8,13 +8,13 @@
 //! buffered broadcast frame at each DTIM boundary (Eq. 26).
 //!
 //! The paper models the table as O(1) hash lookups; this
-//! implementation delivers that: both directions are deterministic
-//! [`FxHashMap`]s, and each port maps to a compact **sorted `Vec<Aid>`
-//! posting list**, so [`ClientPortTable::postings_for_port`] is a hash
-//! probe plus a borrowed slice — no allocation and no tree walk on the
-//! per-DTIM hot path. The previous `BTreeMap`-based structure is kept
-//! as [`BTreePortTable`] so benchmarks measure the swap instead of
-//! asserting it.
+//! implementation delivers that: the port side is a deterministic
+//! [`FxHashMap`] whose values are compact **sorted `Vec<Aid>` posting
+//! lists**, so [`ClientPortTable::postings_for_port`] is a hash probe
+//! plus a borrowed slice — no allocation and no tree walk on the
+//! per-DTIM hot path. The client side is a column indexed by AID value
+//! (AIDs are small and dense, at most 2007), as the BTIM's partial
+//! virtual bitmap is.
 //!
 //! Operation counts are tracked so the delay analysis and the benches
 //! can report them.
@@ -22,8 +22,6 @@
 use crate::fx::FxHashMap;
 use hide_obs::{Counter, MetricsSink};
 use hide_wifi::mac::Aid;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters of hash-table operations performed, matching the
@@ -82,12 +80,20 @@ impl ExpiryReport {
 pub struct ClientPortTable {
     /// port → sorted posting list of listening clients.
     by_port: FxHashMap<u16, Vec<Aid>>,
-    /// client → sorted list of its open ports.
-    by_client: FxHashMap<Aid, Vec<u16>>,
-    /// client → time its entries were last refreshed. Only clients
-    /// updated through [`ClientPortTable::update_client_at`] appear
-    /// here; untimestamped clients are exempt from expiry.
-    last_refresh: FxHashMap<Aid, f64>,
+    /// AID value → sorted list of the client's open ports (empty when
+    /// it has none), grown on first use. A cleared list keeps its
+    /// capacity, so a refresh that changes the set allocates nothing.
+    by_client: Vec<Vec<u16>>,
+    /// AID value → time the client's entries were last refreshed.
+    /// Only clients updated through [`ClientPortTable::update_client_at`]
+    /// have a stamp; untimestamped clients are exempt from expiry. A
+    /// stamp implies a non-empty port list.
+    last_refresh: Vec<Option<f64>>,
+    /// Running counts of clients with at least one port and of stamped
+    /// clients, so [`ClientPortTable::client_count`] and the "no
+    /// stamp" test of [`ClientPortTable::expire_stale`] stay O(1).
+    clients: usize,
+    stamped: usize,
     /// Running count of stored `(port, client)` pairs, so
     /// [`ClientPortTable::entry_count`] is O(1) on the per-DTIM path
     /// instead of a walk over every client's port list.
@@ -110,6 +116,11 @@ pub struct ClientPortTable {
     lookup_misses: AtomicU64,
 }
 
+/// Index of `client` in the AID-indexed columns.
+fn slot(client: Aid) -> usize {
+    usize::from(client.value())
+}
+
 impl ClientPortTable {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -120,6 +131,11 @@ impl ClientPortTable {
     /// entry, then inserts every new one (the refresh procedure of
     /// Section V.B). Duplicate ports in the input are inserted once.
     pub fn update_client(&mut self, client: Aid, ports: &[u16]) {
+        let v = slot(client);
+        if self.by_client.len() <= v {
+            self.by_client.resize_with(v + 1, Vec::new);
+            self.last_refresh.resize(v + 1, None);
+        }
         // Sort/dedup into the reusable scratch buffer — steady-state
         // refreshes allocate nothing.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -132,16 +148,16 @@ impl ClientPortTable {
         // same postings. Skip the structural churn but tick the
         // counters exactly as the full procedure would — the deletes
         // and inserts still *happen* per Section V.B, they just cancel.
-        if let Some(old) = self.by_client.get(&client) {
-            if *old == scratch {
-                self.last_refresh.remove(&client);
-                self.deletes
-                    .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-                self.inserts
-                    .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-                self.scratch = scratch;
-                return;
+        if self.by_client[v] == scratch {
+            if self.last_refresh[v].take().is_some() {
+                self.stamped -= 1;
             }
+            self.deletes
+                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+            self.inserts
+                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+            self.scratch = scratch;
+            return;
         }
         self.remove_client(client);
         for &port in &scratch {
@@ -154,7 +170,8 @@ impl ClientPortTable {
             .fetch_add(scratch.len() as u64, Ordering::Relaxed);
         self.entries += scratch.len();
         if !scratch.is_empty() {
-            self.by_client.insert(client, scratch.clone());
+            self.clients += 1;
+            self.by_client[v].extend_from_slice(&scratch);
         }
         self.scratch = scratch;
     }
@@ -165,27 +182,36 @@ impl ClientPortTable {
     /// a discrete-event AP uses for UDP Port Message refreshes.
     pub fn update_client_at(&mut self, client: Aid, ports: &[u16], now: f64) {
         self.update_client(client, ports);
-        if self.by_client.contains_key(&client) {
-            if self.last_refresh.is_empty() || now < self.min_refresh {
+        // The update left the client unstamped; stamp it if it kept
+        // any port.
+        let v = slot(client);
+        if !self.by_client[v].is_empty() {
+            if self.stamped == 0 || now < self.min_refresh {
                 self.min_refresh = now;
             }
-            self.last_refresh.insert(client, now);
+            self.last_refresh[v] = Some(now);
+            self.stamped += 1;
         }
     }
 
     /// Time `client`'s entries were last refreshed via
     /// [`ClientPortTable::update_client_at`], if ever.
     pub fn last_refresh_of(&self, client: Aid) -> Option<f64> {
-        self.last_refresh.get(&client).copied()
+        self.last_refresh.get(slot(client)).copied().flatten()
     }
 
     /// Every client that currently has at least one stored port,
-    /// sorted ascending by AID (hash-map iteration order is arbitrary;
-    /// sorting makes snapshots canonical).
+    /// ascending by AID.
     pub fn client_aids(&self) -> Vec<Aid> {
-        let mut aids: Vec<Aid> = self.by_client.keys().copied().collect();
-        aids.sort_unstable();
-        aids
+        self.aids_where(|v| !self.by_client[v].is_empty())
+    }
+
+    /// The AIDs whose column index satisfies `keep`, ascending.
+    fn aids_where(&self, mut keep: impl FnMut(usize) -> bool) -> Vec<Aid> {
+        (1..self.by_client.len())
+            .filter(|&v| keep(v))
+            .map(|v| Aid::new(v as u16).expect("column indices are AID values"))
+            .collect()
     }
 
     /// Drops every timestamped client whose last refresh is strictly
@@ -197,27 +223,19 @@ impl ClientPortTable {
         // Every timestamp is at least `min_refresh`; if that bound has
         // not fallen behind the cutoff, no entry has either, and the
         // per-DTIM call costs two comparisons instead of a table scan.
-        if self.last_refresh.is_empty() || self.min_refresh >= cutoff {
+        if self.stamped == 0 || self.min_refresh >= cutoff {
             return ExpiryReport::default();
         }
         let mut keep_min = f64::INFINITY;
-        let mut stale: Vec<Aid> = self
-            .last_refresh
-            .iter()
-            .filter(|&(_, &at)| {
-                if at < cutoff {
-                    true
-                } else {
-                    keep_min = keep_min.min(at);
-                    false
-                }
-            })
-            .map(|(&client, _)| client)
-            .collect();
+        let stale = self.aids_where(|v| match self.last_refresh[v] {
+            Some(at) if at < cutoff => true,
+            Some(at) => {
+                keep_min = keep_min.min(at);
+                false
+            }
+            None => false,
+        });
         self.min_refresh = if keep_min.is_finite() { keep_min } else { 0.0 };
-        // FxHashMap iteration order is arbitrary; sort so removal order
-        // (and the report) is deterministic.
-        stale.sort_unstable();
         let mut entries_removed = 0u64;
         for &client in &stale {
             entries_removed += self.ports_of(client).len() as u64;
@@ -232,13 +250,20 @@ impl ClientPortTable {
     /// Removes every entry for `client` (disassociation, or the delete
     /// half of a refresh).
     pub fn remove_client(&mut self, client: Aid) {
-        self.last_refresh.remove(&client);
-        let Some(old_ports) = self.by_client.remove(&client) else {
+        let v = slot(client);
+        let Some(old_ports) = self.by_client.get_mut(v) else {
             return;
         };
+        if self.last_refresh[v].take().is_some() {
+            self.stamped -= 1;
+        }
+        if old_ports.is_empty() {
+            return;
+        }
+        self.clients -= 1;
         self.entries -= old_ports.len();
         let mut deleted = 0u64;
-        for port in old_ports {
+        for port in old_ports.drain(..) {
             if let Some(postings) = self.by_port.get_mut(&port) {
                 if let Ok(at) = postings.binary_search(&client) {
                     postings.remove(at);
@@ -313,15 +338,12 @@ impl ClientPortTable {
 
     /// The ports currently stored for `client`, sorted.
     pub fn ports_of(&self, client: Aid) -> &[u16] {
-        self.by_client
-            .get(&client)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.by_client.get(slot(client)).map_or(&[], Vec::as_slice)
     }
 
     /// Number of clients with at least one stored port.
     pub fn client_count(&self) -> usize {
-        self.by_client.len()
+        self.clients
     }
 
     /// Number of distinct ports with at least one listener.
@@ -332,7 +354,7 @@ impl ClientPortTable {
     /// Total stored (port, client) pairs. O(1): the count is maintained
     /// by every update and removal.
     pub fn entry_count(&self) -> usize {
-        debug_assert_eq!(self.entries, self.by_client.values().map(Vec::len).sum());
+        debug_assert_eq!(self.entries, self.by_client.iter().map(Vec::len).sum());
         self.entries
     }
 
@@ -376,6 +398,8 @@ impl Clone for ClientPortTable {
             by_port: self.by_port.clone(),
             by_client: self.by_client.clone(),
             last_refresh: self.last_refresh.clone(),
+            clients: self.clients,
+            stamped: self.stamped,
             entries: self.entries,
             min_refresh: self.min_refresh,
             scratch: Vec::new(),
@@ -388,63 +412,13 @@ impl Clone for ClientPortTable {
     }
 }
 
-/// The original `BTreeMap`/`BTreeSet` port table, kept purely as the
-/// measurement baseline for the hash-map rewrite (see the
-/// `port_table_scale` group in `benches/protocol_micro.rs`). Not used
-/// by the protocol.
-#[derive(Debug, Default, Clone)]
-pub struct BTreePortTable {
-    by_port: BTreeMap<u16, BTreeSet<Aid>>,
-    by_client: BTreeMap<Aid, Vec<u16>>,
-}
-
-impl BTreePortTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        BTreePortTable::default()
-    }
-
-    /// Replaces `client`'s port set with `ports` (delete then insert).
-    pub fn update_client(&mut self, client: Aid, ports: &[u16]) {
-        self.remove_client(client);
-        let mut stored: Vec<u16> = ports.to_vec();
-        stored.sort_unstable();
-        stored.dedup();
-        for &port in &stored {
-            self.by_port.entry(port).or_default().insert(client);
-        }
-        if !stored.is_empty() {
-            self.by_client.insert(client, stored);
-        }
-    }
-
-    /// Removes every entry for `client`.
-    pub fn remove_client(&mut self, client: Aid) {
-        let Some(old_ports) = self.by_client.remove(&client) else {
-            return;
-        };
-        for port in old_ports {
-            if let Entry::Occupied(mut entry) = self.by_port.entry(port) {
-                entry.get_mut().remove(&client);
-                if entry.get().is_empty() {
-                    entry.remove();
-                }
-            }
-        }
-    }
-
-    /// The clients listening on `port`, sorted by AID.
-    pub fn clients_for_port(&self, port: u16) -> Vec<Aid> {
-        self.by_port
-            .get(&port)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hide_wifi::mac::MAX_AID;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn aid(v: u16) -> Aid {
         Aid::new(v).unwrap()
@@ -685,35 +659,164 @@ mod tests {
         assert_eq!(table.client_count(), 0);
     }
 
-    #[test]
-    fn hash_table_agrees_with_btree_baseline() {
-        let mut fast = ClientPortTable::new();
-        let mut slow = BTreePortTable::new();
-        // Deterministic pseudo-random workload over both tables.
-        let mut state = 0x1234_5678_u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u16
-        };
-        for round in 0..500 {
-            let client = aid(next() % 100 + 1);
-            if round % 7 == 6 {
-                fast.remove_client(client);
-                slow.remove_client(client);
-            } else {
-                let ports: Vec<u16> = (0..(next() % 8)).map(|_| next() % 50 + 1).collect();
-                fast.update_client(client, &ports);
-                slow.update_client(client, &ports);
+    /// The table's contract written with ordered maps and no fast
+    /// paths: the oracle the hash/column table is checked against.
+    #[derive(Debug, Default)]
+    struct BTreePortTable {
+        by_port: BTreeMap<u16, BTreeSet<Aid>>,
+        by_client: BTreeMap<Aid, Vec<u16>>,
+        last_refresh: BTreeMap<Aid, f64>,
+        counts: TableOpCounts,
+    }
+
+    impl BTreePortTable {
+        fn update_client(&mut self, client: Aid, ports: &[u16]) {
+            self.remove_client(client);
+            let mut stored = ports.to_vec();
+            stored.sort_unstable();
+            stored.dedup();
+            for &port in &stored {
+                self.by_port.entry(port).or_default().insert(client);
+            }
+            self.counts.inserts += stored.len() as u64;
+            if !stored.is_empty() {
+                self.by_client.insert(client, stored);
             }
         }
-        for port in 1..=50u16 {
-            assert_eq!(
-                fast.clients_for_port(port),
-                slow.clients_for_port(port),
-                "port {port} diverged"
-            );
+
+        fn update_client_at(&mut self, client: Aid, ports: &[u16], now: f64) {
+            self.update_client(client, ports);
+            if self.by_client.contains_key(&client) {
+                self.last_refresh.insert(client, now);
+            }
+        }
+
+        fn remove_client(&mut self, client: Aid) {
+            self.last_refresh.remove(&client);
+            let Some(old_ports) = self.by_client.remove(&client) else {
+                return;
+            };
+            self.counts.deletes += old_ports.len() as u64;
+            for port in old_ports {
+                let set = self.by_port.get_mut(&port).expect("posted port");
+                set.remove(&client);
+                if set.is_empty() {
+                    self.by_port.remove(&port);
+                }
+            }
+        }
+
+        fn expire_stale(&mut self, cutoff: f64) -> ExpiryReport {
+            let clients: Vec<Aid> = self
+                .last_refresh
+                .iter()
+                .filter(|&(_, &at)| at < cutoff)
+                .map(|(&client, _)| client)
+                .collect();
+            let entries_removed = clients.iter().map(|c| self.by_client[c].len() as u64).sum();
+            for &client in &clients {
+                self.remove_client(client);
+            }
+            ExpiryReport {
+                clients,
+                entries_removed,
+            }
+        }
+
+        fn client_listens_on(&mut self, client: Aid, port: u16) -> bool {
+            self.counts.lookups += 1;
+            match self.by_port.get(&port) {
+                Some(set) => {
+                    self.counts.lookup_hits += 1;
+                    set.contains(&client)
+                }
+                None => {
+                    self.counts.lookup_misses += 1;
+                    false
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Random refreshes (timed, untimed, unchanged and changed
+        /// sets), removals, lookups and expiries over the whole AID
+        /// space leave the table observably equal to the oracle after
+        /// every call.
+        #[test]
+        fn agrees_with_btree_oracle(
+            ops in vec(
+                (
+                    0u8..6,
+                    (0u8..4, 1u16..=MAX_AID)
+                        .prop_map(|(k, v)| if k == 0 { v } else { v % 12 + 1 }),
+                    vec(1u16..40, 0..6),
+                    0u16..60,
+                ),
+                1..120,
+            ),
+        ) {
+            let mut table = ClientPortTable::new();
+            let mut oracle = BTreePortTable::default();
+            let mut seen = BTreeSet::new();
+            for (kind, v, ports, t) in ops {
+                let client = aid(v);
+                seen.insert(client);
+                let at = f64::from(t);
+                // Kinds 2 and 3 re-send the stored set, out of order and
+                // with a duplicate, to take the unchanged-set fast path.
+                let mut same = oracle.by_client.get(&client).cloned().unwrap_or_default();
+                same.reverse();
+                same.extend(same.first().copied());
+                match kind {
+                    0 => {
+                        table.update_client(client, &ports);
+                        oracle.update_client(client, &ports);
+                    }
+                    1 => {
+                        table.update_client_at(client, &ports, at);
+                        oracle.update_client_at(client, &ports, at);
+                    }
+                    2 => {
+                        table.update_client_at(client, &same, at);
+                        oracle.update_client_at(client, &same, at);
+                    }
+                    3 => {
+                        table.update_client(client, &same);
+                        oracle.update_client(client, &same);
+                    }
+                    4 => {
+                        table.remove_client(client);
+                        oracle.remove_client(client);
+                        let port = ports.first().copied().unwrap_or(1);
+                        prop_assert_eq!(
+                            table.client_listens_on(client, port),
+                            oracle.client_listens_on(client, port)
+                        );
+                    }
+                    _ => prop_assert_eq!(table.expire_stale(at), oracle.expire_stale(at)),
+                }
+                for port in 1u16..40 {
+                    let want: Vec<Aid> = oracle
+                        .by_port
+                        .get(&port)
+                        .map(|set| set.iter().copied().collect())
+                        .unwrap_or_default();
+                    prop_assert_eq!(table.raw_postings(port).unwrap_or(&[]), want.as_slice());
+                }
+                for &c in &seen {
+                    let want = oracle.by_client.get(&c).map_or(&[][..], Vec::as_slice);
+                    prop_assert_eq!(table.ports_of(c), want);
+                    prop_assert_eq!(table.last_refresh_of(c), oracle.last_refresh.get(&c).copied());
+                }
+                let aids: Vec<Aid> = oracle.by_client.keys().copied().collect();
+                prop_assert_eq!(table.client_aids(), aids);
+                prop_assert_eq!(table.client_count(), oracle.by_client.len());
+                prop_assert_eq!(table.port_count(), oracle.by_port.len());
+                let entries: usize = oracle.by_client.values().map(Vec::len).sum();
+                prop_assert_eq!(table.entry_count(), entries);
+                prop_assert_eq!(table.op_counts(), oracle.counts);
+            }
         }
     }
 }

@@ -351,6 +351,49 @@ mod tests {
         ap
     }
 
+    /// Clients associated out of MAC order, so AID order (station 9
+    /// holds AID 5, station 7 AID 7) is not MAC order.
+    fn unsorted_ap() -> AccessPoint {
+        let mut ap = AccessPoint::with_aid_range(MacAddr::station(0), 5, 25).unwrap();
+        let (s9, s3, s7) = (
+            MacAddr::station(9),
+            MacAddr::station(3),
+            MacAddr::station(7),
+        );
+        for mac in [s9, s3, s7] {
+            ap.associate(mac).unwrap();
+        }
+        ap.disassociate(s3).unwrap();
+        let msg = UdpPortMessage::new(s9, ap.bssid(), [5353u16, 1900]).unwrap();
+        ap.process_port_message(&msg, &mut ApCtx::at(2.5)).unwrap();
+        let msg = UdpPortMessage::new(s7, ap.bssid(), [80u16]).unwrap();
+        ap.process_port_message(&msg, &mut ApCtx::untimed())
+            .unwrap();
+        ap.buffer_unicast(s9).unwrap();
+        ap
+    }
+
+    #[test]
+    fn encoding_is_pinned_where_aid_order_is_not_mac_order() {
+        let bytes = unsorted_ap().snapshot().to_bytes();
+        let expected = "hide-apsnap/1\n\
+                        bssid 020000000000\n\
+                        ssid 686964652d6e6574\n\
+                        dtim_period 1\n\
+                        aid_range 5 25\n\
+                        next_fresh 8\n\
+                        freed 6\n\
+                        port_messages 2\n\
+                        clients 2\n\
+                        c 020000000007 7 1 0\n\
+                        c 020000000009 5 1 1\n\
+                        entries 2\n\
+                        e 5 2.5 1900 5353\n\
+                        e 7 - 80\n\
+                        end\n";
+        assert_eq!(String::from_utf8(bytes).unwrap(), expected);
+    }
+
     #[test]
     fn snapshot_roundtrips_through_bytes() {
         let snap = populated_ap().snapshot();
@@ -422,5 +465,16 @@ mod tests {
         let mut orphan_entry = base;
         orphan_entry.port_entries[0].aid = 19;
         assert!(AccessPoint::from_snapshot(&orphan_entry).is_err());
+
+        // Entry AIDs on either side of the 5..=25 range are errors, not
+        // out-of-range indexing.
+        for aid in [4u16, 26] {
+            let mut outside = unsorted_ap().snapshot();
+            outside.port_entries[0].aid = aid;
+            assert!(matches!(
+                AccessPoint::from_snapshot(&outside),
+                Err(CoreError::Snapshot(m)) if m == format!("port entry for unassociated AID {aid}")
+            ));
+        }
     }
 }

@@ -2,17 +2,19 @@
 //! population, a streaming broadcast source, and the DTIM delivery
 //! loop.
 //!
-//! The engine keeps **two** port tables: the AP's real
-//! [`ClientPortTable`] (updated only by UDP Port Messages that actually
-//! arrive, aged by the stale timeout) and a *ground-truth* table of
-//! what each client really listens on right now. At every DTIM the two
-//! are compared per suspended HIDE client: flagged-and-useful is a
-//! proper wakeup, useful-but-unflagged is a **missed wakeup** (a lost
-//! or expired refresh hid traffic the client wanted), and
-//! flagged-but-useless is a **spurious wakeup** (the AP woke the client
-//! on stale interests). With zero refresh loss the two tables are
-//! updated atomically at the same events, so both failure counts are
-//! provably zero — the invariant the tier-1 tests pin down.
+//! The engine compares two views of every client's ports: the AP's
+//! real [`ClientPortTable`](hide_core::ap::ClientPortTable) (updated
+//! only by UDP Port Messages that actually arrive, aged by the stale
+//! timeout) and the *ground truth* of what the client listens on right
+//! now, a `u64` mask over the scenario's sorted port universe kept in
+//! its slot. At every DTIM the two are compared per suspended HIDE
+//! client: flagged-and-useful is a proper wakeup, useful-but-unflagged
+//! is a **missed wakeup** (a lost or expired refresh hid traffic the
+//! client wanted), and flagged-but-useless is a **spurious wakeup**
+//! (the AP woke the client on stale interests). With zero refresh loss
+//! every re-sample of a slot's ports reaches the AP in the same event,
+//! so both failure counts are provably zero — the invariant the tier-1
+//! tests pin down.
 //!
 //! # Hot-path layout
 //!
@@ -21,12 +23,13 @@
 //! (`Clients`): the sweep touches only the three hot columns (AID,
 //! suspended, HIDE flag) as dense parallel vectors instead of striding
 //! over per-client RNG state and port lists. Wake flags are computed
-//! **batched** before the sweep — one sorted-postings scan per burst
-//! port scatters "first flagged/useful port" marks onto client slots
-//! (the same postings idiom the port table itself uses) — and the
-//! `τ_lp` lookup tallies of the per-client short-circuit scan this
-//! replaced are reconstructed exactly from a presence prefix-sum, so
-//! the metrics artifact is unchanged byte-for-byte. Energy charges go
+//! **batched** before the sweep: one sorted-postings scan per burst
+//! port scatters "first flagged port" marks onto client slots (the
+//! same postings idiom the port table itself uses), and a slot's first
+//! useful port is the lowest bit its port mask shares with the
+//! burst's. The `τ_lp` lookup tallies of the per-client short-circuit
+//! scan this replaced are reconstructed exactly from a presence
+//! prefix-sum, so the metrics artifact is unchanged byte-for-byte. Energy charges go
 //! to dense per-AID lanes and materialize into the sorted
 //! [`AttributionLedger`] once, at the end of the run.
 //!
@@ -44,7 +47,7 @@ use crate::error::FleetError;
 use crate::fleet::FleetConfig;
 use crate::kernel::{derive_seed, EventQueue};
 use crate::profile::FleetStage;
-use hide_core::ap::{AccessPoint, ApCtx, ClientPortTable};
+use hide_core::ap::{AccessPoint, ApCtx};
 use hide_core::error::CoreError;
 use hide_energy::attribution::{joules_to_nj, AttributionLedger, ClientEnergy, WakePricing};
 use hide_obs::{
@@ -170,8 +173,12 @@ enum Event {
 struct Clients {
     macs: Vec<MacAddr>,
     hide: Vec<bool>,
-    /// Ground-truth listened-on ports right now.
+    /// Ground-truth listened-on ports right now, in draw order (the
+    /// order the UDP Port Message lists them).
     ports: Vec<Vec<u16>>,
+    /// The same ports as a mask over the engine's port universe: bit
+    /// `u` is set when the client listens on `port_universe[u]`.
+    port_masks: Vec<u64>,
     /// Assigned AID while associated.
     aids: Vec<Option<Aid>>,
     /// Bumped on every leave; events carrying an older epoch are stale
@@ -206,6 +213,7 @@ impl Clients {
             macs: Vec::with_capacity(n),
             hide: Vec::with_capacity(n),
             ports: Vec::with_capacity(n),
+            port_masks: Vec::with_capacity(n),
             aids: Vec::with_capacity(n),
             epochs: Vec::with_capacity(n),
             suspended: Vec::with_capacity(n),
@@ -217,10 +225,11 @@ impl Clients {
         }
     }
 
-    fn push(&mut self, mac: MacAddr, hide: bool, ports: Vec<u16>, rng: StdRng) {
+    fn push(&mut self, mac: MacAddr, hide: bool, (ports, mask): (Vec<u16>, u64), rng: StdRng) {
         self.macs.push(mac);
         self.hide.push(hide);
         self.ports.push(ports);
+        self.port_masks.push(mask);
         self.aids.push(None);
         self.epochs.push(0);
         self.suspended.push(false);
@@ -243,17 +252,42 @@ fn exp(rng: &mut StdRng, mean: f64) -> f64 {
 }
 
 /// Samples `k` distinct ports from the scenario's (deduplicated,
-/// sorted) port universe.
-fn sample_ports(rng: &mut StdRng, universe: &[u16], k: usize) -> Vec<u16> {
+/// sorted) port universe, which holds at most 64 ports: the ports in
+/// draw order, and their mask over the universe.
+fn sample_ports(rng: &mut StdRng, universe: &[u16], k: usize) -> (Vec<u16>, u64) {
     let k = k.min(universe.len());
     let mut chosen: Vec<u16> = Vec::with_capacity(k);
+    let mut mask = 0u64;
     while chosen.len() < k {
-        let p = universe[rng.gen_range(0..universe.len())];
-        if !chosen.contains(&p) {
-            chosen.push(p);
+        let u = rng.gen_range(0..universe.len());
+        if mask & (1 << u) == 0 {
+            mask |= 1 << u;
+            chosen.push(universe[u]);
         }
     }
-    chosen
+    (chosen, mask)
+}
+
+/// Marks a burst on the port universe (both sorted ascending): bit `u`
+/// of the returned mask is set when `universe[u]` is a burst port, and
+/// then `burst_pos[u]` is its index in `burst`.
+fn burst_mask(universe: &[u16], burst: &[u16], burst_pos: &mut [u32]) -> u64 {
+    let mut mask = 0u64;
+    for (j, p) in burst.iter().enumerate() {
+        if let Ok(u) = universe.binary_search(p) {
+            mask |= 1 << u;
+            burst_pos[u] = j as u32;
+        }
+    }
+    mask
+}
+
+/// Index in the burst-port list of the first burst port a client with
+/// `port_mask` listens on. Both lists ascend, so the lowest common
+/// universe bit is the lowest burst index.
+fn first_useful(port_mask: u64, burst_mask: u64, burst_pos: &[u32]) -> Option<u32> {
+    let common = port_mask & burst_mask;
+    (common != 0).then(|| burst_pos[common.trailing_zeros() as usize])
 }
 
 /// Metrics counter for a missed wakeup with the given cause.
@@ -281,8 +315,6 @@ struct Engine<'a> {
     cfg: &'a FleetConfig,
     bssid: MacAddr,
     ap: AccessPoint,
-    /// Ground truth of every associated client's current ports.
-    truth: ClientPortTable,
     clients: Clients,
     /// AID value → client slot currently holding it ([`NO_SLOT`] when
     /// free). Inverse of `clients.aids`, maintained at join/leave, so
@@ -297,6 +329,9 @@ struct Engine<'a> {
     buffered: Vec<(u64, TraceFrame)>,
     next_frame_id: u64,
     port_universe: Vec<u16>,
+    /// Per-DTIM scratch for [`burst_mask`]: universe index → burst
+    /// index, valid at the bits of the current burst's mask.
+    burst_pos: Vec<u32>,
     report: BssReport,
     /// Dense per-AID energy lanes plus touched marks, grown on first
     /// charge; materialized into `report.attribution` at the end of
@@ -306,10 +341,8 @@ struct Engine<'a> {
     lane_touched: Vec<bool>,
     /// Per-DTIM scratch, reused across boundaries: for each client
     /// slot, the index into the sorted burst-port list of the first
-    /// port the AP flags it on / the first port it truly listens on
-    /// ([`NO_PORT_IDX`] when none).
+    /// port the AP flags it on ([`NO_PORT_IDX`] when none).
     flagged_first: Vec<u32>,
-    useful_first: Vec<u32>,
     /// Per-DTIM scratch: `present_prefix[j]` = how many of the first
     /// `j` burst ports exist in the AP table — the prefix-sum that
     /// reconstructs exact `τ_lp` hit/miss tallies for the batched
@@ -394,19 +427,18 @@ impl<'a> Engine<'a> {
             cfg,
             bssid,
             ap,
-            truth: ClientPortTable::new(),
             clients,
             aid_slot: vec![NO_SLOT; MAX_AID as usize + 1],
             queue,
             stream,
             buffered: Vec::new(),
             next_frame_id: 1,
+            burst_pos: vec![0; port_universe.len()],
             port_universe,
             report: BssReport::default(),
             lanes: Vec::new(),
             lane_touched: Vec::new(),
             flagged_first: Vec::new(),
-            useful_first: Vec::new(),
             present_prefix: Vec::new(),
             pricing,
             source: bss_index as u32,
@@ -477,12 +509,11 @@ impl<'a> Engine<'a> {
     ) -> Result<(), FleetError> {
         let churn = &self.cfg.churn;
         if churn.port_churn > 0.0 && self.clients.rngs[i].gen_bool(churn.port_churn) {
-            self.clients.ports[i] = sample_ports(
+            (self.clients.ports[i], self.clients.port_masks[i]) = sample_ports(
                 &mut self.clients.rngs[i],
                 &self.port_universe,
                 churn.ports_per_client,
             );
-            self.truth.update_client(aid, &self.clients.ports[i]);
             self.clients.msgs[i] = None;
             self.clients.churned_since_sync[i] = true;
             self.clients.last_desync[i] = Some(WakeCause::PortChurn);
@@ -560,7 +591,6 @@ impl<'a> Engine<'a> {
         self.clients.last_desync[i] = None;
         self.clients.churned_since_sync[i] = false;
         self.report.associations += 1;
-        self.truth.update_client(aid, &self.clients.ports[i]);
         if trace.is_enabled() {
             trace.emit(
                 now,
@@ -607,7 +637,6 @@ impl<'a> Engine<'a> {
         }
         self.settle_beacons(i, aid);
         self.associated -= 1;
-        self.truth.remove_client(aid);
         let notice = Disassociation::new(
             self.clients.macs[i],
             self.bssid,
@@ -750,14 +779,14 @@ impl<'a> Engine<'a> {
         let m = ports.len();
 
         // Batched flag pass: one postings scan per burst port scatters
-        // "first flagged/useful port index" marks onto client slots —
-        // the work the sweep below would otherwise redo as a per-client
-        // × per-port lookup matrix.
+        // "first flagged port index" marks onto client slots — the work
+        // the sweep below would otherwise redo as a per-client × per-port
+        // lookup matrix. Ground truth needs no scan: a slot's first
+        // useful port is `first_useful` of its mask.
         let n = self.clients.len();
+        let burst = burst_mask(&self.port_universe, &ports, &mut self.burst_pos);
         self.flagged_first.clear();
         self.flagged_first.resize(n, NO_PORT_IDX);
-        self.useful_first.clear();
-        self.useful_first.resize(n, NO_PORT_IDX);
         self.present_prefix.clear();
         self.present_prefix.push(0);
         for (j, &p) in ports.iter().enumerate() {
@@ -769,14 +798,6 @@ impl<'a> Engine<'a> {
                     let slot = self.aid_slot[a.value() as usize];
                     if slot != NO_SLOT && self.flagged_first[slot as usize] == NO_PORT_IDX {
                         self.flagged_first[slot as usize] = j as u32;
-                    }
-                }
-            }
-            if let Some(postings) = self.truth.raw_postings(p) {
-                for &a in postings {
-                    let slot = self.aid_slot[a.value() as usize];
-                    if slot != NO_SLOT && self.useful_first[slot as usize] == NO_PORT_IDX {
-                        self.useful_first[slot as usize] = j as u32;
                     }
                 }
             }
@@ -798,6 +819,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             suspended += 1;
+            let useful_j = first_useful(self.clients.port_masks[i], burst, &self.burst_pos);
             if !self.clients.hide[i] {
                 // A scheduled-wake client wakes only inside its service
                 // window; an out-of-window useful burst is deferred to
@@ -825,7 +847,7 @@ impl<'a> Engine<'a> {
                             },
                         );
                     }
-                } else if self.useful_first[i] != NO_PORT_IDX {
+                } else if useful_j.is_some() {
                     self.report.deferred_wakeups += 1;
                     rec.incr(Counter::FleetDeferredWakeups);
                 }
@@ -846,8 +868,7 @@ impl<'a> Engine<'a> {
                 lp_hits += self.present_prefix[m] as u64;
                 None
             };
-            let uj = self.useful_first[i];
-            let useful_port = (uj != NO_PORT_IDX).then(|| ports[uj as usize]);
+            let useful_port = useful_j.map(|j| ports[j as usize]);
             let useful = useful_port.is_some();
             if useful {
                 self.report.useful_opportunities += 1;
@@ -1089,15 +1110,55 @@ pub(crate) mod tests {
     fn sample_ports_distinct_and_bounded() {
         let mut rng = StdRng::seed_from_u64(3);
         let universe = [80u16, 443, 1900, 5353, 17500];
-        let got = sample_ports(&mut rng, &universe, 3);
+        let (got, mask) = sample_ports(&mut rng, &universe, 3);
         assert_eq!(got.len(), 3);
         let mut dedup = got.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 3);
+        // The mask marks exactly the chosen ports.
+        let marked: Vec<u16> = (0..universe.len())
+            .filter(|&u| mask & (1 << u) != 0)
+            .map(|u| universe[u])
+            .collect();
+        assert_eq!(marked, dedup);
         // Requesting more than the universe clamps.
-        let all = sample_ports(&mut rng, &universe, 99);
+        let (all, mask) = sample_ports(&mut rng, &universe, 99);
         assert_eq!(all.len(), universe.len());
+        assert_eq!(mask, 0b11111);
+    }
+
+    #[test]
+    fn every_scenario_port_universe_fits_the_mask() {
+        // A shift by 64 or more would wrap in release builds and mark
+        // the wrong port, so each universe must fit in a `u64`.
+        for scenario in hide_traces::scenario::Scenario::ALL {
+            let mut universe = scenario.params().port_mix.ports();
+            universe.sort_unstable();
+            universe.dedup();
+            assert!(
+                universe.len() <= u64::BITS as usize,
+                "{scenario:?} has {} ports",
+                universe.len()
+            );
+        }
+    }
+
+    #[test]
+    fn first_useful_port_is_the_lowest_burst_index() {
+        let universe = [53u16, 80, 137, 1900, 5353, 17500];
+        // 9999 is outside the universe: no client listens on it, but it
+        // still takes a burst index.
+        let burst = [80u16, 1900, 5353, 9999, 17500];
+        let mut pos = vec![0; universe.len()];
+        let mask = burst_mask(&universe, &burst, &mut pos);
+        assert_eq!(mask, 0b111010);
+        // Listening on 5353, 17500 and 1900 (and 53, not in the burst):
+        // 1900 is the lowest burst index, 1.
+        let client = (1 << 4) | (1 << 5) | (1 << 3) | 1;
+        assert_eq!(first_useful(client, mask, &pos), Some(1));
+        assert_eq!(first_useful(1 << 5, mask, &pos), Some(4));
+        assert_eq!(first_useful(1 | (1 << 2), mask, &pos), None);
     }
 
     #[test]

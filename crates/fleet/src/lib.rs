@@ -20,8 +20,9 @@
 //!   processes, plus refresh period, loss, port churn, and the AP's
 //!   stale timeout.
 //! * [`bss`] — one BSS under the kernel: a real
-//!   [`AccessPoint`](hide_core::ap::AccessPoint), a ground-truth port
-//!   table for wakeup classification, and a *streaming* broadcast
+//!   [`AccessPoint`](hide_core::ap::AccessPoint), each client's true
+//!   ports as a bit mask over the scenario's port universe for wakeup
+//!   classification, and a *streaming* broadcast
 //!   source ([`hide_traces::stream::FrameStream`]) so the trace is
 //!   never materialized. The engine works per event, not per client
 //!   per DTIM: beacons are charged once per presence segment as

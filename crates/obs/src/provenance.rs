@@ -6,7 +6,7 @@
 //! lane, same AID) to the nearest de-synchronizing event — a lost UDP
 //! Port Message refresh, a staleness expiry, or a port-churn race — and
 //! stops at the nearest *synchronizing* event (an applied refresh or a
-//! join), beyond which the AP and ground-truth tables agreed and no
+//! join), beyond which the AP table and ground truth agreed and no
 //! earlier event can be the cause.
 //!
 //! The fleet engine performs the same attribution online (it is O(1)

@@ -101,7 +101,7 @@ pub enum TraceEventKind {
         port: u16,
         /// Id of the first buffered frame on that port (0 when none).
         frame_id: u64,
-        /// Classification against the ground-truth table.
+        /// Classification against the client's true ports.
         class: WakeClass,
         /// Causal attribution (online; cross-checked by the analyzer).
         cause: WakeCause,
