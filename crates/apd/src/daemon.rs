@@ -50,11 +50,25 @@ pub struct DaemonStats {
     pub parse_errors: u64,
     /// Broadcast data frames dropped by backpressure.
     pub dropped_backpressure: u64,
-    /// Totals accumulated across all shards.
+    /// Totals accumulated across all shards. Its `ignored_frames` also
+    /// counts, once each, the frames of kinds no AP consumes, which
+    /// the router queues on no shard.
     pub shards: ShardStats,
 }
 
 impl DaemonStats {
+    /// The router's totals, before any shard's are merged in.
+    fn from_router(counters: &RouterCounters) -> Self {
+        let mut stats = DaemonStats {
+            frames_received: counters.frames_received.load(Ordering::Relaxed),
+            parse_errors: counters.parse_errors.load(Ordering::Relaxed),
+            dropped_backpressure: counters.dropped_backpressure.load(Ordering::Relaxed),
+            ..DaemonStats::default()
+        };
+        stats.shards.ignored_frames = counters.ignored_frames.load(Ordering::Relaxed);
+        stats
+    }
+
     /// Renders the stats as the control protocol's `key=value` line.
     #[must_use]
     pub fn to_line(&self) -> String {
@@ -113,12 +127,7 @@ impl ControlPlane {
     }
 
     fn gather_stats(&self) -> Result<DaemonStats, ApdError> {
-        let mut stats = DaemonStats {
-            frames_received: self.counters.frames_received.load(Ordering::Relaxed),
-            parse_errors: self.counters.parse_errors.load(Ordering::Relaxed),
-            dropped_backpressure: self.counters.dropped_backpressure.load(Ordering::Relaxed),
-            ..DaemonStats::default()
-        };
+        let mut stats = DaemonStats::from_router(&self.counters);
         for tx in &self.shard_txs {
             let (reply_tx, reply_rx) = channel();
             tx.send(ShardCmd::Stats(reply_tx))
@@ -538,16 +547,7 @@ impl DaemonHandle {
             let _ = handle.join();
         }
 
-        let mut stats = DaemonStats {
-            frames_received: self.plane.counters.frames_received.load(Ordering::Relaxed),
-            parse_errors: self.plane.counters.parse_errors.load(Ordering::Relaxed),
-            dropped_backpressure: self
-                .plane
-                .counters
-                .dropped_backpressure
-                .load(Ordering::Relaxed),
-            ..DaemonStats::default()
-        };
+        let mut stats = DaemonStats::from_router(&self.plane.counters);
         let mut snapshots = Vec::with_capacity(self.shards.len());
         let mut recorder = Recorder::new();
         for (tx, handle) in self.plane.shard_txs.iter().zip(self.shards.drain(..)) {
@@ -650,6 +650,9 @@ fn route_loop<R: SpanSink<RtStage>>(
                     let _ = tx.send(ShardCmd::Frame(frame.clone(), from));
                 }
             }
+            Route::Ignored => {
+                counters.ignored_frames.fetch_add(1, Ordering::Relaxed);
+            }
         }
         runtime.finish(RtStage::Route, route_timer);
     }
@@ -658,6 +661,8 @@ fn route_loop<R: SpanSink<RtStage>>(
 enum Route {
     Client(MacAddr),
     AllShards,
+    /// A kind no AP consumes: counted once here, queued on no shard.
+    Ignored,
 }
 
 /// Which client address (and therefore shard) a frame belongs to.
@@ -665,12 +670,12 @@ fn route_mac(frame: &AnyFrame) -> Route {
     match frame {
         AnyFrame::UdpPortMessage(msg) => Route::Client(msg.client()),
         AnyFrame::AssociationRequest(req) => Route::Client(req.client()),
-        AnyFrame::AssociationResponse(resp) => Route::Client(resp.client()),
         AnyFrame::Disassociation(notice) => Route::Client(notice.from()),
         AnyFrame::PsPoll(poll) => Route::Client(poll.transmitter()),
-        AnyFrame::Ack(ack) => Route::Client(ack.receiver()),
-        AnyFrame::Data(_) | AnyFrame::Beacon(_) => Route::AllShards,
-        _ => Route::AllShards,
+        AnyFrame::Data(_) => Route::AllShards,
+        // Beacons, ACKs and association responses are what an AP
+        // sends, not what it handles.
+        _ => Route::Ignored,
     }
 }
 

@@ -58,7 +58,10 @@ pub struct ShardStats {
     pub entries_expired: u64,
     /// Frames that addressed a client this shard does not know.
     pub unknown_clients: u64,
-    /// Frames of types an AP does not consume (beacons, ACKs).
+    /// Frames of types an AP does not consume (beacons, ACKs). The
+    /// router keeps them off the shards and counts them itself, so a
+    /// shard's own count stays 0; [`crate::DaemonStats`] adds the
+    /// router's count to the shards' total.
     pub ignored_frames: u64,
     /// Currently associated clients.
     pub clients: u64,
@@ -238,9 +241,7 @@ impl<R: SpanSink<RtStage>> Shard<R> {
                     stats.unknown_clients += 1;
                 }
             }
-            AnyFrame::Beacon(_) | AnyFrame::Ack(_) | AnyFrame::AssociationResponse(_) => {
-                stats.ignored_frames += 1;
-            }
+            // The router queues no other kind on a shard.
             _ => stats.ignored_frames += 1,
         }
     }

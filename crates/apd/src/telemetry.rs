@@ -93,6 +93,9 @@ pub(crate) struct RouterCounters {
     pub frames_received: AtomicU64,
     pub parse_errors: AtomicU64,
     pub dropped_backpressure: AtomicU64,
+    /// Frames of kinds no AP consumes (beacons, ACKs, association
+    /// responses), which reach no shard.
+    pub ignored_frames: AtomicU64,
 }
 
 /// Everything the health/exposition renderers and the watchdog share.

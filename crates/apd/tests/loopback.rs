@@ -7,7 +7,7 @@ use hide_apd::ctrl::{CtrlRequest, CtrlResponse};
 use hide_apd::{ApdConfig, ApdSnapshot, DaemonHandle};
 use hide_core::ap::{AccessPoint, ApCtx};
 use hide_wifi::assoc::{AssociationRequest, Disassociation};
-use hide_wifi::frame::{AnyFrame, BroadcastDataFrame, UdpPortMessage};
+use hide_wifi::frame::{Ack, AnyFrame, Beacon, BroadcastDataFrame, UdpPortMessage};
 use hide_wifi::mac::MacAddr;
 use hide_wifi::udp::UdpDatagram;
 use std::net::UdpSocket;
@@ -274,6 +274,38 @@ fn backpressure_drops_data_not_management() {
         stats.dropped_backpressure
     );
     assert!(stats.shards.port_messages >= 1);
+    handle.shutdown().unwrap();
+}
+
+/// Frame kinds no AP consumes are counted once, by the router, and
+/// queued on no shard: one Beacon and one ACK read `ignored_frames=2`
+/// in a 2-shard daemon's `stats` line, not one count per shard that
+/// saw them.
+#[test]
+fn unconsumed_frames_are_ignored_once() {
+    let handle = DaemonHandle::spawn(ApdConfig::new().shards(2)).unwrap();
+    let socket = client_socket(handle.data_addr());
+    let bssid = MacAddr::station(0);
+    socket
+        .send(&Beacon::builder(bssid).dtim(0, 1).build().to_bytes())
+        .unwrap();
+    socket
+        .send(&Ack::new(MacAddr::station(1)).to_bytes())
+        .unwrap();
+    // The router handles datagrams in order, and each shard serves
+    // `stats` after the frames queued before it, so once this
+    // exchange completes both frames are fully counted.
+    let req = AssociationRequest::new(MacAddr::station(1), bssid, "hide");
+    socket.send(&req.to_bytes()).unwrap();
+    assert!(matches!(
+        recv_frame(&socket),
+        AnyFrame::AssociationResponse(_)
+    ));
+    let stats = handle.stats().unwrap();
+    let line = stats.to_line();
+    assert!(line.split(' ').any(|kv| kv == "ignored_frames=2"), "{line}");
+    assert_eq!(stats.frames_received, 3);
+    assert_eq!(stats.dropped_backpressure, 0);
     handle.shutdown().unwrap();
 }
 

@@ -18,30 +18,54 @@
 //!
 //! # Hot-path layout
 //!
-//! The DTIM sweep visits every client of the BSS at each DTIM with
-//! buffered traffic, so the population is stored **struct-of-arrays**
-//! (`Clients`): the sweep touches only the three hot columns (AID,
-//! suspended, HIDE flag) as dense parallel vectors instead of striding
-//! over per-client RNG state and port lists. Wake flags are computed
-//! **batched** before the sweep: one sorted-postings scan per burst
-//! port scatters "first flagged port" marks onto client slots (the
-//! same postings idiom the port table itself uses), and a slot's first
-//! useful port is the lowest bit its port mask shares with the
-//! burst's. The `τ_lp` lookup tallies of the per-client short-circuit
-//! scan this replaced are reconstructed exactly from a presence
-//! prefix-sum, so the metrics artifact is unchanged byte-for-byte. Energy charges go
-//! to dense per-AID lanes and materialize into the sorted
-//! [`AttributionLedger`] once, at the end of the run.
+//! A DTIM with buffered traffic visits only the client slots it
+//! charges. The population is stored **struct-of-arrays** (`Clients`),
+//! and the state the sweep reads is kept as `u64` bitsets over the
+//! slots (`SlotSet`): the suspended slots (associated and asleep), the
+//! HIDE slots, and one *listens on* set per port of the scenario's
+//! sorted port universe, the transpose of each slot's port mask. At a
+//! non-empty DTIM:
 //!
-//! Beacons are not charged per DTIM. A client hears one beacon per
-//! DTIM boundary while it is associated (a suspended scheduled-wake
-//! client only those inside its service window), so each client slot
-//! records where its current *beacon segment* started on a running
-//! DTIM count and settles `beacons × beacon_nj` into its lane when the
-//! segment ends: at leave, at a scheduled-wake suspend or resume, and
-//! at the end of the run. Integer adds commute, so every lane and
-//! total equals the per-DTIM charge's, and a DTIM with nothing
-//! buffered costs O(1) instead of a pass over the population.
+//! * flagged slots come from the AP's posting lists: one scan per burst
+//!   port marks each slot it flags with the first burst port it is
+//!   flagged on (the postings idiom the port table itself uses);
+//! * useful slots are the OR of the burst ports' *listens on* sets, and
+//!   a slot's first useful port is the lowest bit its port mask shares
+//!   with the burst's;
+//! * every pure count is a popcount over words: the receive-all
+//!   baseline's suspended count, the useful opportunities, the deferred
+//!   wakes of out-of-window scheduled clients, and the `τ_lp` lookup
+//!   tallies of unflagged suspended HIDE clients, each of which scanned
+//!   all m burst ports (count × m lookups, count × the present ports'
+//!   hits).
+//!
+//! The sweep then visits, in slot order, only the suspended slots that
+//! wake, miss or emit a traced `WakeDecision`. A flagged client's
+//! tallies (flagged at burst index j, it scanned j + 1 ports) come from
+//! a presence prefix-sum, so the per-client short-circuit scan this
+//! replaced is reconstructed exactly and the metrics artifact is
+//! unchanged byte for byte. Energy charges go to dense per-AID lanes
+//! and materialize into the sorted [`AttributionLedger`] once, at the
+//! end of the run.
+//!
+//! Beacons, and the bursts an awake radio hears, are not charged per
+//! DTIM. Each client slot records where its current segment started on
+//! a running clock and settles the difference into its lane when the
+//! segment ends, touching the lane only if there was anything to
+//! charge:
+//!
+//! * a *beacon segment* runs on the DTIM count (for a suspended
+//!   scheduled-wake client, the count of in-window DTIMs only) from
+//!   join to leave, broken at a scheduled-wake suspend or resume, and
+//!   settles `beacons × beacon_nj`;
+//! * an *awake segment* runs on the running sum of burst prices from
+//!   join or resume to suspend or leave, and settles the bursts
+//!   broadcast meanwhile.
+//!
+//! Both also settle at the end of the run. Integer adds commute, so
+//! every lane and total equals the per-DTIM charge's. A DTIM with
+//! nothing buffered costs O(1), and a non-empty one costs its postings
+//! plus the slots it visits plus a few word operations per burst port.
 
 use crate::error::FleetError;
 use crate::fleet::FleetConfig;
@@ -69,8 +93,14 @@ const SSID: &str = "hide-fleet";
 /// Sentinel in [`Engine::aid_slot`]: no client currently holds the AID.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Sentinel in the per-DTIM flag columns: no burst port matched.
-const NO_PORT_IDX: u32 = u32::MAX;
+/// Kernel lanes ([`EventQueue::schedule_in`]) for the three timer
+/// chains scheduled in time order: each DTIM schedules the next, each
+/// arrival the next frame of the time-ordered stream, and each refresh
+/// timer falls `refresh_interval_secs` after the event that schedules
+/// it, which pops no earlier than any event before it.
+const DTIM_LANE: usize = 0;
+const ARRIVAL_LANE: usize = 1;
+const REFRESH_LANE: usize = 2;
 
 /// Deterministic tallies from one BSS run. Aggregated across the fleet
 /// by field-wise addition ([`BssReport::merge_from`]).
@@ -165,27 +195,71 @@ enum Event {
     Resume { client: usize, epoch: u64 },
 }
 
+/// A set of client slots as a bitset: slot `i` is bit `i % 64` of
+/// word `i / 64`, so the DTIM sweep combines 64 slots per operation.
+#[derive(Debug, Clone)]
+struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    /// An empty set over `slots` slots.
+    fn new(slots: usize) -> Self {
+        SlotSet(vec![0; slots.div_ceil(64)])
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// The set bits of `word`, lowest first.
+#[inline]
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
 /// Live state of the client population, struct-of-arrays: one slot per
-/// client, parallel columns. The per-DTIM sweep reads only `aids`,
-/// `suspended` and `hide` — three dense vectors — while the cold
-/// columns (RNGs, port lists) stay out of its cache footprint.
+/// client, parallel columns. The per-DTIM sweep reads the bitsets
+/// (`suspended`, `hide`, `listens`) a word at a time, and touches the
+/// other columns only at the slots it visits.
 #[derive(Debug)]
 struct Clients {
     macs: Vec<MacAddr>,
-    hide: Vec<bool>,
+    /// Slots whose client runs HIDE.
+    hide: SlotSet,
     /// Ground-truth listened-on ports right now, in draw order (the
     /// order the UDP Port Message lists them).
     ports: Vec<Vec<u16>>,
     /// The same ports as a mask over the engine's port universe: bit
     /// `u` is set when the client listens on `port_universe[u]`.
     port_masks: Vec<u64>,
+    /// The masks transposed, all rows in one allocation: row `u`
+    /// (`listen_bit`) holds the slots whose mask has bit `u`.
+    listens: SlotSet,
     /// Assigned AID while associated.
     aids: Vec<Option<Aid>>,
     /// Bumped on every leave; events carrying an older epoch are stale
     /// and dropped, which cancels the previous presence period's timers
     /// without searching the queue.
     epochs: Vec<u64>,
-    suspended: Vec<bool>,
+    /// Associated slots whose client is suspended (cleared at leave).
+    suspended: SlotSet,
     /// The most recent event that de-synchronized the AP's view of this
     /// client from ground truth (lost refresh, expiry, churn); cleared
     /// whenever a refresh is applied or the client (re)joins. This is
@@ -204,40 +278,78 @@ struct Clients {
     /// ([`Engine::beacon_clock`]) when its current beacon segment
     /// started; the beacons heard since are the clock minus this.
     beacon_marks: Vec<u64>,
+    /// The reading of [`Engine::burst_clock`] when the slot's current
+    /// awake segment started; meaningful while it is associated and
+    /// awake.
+    burst_marks: Vec<u64>,
     rngs: Vec<StdRng>,
 }
 
 impl Clients {
-    fn with_capacity(n: usize) -> Self {
+    /// Room for `n` clients over a port universe of `universe` ports.
+    fn new(n: usize, universe: usize) -> Self {
         Clients {
             macs: Vec::with_capacity(n),
-            hide: Vec::with_capacity(n),
+            hide: SlotSet::new(n),
             ports: Vec::with_capacity(n),
             port_masks: Vec::with_capacity(n),
+            listens: SlotSet::new(universe * n.div_ceil(64) * 64),
             aids: Vec::with_capacity(n),
             epochs: Vec::with_capacity(n),
-            suspended: Vec::with_capacity(n),
+            suspended: SlotSet::new(n),
             last_desync: Vec::with_capacity(n),
             churned_since_sync: Vec::with_capacity(n),
             msgs: Vec::with_capacity(n),
             beacon_marks: Vec::with_capacity(n),
+            burst_marks: Vec::with_capacity(n),
             rngs: Vec::with_capacity(n),
         }
     }
 
     fn push(&mut self, mac: MacAddr, hide: bool, (ports, mask): (Vec<u16>, u64), rng: StdRng) {
+        let i = self.macs.len();
         self.macs.push(mac);
-        self.hide.push(hide);
+        if hide {
+            self.hide.insert(i);
+        }
+        for u in bits(mask) {
+            self.listens.insert(self.listen_bit(u, i));
+        }
         self.ports.push(ports);
         self.port_masks.push(mask);
         self.aids.push(None);
         self.epochs.push(0);
-        self.suspended.push(false);
         self.last_desync.push(None);
         self.churned_since_sync.push(false);
         self.msgs.push(None);
         self.beacon_marks.push(0);
+        self.burst_marks.push(0);
         self.rngs.push(rng);
+    }
+
+    /// Replaces slot `i`'s ports and moves it between the `listens`
+    /// rows to match the new mask.
+    fn set_ports(&mut self, i: usize, (ports, mask): (Vec<u16>, u64)) {
+        for u in bits(self.port_masks[i]) {
+            self.listens.remove(self.listen_bit(u, i));
+        }
+        for u in bits(mask) {
+            self.listens.insert(self.listen_bit(u, i));
+        }
+        self.ports[i] = ports;
+        self.port_masks[i] = mask;
+    }
+
+    /// Slot `i`'s bit in `listens`' row for universe port `u`: rows
+    /// are as many whole words as the other slot sets.
+    fn listen_bit(&self, u: usize, i: usize) -> usize {
+        u * self.hide.0.len() * 64 + i
+    }
+
+    /// Word `w` of `listens`' row for universe port `u`.
+    #[inline]
+    fn listeners(&self, u: usize, w: usize) -> u64 {
+        self.listens.0[u * self.hide.0.len() + w]
     }
 
     fn len(&self) -> usize {
@@ -329,6 +441,9 @@ struct Engine<'a> {
     buffered: Vec<(u64, TraceFrame)>,
     next_frame_id: u64,
     port_universe: Vec<u16>,
+    /// Per-DTIM scratch: the burst's distinct destination ports,
+    /// ascending.
+    burst_ports: Vec<u16>,
     /// Per-DTIM scratch for [`burst_mask`]: universe index → burst
     /// index, valid at the bits of the current burst's mask.
     burst_pos: Vec<u32>,
@@ -339,9 +454,11 @@ struct Engine<'a> {
     /// binary-search ledger insert per charge with an array write.
     lanes: Vec<ClientEnergy>,
     lane_touched: Vec<bool>,
-    /// Per-DTIM scratch, reused across boundaries: for each client
-    /// slot, the index into the sorted burst-port list of the first
-    /// port the AP flags it on ([`NO_PORT_IDX`] when none).
+    /// Per-DTIM scratch: the slots the AP flags for the burst.
+    flagged: SlotSet,
+    /// Per-DTIM scratch: for each slot in `flagged`, the index into
+    /// the sorted burst-port list of the first port the AP flags it
+    /// on.
     flagged_first: Vec<u32>,
     /// Per-DTIM scratch: `present_prefix[j]` = how many of the first
     /// `j` burst ports exist in the AP table — the prefix-sum that
@@ -368,6 +485,10 @@ struct Engine<'a> {
     window_dtims: u64,
     /// Clients associated right now.
     associated: u64,
+    /// Running sum of the burst prices of every DTIM with buffered
+    /// traffic so far, nanojoules: the clock an awake client's burst
+    /// charges settle against.
+    burst_clock: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -386,7 +507,7 @@ impl<'a> Engine<'a> {
         let churn = &cfg.churn;
         let mut queue = EventQueue::with_seed(derive_seed(seed, 3));
         let stagger = cfg.duration_secs.min(churn.mean_absent_secs);
-        let mut clients = Clients::with_capacity(specs.len());
+        let mut clients = Clients::new(specs.len(), port_universe.len());
         // Under non-HIDE policies every client associates legacy: no
         // port refreshes, no BTIM flags. The RNG draws are untouched
         // (the flag gates only protocol behavior), so a HIDE run's
@@ -417,9 +538,9 @@ impl<'a> Engine<'a> {
             derive_seed(seed, 2),
         );
         if let Some(frame) = stream.next() {
-            queue.schedule(frame.time, Event::Arrival(frame));
+            queue.schedule_in(ARRIVAL_LANE, frame.time, Event::Arrival(frame));
         }
-        queue.schedule(Self::dtim_interval(), Event::Dtim);
+        queue.schedule_in(DTIM_LANE, Self::dtim_interval(), Event::Dtim);
 
         let pricing = WakePricing::from_profile(&cfg.profile);
 
@@ -433,12 +554,14 @@ impl<'a> Engine<'a> {
             stream,
             buffered: Vec::new(),
             next_frame_id: 1,
+            burst_ports: Vec::new(),
             burst_pos: vec![0; port_universe.len()],
             port_universe,
             report: BssReport::default(),
             lanes: Vec::new(),
             lane_touched: Vec::new(),
-            flagged_first: Vec::new(),
+            flagged: SlotSet::new(specs.len()),
+            flagged_first: vec![0; specs.len()],
             present_prefix: Vec::new(),
             pricing,
             source: bss_index as u32,
@@ -449,6 +572,7 @@ impl<'a> Engine<'a> {
             dtims: 0,
             window_dtims: 0,
             associated: 0,
+            burst_clock: 0,
         }
     }
 
@@ -476,7 +600,7 @@ impl<'a> Engine<'a> {
     /// deep-sleeps through the beacons outside its service window.
     #[inline]
     fn beacon_clock(&self, i: usize) -> u64 {
-        if self.sched.is_some() && self.clients.suspended[i] {
+        if self.sched.is_some() && self.clients.suspended.contains(i) {
             self.window_dtims
         } else {
             self.dtims
@@ -495,6 +619,25 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Ends awake slot `i`'s awake segment: charges `aid`'s lane the
+    /// bursts broadcast since it started, touching the lane only if
+    /// there were any.
+    fn settle_bursts(&mut self, i: usize, aid: Aid) {
+        let heard = self.burst_clock - self.clients.burst_marks[i];
+        if heard > 0 {
+            self.lane(aid).burst_rx_nj += heard;
+        }
+    }
+
+    /// Ends every segment of associated slot `i` (at leave, and at the
+    /// end of the run).
+    fn settle(&mut self, i: usize, aid: Aid) {
+        self.settle_beacons(i, aid);
+        if !self.clients.suspended.contains(i) {
+            self.settle_bursts(i, aid);
+        }
+    }
+
     /// Transmits a UDP Port Message, possibly re-sampling ports (port
     /// churn, the only time ground truth moves while a client stays
     /// associated) and possibly losing the message on the way to the
@@ -509,11 +652,12 @@ impl<'a> Engine<'a> {
     ) -> Result<(), FleetError> {
         let churn = &self.cfg.churn;
         if churn.port_churn > 0.0 && self.clients.rngs[i].gen_bool(churn.port_churn) {
-            (self.clients.ports[i], self.clients.port_masks[i]) = sample_ports(
+            let ports = sample_ports(
                 &mut self.clients.rngs[i],
                 &self.port_universe,
                 churn.ports_per_client,
             );
+            self.clients.set_ports(i, ports);
             self.clients.msgs[i] = None;
             self.clients.churned_since_sync[i] = true;
             self.clients.last_desync[i] = Some(WakeCause::PortChurn);
@@ -570,7 +714,7 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         let mut request = AssociationRequest::new(self.clients.macs[i], self.bssid, SSID);
-        if self.clients.hide[i] {
+        if self.clients.hide.contains(i) {
             request = request.with_hide_support();
         }
         let response = self.ap.handle_association_request(&request);
@@ -583,8 +727,8 @@ impl<'a> Engine<'a> {
         };
         self.clients.aids[i] = Some(aid);
         self.aid_slot[aid.value() as usize] = i as u32;
-        self.clients.suspended[i] = false;
         self.clients.beacon_marks[i] = self.dtims;
+        self.clients.burst_marks[i] = self.burst_clock;
         self.associated += 1;
         // A (re)join is a provenance sync point: the AP starts from a
         // clean slate for this AID.
@@ -596,18 +740,19 @@ impl<'a> Engine<'a> {
                 now,
                 TraceEventKind::Join {
                     aid: aid.value(),
-                    hide: self.clients.hide[i],
+                    hide: self.clients.hide.contains(i),
                 },
             );
         }
 
         let active_dwell = exp(&mut self.clients.rngs[i], churn.mean_active_secs);
         let present_dwell = exp(&mut self.clients.rngs[i], churn.mean_present_secs);
-        if self.clients.hide[i] {
+        if self.clients.hide.contains(i) {
             // First refresh rides along with association, so a loss-free
             // run never has an associated-but-unknown HIDE client.
             self.refresh(i, aid, now, trace)?;
-            self.queue.schedule(
+            self.queue.schedule_in(
+                REFRESH_LANE,
                 now + churn.refresh_interval_secs,
                 Event::Refresh { client: i, epoch },
             );
@@ -635,7 +780,8 @@ impl<'a> Engine<'a> {
         if trace.is_enabled() {
             trace.emit(now, TraceEventKind::Leave { aid: aid.value() });
         }
-        self.settle_beacons(i, aid);
+        self.settle(i, aid);
+        self.clients.suspended.remove(i);
         self.associated -= 1;
         let notice = Disassociation::new(
             self.clients.macs[i],
@@ -668,7 +814,8 @@ impl<'a> Engine<'a> {
             return Ok(());
         };
         self.refresh(i, aid, now, trace)?;
-        self.queue.schedule(
+        self.queue.schedule_in(
+            REFRESH_LANE,
             now + self.cfg.churn.refresh_interval_secs,
             Event::Refresh { client: i, epoch },
         );
@@ -687,19 +834,23 @@ impl<'a> Engine<'a> {
             // The one state change that moves a slot between beacon
             // clocks: settle on the old one, restart on the new one.
             self.settle_beacons(i, aid);
-            self.clients.suspended[i] = suspend;
-            self.clients.beacon_marks[i] = self.beacon_clock(i);
-        } else {
-            self.clients.suspended[i] = suspend;
         }
         if suspend {
+            // Asleep, the radio hears a burst only when it wakes for it.
+            self.settle_bursts(i, aid);
+            self.clients.suspended.insert(i);
             let dwell = exp(&mut self.clients.rngs[i], churn.mean_suspended_secs);
             self.queue
                 .schedule(now + dwell, Event::Resume { client: i, epoch });
         } else {
+            self.clients.suspended.remove(i);
+            self.clients.burst_marks[i] = self.burst_clock;
             let dwell = exp(&mut self.clients.rngs[i], churn.mean_active_secs);
             self.queue
                 .schedule(now + dwell, Event::Suspend { client: i, epoch });
+        }
+        if self.sched.is_some() {
+            self.clients.beacon_marks[i] = self.beacon_clock(i);
         }
     }
 
@@ -763,7 +914,7 @@ impl<'a> Engine<'a> {
             self.report.baseline_nj += self.associated * self.pricing.beacon_nj;
             let next = now + Self::dtim_interval();
             if next < self.cfg.duration_secs {
-                self.queue.schedule(next, Event::Dtim);
+                self.queue.schedule_in(DTIM_LANE, next, Event::Dtim);
             }
             return;
         }
@@ -773,60 +924,75 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|(_, f)| f.airtime() * self.cfg.profile.rx_power)
             .sum();
-        let mut ports: Vec<u16> = self.buffered.iter().map(|(_, f)| f.dst_port).collect();
-        ports.sort_unstable();
-        ports.dedup();
-        let m = ports.len();
+        self.burst_ports.clear();
+        self.burst_ports
+            .extend(self.buffered.iter().map(|(_, f)| f.dst_port));
+        self.burst_ports.sort_unstable();
+        self.burst_ports.dedup();
+        let m = self.burst_ports.len();
 
-        // Batched flag pass: one postings scan per burst port scatters
-        // "first flagged port index" marks onto client slots — the work
-        // the sweep below would otherwise redo as a per-client × per-port
-        // lookup matrix. Ground truth needs no scan: a slot's first
-        // useful port is `first_useful` of its mask.
-        let n = self.clients.len();
-        let burst = burst_mask(&self.port_universe, &ports, &mut self.burst_pos);
-        self.flagged_first.clear();
-        self.flagged_first.resize(n, NO_PORT_IDX);
+        // Batched flag pass: one postings scan per burst port marks the
+        // slots the AP flags, each with the first burst port it is
+        // flagged on — the work the sweep below would otherwise redo as
+        // a per-client × per-port lookup matrix. Ground truth needs no
+        // scan: the useful slots are the union of the burst ports'
+        // `listens` sets, and a slot's first useful port is
+        // `first_useful` of its mask.
+        let burst = burst_mask(&self.port_universe, &self.burst_ports, &mut self.burst_pos);
+        self.flagged.0.fill(0);
         self.present_prefix.clear();
         self.present_prefix.push(0);
-        for (j, &p) in ports.iter().enumerate() {
+        for (j, &p) in self.burst_ports.iter().enumerate() {
             let postings = self.ap.port_table().raw_postings(p);
             self.present_prefix
                 .push(self.present_prefix[j] + postings.is_some() as u32);
-            if let Some(postings) = postings {
-                for &a in postings {
-                    let slot = self.aid_slot[a.value() as usize];
-                    if slot != NO_SLOT && self.flagged_first[slot as usize] == NO_PORT_IDX {
-                        self.flagged_first[slot as usize] = j as u32;
-                    }
+            for &a in postings.unwrap_or_default() {
+                let slot = self.aid_slot[a.value() as usize];
+                if slot != NO_SLOT && !self.flagged.contains(slot as usize) {
+                    self.flagged.insert(slot as usize);
+                    self.flagged_first[slot as usize] = j as u32;
                 }
             }
         }
 
         // Pre-rounded burst price: every client in this DTIM is charged
-        // the same integer, keeping the ledger merge-exact.
+        // the same integer, keeping the ledger merge-exact. An awake
+        // radio hears the burst either way, so awake clients settle
+        // against the burst clock once per awake segment.
         let burst_rx_nj = joules_to_nj(burst_rx_j);
+        self.burst_clock += burst_rx_nj;
         let pricing = self.pricing;
-        let mut suspended = 0u64;
+        // A scheduled-wake client wakes only inside its service window;
+        // an out-of-window useful burst is deferred to the next window,
+        // never missed (the AP still holds it). Legacy PSM (and the
+        // legacy share of a HIDE fleet) wakes for any burst.
+        let legacy_wakes = self.sched.is_none() || in_window;
+        let (mut suspended, mut unflagged, mut deferred) = (0u64, 0u64, 0u64);
         let (mut lp_lookups, mut lp_hits) = (0u64, 0u64);
-        for i in 0..n {
-            let Some(aid) = self.clients.aids[i] else {
-                continue;
-            };
-            if !self.clients.suspended[i] {
-                // Radio already awake: the burst is heard either way.
-                self.lane(aid).burst_rx_nj += burst_rx_nj;
+        for w in 0..self.flagged.0.len() {
+            let asleep = self.clients.suspended.0[w];
+            if asleep == 0 {
                 continue;
             }
-            suspended += 1;
-            let useful_j = first_useful(self.clients.port_masks[i], burst, &self.burst_pos);
-            if !self.clients.hide[i] {
-                // A scheduled-wake client wakes only inside its service
-                // window; an out-of-window useful burst is deferred to
-                // the next window, never missed (the AP still holds
-                // it). Legacy PSM (and the legacy share of a HIDE
-                // fleet) wakes for any burst.
-                if self.sched.is_none() || in_window {
+            let hide = asleep & self.clients.hide.0[w];
+            let legacy = asleep & !hide;
+            let flagged = self.flagged.0[w];
+            let useful = bits(burst).fold(0, |acc, u| acc | self.clients.listeners(u, w));
+            suspended += u64::from(asleep.count_ones());
+            unflagged += u64::from((hide & !flagged).count_ones());
+            self.report.useful_opportunities += u64::from((hide & useful).count_ones());
+            // Only the slots that wake or miss are visited, in slot
+            // order, so traced wake decisions keep their order.
+            let mut visit = hide & (flagged | useful);
+            if legacy_wakes {
+                visit |= legacy;
+            } else {
+                deferred += u64::from((legacy & useful).count_ones());
+            }
+            for b in bits(visit) {
+                let i = w * 64 + b;
+                let aid = self.clients.aids[i].expect("suspended slots are associated");
+                if legacy & (1 << b) != 0 {
                     self.report.wakeups += 1;
                     if self.sched.is_some() {
                         self.report.scheduled_wakes += 1;
@@ -847,83 +1013,81 @@ impl<'a> Engine<'a> {
                             },
                         );
                     }
-                } else if useful_j.is_some() {
-                    self.report.deferred_wakeups += 1;
-                    rec.incr(Counter::FleetDeferredWakeups);
+                    continue;
                 }
-                continue;
-            }
-            // Reconstruct the τ_lp accounting of the short-circuiting
-            // per-port scan this batched pass replaced: a client
-            // flagged at port index j scanned j+1 ports (each hitting
-            // iff present, the last always a hit); an unflagged client
-            // scanned all m.
-            let fj = self.flagged_first[i];
-            let flagged_port = if fj != NO_PORT_IDX {
-                lp_lookups += fj as u64 + 1;
-                lp_hits += self.present_prefix[fj as usize] as u64 + 1;
-                Some(ports[fj as usize])
-            } else {
-                lp_lookups += m as u64;
-                lp_hits += self.present_prefix[m] as u64;
-                None
-            };
-            let useful_port = useful_j.map(|j| ports[j as usize]);
-            let useful = useful_port.is_some();
-            if useful {
-                self.report.useful_opportunities += 1;
-            }
-            if let Some(port) = flagged_port {
-                self.report.wakeups += 1;
-                self.report.hide_wakeups += 1;
-                let (class, cause) = if useful {
-                    rec.incr(Counter::FleetWakeupsProper);
-                    (WakeClass::Proper, WakeCause::Proper)
+                // Reconstruct the τ_lp accounting of the
+                // short-circuiting per-port scan this batched pass
+                // replaced: a client flagged at port index j scanned
+                // j+1 ports (each hitting iff present, the last always
+                // a hit). Unflagged clients are tallied after the loop.
+                let flagged_port = if flagged & (1 << b) != 0 {
+                    let fj = self.flagged_first[i] as usize;
+                    lp_lookups += fj as u64 + 1;
+                    lp_hits += u64::from(self.present_prefix[fj]) + 1;
+                    Some(self.burst_ports[fj])
                 } else {
-                    self.report.spurious_wakeups += 1;
-                    let cause = if self.clients.churned_since_sync[i] {
-                        WakeCause::PortChurn
-                    } else {
-                        WakeCause::Unknown
-                    };
-                    rec.incr(spurious_cause_counter(cause));
-                    (WakeClass::Spurious, cause)
+                    None
                 };
-                let e = self.lane(aid);
-                e.charge_wake(class, cause, &pricing);
-                e.burst_rx_nj += burst_rx_nj;
-                if trace.is_enabled() {
-                    trace.emit(
-                        now,
-                        TraceEventKind::WakeDecision {
-                            aid: aid.value(),
-                            port,
-                            frame_id: self.first_frame_on(port),
-                            class,
-                            cause,
-                        },
-                    );
-                }
-            } else if let Some(port) = useful_port {
-                self.report.missed_wakeups += 1;
-                let cause = self.clients.last_desync[i].unwrap_or(WakeCause::Unknown);
-                rec.incr(missed_cause_counter(cause));
-                self.lane(aid)
-                    .charge_wake(WakeClass::Missed, cause, &pricing);
-                if trace.is_enabled() {
-                    trace.emit(
-                        now,
-                        TraceEventKind::WakeDecision {
-                            aid: aid.value(),
-                            port,
-                            frame_id: self.first_frame_on(port),
-                            class: WakeClass::Missed,
-                            cause,
-                        },
-                    );
+                let useful_port = first_useful(self.clients.port_masks[i], burst, &self.burst_pos)
+                    .map(|j| self.burst_ports[j as usize]);
+                let useful = useful_port.is_some();
+                if let Some(port) = flagged_port {
+                    self.report.wakeups += 1;
+                    self.report.hide_wakeups += 1;
+                    let (class, cause) = if useful {
+                        rec.incr(Counter::FleetWakeupsProper);
+                        (WakeClass::Proper, WakeCause::Proper)
+                    } else {
+                        self.report.spurious_wakeups += 1;
+                        let cause = if self.clients.churned_since_sync[i] {
+                            WakeCause::PortChurn
+                        } else {
+                            WakeCause::Unknown
+                        };
+                        rec.incr(spurious_cause_counter(cause));
+                        (WakeClass::Spurious, cause)
+                    };
+                    let e = self.lane(aid);
+                    e.charge_wake(class, cause, &pricing);
+                    e.burst_rx_nj += burst_rx_nj;
+                    if trace.is_enabled() {
+                        trace.emit(
+                            now,
+                            TraceEventKind::WakeDecision {
+                                aid: aid.value(),
+                                port,
+                                frame_id: self.first_frame_on(port),
+                                class,
+                                cause,
+                            },
+                        );
+                    }
+                } else if let Some(port) = useful_port {
+                    self.report.missed_wakeups += 1;
+                    let cause = self.clients.last_desync[i].unwrap_or(WakeCause::Unknown);
+                    rec.incr(missed_cause_counter(cause));
+                    self.lane(aid)
+                        .charge_wake(WakeClass::Missed, cause, &pricing);
+                    if trace.is_enabled() {
+                        trace.emit(
+                            now,
+                            TraceEventKind::WakeDecision {
+                                aid: aid.value(),
+                                port,
+                                frame_id: self.first_frame_on(port),
+                                class: WakeClass::Missed,
+                                cause,
+                            },
+                        );
+                    }
                 }
             }
         }
+        // An unflagged suspended HIDE client scanned all m burst ports.
+        lp_lookups += unflagged * m as u64;
+        lp_hits += unflagged * u64::from(self.present_prefix[m]);
+        self.report.deferred_wakeups += deferred;
+        rec.add(Counter::FleetDeferredWakeups, deferred);
         // The receive-all baseline: every associated client hears the
         // beacon and the burst, and every suspended one wakes for it.
         self.report.baseline_nj +=
@@ -937,7 +1101,7 @@ impl<'a> Engine<'a> {
 
         let next = now + Self::dtim_interval();
         if next < self.cfg.duration_secs {
-            self.queue.schedule(next, Event::Dtim);
+            self.queue.schedule_in(DTIM_LANE, next, Event::Dtim);
         }
     }
 
@@ -958,7 +1122,8 @@ impl<'a> Engine<'a> {
                 self.next_frame_id += 1;
                 self.buffered.push((id, frame));
                 if let Some(next) = self.stream.next() {
-                    self.queue.schedule(next.time, Event::Arrival(next));
+                    self.queue
+                        .schedule_in(ARRIVAL_LANE, next.time, Event::Arrival(next));
                 }
             }
             Event::Join { client, epoch } => self.handle_join(client, epoch, now, trace)?,
@@ -1002,11 +1167,11 @@ impl<'a> Engine<'a> {
             prof.finish(stage, handling);
         }
         self.ap.port_table().observe_into(rec);
-        // Every client still associated at the horizon ends its beacon
-        // segment here.
+        // Every client still associated at the horizon ends its
+        // segments here.
         for i in 0..self.clients.len() {
             if let Some(aid) = self.clients.aids[i] {
-                self.settle_beacons(i, aid);
+                self.settle(i, aid);
             }
         }
         // Materialize the dense lanes into the report's sorted ledger:

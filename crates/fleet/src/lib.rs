@@ -13,8 +13,9 @@
 //! # Architecture
 //!
 //! * [`kernel`] — a binary-heap event calendar with seeded
-//!   tie-breaking ([`EventQueue`]): the pop order is a pure function of
-//!   the seed, so reruns and any `--jobs` count see the same sequence.
+//!   tie-breaking ([`EventQueue`]), plus FIFO lanes for the timer chains
+//!   scheduled in time order: the pop order is a pure function of the
+//!   seed, so reruns and any `--jobs` count see the same sequence.
 //! * [`churn`] — the client lifecycle model ([`ChurnConfig`]):
 //!   presence and activity as independent alternating-renewal
 //!   processes, plus refresh period, loss, port churn, and the AP's
@@ -25,8 +26,9 @@
 //!   classification, and a *streaming* broadcast
 //!   source ([`hide_traces::stream::FrameStream`]) so the trace is
 //!   never materialized. The engine works per event, not per client
-//!   per DTIM: beacons are charged once per presence segment as
-//!   count × price, so a DTIM with nothing buffered costs O(1).
+//!   per DTIM: beacons and an awake client's bursts are charged once
+//!   per segment, so a DTIM with nothing buffered costs O(1), and one
+//!   with a burst visits only the suspended clients that wake or miss.
 //! * [`fleet`] — shard-by-BSS execution over [`hide_par`], merged in
 //!   input order into one [`Recorder`](hide_obs::Recorder) aggregate;
 //!   the metrics JSON is byte-identical at any parallelism.

@@ -15,9 +15,10 @@
 //! Granularity: the event loop attributes each handler invocation to
 //! one [`FleetStage`] bucket (timer calls per kernel event are cheap
 //! relative to a handler, and [`hide_obs::NoopSpans`] compiles them
-//! out entirely). `queue_pop` covers only the heap pop itself; a
-//! schedule made *inside* a handler is an O(log n) heap push charged to
-//! that handler's bucket, so a calendar regression shows up in both.
+//! out entirely). `queue_pop` covers only the pop itself, from the heap
+//! or from the front of a FIFO lane; a schedule made *inside* a handler
+//! (an O(log n) heap push, or an O(1) lane append) is charged to that
+//! handler's bucket, so a calendar regression shows up in both.
 
 use hide_obs::{SpanSink, StageTiming};
 use std::fmt::Write as _;
@@ -28,7 +29,8 @@ pub enum FleetStage {
     /// Engine construction: client sampling, stream setup, initial
     /// schedule.
     Setup,
-    /// Event-calendar pops (the kernel's dequeue half).
+    /// Event-calendar pops, from the heap or a lane (the kernel's
+    /// dequeue half).
     QueuePop,
     /// DTIM boundaries: expiry, batched flag pass, client sweep.
     DtimSweep,

@@ -46,6 +46,11 @@ impl<E> SortedCalendar<E> {
         self.pending.pop()
     }
 
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<f64> {
+        self.pending.last().map(|&(t, ..)| t)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.pending.len()
