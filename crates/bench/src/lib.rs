@@ -221,7 +221,9 @@ pub fn figure_12() -> String {
 /// The sections are mutually independent, so each renders on its own
 /// worker into a section-local recorder; concatenating the text and
 /// merging the locals into `recorder` in declaration order keeps both
-/// byte-identical to a sequential run at any job count.
+/// byte-identical to a sequential run at any job count. The pool
+/// takes them in reverse, so the protocol cross-validation, declared
+/// last and alone about half the work, starts first.
 ///
 /// # Panics
 ///
@@ -240,13 +242,14 @@ pub fn extensions_with(traces: &[Trace], recorder: &mut Recorder) -> String {
         ext_latency,
         ext_protocol,
     ];
-    let rendered = hide_par::par_map(&sections, |render| {
+    let reversed: Vec<Section> = sections.into_iter().rev().collect();
+    let rendered = hide_par::par_map(&reversed, |render| {
         let mut local = Recorder::new();
         let out = render(trace, &mut local);
         (out, local)
     });
     let mut out = String::new();
-    for (text, local) in rendered {
+    for (text, local) in rendered.into_iter().rev() {
         recorder.merge_from(&local);
         out.push_str(&text.expect("canonical trace is valid"));
     }
@@ -258,8 +261,10 @@ pub fn extensions_with(traces: &[Trace], recorder: &mut Recorder) -> String {
 /// HIDE, legacy PSM and scheduled wake over every registry device (or
 /// the `--policy`/`--device` filtered subset), with the
 /// battery-lifetime projection each run extrapolates onto that
-/// device's battery. Sequential and seed-pinned, so the rendered table
-/// and the merged counters are byte-identical on every run.
+/// device's battery. The cells run through the pool (each fleet run
+/// inline on its worker) and are rendered and merged in declaration
+/// order; every run is seed-pinned, so the table and the merged
+/// counters are byte-identical at any job count.
 ///
 /// # Errors
 ///
@@ -279,57 +284,57 @@ pub fn policy_matrix_with(
         WakePolicy::LegacyPsm,
         WakePolicy::ScheduledWake(hide::policy::ScheduleConfig::default()),
     ];
+    let cells: Vec<_> = builtin()
+        .into_iter()
+        .filter(|entry| device.is_none_or(|d| d.eq_ignore_ascii_case(entry.key)))
+        .flat_map(|entry| policies.map(|p| (entry, p)))
+        .filter(|(_, p)| {
+            policy
+                .is_none_or(|name| WakePolicy::parse(name).map(|q| q.kind_id()) == Ok(p.kind_id()))
+        })
+        .collect();
+    let runs = hide_par::par_map(&cells, |(entry, p)| {
+        FleetConfig {
+            bss_count: 20,
+            clients_per_bss: 8,
+            adoption: 1.0,
+            duration_secs: 10.0,
+            scenario: Scenario::CsDept,
+            seed: TRACE_SEED,
+            profile: entry.profile,
+            policy: *p,
+            battery: entry.battery(),
+            churn: ChurnConfig {
+                refresh_interval_secs: 3.0,
+                refresh_loss: 0.0,
+                ..ChurnConfig::default()
+            },
+        }
+        .try_run()
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<12} {:<14} {:>10} {:>9} {:>8} {:>8} {:>11} {:>9}",
         "device", "policy", "energy J", "saving%", "wakes", "missed", "lifetime h", "gain%"
     );
-    for entry in builtin() {
-        if let Some(d) = device {
-            if !d.eq_ignore_ascii_case(entry.key) {
-                continue;
-            }
-        }
-        for p in policies {
-            if let Some(name) = policy {
-                if WakePolicy::parse(name).map(|q| q.kind_id()) != Ok(p.kind_id()) {
-                    continue;
-                }
-            }
-            let cfg = FleetConfig {
-                bss_count: 20,
-                clients_per_bss: 8,
-                adoption: 1.0,
-                duration_secs: 10.0,
-                scenario: Scenario::CsDept,
-                seed: TRACE_SEED,
-                profile: entry.profile,
-                policy: p,
-                battery: entry.battery(),
-                churn: ChurnConfig {
-                    refresh_interval_secs: 3.0,
-                    refresh_loss: 0.0,
-                    ..ChurnConfig::default()
-                },
-            };
-            let result = cfg.try_run()?;
-            recorder.merge_from(&result.recorder);
-            let r = &result.report;
-            let lt = &result.lifetime;
-            let _ = writeln!(
-                out,
-                "{:<12} {:<14} {:>10.3} {:>9.2} {:>8} {:>8} {:>11.1} {:>+9.2}",
-                entry.key,
-                p.name(),
-                result.energy_totals.spent_nj() as f64 / 1e9,
-                result.fleet_saving * 100.0,
-                r.wakeups,
-                r.missed_wakeups,
-                lt.projected_secs as f64 / 3600.0,
-                lt.lifetime_gain_ppm as f64 / 1e4,
-            );
-        }
+    for ((entry, p), run) in cells.iter().zip(runs) {
+        let result = run?;
+        recorder.merge_from(&result.recorder);
+        let r = &result.report;
+        let lt = &result.lifetime;
+        let _ = writeln!(
+            out,
+            "{:<12} {:<14} {:>10.3} {:>9.2} {:>8} {:>8} {:>11.1} {:>+9.2}",
+            entry.key,
+            p.name(),
+            result.energy_totals.spent_nj() as f64 / 1e9,
+            result.fleet_saving * 100.0,
+            r.wakeups,
+            r.missed_wakeups,
+            lt.projected_secs as f64 / 3600.0,
+            lt.lifetime_gain_ppm as f64 / 1e4,
+        );
     }
     Ok(out)
 }
@@ -561,11 +566,10 @@ pub const CSV_FILES: [&str; 7] = [
 
 /// Writes plot-ready CSV files for every figure into `dir`.
 ///
-/// Each figure's content is computed on its own worker with a local
-/// recorder; files are then written, and the locals merged into
-/// `recorder`, sequentially in figure order, so the bytes of each file,
-/// the order they land on disk and the merged metrics are independent
-/// of the job count.
+/// The files render one after another in figure order, so each
+/// figure's cells fan out over the pool from the top level; the bytes
+/// of each file, the order they land on disk and the recorded metrics
+/// are independent of the job count.
 ///
 /// # Errors
 ///
@@ -577,14 +581,9 @@ pub fn write_csvs_with(
     recorder: &mut Recorder,
 ) -> Result<(), HideError> {
     std::fs::create_dir_all(dir)?;
-    let contents = hide_par::par_map(&CSV_FILES, |&file| {
-        let mut local = Recorder::new();
-        let csv = csv_content(file, traces, &mut local);
-        (csv, local)
-    });
-    for (file, (csv, local)) in CSV_FILES.iter().zip(contents) {
-        recorder.merge_from(&local);
-        std::fs::write(dir.join(file), csv?)?;
+    for file in CSV_FILES {
+        let csv = csv_content(file, traces, recorder)?;
+        std::fs::write(dir.join(file), csv)?;
     }
     Ok(())
 }

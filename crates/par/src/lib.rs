@@ -16,11 +16,26 @@
 //! * `jobs = 1` (or a single-item input) short-circuits to a plain
 //!   sequential loop on the calling thread, which keeps stack traces
 //!   and determinism trivially intact.
+//! * A map called on a worker thread (a section that fans out its own
+//!   cells, a fleet run inside a policy-matrix cell) runs inline on
+//!   that worker. Only the outermost call spawns, so `--jobs N` means
+//!   at most N busy threads for a whole pass, never N × N. A caller
+//!   whose items each fan out a large matrix (the CSV figures) runs
+//!   them one after another from the top level instead, so each
+//!   matrix spreads over the pool.
+//! * A top-level call with two or more jobs runs every item on a
+//!   worker; the calling thread only waits and merges.
 //!
 //! The job count is process-global (set once from `--jobs` /
 //! `HIDE_JOBS`), so deep call chains don't need a threading parameter.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set on the threads [`par_map_jobs`] spawns, for their lifetime.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Process-global job count; 0 means "auto" (available parallelism).
 static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -74,9 +89,10 @@ where
 }
 
 /// Maps `f` over `items` on exactly `jobs` worker threads (clamped to
-/// the item count; `jobs <= 1` runs inline). Output order equals input
-/// order: workers pull indices from a shared counter, tag each result
-/// with its index, and the merged results are sorted by index.
+/// the item count; `jobs <= 1`, or a call made on a worker thread,
+/// runs inline). Output order equals input order: workers pull indices
+/// from a shared counter in input order, tag each result with its
+/// index, and the merged results are sorted by index.
 pub fn par_map_jobs<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -85,7 +101,7 @@ where
 {
     let n = items.len();
     let jobs = jobs.max(1).min(n.max(1));
-    if jobs == 1 {
+    if jobs == 1 || ON_WORKER.get() {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
@@ -94,6 +110,7 @@ where
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 scope.spawn(|| {
+                    ON_WORKER.set(true);
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -157,5 +174,41 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
+    }
+
+    #[test]
+    fn nested_map_runs_in_order_on_its_worker() {
+        let outer: Vec<u64> = (0..6).collect();
+        let out = par_map_jobs(3, &outer, |_, &o| {
+            let worker = std::thread::current().id();
+            let inner: Vec<u64> = (0..50).collect();
+            let nested = par_map_jobs(4, &inner, |i, &v| {
+                assert_eq!(i as u64, v);
+                (std::thread::current().id(), o * 100 + v)
+            });
+            assert!(nested.iter().all(|&(id, _)| id == worker));
+            nested.into_iter().map(|(_, v)| v).collect::<Vec<_>>()
+        });
+        for (o, inner) in outer.iter().zip(&out) {
+            assert_eq!(*inner, (0..50).map(|v| o * 100 + v).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn top_level_map_runs_no_item_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..64).collect();
+        for jobs in [2, 3, 8] {
+            let ids = par_map_jobs(jobs, &items, |_, _| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id != caller), "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn one_job_stays_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..16).collect();
+        let ids = par_map_jobs(1, &items, |_, _| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 }

@@ -7,6 +7,12 @@
 //! This is the ground truth the fast marking-based
 //! [`crate::SimulationBuilder`] is validated against: both must agree
 //! on which DTIM intervals wake the client and (closely) on energy.
+//!
+//! A trace records only each frame's port and length, so the datagram
+//! body of every distinct (destination port, length) pair is encoded
+//! (IPv4 and UDP checksums included) once per run, and each frame the
+//! AP buffers carries a copy of those bytes. The AP, the beacons
+//! encoded and re-parsed every DTIM and the client all stay real.
 
 use crate::error::SimError;
 use crate::solution::Solution;
@@ -24,6 +30,7 @@ use hide_wifi::frame::{Beacon, BroadcastDataFrame};
 use hide_wifi::mac::MacAddr;
 use hide_wifi::phy::{self, DataRate};
 use hide_wifi::udp::UdpDatagram;
+use std::collections::HashMap;
 
 /// Per-run protocol statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +165,7 @@ impl<'a> ProtocolSimulation<'a> {
             btim_bytes: 0,
         };
         let mut next_sync = self.sync_interval_secs;
+        let mut bodies: HashMap<(u16, u16), Vec<u8>> = HashMap::new();
 
         for i in 0..intervals {
             let interval_start = i as f64 * self.beacon_interval;
@@ -170,14 +178,21 @@ impl<'a> ProtocolSimulation<'a> {
                     break;
                 }
                 let f = frame_iter.next().expect("peeked");
-                let datagram = UdpDatagram::new(
-                    [10, 0, 0, 2],
-                    [255; 4],
-                    4000,
-                    f.dst_port,
-                    vec![0; (f.len_bytes as usize).saturating_sub(60)],
-                );
-                ap.enqueue_broadcast(BroadcastDataFrame::new(ap.bssid(), datagram, false));
+                let body = bodies.entry((f.dst_port, f.len_bytes)).or_insert_with(|| {
+                    UdpDatagram::new(
+                        [10, 0, 0, 2],
+                        [255; 4],
+                        4000,
+                        f.dst_port,
+                        vec![0; (f.len_bytes as usize).saturating_sub(60)],
+                    )
+                    .to_bytes()
+                });
+                ap.enqueue_broadcast(BroadcastDataFrame::from_raw_body(
+                    ap.bssid(),
+                    body.clone(),
+                    false,
+                ));
             }
 
             // DTIM beacon at the end of the interval, over real bytes.

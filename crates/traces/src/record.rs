@@ -1,8 +1,16 @@
 //! Trace records: one captured (synthesized) broadcast frame per entry.
+//!
+//! [`Trace::port_histogram`] is the input of every port-based marking
+//! (see [`crate::useful`]), so it runs once per HIDE, hybrid,
+//! network-sim and reliability run. It counts into a flat table with
+//! one slot per UDP port and sorts only the distinct ports: one
+//! increment per frame, with no tree insert.
 
 use crate::stats::Cdf;
 use hide_wifi::phy::DataRate;
-use std::collections::BTreeMap;
+
+/// Number of distinct UDP ports: the size of a table indexed by port.
+pub(crate) const PORT_COUNT: usize = 1 << 16;
 
 /// One UDP-padded broadcast frame in a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,14 +95,22 @@ impl Trace {
     }
 
     /// Histogram of frames per UDP destination port, descending by
-    /// count.
+    /// count (ties ascending by port).
     pub fn port_histogram(&self) -> Vec<(u16, usize)> {
-        let mut map: BTreeMap<u16, usize> = BTreeMap::new();
+        let mut counts = vec![0usize; PORT_COUNT];
+        let mut ports = Vec::new();
         for f in &self.frames {
-            *map.entry(f.dst_port).or_insert(0) += 1;
+            let count = &mut counts[usize::from(f.dst_port)];
+            if *count == 0 {
+                ports.push(f.dst_port);
+            }
+            *count += 1;
         }
-        let mut hist: Vec<(u16, usize)> = map.into_iter().collect();
-        hist.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut hist: Vec<(u16, usize)> = ports
+            .into_iter()
+            .map(|p| (p, counts[usize::from(p)]))
+            .collect();
+        hist.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hist
     }
 

@@ -12,10 +12,35 @@
 //! * [`Usefulness::bernoulli`] — i.i.d. per-frame marking, kept as an
 //!   ablation to show the energy results do not hinge on the port
 //!   structure.
+//!
+//! Port-based marking runs once per HIDE, hybrid, network-sim and
+//! reliability run, so it is on the reproduction's hot path. Frames
+//! are flagged through a 65 536-bit port set, one bit test per frame,
+//! and the port histogram comes from a flat per-port table
+//! ([`Trace::port_histogram`]), so a marking costs time linear in the
+//! trace. `tests/proptest_useful.rs` checks both against a tree
+//! histogram and a binary search per frame.
 
-use crate::record::Trace;
+use crate::record::{Trace, PORT_COUNT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A set of UDP ports as a 65 536-bit table (8 KiB).
+struct PortSet(Vec<u64>);
+
+impl PortSet {
+    fn new() -> Self {
+        PortSet(vec![0; PORT_COUNT / 64])
+    }
+
+    fn insert(&mut self, port: u16) {
+        self.0[usize::from(port >> 6)] |= 1 << (port & 63);
+    }
+
+    fn contains(&self, port: u16) -> bool {
+        self.0[usize::from(port >> 6)] >> (port & 63) & 1 == 1
+    }
+}
 
 /// A per-frame usefulness marking (`u_i` of Eq. 1), aligned with a
 /// trace's frame order.
@@ -45,10 +70,7 @@ impl Usefulness {
         );
         let total = trace.len();
         if total == 0 || target_fraction == 0.0 {
-            return Usefulness {
-                flags: vec![false; total],
-                useful_ports: Vec::new(),
-            };
+            return Usefulness::from_ports(trace, &[]);
         }
 
         // Ascending by frequency, so small ports fill the budget finely.
@@ -75,17 +97,7 @@ impl Usefulness {
                 chosen.push(port);
             }
         }
-        chosen.sort_unstable();
-
-        let flags = trace
-            .frames
-            .iter()
-            .map(|f| chosen.binary_search(&f.dst_port).is_ok())
-            .collect();
-        Usefulness {
-            flags,
-            useful_ports: chosen,
-        }
+        Usefulness::from_ports(trace, &chosen)
     }
 
     /// Like [`Usefulness::port_based`], but considers ports in a seeded
@@ -103,10 +115,7 @@ impl Usefulness {
         );
         let total = trace.len();
         if total == 0 || target_fraction == 0.0 {
-            return Usefulness {
-                flags: vec![false; total],
-                useful_ports: Vec::new(),
-            };
+            return Usefulness::from_ports(trace, &[]);
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut hist = trace.port_histogram();
@@ -132,28 +141,23 @@ impl Usefulness {
                 }
             }
         }
-        chosen.sort_unstable();
-        let flags = trace
-            .frames
-            .iter()
-            .map(|f| chosen.binary_search(&f.dst_port).is_ok())
-            .collect();
-        Usefulness {
-            flags,
-            useful_ports: chosen,
-        }
+        Usefulness::from_ports(trace, &chosen)
     }
 
     /// Marks useful exactly the frames destined to `ports`.
     pub fn from_ports(trace: &Trace, ports: &[u16]) -> Self {
-        let mut sorted = ports.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
+        let mut set = PortSet::new();
+        for &port in ports {
+            set.insert(port);
+        }
         let flags = trace
             .frames
             .iter()
-            .map(|f| sorted.binary_search(&f.dst_port).is_ok())
+            .map(|f| set.contains(f.dst_port))
             .collect();
+        let mut sorted = ports.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
         Usefulness {
             flags,
             useful_ports: sorted,
