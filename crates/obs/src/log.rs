@@ -144,7 +144,8 @@ pub fn enabled(at: LogLevel) -> bool {
 }
 
 /// Resize the retained warn/error ring (existing overflow is trimmed).
-pub fn set_ring_capacity(capacity: usize) {
+#[cfg(test)]
+fn set_ring_capacity(capacity: usize) {
     RING_CAP.store(capacity, Ordering::Relaxed);
     let mut ring = ring().lock().unwrap_or_else(|e| e.into_inner());
     while ring.len() > capacity {
@@ -164,7 +165,8 @@ pub fn recent_records() -> Vec<LogRecord> {
 }
 
 /// Drop all retained records (test isolation).
-pub fn clear_records() {
+#[cfg(test)]
+fn clear_records() {
     ring().lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 

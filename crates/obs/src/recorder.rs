@@ -8,6 +8,12 @@ use crate::latency::Histogram;
 use crate::metric::{Counter, Distribution, Stage};
 use crate::sink::MetricsSink;
 
+/// Stages recorded once per fleet shard or fleet run, on whichever
+/// worker ran it, and summed at fan-in: spans that ran at once on
+/// different workers add up, so a total can exceed the wall time of the
+/// stage that contains it.
+const WORKER_SUMMED: [Stage; 3] = [Stage::Fleet, Stage::FleetEventLoop, Stage::FleetMerge];
+
 /// Accumulated span-timer state for one [`Stage`].
 ///
 /// `calls` is deterministic (how many spans ran) and serializes into
@@ -189,9 +195,10 @@ impl Recorder {
     /// Render the human-readable metrics summary table.
     ///
     /// Unlike [`Recorder::to_json`] this *does* include wall-clock
-    /// stage timings, so it is informative but not deterministic.
-    /// Columns are wide enough for every name in the metric namespace,
-    /// including the fleet kernel stages.
+    /// stage timings, so it is informative but not deterministic. The
+    /// fleet stages, summed over concurrent workers, print under their
+    /// own heading. Columns are wide enough for every name in the
+    /// metric namespace, including the fleet kernel stages.
     #[must_use]
     pub fn render_summary(&self) -> String {
         let mut out = String::new();
@@ -224,21 +231,32 @@ impl Recorder {
             }
         }
 
-        let any_stage = Stage::ALL.iter().any(|s| self.stage(*s).calls > 0);
-        if any_stage {
-            out.push_str("stage timings (wall-clock, non-deterministic):\n");
-            for s in Stage::ALL {
+        for (heading, summed) in [
+            ("stage timings (wall-clock, non-deterministic):", false),
+            (
+                "worker-summed stage timings (summed over concurrent workers, \
+                 can exceed the wall time; non-deterministic):",
+                true,
+            ),
+        ] {
+            let mut stages = Stage::ALL
+                .into_iter()
+                .filter(|s| WORKER_SUMMED.contains(s) == summed && self.stage(*s).calls > 0)
+                .peekable();
+            if stages.peek().is_some() {
+                out.push_str(heading);
+                out.push('\n');
+            }
+            for s in stages {
                 let t = self.stage(s);
-                if t.calls > 0 {
-                    let _ = writeln!(
-                        out,
-                        "  {:<28} {:>9.3} ms  ({} call{})",
-                        s.name(),
-                        t.nanos as f64 / 1e6,
-                        t.calls,
-                        if t.calls == 1 { "" } else { "s" }
-                    );
-                }
+                let _ = writeln!(
+                    out,
+                    "  {:<28} {:>9.3} ms  ({} call{})",
+                    s.name(),
+                    t.nanos as f64 / 1e6,
+                    t.calls,
+                    if t.calls == 1 { "" } else { "s" }
+                );
             }
         }
         out
@@ -408,5 +426,34 @@ mod tests {
         assert!(summary.contains("hidden_per_run"));
         assert!(summary.contains("extensions"));
         assert!(!summary.contains("sims_run"));
+        assert!(!summary.contains("worker-summed"));
+    }
+
+    #[test]
+    fn summary_heads_worker_summed_stages_apart() {
+        let mut r = Recorder::new();
+        r.add_span(Stage::Policy, 14_900_000);
+        r.add_span(Stage::Fleet, 11_000_000);
+        r.add_span(Stage::Fleet, 11_200_000);
+        r.add_span(Stage::FleetEventLoop, 9_000_000);
+        r.add_span(Stage::FleetMerge, 300_000);
+        let summary = r.render_summary();
+        let wall = summary.find("stage timings (wall-clock").unwrap();
+        let summed = summary
+            .find("worker-summed stage timings (summed over concurrent workers")
+            .unwrap();
+        assert!(wall < summed);
+        let line = |name: &str| summary.find(&format!("  {name:<28} ")).unwrap();
+        assert!(wall < line("policy") && line("policy") < summed);
+        for name in ["fleet", "fleet_event_loop", "fleet_merge"] {
+            assert!(summed < line(name), "{name} sits under the summed heading");
+        }
+        assert!(summary.contains("22.200 ms  (2 calls)"));
+
+        let mut fleet_only = Recorder::new();
+        fleet_only.add_span(Stage::Fleet, 1_000);
+        let summary = fleet_only.render_summary();
+        assert!(!summary.contains("stage timings (wall-clock"));
+        assert!(summary.contains("worker-summed stage timings"));
     }
 }

@@ -25,22 +25,24 @@
 //! `crates/obs/tests/proptest_spill.rs` and
 //! `crates/bench/tests/stream_differential.rs` pin this down.
 //!
-//! # File format (`hide-spill/1`)
+//! # File format (`hide-spill/2`)
 //!
 //! ```text
-//! magic "HIDESPL1"                                       8 bytes
-//! frame*                                                 tag-prefixed
-//!   0x01 RUN   { events: u64, dropped: u64, crc: u32 }   one per run
-//!   0x02 CHUNK { count: u32, bytes: u32, crc: u32 }      then payload
-//!   0x03 END   { runs: u32, events: u64, crc: u32 }      exactly once
+//! magic "HIDESPL2"                                         8 bytes
+//! frame*                                                   tag-prefixed
+//!   0x01 RUN   { events: u64, dropped: u64, check: u32 }   one per run
+//!   0x02 CHUNK { count: u32, bytes: u32, check: u32 }      then payload
+//!   0x03 END   { runs: u32, events: u64, check: u32 }      exactly once
 //! ```
 //!
 //! Chunk payloads are consecutive event frames (tag byte, raw time
 //! bits, source, seq, kind fields — all little-endian, length implied
-//! by the tag). Every frame header and chunk payload carries an
-//! FNV-1a checksum; a missing `END` frame marks truncation. Decoding
-//! never panics: every malformed input maps to a structured
-//! [`SpillError`].
+//! by the tag). Every frame header and chunk payload carries a 32-bit
+//! word-at-a-time check (`check32`) that any change confined to one
+//! byte alters; a missing `END` frame marks truncation. Decoding never
+//! panics: every malformed input maps to a structured [`SpillError`].
+//! `hide-spill/1` differed only in its check, the low 32 bits of the
+//! byte-serial FNV-1a-64; its files load as [`SpillError::BadMagic`].
 
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -50,7 +52,7 @@ use std::sync::Arc;
 use crate::trace::{FlightRecorder, TraceEvent, TraceEventKind, WakeCause, WakeClass};
 
 /// Magic bytes opening every spill file.
-pub const SPILL_MAGIC: [u8; 8] = *b"HIDESPL1";
+pub const SPILL_MAGIC: [u8; 8] = *b"HIDESPL2";
 
 /// Default number of events per framed chunk.
 pub const DEFAULT_CHUNK_EVENTS: usize = 1024;
@@ -101,7 +103,7 @@ impl std::fmt::Display for SpillError {
         match self {
             SpillError::Io(e) => write!(f, "spill I/O error: {e}"),
             SpillError::BadMagic { found } => {
-                write!(f, "not a hide-spill/1 file (magic {found:02x?})")
+                write!(f, "not a hide-spill/2 file (magic {found:02x?})")
             }
             SpillError::Truncated { offset } => {
                 write!(f, "spill file truncated at byte {offset}")
@@ -128,8 +130,8 @@ impl From<io::Error> for SpillError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — the checksum (truncated to 32 bits in
-/// frame headers) and the content hash the determinism gates pin.
+/// FNV-1a 64-bit over `bytes` — the content hash the determinism gates
+/// pin. Spill frames carry `check32` instead.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
@@ -146,8 +148,49 @@ pub fn fnv1a64_extend(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-fn crc32_of(bytes: &[u8]) -> u32 {
-    (fnv1a64(bytes) & 0xffff_ffff) as u32
+/// Odd multiplier of the check lanes: a prime close to 2^32 / φ.
+const CHECK_MUL: u32 = 0x9e37_79b1;
+
+/// One check step: xor in a word, multiply by an odd constant, rotate.
+/// For a fixed word the step is a bijection of the state (xor,
+/// multiplication by an odd number mod 2^32 and rotation all are), and
+/// for a fixed state it is injective in the word. The rotation only
+/// mixes: without it a word's top bit reaches only the state's top
+/// bit, so two top-bit flips in one lane would cancel.
+#[inline]
+fn check_step(state: u32, word: u32) -> u32 {
+    (state ^ word).wrapping_mul(CHECK_MUL).rotate_left(15)
+}
+
+/// The 32-bit check of a frame header or chunk payload.
+///
+/// Four independent lanes each step through every fourth
+/// little-endian word of the 16-byte blocks, so four multiply chains
+/// run at once, each taking four bytes per step. The lanes fold into
+/// one state by the same step, and the 0–15 bytes past the last block
+/// follow one step each.
+///
+/// A change confined to one byte always alters the check. It changes
+/// one word of one lane, or one trailing byte. The step that takes it
+/// is injective in its input, and every later step of that lane, the
+/// fold and the trailing steps are bijections of the state, so the
+/// difference reaches the result.
+fn check32(bytes: &[u8]) -> u32 {
+    let mut lanes = [0x811c_9dc5, 0x811c_9dc6, 0x811c_9dc7, 0x811c_9dc8];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            let word = u32::from_le_bytes(word.try_into().expect("4-byte word"));
+            *lane = check_step(*lane, word);
+        }
+    }
+    let folded = lanes[1..]
+        .iter()
+        .fold(lanes[0], |s, &lane| check_step(s, lane));
+    blocks
+        .remainder()
+        .iter()
+        .fold(folded, |s, &b| check_step(s, u32::from(b)))
 }
 
 // ---------------------------------------------------------------------
@@ -482,8 +525,8 @@ impl SpillWriter {
         header[0] = TAG_RUN;
         header[1..9].copy_from_slice(&events.to_le_bytes());
         header[9..17].copy_from_slice(&dropped.to_le_bytes());
-        let crc = crc32_of(&header[1..17]);
-        header[17..21].copy_from_slice(&crc.to_le_bytes());
+        let check = check32(&header[1..17]);
+        header[17..21].copy_from_slice(&check.to_le_bytes());
         self.write_all(&header)?;
 
         let start = self.offset;
@@ -509,7 +552,7 @@ impl SpillWriter {
             ch[0] = TAG_CHUNK;
             ch[1..5].copy_from_slice(&count_field.to_le_bytes());
             ch[5..9].copy_from_slice(&len_field.to_le_bytes());
-            ch[9..13].copy_from_slice(&crc32_of(&self.scratch).to_le_bytes());
+            ch[9..13].copy_from_slice(&check32(&self.scratch).to_le_bytes());
             self.write_all(&ch)?;
             let payload = std::mem::take(&mut self.scratch);
             self.write_all(&payload)?;
@@ -540,8 +583,8 @@ impl SpillWriter {
         end[0] = TAG_END;
         end[1..5].copy_from_slice(&(self.runs.len() as u32).to_le_bytes());
         end[5..13].copy_from_slice(&total.to_le_bytes());
-        let crc = crc32_of(&end[1..13]);
-        end[13..17].copy_from_slice(&crc.to_le_bytes());
+        let check = check32(&end[1..13]);
+        end[13..17].copy_from_slice(&check.to_le_bytes());
         self.write_all(&end)?;
         self.out.flush()?;
         Ok(SpillIndex {
@@ -668,8 +711,8 @@ fn scan(bytes: &[u8]) -> Result<Vec<RunMeta>, SpillError> {
             TAG_RUN => {
                 need(RUN_HEADER_LEN, pos)?;
                 let body = &bytes[pos + 1..pos + 17];
-                let crc = u32::from_le_bytes(bytes[pos + 17..pos + 21].try_into().unwrap());
-                if crc != crc32_of(body) {
+                let check = u32::from_le_bytes(bytes[pos + 17..pos + 21].try_into().unwrap());
+                if check != check32(body) {
                     return Err(SpillError::Corrupt {
                         offset: frame_at,
                         reason: "run header checksum mismatch",
@@ -704,10 +747,10 @@ fn scan(bytes: &[u8]) -> Result<Vec<RunMeta>, SpillError> {
                 need(CHUNK_HEADER_LEN, pos)?;
                 let count = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap());
                 let len = u32::from_le_bytes(bytes[pos + 5..pos + 9].try_into().unwrap()) as usize;
-                let crc = u32::from_le_bytes(bytes[pos + 9..pos + 13].try_into().unwrap());
+                let check = u32::from_le_bytes(bytes[pos + 9..pos + 13].try_into().unwrap());
                 need(len, pos + CHUNK_HEADER_LEN)?;
                 let payload = &bytes[pos + CHUNK_HEADER_LEN..pos + CHUNK_HEADER_LEN + len];
-                if crc != crc32_of(payload) {
+                if check != check32(payload) {
                     return Err(SpillError::Corrupt {
                         offset: frame_at,
                         reason: "chunk payload checksum mismatch",
@@ -724,8 +767,8 @@ fn scan(bytes: &[u8]) -> Result<Vec<RunMeta>, SpillError> {
             TAG_END => {
                 need(END_FRAME_LEN, pos)?;
                 let body = &bytes[pos + 1..pos + 13];
-                let crc = u32::from_le_bytes(bytes[pos + 13..pos + 17].try_into().unwrap());
-                if crc != crc32_of(body) {
+                let check = u32::from_le_bytes(bytes[pos + 13..pos + 17].try_into().unwrap());
+                if check != check32(body) {
                     return Err(SpillError::Corrupt {
                         offset: frame_at,
                         reason: "end frame checksum mismatch",
@@ -852,7 +895,7 @@ impl RunReader {
         }
         let count = u32::from_le_bytes(self.buf[1..5].try_into().unwrap());
         let len = u32::from_le_bytes(self.buf[5..9].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(self.buf[9..13].try_into().unwrap());
+        let check = u32::from_le_bytes(self.buf[9..13].try_into().unwrap());
         // Re-validate the length against the run's byte range even
         // though `load` scanned the file: if the file shrank or was
         // rewritten since, the corrupted length must surface as an
@@ -865,7 +908,7 @@ impl RunReader {
         }
         let payload_at = self.offset;
         self.read_exact_at(len)?;
-        if crc != crc32_of(&self.buf) {
+        if check != check32(&self.buf) {
             return Err(SpillError::Corrupt {
                 offset: frame_at,
                 reason: "chunk payload checksum mismatch",
@@ -1221,6 +1264,38 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn check32_alters_on_every_single_byte_change() {
+        // Lengths 0–40 cover no block, a lone tail, whole blocks and
+        // blocks plus every tail length.
+        for len in 0..=40usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let clean = check32(&bytes);
+            for at in 0..len {
+                for mask in 1..=255u8 {
+                    let mut changed = bytes.clone();
+                    changed[at] ^= mask;
+                    assert_ne!(
+                        check32(&changed),
+                        clean,
+                        "len {len}, byte {at}, mask {mask:#04x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn check32_is_pinned() {
+        // The check is part of the hide-spill/2 format: changing it
+        // needs a new magic. Two blocks and a five-byte tail.
+        assert_eq!(check32(b""), 0x57a1_341e);
+        assert_eq!(
+            check32(b"hide-spill/2 frame check, 37 bytes..."),
+            0xb4b9_0361
+        );
     }
 
     #[test]

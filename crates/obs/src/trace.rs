@@ -173,15 +173,6 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-impl TraceEvent {
-    /// The total order merged logs observe: time, then source lane,
-    /// then per-source sequence.
-    #[must_use]
-    pub fn sort_key(&self) -> (f64, u32, u64) {
-        (self.time, self.source, self.seq)
-    }
-}
-
 /// A sink for structured trace events.
 ///
 /// Mirrors [`crate::MetricsSink`]: instrumented code is generic over
@@ -399,6 +390,12 @@ mod tests {
         r
     }
 
+    /// The total order merged logs observe: time, then source lane,
+    /// then per-source sequence.
+    fn sort_key(e: &TraceEvent) -> (f64, u32, u64) {
+        (e.time, e.source, e.seq)
+    }
+
     #[test]
     fn noop_trace_is_disabled() {
         let mut t = NoopTrace;
@@ -441,7 +438,7 @@ mod tests {
         let a = rec(0, &[0.1, 0.5, 0.5]);
         let b = rec(1, &[0.2, 0.5]);
         let merged = FlightRecorder::merged(vec![a, b]);
-        let keys: Vec<(f64, u32, u64)> = merged.events().map(|e| e.sort_key()).collect();
+        let keys: Vec<(f64, u32, u64)> = merged.events().map(sort_key).collect();
         assert_eq!(
             keys,
             vec![

@@ -1,4 +1,4 @@
-//! Property tests of the `hide-spill/1` framed codec and the k-way
+//! Property tests of the `hide-spill/2` framed codec and the k-way
 //! merge the out-of-core export pipeline is built on.
 //!
 //! Three families:
@@ -9,11 +9,12 @@
 //! 2. **Hostile bytes** — every strict prefix of a valid file and
 //!    every single-byte flip is rejected with a structured
 //!    [`SpillError`]; nothing panics and nothing allocates on
-//!    attacker-controlled lengths. The chunk checksum is FNV-1a-based,
-//!    and a single-byte change always alters the low 32 bits (xor
-//!    injects into the low byte, multiplication by an odd prime is
-//!    injective mod 2^32), so detection is a guarantee, not a
-//!    probability.
+//!    attacker-controlled lengths. Every frame's check is built from
+//!    steps that are injective in their input and bijective in their
+//!    state, so a change confined to one byte always alters it:
+//!    detection is a guarantee, not a probability. Beside the random
+//!    flips, one small file is swept exhaustively, every bit of every
+//!    byte, and a `hide-spill/1` magic is rejected.
 //! 3. **Merge order** — [`KWayMerge`] over arbitrarily partitioned,
 //!    arbitrarily chunked spilled runs pops the exact sequence the
 //!    in-memory tree fold produces. The `(time, source, seq)` key is a
@@ -216,6 +217,21 @@ fn assert_events_bit_equal(got: &[TraceEvent], want: &[TraceEvent]) -> Result<()
         prop_assert_eq!((g.source, g.seq, g.kind), (w.source, w.seq, w.kind));
     }
     Ok(())
+}
+
+/// A small file of three runs at two events per chunk: two runs of
+/// several chunks (the first ends on a short chunk) around an empty
+/// run, covering all nine event kinds and the largest frame.
+fn sweep_file() -> (TempFile, SpillIndex) {
+    let event = |i: usize, time: f64| TraceEvent {
+        time,
+        source: i as u32 % 3,
+        seq: i as u64,
+        kind: kind_from(i as u8, 0x0004_0301_1234_5678 + i as u64, 0xdead_beef),
+    };
+    let first: Vec<TraceEvent> = (0..5).map(|i| event(i, 0.25 * i as f64)).collect();
+    let last: Vec<TraceEvent> = (5..9).map(|i| event(i, i as f64)).collect();
+    write_spill(&[(first, 3), (Vec::new(), 0), (last, 1 << 40)], 2)
 }
 
 /// Writes `runs` into a fresh spill file and returns the temp handle.
@@ -453,5 +469,78 @@ proptest! {
             .expect("mem sources never fail");
 
         assert_events_bit_equal(&merged, &expected)?;
+    }
+}
+
+/// Every bit of every byte of one multi-run, multi-chunk file, flipped
+/// alone, is a structured error from the scan; a flip inside a run's
+/// chunk frames is also an error from the streaming merge over the
+/// writer's index, the path exports take.
+#[test]
+fn every_single_bit_flip_is_a_structured_error() {
+    let (file, index) = sweep_file();
+    let clean = std::fs::read(&file.0).expect("read spill back");
+    // Three and two chunks around an empty run.
+    let events: Vec<u64> = index.runs.iter().map(|run| run.events).collect();
+    assert_eq!(events, [5, 0, 4]);
+    assert_eq!(
+        index
+            .merge()
+            .expect("open merge")
+            .collect_all()
+            .expect("clean merge")
+            .len(),
+        9
+    );
+
+    let corrupt = TempFile(temp_spill_path());
+    let corrupt_index = SpillIndex {
+        path: corrupt.0.clone(),
+        ..index.clone()
+    };
+    let mut bytes = clean.clone();
+    for at in 0..clean.len() {
+        let in_chunks = index
+            .runs
+            .iter()
+            .any(|run| (run.start..run.end).contains(&(at as u64)));
+        for bit in 0..8 {
+            bytes[at] ^= 1 << bit;
+            std::fs::write(&corrupt.0, &bytes).expect("write corrupted copy");
+            bytes[at] = clean[at];
+
+            let err = SpillIndex::load(&corrupt.0)
+                .expect_err(&format!("byte {at} bit {bit}: a flip must not validate"));
+            assert!(
+                matches!(
+                    err,
+                    SpillError::Truncated { .. }
+                        | SpillError::Corrupt { .. }
+                        | SpillError::BadMagic { .. }
+                ),
+                "byte {at} bit {bit}: unexpected {err:?}"
+            );
+            if in_chunks {
+                let merged = corrupt_index.merge().and_then(KWayMerge::collect_all);
+                assert!(
+                    matches!(merged, Err(SpillError::Corrupt { .. })),
+                    "byte {at} bit {bit}: the merge read a flipped chunk as {merged:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A file that opens with the `hide-spill/1` magic is not read as a
+/// `hide-spill/2` file, even when every frame after it is well formed.
+#[test]
+fn a_hide_spill_1_magic_is_bad_magic() {
+    let (file, _) = sweep_file();
+    let mut bytes = std::fs::read(&file.0).expect("read spill back");
+    bytes[..8].copy_from_slice(b"HIDESPL1");
+    std::fs::write(&file.0, &bytes).expect("write v1 magic");
+    match SpillIndex::load(&file.0) {
+        Err(SpillError::BadMagic { found }) => assert_eq!(found, b"HIDESPL1"),
+        other => panic!("expected BadMagic, got {other:?}"),
     }
 }

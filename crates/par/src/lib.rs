@@ -77,17 +77,6 @@ where
     par_map_jobs(default_jobs(), items, |_, item| f(item))
 }
 
-/// Like [`par_map`], but the closure also receives the item index —
-/// handy for deriving per-cell seeds.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_jobs(default_jobs(), items, f)
-}
-
 /// Maps `f` over `items` on exactly `jobs` worker threads (clamped to
 /// the item count; `jobs <= 1`, or a call made on a worker thread,
 /// runs inline). Output order equals input order: workers pull indices
