@@ -47,24 +47,10 @@ impl NetworkConfig {
         1.0 / self.sync_interval_secs
     }
 
-    /// Sets the DCF parameters.
-    #[must_use]
-    pub fn with_dcf(mut self, dcf: DcfConfig) -> Self {
-        self.dcf = dcf;
-        self
-    }
-
     /// Sets the UDP Port Message interval `1/f`, seconds.
     #[must_use]
     pub fn with_sync_interval_secs(mut self, secs: f64) -> Self {
         self.sync_interval_secs = secs;
-        self
-    }
-
-    /// Sets the ports carried per UDP Port Message.
-    #[must_use]
-    pub fn with_ports_per_message(mut self, ports: usize) -> Self {
-        self.ports_per_message = ports;
         self
     }
 }
@@ -146,52 +132,6 @@ impl CapacityAnalysis {
         Ok(self.point(nodes, hide_fraction)?.decrease)
     }
 
-    /// Like [`CapacityAnalysis::point`], but with `Φ` measured by the
-    /// event-driven CSMA/CA simulator ([`hide_wifi::dcf_sim`]) instead
-    /// of the analytical fixed point — an end-to-end check that the
-    /// overhead conclusion does not hinge on Bianchi's approximations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WifiError::FieldOverflow`] when `hide_fraction` is
-    /// outside `[0, 1]` and [`WifiError::DcfNoSolution`] for
-    /// `nodes == 0`.
-    pub fn point_simulated(
-        &self,
-        nodes: u32,
-        hide_fraction: f64,
-        events: u64,
-        seed: u64,
-    ) -> Result<CapacityPoint, WifiError> {
-        if !(0.0..=1.0).contains(&hide_fraction) {
-            return Err(WifiError::FieldOverflow {
-                field: "hide fraction",
-                value: (hide_fraction * 1000.0) as u64,
-            });
-        }
-        if nodes == 0 {
-            return Err(WifiError::DcfNoSolution("station count is zero"));
-        }
-        let sim = hide_wifi::dcf_sim::simulate(
-            &hide_wifi::dcf_sim::DcfSimConfig::new(self.config.dcf.clone(), nodes)
-                .with_events(events)
-                .with_seed(seed),
-        );
-        let s1 = sim.throughput * self.config.dcf.channel_rate_bps;
-        let l = self.config.dcf.payload_bits;
-        let n_frames = s1 / l;
-        let nu = nodes as f64 * hide_fraction * self.config.message_rate();
-        let slots_per_msg = (self.config.port_message_bits() / l).ceil();
-        let s2 = ((n_frames - nu * slots_per_msg) * l).max(0.0);
-        Ok(CapacityPoint {
-            nodes,
-            hide_fraction,
-            original_bps: s1,
-            with_hide_bps: s2,
-            decrease: 1.0 - s2 / s1,
-        })
-    }
-
     /// The full Fig. 10 sweep: node counts {5, 10, 20, 30, 40, 50} ×
     /// HIDE fractions {5, 25, 50, 75}%.
     ///
@@ -220,14 +160,10 @@ mod tests {
 
     #[test]
     fn builders_match_field_assignment() {
-        let built = NetworkConfig::default()
-            .with_dcf(DcfConfig::table_ii())
-            .with_sync_interval_secs(600.0)
-            .with_ports_per_message(100);
+        let built = NetworkConfig::default().with_sync_interval_secs(600.0);
         let expected = NetworkConfig {
-            dcf: DcfConfig::table_ii(),
             sync_interval_secs: 600.0,
-            ports_per_message: 100,
+            ..NetworkConfig::default()
         };
         assert_eq!(built, expected);
     }
@@ -304,25 +240,6 @@ mod tests {
         assert!(a.point(0, 0.5).is_err());
         assert!(a.point(10, 1.5).is_err());
         assert!(a.point(10, -0.1).is_err());
-    }
-
-    #[test]
-    fn simulated_capacity_agrees_with_analytic() {
-        let a = analysis();
-        let analytic = a.point(20, 0.75).unwrap();
-        let simulated = a.point_simulated(20, 0.75, 40_000, 7).unwrap();
-        let err = (simulated.original_bps - analytic.original_bps).abs() / analytic.original_bps;
-        assert!(err < 0.07, "S1 off by {:.1}%", err * 100.0);
-        // The headline conclusion survives the mechanism-level check.
-        assert!(simulated.decrease < 0.005);
-        assert!(simulated.decrease > 0.0);
-    }
-
-    #[test]
-    fn simulated_point_validates_inputs() {
-        let a = analysis();
-        assert!(a.point_simulated(0, 0.5, 1000, 1).is_err());
-        assert!(a.point_simulated(10, 1.5, 1000, 1).is_err());
     }
 
     #[test]

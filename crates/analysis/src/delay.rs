@@ -99,45 +99,10 @@ impl Default for DelayConfig {
 }
 
 impl DelayConfig {
-    /// Sets the baseline packet round-trip time `D`, seconds.
-    #[must_use]
-    pub fn with_rtt_secs(mut self, secs: f64) -> Self {
-        self.rtt_secs = secs;
-        self
-    }
-
-    /// Sets the fraction of clients with HIDE enabled (`p`).
-    #[must_use]
-    pub fn with_hide_fraction(mut self, fraction: f64) -> Self {
-        self.hide_fraction = fraction;
-        self
-    }
-
-    /// Sets the average open UDP ports per client (`n_o`).
-    #[must_use]
-    pub fn with_open_ports(mut self, ports: u32) -> Self {
-        self.open_ports = ports;
-        self
-    }
-
     /// Sets the UDP Port Message interval `1/f`, seconds.
     #[must_use]
     pub fn with_sync_interval_secs(mut self, secs: f64) -> Self {
         self.sync_interval_secs = secs;
-        self
-    }
-
-    /// Sets the broadcast frames buffered per DTIM (`n_f`).
-    #[must_use]
-    pub fn with_buffered_per_dtim(mut self, frames: u32) -> Self {
-        self.buffered_per_dtim = frames;
-        self
-    }
-
-    /// Sets the hash-table operation cost model.
-    #[must_use]
-    pub fn with_costs(mut self, costs: ArmCostModel) -> Self {
-        self.costs = costs;
         self
     }
 }
@@ -308,20 +273,10 @@ mod tests {
 
     #[test]
     fn builders_match_field_assignment() {
-        let built = DelayConfig::default()
-            .with_rtt_secs(0.1)
-            .with_hide_fraction(0.8)
-            .with_open_ports(100)
-            .with_sync_interval_secs(30.0)
-            .with_buffered_per_dtim(4)
-            .with_costs(ArmCostModel::PAPER_ARM);
+        let built = DelayConfig::default().with_sync_interval_secs(30.0);
         let expected = DelayConfig {
-            rtt_secs: 0.1,
-            hide_fraction: 0.8,
-            open_ports: 100,
             sync_interval_secs: 30.0,
-            buffered_per_dtim: 4,
-            costs: ArmCostModel::PAPER_ARM,
+            ..DelayConfig::default()
         };
         assert_eq!(built, expected);
     }

@@ -25,8 +25,8 @@
 //! `scheduled:8:1` wakes one DTIM in eight). `--device` picks a
 //! device from the policy registry (`nexus-one`, `galaxy-s4`,
 //! `pixel-3a`, `note-4`, `iot-cam`, `tablet-pro`), setting the energy
-//! profile, the PowerTutor promotion knobs and the battery the
-//! lifetime projection extrapolates onto.
+//! profile every charge is priced from and the battery the lifetime
+//! projection extrapolates onto.
 //!
 //! `--trace PATH` turns the flight recorder on: every shard kernel's
 //! structured events (DTIM boundaries, lost/applied refreshes, port
@@ -417,7 +417,7 @@ fn export_trace(o: &Opts, s: &StreamedFleetResult) -> Result<Option<u64>, String
     let n = if path.ends_with(".jsonl") {
         s.write_trace_jsonl(&mut out)
     } else {
-        s.write_chrome_trace(None, &mut out)
+        s.write_chrome_trace(&mut out)
     }
     .map_err(|e| e.to_string())?;
     out.flush().map_err(|e| format!("writing {path}: {e}"))?;

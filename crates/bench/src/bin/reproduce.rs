@@ -31,8 +31,8 @@
 //! `--trace <file>` flight-records the reference protocol run (the
 //! real AP and client over the coffee-shop trace) and exports the
 //! event log: a JSONL stream when the path ends in `.jsonl`, otherwise
-//! Chrome-trace JSON with the run's wall-clock stage spans on a second
-//! track (open in Perfetto or `chrome://tracing`).
+//! Chrome-trace JSON (open in Perfetto or `chrome://tracing`). The
+//! run's wall-clock stage timings print in `--metrics`'s summary.
 //!
 //! `--energy-attribution` joins that flight-recorded wake stream
 //! against the Nexus One profile (trace-join pricing, see
@@ -284,7 +284,7 @@ fn run(args: &[String]) -> Result<(), Exit> {
             let rendered = if path.extension().is_some_and(|e| e == "jsonl") {
                 export::to_jsonl(&flight)
             } else {
-                export::to_chrome_trace(&flight, Some(&recorder))
+                export::to_chrome_trace(&flight)
             };
             std::fs::write(path, rendered).map_err(HideError::from)?;
             println!("\ntrace written to {} ({events} events)", path.display());

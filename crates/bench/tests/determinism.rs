@@ -228,8 +228,8 @@ fn fleet_runs_are_identical_across_job_counts() {
         "fleet trace JSONL differs between job counts"
     );
     assert_eq!(
-        hide_obs::export::to_chrome_trace(&serial_flight, None),
-        hide_obs::export::to_chrome_trace(&parallel_flight, None),
+        hide_obs::export::to_chrome_trace(&serial_flight),
+        hide_obs::export::to_chrome_trace(&parallel_flight),
         "fleet Chrome trace differs between job counts"
     );
     assert_eq!(serial_flight, parallel_flight);

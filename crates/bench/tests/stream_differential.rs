@@ -62,7 +62,7 @@ fn in_memory_reference(cfg: &FleetConfig) -> Reference {
         .expect("valid fleet config");
     Reference {
         jsonl: export::to_jsonl(&flight),
-        chrome: export::to_chrome_trace(&flight, None),
+        chrome: export::to_chrome_trace(&flight),
         attr_csv: result.attribution().to_csv(),
         attr_jsonl: result.attribution().to_jsonl(),
         metrics: result.metrics_json_with_energy(),
@@ -104,7 +104,7 @@ fn streamed_run(cfg: &FleetConfig, jobs: usize, chunk: usize, window: usize) -> 
         .expect("spill file survives until cleanup");
     let mut chrome = Vec::new();
     streamed
-        .write_chrome_trace(None, &mut chrome)
+        .write_chrome_trace(&mut chrome)
         .expect("merge is repeatable");
     assert_eq!(jsonl_events, streamed.events(), "merge lost or grew events");
     let out = Streamed {

@@ -28,7 +28,6 @@
 //! let _ = ap.emit_dtim_beacon(1, &mut ApCtx::at(1.5).with_metrics(&mut rec));
 //! ```
 
-use crate::clock::Clock;
 use hide_obs::{MetricsSink, NoopSink, NoopTrace, TraceSink};
 
 /// Timestamp, metrics sink and trace sink for one AP operation.
@@ -67,12 +66,6 @@ impl ApCtx {
             metrics: NoopSink,
             trace: NoopTrace,
         }
-    }
-
-    /// An uninstrumented context stamped off `clock`'s current time.
-    #[must_use]
-    pub fn from_clock<C: Clock>(clock: &C) -> Self {
-        ApCtx::at(clock.now())
     }
 }
 
@@ -114,7 +107,6 @@ impl<S: MetricsSink, T: TraceSink> ApCtx<S, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use hide_obs::{Counter, Recorder};
 
     #[test]
@@ -122,8 +114,6 @@ mod tests {
         assert_eq!(ApCtx::untimed().now(), None);
         assert_eq!(ApCtx::at(3.5).now(), Some(3.5));
         assert_eq!(ApCtx::untimed().timestamped(1.0).now(), Some(1.0));
-        let clock = VirtualClock::starting_at(9.0);
-        assert_eq!(ApCtx::from_clock(&clock).now(), Some(9.0));
     }
 
     #[test]

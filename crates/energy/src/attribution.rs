@@ -73,21 +73,17 @@ pub struct WakePricing {
 }
 
 impl WakePricing {
-    /// Derives the integer prices from a Table I profile, by way of its
-    /// [`TransitionTable`](crate::fsm::TransitionTable): the wake price
-    /// is the `Suspended → Resuming` plus `ActiveIdle → Suspending` edge
-    /// energies plus the wakelock dwell in `ActiveIdle`; the forgone
-    /// price subtracts the `Suspended` dwell over the same window; the
-    /// beacon price is the profile's `E^u_b`. Each price rounds once to
-    /// a whole nanojoule.
+    /// Derives the integer prices from a Table I profile: the wake price
+    /// is the wake cycle `E_rm + E_sp` plus the wakelock tail `τ·P_sa`;
+    /// the forgone price subtracts the suspend floor `P_ss` over the
+    /// same `T_rm + τ + T_sp` window; the beacon price is the profile's
+    /// `E^u_b`. Each price rounds once to a whole nanojoule.
     #[must_use]
     pub fn from_profile(profile: &DeviceProfile) -> Self {
-        use crate::fsm::{RadioState, TransitionTable};
-        let table = TransitionTable::from_profile(profile);
-        let wake_j = table.wake_cycle_energy_j()
-            + table.wakelock_hold_secs * table.power_w(RadioState::ActiveIdle);
-        let window_secs = table.resume_secs() + table.wakelock_hold_secs + table.suspend_secs();
-        let floor_j = window_secs * table.power_w(RadioState::Suspended);
+        let wake_j =
+            profile.wake_cycle_energy() + profile.wakelock_secs * profile.active_idle_power;
+        let window_secs = profile.resume_secs + profile.wakelock_secs + profile.suspend_secs;
+        let floor_j = window_secs * profile.suspend_power;
         let wake_nj = joules_to_nj(wake_j);
         WakePricing {
             wake_nj,
@@ -527,7 +523,7 @@ pub fn metrics_section_for(t: &ClientEnergy, clients: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{GALAXY_S4, NEXUS_ONE};
+    use crate::profile::{BUILTIN_PROFILES, GALAXY_S4, NEXUS_ONE};
 
     #[test]
     fn pricing_matches_profile_arithmetic() {
@@ -541,6 +537,88 @@ mod tests {
         let s4 = WakePricing::from_profile(&GALAXY_S4);
         assert!(s4.wake_nj > 250_000_000);
         assert!(s4.forgone_nj < s4.wake_nj);
+    }
+
+    #[test]
+    fn joules_to_nj_rounds_to_the_nearest_nanojoule() {
+        assert_eq!(joules_to_nj(0.0), 0);
+        assert_eq!(joules_to_nj(0.4e-9), 0);
+        assert_eq!(joules_to_nj(0.6e-9), 1);
+        assert_eq!(joules_to_nj(160.92e-3), 160_920_000);
+        assert_eq!(joules_to_nj(2.0), 2_000_000_000);
+        // The ledger has no negative energy: a negative input clamps.
+        assert_eq!(joules_to_nj(-1.0), 0);
+    }
+
+    #[test]
+    fn builtin_prices_follow_profile_arithmetic() {
+        for p in BUILTIN_PROFILES {
+            let pricing = WakePricing::from_profile(&p);
+            let wake_j = p.wake_cycle_energy() + p.wakelock_secs * p.active_idle_power;
+            let floor_j = (p.resume_secs + p.wakelock_secs + p.suspend_secs) * p.suspend_power;
+            assert_eq!(pricing.wake_nj, joules_to_nj(wake_j), "{}", p.name);
+            assert_eq!(
+                pricing.forgone_nj,
+                joules_to_nj(wake_j) - joules_to_nj(floor_j),
+                "{}",
+                p.name
+            );
+            assert_eq!(
+                pricing.beacon_nj,
+                joules_to_nj(p.beacon_energy),
+                "{}",
+                p.name
+            );
+            assert!(pricing.beacon_nj < pricing.forgone_nj, "{}", p.name);
+            assert!(pricing.forgone_nj < pricing.wake_nj, "{}", p.name);
+        }
+    }
+
+    #[test]
+    fn each_wakelock_second_adds_active_idle_power() {
+        // One more second of wakelock costs P_sa more per wake, and
+        // forgoes P_sa − P_ss more against the suspend floor (±1 nJ from
+        // rounding each price once).
+        for p in BUILTIN_PROFILES {
+            let short = WakePricing::from_profile(&p);
+            let long = WakePricing::from_profile(&DeviceProfile {
+                wakelock_secs: p.wakelock_secs + 1.0,
+                ..p
+            });
+            let wake_step = long.wake_nj - short.wake_nj;
+            assert!(
+                wake_step.abs_diff(joules_to_nj(p.active_idle_power)) <= 1,
+                "{}: {wake_step}",
+                p.name
+            );
+            let forgone_step = long.forgone_nj - short.forgone_nj;
+            let expected = joules_to_nj(p.active_idle_power - p.suspend_power);
+            assert!(
+                forgone_step.abs_diff(expected) <= 1,
+                "{}: {forgone_step} vs {expected}",
+                p.name
+            );
+            assert_eq!(long.beacon_nj, short.beacon_nj);
+        }
+    }
+
+    #[test]
+    fn forgone_price_saturates_at_zero() {
+        // Slow state transfers at a suspend draw close to the wakelock
+        // draw: the suspend floor over T_rm + τ + T_sp (3 s × 120 mW)
+        // outweighs the whole wake (2 mJ + 125 mJ), so nothing is forgone.
+        let p = DeviceProfile {
+            resume_secs: 1.0,
+            suspend_secs: 1.0,
+            resume_energy: 1e-3,
+            suspend_energy: 1e-3,
+            suspend_power: 0.120,
+            ..NEXUS_ONE
+        };
+        assert!(p.is_consistent());
+        let pricing = WakePricing::from_profile(&p);
+        assert_eq!(pricing.wake_nj, 127_000_000);
+        assert_eq!(pricing.forgone_nj, 0);
     }
 
     #[test]

@@ -29,16 +29,6 @@ impl Battery {
     /// The Galaxy S4's 2600 mAh battery at 3.8 V nominal.
     pub const GALAXY_S4: Battery = Battery { capacity_wh: 9.88 };
 
-    /// Creates a battery from its usable energy in watt-hours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_wh` is not positive.
-    pub fn from_wh(capacity_wh: f64) -> Self {
-        assert!(capacity_wh > 0.0, "capacity must be positive");
-        Battery { capacity_wh }
-    }
-
     /// Creates a battery from a milliamp-hour rating and nominal
     /// voltage.
     ///
@@ -91,12 +81,11 @@ mod tests {
     fn conversions() {
         let b = Battery::from_mah(1000.0, 3.7);
         assert!((b.capacity_wh() - 3.7).abs() < 1e-12);
-        assert_eq!(Battery::from_wh(5.0).capacity_wh(), 5.0);
     }
 
     #[test]
     fn standby_math() {
-        let b = Battery::from_wh(10.0);
+        let b = Battery::from_mah(1000.0, 10.0);
         assert!((b.standby_hours(1.0) - 10.0).abs() < 1e-12);
         assert!((b.standby_days(1.0) - 10.0 / 24.0).abs() < 1e-12);
     }
@@ -114,14 +103,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity")]
+    #[should_panic(expected = "rating")]
     fn zero_capacity_panics() {
-        let _ = Battery::from_wh(0.0);
+        let _ = Battery::from_mah(0.0, 3.7);
     }
 
     #[test]
     #[should_panic(expected = "draw")]
     fn zero_draw_panics() {
-        let _ = Battery::from_wh(1.0).standby_hours(0.0);
+        let _ = Battery::NEXUS_ONE.standby_hours(0.0);
     }
 }

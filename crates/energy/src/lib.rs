@@ -16,15 +16,14 @@
 //! * `Eo` — HIDE's own overhead: BTIM bytes in beacons and UDP Port
 //!   Message transmissions (Eqs. 15–19).
 //!
-//! Two implementations are provided and cross-checked against each other
-//! in tests:
-//!
-//! * [`machine`] — an event-driven power-state machine that generalizes
-//!   the paper's equations to per-frame wakelock durations (needed for
-//!   the "client-side" baseline, which holds a zero-length wakelock for
-//!   useless frames), and
-//! * [`closed_form`] — a literal transcription of Eqs. (3)–(5) and (14)
-//!   for the uniform-wakelock case.
+//! Every price comes from one [`DeviceProfile`]: a Table I row or a
+//! registry extension. The `Ewl` and `Est` terms come from [`machine`],
+//! an event-driven power-state machine that generalizes the paper's
+//! equations to per-frame wakelock durations (needed for the
+//! "client-side" baseline, which holds a zero-length wakelock for
+//! useless frames). The test suite holds it to a literal transcription
+//! of Eqs. (3)–(5) and (14) for the uniform-wakelock case
+//! (`tests/closed_form/mod.rs`).
 //!
 //! # Example
 //!
@@ -50,8 +49,6 @@
 pub mod attribution;
 pub mod battery;
 pub mod breakdown;
-pub mod closed_form;
-pub mod fsm;
 pub mod machine;
 pub mod profile;
 pub mod radio;
@@ -62,8 +59,7 @@ pub use attribution::{
     ClientEnergy, WakePricing, ATTRIBUTION_CSV_HEADER,
 };
 pub use breakdown::{EnergyBreakdown, EnergyReport};
-pub use fsm::{RadioState, Transition, TransitionTable};
-pub use profile::{DeviceProfile, DeviceProfileBuilder};
+pub use profile::DeviceProfile;
 pub use timeline::{EnergyError, Overhead, Timeline, TimelineFrame};
 
 /// Evaluates the full Section-IV energy model on a reception timeline.

@@ -16,7 +16,6 @@
 //! * a frame arriving **during a resume operation** has its wakelock
 //!   activation delayed to the end of the resume (Eq. 3's `max`).
 
-use crate::fsm::{RadioState, TransitionTable};
 use crate::profile::DeviceProfile;
 use crate::timeline::Timeline;
 
@@ -40,21 +39,10 @@ pub struct MachineResult {
 /// Runs the state machine over a timeline.
 ///
 /// The device is assumed suspended at `t = 0` (the paper's
-/// "without loss of generality, `s(1) = 0`"). Builds the profile's
-/// [`TransitionTable`] and delegates to [`run_with_table`]: the table
-/// stores the profile's constants verbatim, so this wrapper is
-/// bit-identical to the flat-constant machine it replaced.
+/// "without loss of generality, `s(1) = 0`").
 pub fn run(profile: &DeviceProfile, timeline: &Timeline) -> MachineResult {
-    run_with_table(&TransitionTable::from_profile(profile), timeline)
-}
-
-/// Runs the state machine over a timeline against an explicit
-/// transition table — per-state powers and transition prices come from
-/// the table's edges (`Suspended → Resuming`, `ActiveIdle →
-/// Suspending`), not from flat profile fields.
-pub fn run_with_table(table: &TransitionTable, timeline: &Timeline) -> MachineResult {
-    let t_rm = table.resume_secs();
-    let t_sp = table.suspend_secs();
+    let t_rm = profile.resume_secs;
+    let t_sp = profile.suspend_secs;
     let duration = timeline.duration();
 
     // `release`: expiry time of the furthest wakelock in the current wake
@@ -83,7 +71,7 @@ pub fn run_with_table(table: &TransitionTable, timeline: &Timeline) -> MachineRe
         if a >= suspend_complete {
             // s(i) = 0: device is suspended when the frame arrives.
             suspend_time += a - suspend_complete;
-            est += table.wake_cycle_energy_j();
+            est += profile.wake_cycle_energy();
             resume_count += 1;
             let tr = a + t_rm;
             last_tr = tr;
@@ -92,7 +80,7 @@ pub fn run_with_table(table: &TransitionTable, timeline: &Timeline) -> MachineRe
         } else if a >= release {
             // Suspend operation in progress: abort it.
             let y = (a - release) / t_sp;
-            est += table.suspend_energy_j() * y;
+            est += profile.suspend_energy * y;
             aborted += 1;
             let tr = a.max(last_tr);
             last_tr = tr;
@@ -126,7 +114,7 @@ pub fn run_with_table(table: &TransitionTable, timeline: &Timeline) -> MachineRe
     }
 
     MachineResult {
-        wakelock_energy: table.power_w(RadioState::ActiveIdle) * wakelock_time,
+        wakelock_energy: profile.active_idle_power * wakelock_time,
         state_transfer_energy: est,
         wakelock_time,
         suspend_time: suspend_time.min(duration).max(0.0),
@@ -138,7 +126,7 @@ pub fn run_with_table(table: &TransitionTable, timeline: &Timeline) -> MachineRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::NEXUS_ONE;
+    use crate::profile::{BUILTIN_PROFILES, GALAXY_S4, NEXUS_ONE};
     use crate::timeline::{Timeline, TimelineFrame};
 
     fn frames(specs: &[(f64, f64)]) -> Vec<TimelineFrame> {
@@ -272,19 +260,92 @@ mod tests {
         assert!(r.suspend_time <= 10.0);
     }
 
+    fn run_with(profile: &DeviceProfile, duration: f64, specs: &[(f64, f64)]) -> MachineResult {
+        let t = Timeline::new(duration, 0.1024, frames(specs)).unwrap();
+        run(profile, &t)
+    }
+
     #[test]
-    fn table_and_profile_paths_bit_identical() {
-        // run() now routes through the FSM transition table; the table
-        // stores the profile constants verbatim, so both entry points
-        // produce bit-identical results.
+    fn run_prices_from_the_profile_it_is_given() {
+        // One Galaxy S4 session: every charge reads the S4's own constants.
+        let r = run_with(&GALAXY_S4, 100.0, &[(10.0, 1.0)]);
+        assert_eq!(r.resume_count, 1);
+        assert_eq!(
+            r.state_transfer_energy.to_bits(),
+            GALAXY_S4.wake_cycle_energy().to_bits()
+        );
+        assert_eq!(
+            r.wakelock_energy.to_bits(),
+            GALAXY_S4.active_idle_power.to_bits()
+        );
+        // Suspended: [0, 10] plus [10 + T_rm + 1 + T_sp, 100].
+        let release = 10.0 + GALAXY_S4.resume_secs + 1.0;
+        let expected = 10.0 + (100.0 - (release + GALAXY_S4.suspend_secs));
+        assert!((r.suspend_time - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn wakelock_energy_is_active_idle_power_times_held_time() {
         let specs: Vec<(f64, f64)> = (0..30)
             .map(|i| (i as f64 * 0.35, if i % 3 == 0 { 0.0 } else { 1.0 }))
             .collect();
-        let t = Timeline::new(20.0, 0.1024, frames(&specs)).unwrap();
-        let via_profile = run(&NEXUS_ONE, &t);
-        let table = TransitionTable::from_profile(&NEXUS_ONE);
-        let via_table = run_with_table(&table, &t);
-        assert_eq!(via_profile, via_table);
+        for p in BUILTIN_PROFILES {
+            let r = run_with(&p, 20.0, &specs);
+            assert!(r.wakelock_time > 0.0, "{}", p.name);
+            assert_eq!(
+                r.wakelock_energy.to_bits(),
+                (p.active_idle_power * r.wakelock_time).to_bits(),
+                "{}",
+                p.name
+            );
+            // A wakelock keeps the whole system up; the radio's own
+            // listening draw is a different constant.
+            assert_ne!(r.wakelock_energy, p.idle_power * r.wakelock_time);
+        }
+    }
+
+    #[test]
+    fn separate_sessions_charge_whole_wake_cycles_bit_exactly() {
+        // 10 s apart, each session's suspend completes before the next
+        // frame on every builtin device.
+        let specs = [(10.0, 1.0), (20.0, 1.0), (30.0, 1.0)];
+        for p in BUILTIN_PROFILES {
+            let r = run_with(&p, 100.0, &specs);
+            assert_eq!(r.resume_count, 3, "{}", p.name);
+            assert_eq!(r.aborted_suspends, 0, "{}", p.name);
+            let w = p.wake_cycle_energy();
+            assert_eq!(
+                r.state_transfer_energy.to_bits(),
+                (0.0 + w + w + w).to_bits(),
+                "{}",
+                p.name
+            );
+            assert_eq!(r.wakelock_time, 3.0);
+        }
+    }
+
+    #[test]
+    fn aborted_suspend_charges_the_profiles_own_fraction() {
+        // The second frame lands halfway through the first session's
+        // suspend operation: half of that device's E_sp is wasted.
+        for p in BUILTIN_PROFILES {
+            let release = 10.0 + p.resume_secs + 1.0;
+            let r = run_with(
+                &p,
+                100.0,
+                &[(10.0, 1.0), (release + 0.5 * p.suspend_secs, 1.0)],
+            );
+            assert_eq!(r.resume_count, 1, "{}", p.name);
+            assert_eq!(r.aborted_suspends, 1, "{}", p.name);
+            let expected = p.wake_cycle_energy() + 0.5 * p.suspend_energy;
+            assert!(
+                (r.state_transfer_energy - expected).abs() < 1e-12,
+                "{}: {} vs {expected}",
+                p.name,
+                r.state_transfer_energy
+            );
+            assert!((r.wakelock_time - 2.0).abs() < 1e-9, "{}", p.name);
+        }
     }
 
     #[test]

@@ -8,12 +8,6 @@
 //! high-power (tablet-class) radio range so cross-device experiments
 //! have something to sweep; they are plausible extrapolations in the
 //! same measurement convention, not published measurements.
-//!
-//! External crates construct new profiles through
-//! [`DeviceProfile::builder`] (or derive one from an existing profile
-//! with [`DeviceProfile::derive`]): the struct is `#[non_exhaustive]`,
-//! so fields added by future registry work cannot break downstream
-//! constructors.
 
 /// Power/energy constants of one smartphone model (one row of Table I).
 ///
@@ -21,11 +15,6 @@
 /// watts (W), durations in seconds (s). The attribution ledger
 /// ([`crate::attribution`]) derives pre-rounded integer nanojoule (nJ)
 /// prices from these floats.
-///
-/// The struct is `#[non_exhaustive]`: construct instances with
-/// [`DeviceProfile::builder`] / [`DeviceProfile::derive`] outside this
-/// crate. Fields stay `pub`, so reads and in-place mutation still work
-/// everywhere.
 ///
 /// # Example
 ///
@@ -37,12 +26,11 @@
 /// assert!((wake_cost - 35.92e-3).abs() < 1e-9);
 ///
 /// // Derive a variant with a longer wakelock without naming every field.
-/// let patient = NEXUS_ONE.derive().wakelock_secs(2.0).build();
+/// let patient = DeviceProfile { wakelock_secs: 2.0, ..NEXUS_ONE };
 /// assert_eq!(patient.wakelock_secs, 2.0);
 /// assert_eq!(patient.rx_power, NEXUS_ONE.rx_power);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: &'static str,
@@ -82,24 +70,6 @@ impl DeviceProfile {
     /// bytes.
     pub const NOMINAL_BEACON_BYTES: f64 = 100.0;
 
-    /// A builder starting from the [`NEXUS_ONE`] constants under a new
-    /// name. Override any subset of fields, then
-    /// [`DeviceProfileBuilder::build`].
-    #[must_use]
-    pub fn builder(name: &'static str) -> DeviceProfileBuilder {
-        let mut b = DeviceProfileBuilder { profile: NEXUS_ONE };
-        b.profile.name = name;
-        b
-    }
-
-    /// A builder seeded with this profile's constants — the
-    /// `#[non_exhaustive]`-safe replacement for struct-update syntax
-    /// (`DeviceProfile { wakelock_secs: t, ..base }`).
-    #[must_use]
-    pub fn derive(&self) -> DeviceProfileBuilder {
-        DeviceProfileBuilder { profile: *self }
-    }
-
     /// Energy to receive one extra byte inside a beacon (J/byte),
     /// derived from [`DeviceProfile::beacon_energy`].
     pub fn beacon_energy_per_byte(&self) -> f64 {
@@ -129,69 +99,6 @@ impl DeviceProfile {
             && self.active_idle_power > 0.0
             && self.suspend_power < self.active_idle_power
             && self.idle_power < self.rx_power
-    }
-}
-
-/// Builder for [`DeviceProfile`] — the only way to construct one
-/// outside this crate (the struct is `#[non_exhaustive]`). Every field
-/// defaults to the seed profile's value, so adding fields to
-/// [`DeviceProfile`] can never break downstream constructors.
-#[derive(Debug, Clone, Copy)]
-pub struct DeviceProfileBuilder {
-    profile: DeviceProfile,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[must_use]
-            pub fn $field(mut self, value: f64) -> Self {
-                self.profile.$field = value;
-                self
-            }
-        )+
-    };
-}
-
-impl DeviceProfileBuilder {
-    builder_setters! {
-        /// Sets the per-frame wakelock duration `τ`, seconds.
-        wakelock_secs,
-        /// Sets the resume-operation duration `T_rm`, seconds.
-        resume_secs,
-        /// Sets the suspend-operation duration `T_sp`, seconds.
-        suspend_secs,
-        /// Sets the resume-operation energy `E_rm`, joules.
-        resume_energy,
-        /// Sets the suspend-operation energy `E_sp`, joules.
-        suspend_energy,
-        /// Sets the per-beacon reception energy `E^u_b`, joules.
-        beacon_energy,
-        /// Sets the radio receive power `P_r`, watts.
-        rx_power,
-        /// Sets the radio transmit power `P_t`, watts.
-        tx_power,
-        /// Sets the radio idle-listening power `P_idle`, watts.
-        idle_power,
-        /// Sets the whole-system suspend power `P_ss`, watts.
-        suspend_power,
-        /// Sets the whole-system active-idle power `P_sa`, watts.
-        active_idle_power,
-    }
-
-    /// Renames the profile.
-    #[must_use]
-    pub fn name(mut self, name: &'static str) -> Self {
-        self.profile.name = name;
-        self
-    }
-
-    /// Finishes the builder. No validation is applied — call
-    /// [`DeviceProfile::is_consistent`] to sanity-check the result.
-    #[must_use]
-    pub fn build(self) -> DeviceProfile {
-        self.profile
     }
 }
 
@@ -371,19 +278,74 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_and_overrides() {
-        // derive().build() is the identity.
-        assert_eq!(NEXUS_ONE.derive().build(), NEXUS_ONE);
-        // builder() seeds from NEXUS_ONE under the new name.
-        let custom = DeviceProfile::builder("custom")
-            .rx_power(0.6)
-            .tx_power(1.4)
-            .build();
+    fn struct_update_variant_keeps_every_other_constant() {
+        let custom = DeviceProfile {
+            name: "custom",
+            rx_power: 0.6,
+            tx_power: 1.4,
+            ..NEXUS_ONE
+        };
         assert_eq!(custom.name, "custom");
         assert_eq!(custom.rx_power, 0.6);
         assert_eq!(custom.tx_power, 1.4);
-        assert_eq!(custom.wakelock_secs, NEXUS_ONE.wakelock_secs);
+        // Restoring the two overridden constants gives back the base row.
+        assert_eq!(
+            DeviceProfile {
+                name: NEXUS_ONE.name,
+                rx_power: NEXUS_ONE.rx_power,
+                tx_power: NEXUS_ONE.tx_power,
+                ..custom
+            },
+            NEXUS_ONE
+        );
         assert!(custom.is_consistent());
+        assert_eq!(custom.wake_cycle_energy(), NEXUS_ONE.wake_cycle_energy());
+    }
+
+    #[test]
+    fn is_consistent_rejects_any_non_positive_constant() {
+        let zero_field: [fn(&mut DeviceProfile); 11] = [
+            |p| p.wakelock_secs = 0.0,
+            |p| p.resume_secs = 0.0,
+            |p| p.suspend_secs = 0.0,
+            |p| p.resume_energy = 0.0,
+            |p| p.suspend_energy = 0.0,
+            |p| p.beacon_energy = 0.0,
+            |p| p.rx_power = 0.0,
+            |p| p.tx_power = 0.0,
+            |p| p.idle_power = 0.0,
+            |p| p.suspend_power = 0.0,
+            |p| p.active_idle_power = 0.0,
+        ];
+        for base in BUILTIN_PROFILES {
+            for (i, zero) in zero_field.iter().enumerate() {
+                let mut p = base;
+                zero(&mut p);
+                assert!(!p.is_consistent(), "{}: constant #{i} at zero", base.name);
+            }
+        }
+    }
+
+    #[test]
+    fn is_consistent_power_orderings_are_strict() {
+        // A suspend draw equal to the wakelock draw, or a listening draw
+        // equal to the receive draw, is as wrong as one above it.
+        let p = DeviceProfile {
+            suspend_power: NEXUS_ONE.active_idle_power,
+            ..NEXUS_ONE
+        };
+        assert!(!p.is_consistent());
+        let p = DeviceProfile {
+            idle_power: NEXUS_ONE.rx_power,
+            ..NEXUS_ONE
+        };
+        assert!(!p.is_consistent());
+        let p = DeviceProfile {
+            idle_power: NEXUS_ONE.rx_power * 0.999,
+            suspend_power: NEXUS_ONE.active_idle_power * 0.999,
+            ..NEXUS_ONE
+        };
+        assert!(p.is_consistent());
     }
 
     #[test]

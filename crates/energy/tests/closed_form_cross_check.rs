@@ -3,7 +3,8 @@
 //! every frame holds the uniform wakelock `τ` — the only case the paper
 //! writes in closed form.
 
-use hide_energy::closed_form;
+mod closed_form;
+
 use hide_energy::machine;
 use hide_energy::profile::{DeviceProfile, GALAXY_S4, NEXUS_ONE};
 use hide_energy::timeline::{Timeline, TimelineFrame};

@@ -2,7 +2,7 @@
 //! closed-form cross-check.
 
 use hide_energy::machine;
-use hide_energy::profile::{GALAXY_S4, NEXUS_ONE};
+use hide_energy::profile::{DeviceProfile, GALAXY_S4, NEXUS_ONE};
 use hide_energy::timeline::{Overhead, Timeline, TimelineFrame};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -137,11 +137,11 @@ proptest! {
     #[test]
     fn state_transfer_scales_with_cycle_cost(gaps in gaps(), k in 1.5f64..4.0) {
         let base = NEXUS_ONE;
-        let scaled = base
-            .derive()
-            .resume_energy(base.resume_energy * k)
-            .suspend_energy(base.suspend_energy * k)
-            .build();
+        let scaled = DeviceProfile {
+            resume_energy: base.resume_energy * k,
+            suspend_energy: base.suspend_energy * k,
+            ..base
+        };
         let frames = frames_from_gaps(&gaps, base.wakelock_secs);
         let duration = frames.last().unwrap().start + 50.0;
         let timeline = Timeline::new(duration, 0.1024, frames).unwrap();

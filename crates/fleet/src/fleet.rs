@@ -542,8 +542,7 @@ impl StreamedFleetResult {
         })
     }
 
-    /// Streams the merged trace in Chrome trace format into `out` (see
-    /// [`hide_obs::export::to_chrome_trace`] for the `stages` caveat).
+    /// Streams the merged trace in Chrome trace format into `out`.
     /// Returns the number of simulation events written. Callable
     /// repeatedly. Overlapped like
     /// [`write_trace_jsonl`](Self::write_trace_jsonl).
@@ -552,13 +551,9 @@ impl StreamedFleetResult {
     ///
     /// Decode failures, and `out`'s own write error, surface as
     /// [`FleetError::Export`].
-    pub fn write_chrome_trace<W: io::Write>(
-        &self,
-        stages: Option<&Recorder>,
-        out: &mut W,
-    ) -> Result<u64, FleetError> {
+    pub fn write_chrome_trace<W: io::Write>(&self, out: &mut W) -> Result<u64, FleetError> {
         self.render_overlapped(out, |merge, blocks| {
-            hide_obs::export::stream_chrome_trace(merge, stages, blocks)
+            hide_obs::export::stream_chrome_trace(merge, blocks)
         })
     }
 
@@ -863,8 +858,14 @@ mod tests {
         // and a NaN receive power as 0 nJ per burst: plausible, wrong
         // numbers. Validation names the profile instead.
         for profile in [
-            NEXUS_ONE.derive().tx_power(-1.2).build(),
-            NEXUS_ONE.derive().rx_power(f64::NAN).build(),
+            DeviceProfile {
+                tx_power: -1.2,
+                ..NEXUS_ONE
+            },
+            DeviceProfile {
+                rx_power: f64::NAN,
+                ..NEXUS_ONE
+            },
         ] {
             let cfg = FleetConfig {
                 profile,
@@ -1053,11 +1054,8 @@ mod tests {
         streamed.write_trace_jsonl(&mut out).unwrap();
         assert_eq!(out, hide_obs::export::to_jsonl(&flight).into_bytes());
         let mut out = Vec::new();
-        streamed.write_chrome_trace(None, &mut out).unwrap();
-        assert_eq!(
-            out,
-            hide_obs::export::to_chrome_trace(&flight, None).into_bytes()
-        );
+        streamed.write_chrome_trace(&mut out).unwrap();
+        assert_eq!(out, hide_obs::export::to_chrome_trace(&flight).into_bytes());
 
         // Metrics and scalars: identical artifact, identical drops.
         assert_eq!(

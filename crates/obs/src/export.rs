@@ -2,11 +2,8 @@
 //!
 //! Both formats are rendered with fixed field order and fixed float
 //! precision, so exporting the same event sequence always yields the
-//! same bytes. The JSONL export contains **only** simulation-time data
-//! and is therefore byte-identical across reruns and `--jobs` counts;
-//! the Chrome export can optionally append wall-clock stage spans from
-//! a [`Recorder`], which makes it informative but non-deterministic —
-//! pass `None` when determinism matters.
+//! same bytes. Both contain **only** simulation-time data and are
+//! therefore byte-identical across reruns and `--jobs` counts.
 //!
 //! Each format has one per-event renderer, which writes ASCII straight
 //! into a reused byte buffer: integers through a two-digit table, and
@@ -23,10 +20,8 @@
 
 use std::io::{self, Write as _};
 
-use crate::recorder::Recorder;
 use crate::spill::{EventSource, SpillError};
 use crate::trace::{FlightRecorder, TraceEvent, TraceEventKind};
-use crate::Stage;
 
 /// Rendered bytes buffered before each write to the output.
 const WRITE_BATCH: usize = 64 * 1024;
@@ -253,19 +248,13 @@ fn sim_micros(time: f64) -> u64 {
 }
 
 /// Renders the Chrome-trace opening: header plus process-name
-/// metadata (and the stages process when present).
-fn push_chrome_prelude(out: &mut Vec<u8>, with_stages: bool) {
+/// metadata.
+fn push_chrome_prelude(out: &mut Vec<u8>) {
     out.extend_from_slice(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.extend_from_slice(
         b"{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
           \"args\":{\"name\":\"simulation (sim time)\"}}",
     );
-    if with_stages {
-        out.extend_from_slice(
-            b",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-              \"args\":{\"name\":\"stages (wall clock)\"}}",
-        );
-    }
 }
 
 /// Renders one simulation event as a Chrome instant event, with its
@@ -289,68 +278,33 @@ fn push_chrome_event(out: &mut Vec<u8>, e: &TraceEvent) {
     out.extend_from_slice(b"}}");
 }
 
-/// Renders the wall-clock stage spans (complete events on process 2)
-/// plus the closing bracket.
-fn push_chrome_epilogue(out: &mut Vec<u8>, stages: Option<&Recorder>) {
-    if let Some(rec) = stages {
-        let mut offset_us = 0u64;
-        for s in Stage::ALL {
-            let t = rec.stage(s);
-            if t.calls == 0 {
-                continue;
-            }
-            let dur_us = (t.nanos / 1_000).max(1);
-            push_label(out, b",\n{\"name\":", s.name());
-            push_int(
-                out,
-                b",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":2,\"tid\":0,\"ts\":",
-                offset_us,
-            );
-            push_int(out, b",\"dur\":", dur_us);
-            push_int(out, b",\"args\":{\"calls\":", t.calls);
-            out.extend_from_slice(b"}}");
-            offset_us += dur_us;
-        }
-    }
-    out.extend_from_slice(b"\n]}\n");
-}
-
 /// Serializes the event log in the Chrome trace event format (load it
 /// in `chrome://tracing` or Perfetto).
 ///
 /// Simulation-time events render as instant events (`ph:"i"`) on
-/// process 1, one thread track per source lane. When `stages` is
-/// given, its wall-clock span timers render as complete events
-/// (`ph:"X"`) laid out sequentially on process 2 — useful for eyeballing
-/// where an experiment run spent its time, but wall-clock and therefore
-/// not deterministic. Pass `None` for byte-stable output.
+/// process 1, one thread track per source lane.
 #[must_use]
-pub fn to_chrome_trace(rec: &FlightRecorder, stages: Option<&Recorder>) -> String {
-    in_memory(|out| stream_chrome_trace(&mut rec.events().copied(), stages, out))
+pub fn to_chrome_trace(rec: &FlightRecorder) -> String {
+    in_memory(|out| stream_chrome_trace(&mut rec.events().copied(), out))
 }
 
 /// Streams a sorted event source in the Chrome trace event format into
-/// `out`, holding one event and one write batch at a time (see
-/// [`to_chrome_trace`] for the `stages` caveat). Returns the number of
-/// simulation events written.
+/// `out`, holding one event and one write batch at a time. Returns the
+/// number of simulation events written.
 ///
 /// # Errors
 ///
 /// Propagates the source's decode failures and the writer's I/O
 /// failures as [`SpillError`].
-pub fn stream_chrome_trace<S, W>(
-    src: &mut S,
-    stages: Option<&Recorder>,
-    out: &mut W,
-) -> Result<u64, SpillError>
+pub fn stream_chrome_trace<S, W>(src: &mut S, out: &mut W) -> Result<u64, SpillError>
 where
     S: EventSource,
     W: io::Write,
 {
     let mut buf = Vec::with_capacity(WRITE_BATCH + 512);
-    push_chrome_prelude(&mut buf, stages.is_some());
+    push_chrome_prelude(&mut buf);
     let count = stream_events(src, &mut buf, out, push_chrome_event)?;
-    push_chrome_epilogue(&mut buf, stages);
+    buf.extend_from_slice(b"\n]}\n");
     out.write_all(&buf)?;
     Ok(count)
 }
@@ -366,7 +320,6 @@ fn in_memory(render: impl FnOnce(&mut Vec<u8>) -> Result<u64, SpillError>) -> St
 mod tests {
     use super::*;
     use crate::trace::{TraceSink, WakeCause, WakeClass};
-    use crate::MetricsSink;
 
     fn sample() -> FlightRecorder {
         let mut fr = FlightRecorder::new();
@@ -437,7 +390,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_instant_events_per_source_track() {
-        let json = to_chrome_trace(&sample(), None);
+        let json = to_chrome_trace(&sample());
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.trim_end().ends_with("]}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -448,16 +401,16 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_appends_stage_spans_when_given() {
-        let mut rec = Recorder::new();
-        rec.add(crate::Counter::SimsRun, 1);
-        rec.add_span(Stage::Fig7, 2_000_000);
-        rec.add_span(Stage::Fleet, 3_000_000);
-        let json = to_chrome_trace(&sample(), Some(&rec));
-        assert!(json.contains("\"name\":\"fig7\""));
-        assert!(json.contains("\"name\":\"fleet\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    fn empty_log_renders_only_the_simulation_process() {
+        // The header and the one process-name record: no other process
+        // or track is drawn when there is nothing to draw.
+        assert_eq!(
+            to_chrome_trace(&FlightRecorder::new()),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"simulation (sim time)\"}}\n]}\n"
+        );
+        assert_eq!(to_jsonl(&FlightRecorder::new()), "");
     }
 
     #[test]
@@ -475,16 +428,8 @@ mod tests {
         let rec = sample();
         let mut src = rec.events().copied();
         let mut out = Vec::new();
-        let n = stream_chrome_trace(&mut src, None, &mut out).unwrap();
+        let n = stream_chrome_trace(&mut src, &mut out).unwrap();
         assert_eq!(n, 5);
-        assert_eq!(out, to_chrome_trace(&rec, None).into_bytes());
-
-        // With stage spans attached, the epilogue must match too.
-        let mut stages = Recorder::new();
-        stages.add_span(Stage::Fleet, 2_000_000);
-        let mut src = rec.events().copied();
-        let mut out = Vec::new();
-        stream_chrome_trace(&mut src, Some(&stages), &mut out).unwrap();
-        assert_eq!(out, to_chrome_trace(&rec, Some(&stages)).into_bytes());
+        assert_eq!(out, to_chrome_trace(&rec).into_bytes());
     }
 }

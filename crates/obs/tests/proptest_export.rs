@@ -15,7 +15,6 @@ use std::fmt::Write as _;
 
 use hide_obs::export::{stream_chrome_trace, stream_jsonl};
 use hide_obs::trace::{TraceEvent, TraceEventKind, WakeCause, WakeClass};
-use hide_obs::{Recorder, Stage};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -73,19 +72,13 @@ fn oracle_jsonl_line(out: &mut String, e: &TraceEvent) {
     out.push_str("}\n");
 }
 
-fn oracle_chrome(events: &[TraceEvent], stages: Option<&Recorder>) -> String {
+fn oracle_chrome(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.push_str(
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
          \"args\":{\"name\":\"simulation (sim time)\"}}",
     );
-    if stages.is_some() {
-        out.push_str(
-            ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"stages (wall clock)\"}}",
-        );
-    }
     for e in events {
         out.push_str(",\n");
         let name: String = match e.kind {
@@ -138,25 +131,6 @@ fn oracle_chrome(events: &[TraceEvent], stages: Option<&Recorder>) -> String {
         }
         out.push_str("}}");
     }
-    if let Some(rec) = stages {
-        let mut offset_us = 0u64;
-        for s in Stage::ALL {
-            let t = rec.stage(s);
-            if t.calls == 0 {
-                continue;
-            }
-            let dur_us = (t.nanos / 1_000).max(1);
-            out.push_str(",\n");
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":2,\"tid\":0,\
-                 \"ts\":{offset_us},\"dur\":{dur_us},\"args\":{{\"calls\":{}}}}}",
-                s.name(),
-                t.calls
-            );
-            offset_us += dur_us;
-        }
-    }
     out.push_str("\n]}\n");
     out
 }
@@ -172,9 +146,9 @@ fn jsonl(events: &[TraceEvent]) -> String {
     String::from_utf8(out).expect("ASCII")
 }
 
-fn chrome(events: &[TraceEvent], stages: Option<&Recorder>) -> String {
+fn chrome(events: &[TraceEvent]) -> String {
     let mut out = Vec::new();
-    let n = stream_chrome_trace(&mut events.iter().copied(), stages, &mut out).expect("in memory");
+    let n = stream_chrome_trace(&mut events.iter().copied(), &mut out).expect("in memory");
     assert_eq!(n, events.len() as u64);
     String::from_utf8(out).expect("ASCII")
 }
@@ -313,7 +287,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Whole JSONL and Chrome documents over arbitrary events of all
-    /// nine kinds — and arbitrary stage spans — equal the oracle's.
+    /// nine kinds equal the oracle's.
     #[test]
     fn lines_match_core_fmt(
         raw in vec(
@@ -326,8 +300,6 @@ proptest! {
             ),
             0..32,
         ),
-        spans in vec((any::<u8>(), 0u64..1 << 50), 0..6),
-        with_stages in any::<bool>(),
     ) {
         let events: Vec<TraceEvent> = raw.into_iter().map(event_from).collect();
         let mut want = String::new();
@@ -335,12 +307,6 @@ proptest! {
             oracle_jsonl_line(&mut want, e);
         }
         prop_assert_eq!(jsonl(&events), want);
-
-        let mut stages = Recorder::new();
-        for (stage, nanos) in spans {
-            stages.add_span(Stage::ALL[usize::from(stage) % Stage::ALL.len()], nanos);
-        }
-        let stages = with_stages.then_some(&stages);
-        prop_assert_eq!(chrome(&events, stages), oracle_chrome(&events, stages));
+        prop_assert_eq!(chrome(&events), oracle_chrome(&events));
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! * **[`registry`]** — named [`DeviceEntry`]s pairing a
 //!   [`DeviceProfile`](hide_energy::profile::DeviceProfile) with its
-//!   battery and its PowerTutor promotion knobs (packet-rate threshold,
-//!   inactivity timer), spanning IoT-class to tablet-class radios;
+//!   battery, spanning IoT-class to tablet-class radios;
 //! * **[`wake`]** — the [`WakePolicy`] enum the simulators dispatch
 //!   on: [`WakePolicy::Hide`] (the paper's protocol, byte-identical to
 //!   the pre-seam engine), [`WakePolicy::LegacyPsm`] (wake on every

@@ -1,12 +1,12 @@
-//! Property tests over the policy layer: the FSM pricing invariant
-//! (no transition or dwell can ever charge a negative or non-finite
-//! nanojoule amount, for any physically-plausible device) and the
-//! schedule/parse round-trip laws of [`WakePolicy`].
+//! Property tests over the policy layer: the wake-pricing invariant
+//! (every price derived from a physically-plausible device is a finite,
+//! ordered nanojoule amount, and every registry device's wake prices grow
+//! with its wakelock) and the schedule/parse round-trip laws of
+//! [`WakePolicy`].
 
 use hide_energy::attribution::WakePricing;
-use hide_energy::fsm::{RadioState, TransitionTable};
-use hide_energy::profile::DeviceProfile;
-use hide_policy::{builtin, ScheduleConfig, WakePolicy};
+use hide_energy::profile::{DeviceProfile, NEXUS_ONE};
+use hide_policy::{registry, ScheduleConfig, WakePolicy};
 use proptest::prelude::*;
 
 /// A positive, finite multiplier spanning six orders of magnitude —
@@ -16,59 +16,63 @@ fn mult() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
-    /// Satellite 3c: for ANY profile built from positive finite
-    /// constants, every price the transition table can emit is a
-    /// finite non-negative nanojoule amount, and the derived fleet
-    /// wake pricing carries only finite integers.
+    /// For ANY profile built from positive finite constants,
+    /// [`WakePricing::from_profile`] yields a positive beacon price, a
+    /// wake price that cannot overflow the ledger, and a forgone price
+    /// no larger than the wake price.
     #[test]
-    fn fsm_prices_never_negative_or_non_finite(
+    fn wake_pricing_is_sane_for_any_positive_profile(
         wakelock in mult(),
         resume_e in mult(),
         suspend_e in mult(),
         beacon_e in mult(),
-        rx in mult(),
-        tx in mult(),
-        idle in mult(),
-        promo in 0.0f64..1e3,
-        timer in 0.0f64..1e2,
-        dwell in 0.0f64..1e4,
+        resume_s in mult(),
+        suspend_s in mult(),
+        suspend_p in mult(),
+        active_p in mult(),
     ) {
-        let profile = DeviceProfile::builder("proptest")
-            .wakelock_secs(wakelock)
-            .resume_energy(resume_e * 1e-3)
-            .suspend_energy(suspend_e * 1e-3)
-            .beacon_energy(beacon_e * 1e-4)
-            .rx_power(rx)
-            .tx_power(tx)
-            .idle_power(idle)
-            .build();
-        let table = TransitionTable::with_wifi_lpm(&profile, promo, timer);
-        prop_assert!(table.is_priced_sane());
-        for t in table.transitions() {
-            prop_assert!(t.energy_nj < u64::MAX / 2, "rounded price overflows");
-        }
-        for state in RadioState::ALL {
-            let nj = table.dwell_nj(state, dwell);
-            prop_assert!(nj < u64::MAX / 2);
-            // Dwell pricing is monotone in time: longer never cheaper.
-            prop_assert!(table.dwell_nj(state, dwell * 2.0) >= nj);
-        }
-        let profile_pricing = WakePricing::from_profile(&profile);
-        prop_assert!(profile_pricing.beacon_nj > 0);
-        prop_assert!(profile_pricing.forgone_nj <= profile_pricing.wake_nj);
+        let profile = DeviceProfile {
+            name: "proptest",
+            wakelock_secs: wakelock,
+            resume_energy: resume_e * 1e-3,
+            suspend_energy: suspend_e * 1e-3,
+            beacon_energy: beacon_e * 1e-4,
+            resume_secs: resume_s * 1e-3,
+            suspend_secs: suspend_s * 1e-3,
+            suspend_power: suspend_p * 1e-3,
+            active_idle_power: active_p,
+            ..NEXUS_ONE
+        };
+        let pricing = WakePricing::from_profile(&profile);
+        prop_assert!(pricing.beacon_nj > 0);
+        prop_assert!(pricing.wake_nj > 0);
+        prop_assert!(pricing.wake_nj < u64::MAX / 2, "rounded price overflows");
+        prop_assert!(pricing.forgone_nj <= pricing.wake_nj);
     }
 
-    /// Every registry device prices sane under ANY promotion knobs.
+    /// For every registry device, a longer wakelock `τ` prices every
+    /// wake strictly higher and forgoes strictly more against the suspend
+    /// floor (`P_sa > P_ss`), while the beacon price stays put. A step of
+    /// at least 1 ms moves each price by more than 30 µJ, far beyond the ±1 nJ
+    /// of rounding.
     #[test]
-    fn registry_devices_price_sane_under_any_knobs(
-        idx in 0usize..6,
-        promo in 0.0f64..1e3,
-        timer in 0.0f64..1e2,
+    fn registry_prices_grow_with_wakelock(
+        tau in 1e-2f64..10.0,
+        step in 1e-3f64..5.0,
     ) {
-        let entry = builtin()[idx];
-        let table = TransitionTable::with_wifi_lpm(&entry.profile, promo, timer);
-        prop_assert!(table.is_priced_sane());
-        prop_assert!(entry.profile.is_consistent());
+        for entry in registry::builtin() {
+            let short = WakePricing::from_profile(&DeviceProfile {
+                wakelock_secs: tau,
+                ..entry.profile
+            });
+            let long = WakePricing::from_profile(&DeviceProfile {
+                wakelock_secs: tau + step,
+                ..entry.profile
+            });
+            prop_assert!(long.wake_nj > short.wake_nj, "{}", entry.key);
+            prop_assert!(long.forgone_nj > short.forgone_nj, "{}", entry.key);
+            prop_assert_eq!(long.beacon_nj, short.beacon_nj);
+        }
     }
 
     /// `parse(name())` round-trips for every scheduled configuration.

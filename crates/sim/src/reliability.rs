@@ -53,32 +53,10 @@ impl Default for ReliabilityConfig {
 }
 
 impl ReliabilityConfig {
-    /// Sets the per-transmission loss probability and retry limit.
-    #[must_use]
-    pub fn with_loss(mut self, loss_probability: f64, retries: u32) -> Self {
-        self.loss_probability = loss_probability;
-        self.retries = retries;
-        self
-    }
-
     /// Sets the client's sync interval, seconds.
     #[must_use]
     pub fn with_sync_interval_secs(mut self, secs: f64) -> Self {
         self.sync_interval_secs = secs;
-        self
-    }
-
-    /// Sets the mean time between port-set changes, seconds.
-    #[must_use]
-    pub fn with_churn_interval_secs(mut self, secs: f64) -> Self {
-        self.churn_interval_secs = secs;
-        self
-    }
-
-    /// Sets the target useful fraction of the client's port set.
-    #[must_use]
-    pub fn with_useful_fraction(mut self, fraction: f64) -> Self {
-        self.useful_fraction = fraction;
         self
     }
 
@@ -117,16 +95,6 @@ pub struct ReliabilityResult {
     /// AP to believe in ports the client left, so `port_churn` is the
     /// only attributable cause; `total()` equals the spurious count.
     pub spurious_causes: CauseCounts,
-}
-
-impl ReliabilityResult {
-    /// Fraction of *useful* frames the client actually received.
-    pub fn useful_delivery_rate(&self, useful_fraction: f64) -> f64 {
-        if useful_fraction <= 0.0 {
-            return 1.0;
-        }
-        1.0 - self.missed_useful_fraction / useful_fraction
-    }
 }
 
 /// Runs the churn/loss simulation over a trace.
@@ -319,18 +287,12 @@ mod tests {
     #[test]
     fn builders_match_field_assignment() {
         let built = ReliabilityConfig::default()
-            .with_loss(0.25, 5)
             .with_sync_interval_secs(30.0)
-            .with_churn_interval_secs(60.0)
-            .with_useful_fraction(0.02)
             .with_seed(7);
         let expected = ReliabilityConfig {
-            loss_probability: 0.25,
-            retries: 5,
             sync_interval_secs: 30.0,
-            churn_interval_secs: 60.0,
-            useful_fraction: 0.02,
             seed: 7,
+            ..ReliabilityConfig::default()
         };
         assert_eq!(built, expected);
     }
@@ -349,7 +311,6 @@ mod tests {
         assert_eq!(r.missed_useful_fraction, 0.0);
         assert_eq!(r.spurious_wake_fraction, 0.0);
         assert_eq!(r.stale_time_fraction, 0.0);
-        assert_eq!(r.useful_delivery_rate(0.10), 1.0);
     }
 
     #[test]

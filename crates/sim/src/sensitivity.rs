@@ -65,39 +65,11 @@ pub fn wakelock_sweep(
         assert!(tau > 0.0, "wakelock duration must be positive");
     }
     hide_par::par_map(taus_secs, |&tau| {
-        let profile = base.derive().wakelock_secs(tau).build();
+        let profile = DeviceProfile {
+            wakelock_secs: tau,
+            ..base
+        };
         point(trace, profile, tau)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Sweeps a multiplier on the suspend/resume *energies* (`E_rm`,
-/// `E_sp`), interpolating between Nexus-One-like and worse-than-S4
-/// state-transfer costs.
-///
-/// # Errors
-///
-/// Returns [`SimError::Energy`] when the trace is degenerate.
-///
-/// # Panics
-///
-/// Panics if any multiplier is non-positive.
-pub fn state_cost_sweep(
-    trace: &Trace,
-    base: DeviceProfile,
-    multipliers: &[f64],
-) -> Result<Vec<SensitivityPoint>, SimError> {
-    for &k in multipliers {
-        assert!(k > 0.0, "multiplier must be positive");
-    }
-    hide_par::par_map(multipliers, |&k| {
-        let profile = base
-            .derive()
-            .resume_energy(base.resume_energy * k)
-            .suspend_energy(base.suspend_energy * k)
-            .build();
-        point(trace, profile, k)
     })
     .into_iter()
     .collect()
@@ -111,6 +83,26 @@ mod tests {
 
     fn trace() -> Trace {
         Scenario::CsDept.generate(600.0, 101)
+    }
+
+    /// Sweeps a multiplier `k` on the suspend/resume energies (`E_rm`,
+    /// `E_sp`), interpolating between Nexus-One-like and worse-than-S4
+    /// state-transfer costs.
+    fn state_cost_sweep(
+        trace: &Trace,
+        base: DeviceProfile,
+        multipliers: &[f64],
+    ) -> Result<Vec<SensitivityPoint>, SimError> {
+        hide_par::par_map(multipliers, |&k| {
+            let profile = DeviceProfile {
+                resume_energy: base.resume_energy * k,
+                suspend_energy: base.suspend_energy * k,
+                ..base
+            };
+            point(trace, profile, k)
+        })
+        .into_iter()
+        .collect()
     }
 
     #[test]
@@ -160,6 +152,16 @@ mod tests {
         // receive-all barely notices: it rarely suspends on this trace.
         let all_growth = sweep.last().unwrap().receive_all_mw / sweep[0].receive_all_mw;
         assert!(all_growth < cs_growth);
+    }
+
+    #[test]
+    fn both_sweeps_meet_at_the_base_profile() {
+        // τ = 1 s and a unit state-cost multiplier are both Nexus One
+        // itself, so the two sweeps must report the same point there.
+        let t = trace();
+        let by_tau = wakelock_sweep(&t, NEXUS_ONE, &[NEXUS_ONE.wakelock_secs]).unwrap();
+        let by_cost = state_cost_sweep(&t, NEXUS_ONE, &[1.0]).unwrap();
+        assert_eq!(by_tau, by_cost);
     }
 
     #[test]

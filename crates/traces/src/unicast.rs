@@ -68,13 +68,6 @@ impl UnicastTrace {
         }
     }
 
-    /// Sets the unicast frame size in bytes.
-    #[must_use]
-    pub fn with_frame_bytes(mut self, bytes: u16) -> Self {
-        self.frame_bytes = bytes;
-        self
-    }
-
     /// Arrival times, sorted ascending.
     pub fn arrivals(&self) -> &[f64] {
         &self.arrivals
@@ -155,9 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn frame_bytes_builder() {
-        let u = UnicastTrace::none(10.0).with_frame_bytes(1200);
-        assert_eq!(u.frame_bytes(), 1200);
+    fn frames_are_500_bytes_from_either_constructor() {
+        assert_eq!(UnicastTrace::poisson(100.0, 0.5, 4).frame_bytes(), 500);
+        assert_eq!(UnicastTrace::none(100.0).frame_bytes(), 500);
     }
 
     #[test]

@@ -75,37 +75,6 @@ impl DcfConfig {
         }
     }
 
-    /// Sets the contention-window range (builder style).
-    #[must_use]
-    pub fn with_contention_window(mut self, cw_min: u32, cw_max: u32) -> Self {
-        self.cw_min = cw_min;
-        self.cw_max = cw_max;
-        self
-    }
-
-    /// Sets the channel data rate in bit/s (builder style).
-    #[must_use]
-    pub fn with_channel_rate_bps(mut self, rate: f64) -> Self {
-        self.channel_rate_bps = rate;
-        self
-    }
-
-    /// Sets the average data payload size in bits (builder style).
-    #[must_use]
-    pub fn with_payload_bits(mut self, bits: f64) -> Self {
-        self.payload_bits = bits;
-        self
-    }
-
-    /// Sets slot time, SIFS and DIFS in microseconds (builder style).
-    #[must_use]
-    pub fn with_timing_us(mut self, slot: f64, sifs: f64, difs: f64) -> Self {
-        self.slot_time_us = slot;
-        self.sifs_us = sifs;
-        self.difs_us = difs;
-        self
-    }
-
     /// Number of backoff stages `m = log2(cw_max / cw_min)`.
     pub fn backoff_stages(&self) -> u32 {
         (self.cw_max / self.cw_min).ilog2()
@@ -327,29 +296,40 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_field_assignment() {
-        let built = DcfConfig::table_ii()
-            .with_contention_window(16, 512)
-            .with_channel_rate_bps(2e6)
-            .with_payload_bits(4000.0)
-            .with_timing_us(9.0, 16.0, 34.0);
-        let mut fields = DcfConfig::table_ii();
-        fields.cw_min = 16;
-        fields.cw_max = 512;
-        fields.channel_rate_bps = 2e6;
-        fields.payload_bits = 4000.0;
-        fields.slot_time_us = 9.0;
-        fields.sifs_us = 16.0;
-        fields.difs_us = 34.0;
-        assert_eq!(built, fields);
-    }
-
-    #[test]
     fn larger_payload_improves_efficiency() {
-        let big = DcfConfig::table_ii().with_payload_bits(8000.0);
+        let mut big = DcfConfig::table_ii();
+        big.payload_bits = 8000.0;
         let s_small = solve(&DcfConfig::table_ii(), 10).unwrap().throughput;
         let s_big = solve(&big, 10).unwrap().throughput;
         assert!(s_big > s_small);
+    }
+
+    #[test]
+    fn smaller_contention_window_collides_more() {
+        // Halving W (same maximum, one more backoff stage) makes every
+        // station transmit more eagerly, so more of them collide.
+        let mut eager = DcfConfig::table_ii();
+        eager.cw_min = 16;
+        assert_eq!(eager.backoff_stages(), 6);
+        let base = solve(&DcfConfig::table_ii(), 10).unwrap();
+        let fast = solve(&eager, 10).unwrap();
+        assert!(fast.tau > base.tau);
+        assert!(fast.p_collision > base.p_collision);
+    }
+
+    #[test]
+    fn faster_channel_raises_capacity_but_not_efficiency() {
+        // Frames shrink with the rate; slot, SIFS and DIFS do not. So a
+        // faster channel carries more bits per second while spending a
+        // larger share of its time on fixed overheads.
+        let mut fast = DcfConfig::table_ii();
+        fast.channel_rate_bps *= 2.0;
+        let base = solve(&DcfConfig::table_ii(), 10).unwrap();
+        let doubled = solve(&fast, 10).unwrap();
+        assert_eq!(doubled.tau, base.tau);
+        assert!(doubled.capacity_bps() > base.capacity_bps());
+        assert!(doubled.capacity_bps() < 2.0 * base.capacity_bps());
+        assert!(doubled.throughput < base.throughput);
     }
 
     #[test]

@@ -53,7 +53,6 @@
 pub mod assoc;
 pub mod bitmap;
 pub mod dcf;
-pub mod dcf_sim;
 pub mod error;
 pub mod frame;
 pub mod ie;

@@ -14,9 +14,6 @@ pub const PHY_HEADER_BITS: u32 = 192;
 /// Length of the 802.11 MAC data-frame header in bits (Table II).
 pub const MAC_HEADER_BITS: u32 = 224;
 
-/// Length of an ACK control frame body in bits (14 bytes).
-pub const ACK_BITS: u32 = 112;
-
 /// The PHY preamble and PLCP header are always transmitted at 1 Mbit/s,
 /// so their airtime is fixed at 192 µs regardless of the data rate.
 pub const PHY_HEADER_US: f64 = 192.0;
@@ -111,11 +108,6 @@ pub fn airtime_of_total_bytes(total_bytes: usize, rate: DataRate) -> f64 {
     PHY_HEADER_US * 1e-6 + (total_bytes as f64) * 8.0 / rate.bits_per_sec()
 }
 
-/// Airtime of an ACK control frame at the given rate.
-pub fn ack_airtime_secs(rate: DataRate) -> f64 {
-    PHY_HEADER_US * 1e-6 + (ACK_BITS as f64) / rate.bits_per_sec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,12 +148,6 @@ mod tests {
         // Even a zero-byte body pays the preamble plus MAC header.
         let t = airtime_secs(0, DataRate::R11M);
         assert!(t > PHY_HEADER_US * 1e-6);
-    }
-
-    #[test]
-    fn ack_airtime_matches_manual() {
-        let t = ack_airtime_secs(DataRate::R1M);
-        assert!((t - (192e-6 + 112e-6)).abs() < 1e-12);
     }
 
     #[test]

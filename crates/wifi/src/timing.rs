@@ -63,12 +63,6 @@ impl BeaconSchedule {
         self.beacon_interval_tu as f64 * TIME_UNIT_SECS
     }
 
-    /// Target transmission time of the `index`-th beacon (0-based) in
-    /// seconds from the start of the schedule.
-    pub fn beacon_time(&self, index: u64) -> f64 {
-        index as f64 * self.beacon_interval_secs()
-    }
-
     /// Index of the beacon interval containing time `t` (clamped at 0).
     pub fn interval_of(&self, t: f64) -> u64 {
         if t <= 0.0 {
@@ -92,40 +86,6 @@ impl BeaconSchedule {
         } else {
             (p - rem) as u8
         }
-    }
-
-    /// Time of the first DTIM beacon at or after `t`.
-    pub fn next_dtim_at_or_after(&self, t: f64) -> f64 {
-        let mut idx = self.interval_of(t);
-        // interval_of truncates, so the beacon at `idx` may be before `t`.
-        while self.beacon_time(idx) < t {
-            idx += 1;
-        }
-        while !self.is_dtim(idx) {
-            idx += 1;
-        }
-        self.beacon_time(idx)
-    }
-
-    /// Number of beacons transmitted in a window `[t0, t1)`.
-    pub fn beacons_in(&self, t0: f64, t1: f64) -> u64 {
-        if t1 <= t0 {
-            return 0;
-        }
-        let first = {
-            let mut i = self.interval_of(t0);
-            while self.beacon_time(i) < t0 {
-                i += 1;
-            }
-            i
-        };
-        let mut count = 0;
-        let mut i = first;
-        while self.beacon_time(i) < t1 {
-            count += 1;
-            i += 1;
-        }
-        count
     }
 }
 
@@ -171,6 +131,30 @@ mod tests {
     }
 
     #[test]
+    fn beacon_interval_is_counted_in_time_units() {
+        assert!((BeaconSchedule::default().beacon_interval_secs() - 0.1024).abs() < 1e-15);
+        let s = BeaconSchedule::new(200, 3);
+        assert!((s.beacon_interval_secs() - 0.2048).abs() < 1e-15);
+        assert_eq!(s.beacon_interval_tu(), 200);
+        assert_eq!(s.dtim_period(), 3);
+    }
+
+    #[test]
+    fn is_dtim_exactly_when_dtim_count_is_zero() {
+        for period in 1..=5u8 {
+            let s = BeaconSchedule::new(100, period);
+            for i in 0..4 * u64::from(period) {
+                assert_eq!(
+                    s.is_dtim(i),
+                    s.dtim_count(i) == 0,
+                    "period {period}, beacon {i}"
+                );
+                assert_eq!(s.is_dtim(i), i % u64::from(period) == 0);
+            }
+        }
+    }
+
+    #[test]
     fn interval_of_boundaries() {
         let s = BeaconSchedule::default();
         let bi = s.beacon_interval_secs();
@@ -178,27 +162,5 @@ mod tests {
         assert_eq!(s.interval_of(bi * 0.5), 0);
         assert_eq!(s.interval_of(bi), 1);
         assert_eq!(s.interval_of(-1.0), 0);
-    }
-
-    #[test]
-    fn next_dtim_lands_on_dtim_beacon() {
-        let s = BeaconSchedule::new(100, 3);
-        let bi = s.beacon_interval_secs();
-        // just after beacon 1 -> next DTIM is beacon 3
-        let t = s.next_dtim_at_or_after(bi * 1.1);
-        assert!((t - 3.0 * bi).abs() < 1e-12);
-        // exactly at a DTIM beacon -> that beacon
-        let t = s.next_dtim_at_or_after(3.0 * bi);
-        assert!((t - 3.0 * bi).abs() < 1e-9);
-    }
-
-    #[test]
-    fn beacons_in_window() {
-        let s = BeaconSchedule::default();
-        let bi = s.beacon_interval_secs();
-        assert_eq!(s.beacons_in(0.0, 10.0 * bi), 10);
-        assert_eq!(s.beacons_in(0.5 * bi, 1.5 * bi), 1);
-        assert_eq!(s.beacons_in(5.0, 5.0), 0);
-        assert_eq!(s.beacons_in(5.0, 4.0), 0);
     }
 }

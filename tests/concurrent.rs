@@ -1,22 +1,22 @@
 //! Concurrency integration test: one shared AP, many client threads.
 //!
 //! A real AP serves stations concurrently; this test drives the
-//! `AccessPoint` behind a `parking_lot::Mutex` from many threads while
-//! beacons fan out over `crossbeam` channels, checking that the
-//! protocol state (AIDs, port table, BTIM decisions) stays consistent
-//! under interleaving.
+//! `AccessPoint` behind a `std::sync::Mutex` from many threads while
+//! beacons fan out over `mpsc` channels, checking that the protocol
+//! state (AIDs, port table, BTIM decisions) stays consistent under
+//! interleaving.
 
-use crossbeam::channel;
 use hide::protocol::ap::{AccessPoint, ApCtx};
 use hide::protocol::client::{HideClient, OpenPortRegistry, WakeDecision};
 use hide::wifi::frame::{Beacon, BroadcastDataFrame};
 use hide::wifi::mac::MacAddr;
 use hide::wifi::udp::UdpDatagram;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 const CLIENTS: usize = 16;
+/// Why `lock()` can fail: another thread panicked while holding it.
+const POISONED: &str = "a thread panicked holding the AP lock";
 const ROUNDS: u64 = 20;
 
 fn frame(bssid: MacAddr, port: u16) -> BroadcastDataFrame {
@@ -33,11 +33,11 @@ fn concurrent_clients_sync_and_decide_consistently() {
 
     // Each client listens on its own exclusive port 1000 + i.
     let mut beacon_txs = Vec::new();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, u64, WakeDecision)>();
+    let (result_tx, result_rx) = mpsc::channel::<(usize, u64, WakeDecision)>();
     let mut handles = Vec::new();
 
     for i in 0..CLIENTS {
-        let (btx, brx) = channel::unbounded::<Vec<u8>>();
+        let (btx, brx) = mpsc::channel::<Vec<u8>>();
         beacon_txs.push(btx);
         let ap = Arc::clone(&ap);
         let result_tx = result_tx.clone();
@@ -48,7 +48,7 @@ fn concurrent_clients_sync_and_decide_consistently() {
 
             // Associate and run the Fig. 2 handshake under the lock.
             {
-                let mut ap = ap.lock();
+                let mut ap = ap.lock().expect(POISONED);
                 let aid = ap.associate(client.mac()).unwrap();
                 client.set_aid(aid);
                 client.set_bssid(ap.bssid());
@@ -71,7 +71,7 @@ fn concurrent_clients_sync_and_decide_consistently() {
 
     // Wait until every client is associated and synced.
     loop {
-        let ap = ap.lock();
+        let ap = ap.lock().expect(POISONED);
         if ap.client_count() == CLIENTS && ap.port_table().client_count() == CLIENTS {
             break;
         }
@@ -83,7 +83,7 @@ fn concurrent_clients_sync_and_decide_consistently() {
     for round in 0..ROUNDS {
         let target = (round as usize * 7 + 3) % CLIENTS;
         let bytes = {
-            let mut ap = ap.lock();
+            let mut ap = ap.lock().expect(POISONED);
             let bssid = ap.bssid();
             ap.enqueue_broadcast(frame(bssid, 1000 + target as u16));
             let beacon = ap.dtim_beacon(round);
@@ -133,12 +133,12 @@ fn concurrent_port_updates_leave_table_consistent() {
         let ap = Arc::clone(&ap);
         handles.push(thread::spawn(move || {
             let mac = MacAddr::station(i + 1);
-            let bssid = ap.lock().bssid();
+            let bssid = ap.lock().expect(POISONED).bssid();
             let mut registry = OpenPortRegistry::new();
             registry.bind(2000 + i as u16, [0, 0, 0, 0]).unwrap();
             let mut client = HideClient::new(mac, registry);
             {
-                let mut guard = ap.lock();
+                let mut guard = ap.lock().expect(POISONED);
                 client.set_aid(guard.associate(mac).unwrap());
             }
             client.set_bssid(bssid);
@@ -150,7 +150,7 @@ fn concurrent_port_updates_leave_table_consistent() {
                     .bind(3000 + i as u16 * 100 + round, [0, 0, 0, 0])
                     .unwrap();
                 let msg = client.prepare_suspend().unwrap();
-                let mut guard = ap.lock();
+                let mut guard = ap.lock().expect(POISONED);
                 let ack = guard
                     .process_port_message(&msg, &mut ApCtx::untimed())
                     .unwrap();
@@ -162,7 +162,7 @@ fn concurrent_port_updates_leave_table_consistent() {
     for h in handles {
         h.join().unwrap();
     }
-    let guard = ap.lock();
+    let guard = ap.lock().expect(POISONED);
     // Every client's final sync is reflected: 8 clients, each with its
     // initial port plus 50 churned ports.
     assert_eq!(guard.port_table().client_count(), 8);
