@@ -396,8 +396,8 @@ impl AccessPoint {
     /// stream into `ctx.trace`.
     ///
     /// The events are stamped at [`ApCtx::now`] when the caller
-    /// provided a timestamp (the `hide-apd` daemon passes its
-    /// [`crate::clock::Clock`] reading); with an untimed context the
+    /// provided a timestamp (the `hide-apd` daemon passes seconds since
+    /// its process-wide epoch); with an untimed context the
     /// timestamp is derived from the beacon index on the paper's
     /// 102.4 ms cadence, exactly as the trace-driven simulator always
     /// stamped it.

@@ -3,8 +3,7 @@
 use crate::client::OpenPortRegistry;
 use crate::error::CoreError;
 use hide_wifi::assoc::{AssociationRequest, AssociationResponse};
-use hide_wifi::frame::{Ack, Beacon, BroadcastDataFrame, UdpPortMessage};
-use hide_wifi::ie::Tim;
+use hide_wifi::frame::{Ack, BeaconView, BroadcastDataFrame, UdpPortMessage};
 use hide_wifi::mac::{Aid, MacAddr};
 
 /// What a suspended client should do after inspecting a beacon.
@@ -237,11 +236,11 @@ impl HideClient {
     /// # Errors
     ///
     /// Returns [`CoreError::NotAssociated`] when the client has no AID.
-    pub fn handle_beacon(&self, beacon: &Beacon) -> Result<WakeDecision, CoreError> {
+    pub fn handle_beacon(&self, beacon: &BeaconView<'_>) -> Result<WakeDecision, CoreError> {
         let aid = self.aid.ok_or(CoreError::NotAssociated)?;
         let broadcast = match beacon.btim() {
             Some(btim) => btim.is_set(aid),
-            None => beacon.tim().is_some_and(Tim::broadcast_buffered),
+            None => beacon.tim().is_some_and(|tim| tim.broadcast_buffered()),
         };
         if broadcast {
             return Ok(WakeDecision::WakeForBroadcast);
@@ -284,6 +283,7 @@ impl HideClient {
 mod tests {
     use super::*;
     use hide_wifi::bitmap::PartialVirtualBitmap;
+    use hide_wifi::frame::Beacon;
     use hide_wifi::ie::{Btim, InformationElement, Tim};
 
     fn client_with_ports(ports: &[u16]) -> HideClient {
@@ -296,7 +296,9 @@ mod tests {
         c
     }
 
-    fn beacon(btim_aids: &[u16], tim_aids: &[u16]) -> Beacon {
+    /// The wire bytes of a beacon whose BTIM flags `btim_aids` and
+    /// whose TIM flags `tim_aids`.
+    fn beacon(btim_aids: &[u16], tim_aids: &[u16]) -> Vec<u8> {
         let mut flags = PartialVirtualBitmap::new();
         for &v in btim_aids {
             flags.set(Aid::new(v).unwrap());
@@ -309,6 +311,11 @@ mod tests {
             .tim(Tim::new(0, 1, false, unicast))
             .element(InformationElement::Btim(Btim::new(flags)))
             .build()
+            .to_bytes()
+    }
+
+    fn decide(c: &HideClient, bytes: &[u8]) -> WakeDecision {
+        c.handle_beacon(&BeaconView::parse(bytes).unwrap()).unwrap()
     }
 
     #[test]
@@ -391,28 +398,28 @@ mod tests {
     #[test]
     fn btim_bit_wakes_for_broadcast() {
         let c = client_with_ports(&[5353]);
-        let d = c.handle_beacon(&beacon(&[1], &[])).unwrap();
+        let d = decide(&c, &beacon(&[1], &[]));
         assert_eq!(d, WakeDecision::WakeForBroadcast);
     }
 
     #[test]
     fn broadcast_takes_priority_over_unicast() {
         let c = client_with_ports(&[5353]);
-        let d = c.handle_beacon(&beacon(&[1], &[1])).unwrap();
+        let d = decide(&c, &beacon(&[1], &[1]));
         assert_eq!(d, WakeDecision::WakeForBroadcast);
     }
 
     #[test]
     fn unicast_only_wakes_for_unicast() {
         let c = client_with_ports(&[]);
-        let d = c.handle_beacon(&beacon(&[], &[1])).unwrap();
+        let d = decide(&c, &beacon(&[], &[1]));
         assert_eq!(d, WakeDecision::WakeForUnicast);
     }
 
     #[test]
     fn other_clients_bits_are_ignored() {
         let c = client_with_ports(&[]);
-        let d = c.handle_beacon(&beacon(&[2, 3], &[4])).unwrap();
+        let d = decide(&c, &beacon(&[2, 3], &[4]));
         assert_eq!(d, WakeDecision::StaySuspended);
     }
 
@@ -488,14 +495,14 @@ mod tests {
         let c = client_with_ports(&[5353]);
         let legacy_beacon = Beacon::builder(MacAddr::station(0))
             .tim(Tim::new(0, 1, true, PartialVirtualBitmap::new()))
-            .build();
-        let d = c.handle_beacon(&legacy_beacon).unwrap();
-        assert_eq!(d, WakeDecision::WakeForBroadcast);
+            .build()
+            .to_bytes();
+        assert_eq!(decide(&c, &legacy_beacon), WakeDecision::WakeForBroadcast);
 
         let quiet_beacon = Beacon::builder(MacAddr::station(0))
             .tim(Tim::new(0, 1, false, PartialVirtualBitmap::new()))
-            .build();
-        let d = c.handle_beacon(&quiet_beacon).unwrap();
-        assert_eq!(d, WakeDecision::StaySuspended);
+            .build()
+            .to_bytes();
+        assert_eq!(decide(&c, &quiet_beacon), WakeDecision::StaySuspended);
     }
 }

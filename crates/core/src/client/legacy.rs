@@ -8,8 +8,7 @@
 
 use crate::client::agent::WakeDecision;
 use crate::error::CoreError;
-use hide_wifi::frame::Beacon;
-use hide_wifi::ie::Tim;
+use hide_wifi::frame::BeaconView;
 use hide_wifi::mac::{Aid, MacAddr};
 
 /// A standard 802.11 power-saving client without HIDE support.
@@ -19,7 +18,7 @@ use hide_wifi::mac::{Aid, MacAddr};
 /// ```
 /// use hide_core::client::{LegacyClient, WakeDecision};
 /// use hide_core::ap::AccessPoint;
-/// use hide_wifi::frame::BroadcastDataFrame;
+/// use hide_wifi::frame::{BeaconView, BroadcastDataFrame};
 /// use hide_wifi::mac::MacAddr;
 /// use hide_wifi::udp::UdpDatagram;
 ///
@@ -31,7 +30,8 @@ use hide_wifi::mac::{Aid, MacAddr};
 /// // Any buffered broadcast wakes a legacy client, useful or not.
 /// let d = UdpDatagram::new([10, 0, 0, 1], [255; 4], 1, 1900, vec![]);
 /// ap.enqueue_broadcast(BroadcastDataFrame::new(ap.bssid(), d, false));
-/// let beacon = ap.dtim_beacon(0);
+/// let bytes = ap.dtim_beacon(0).to_bytes();
+/// let beacon = BeaconView::parse(&bytes)?;
 /// assert_eq!(legacy.handle_beacon(&beacon)?, WakeDecision::WakeForBroadcast);
 /// # Ok(())
 /// # }
@@ -64,9 +64,9 @@ impl LegacyClient {
     /// # Errors
     ///
     /// Returns [`CoreError::NotAssociated`] when the client has no AID.
-    pub fn handle_beacon(&self, beacon: &Beacon) -> Result<WakeDecision, CoreError> {
+    pub fn handle_beacon(&self, beacon: &BeaconView<'_>) -> Result<WakeDecision, CoreError> {
         let aid = self.aid.ok_or(CoreError::NotAssociated)?;
-        if beacon.tim().is_some_and(Tim::broadcast_buffered) {
+        if beacon.tim().is_some_and(|tim| tim.broadcast_buffered()) {
             return Ok(WakeDecision::WakeForBroadcast);
         }
         if beacon.tim().is_some_and(|tim| tim.traffic_for(aid)) {
@@ -80,7 +80,7 @@ impl LegacyClient {
 mod tests {
     use super::*;
     use crate::ap::{AccessPoint, ApCtx};
-    use hide_wifi::frame::BroadcastDataFrame;
+    use hide_wifi::frame::{Beacon, BroadcastDataFrame};
     use hide_wifi::udp::UdpDatagram;
 
     fn frame(port: u16) -> BroadcastDataFrame {
@@ -88,12 +88,24 @@ mod tests {
         BroadcastDataFrame::new(MacAddr::station(0), d, false)
     }
 
+    /// The AP's next DTIM beacon, over the air.
+    fn dtim_bytes(ap: &mut AccessPoint) -> Vec<u8> {
+        ap.dtim_beacon(0).to_bytes()
+    }
+
+    fn view(bytes: &[u8]) -> BeaconView<'_> {
+        BeaconView::parse(bytes).unwrap()
+    }
+
     #[test]
     fn requires_association() {
         let legacy = LegacyClient::new(MacAddr::station(1));
-        let beacon = Beacon::builder(MacAddr::station(0)).dtim(0, 1).build();
+        let bytes = Beacon::builder(MacAddr::station(0))
+            .dtim(0, 1)
+            .build()
+            .to_bytes();
         assert!(matches!(
-            legacy.handle_beacon(&beacon),
+            legacy.handle_beacon(&view(&bytes)),
             Err(CoreError::NotAssociated)
         ));
     }
@@ -104,9 +116,9 @@ mod tests {
         let mut legacy = LegacyClient::new(MacAddr::station(1));
         legacy.set_aid(ap.associate(legacy.mac()).unwrap());
         ap.enqueue_broadcast(frame(1900));
-        let beacon = ap.dtim_beacon(0);
+        let bytes = dtim_bytes(&mut ap);
         assert_eq!(
-            legacy.handle_beacon(&beacon).unwrap(),
+            legacy.handle_beacon(&view(&bytes)).unwrap(),
             WakeDecision::WakeForBroadcast
         );
     }
@@ -116,9 +128,9 @@ mod tests {
         let mut ap = AccessPoint::new(MacAddr::station(0));
         let mut legacy = LegacyClient::new(MacAddr::station(1));
         legacy.set_aid(ap.associate(legacy.mac()).unwrap());
-        let beacon = ap.dtim_beacon(0);
+        let bytes = dtim_bytes(&mut ap);
         assert_eq!(
-            legacy.handle_beacon(&beacon).unwrap(),
+            legacy.handle_beacon(&view(&bytes)).unwrap(),
             WakeDecision::StaySuspended
         );
     }
@@ -145,7 +157,8 @@ mod tests {
 
         // A frame useless to the HIDE client (it listens on 5353 only).
         ap.enqueue_broadcast(frame(1900));
-        let beacon = ap.dtim_beacon(0);
+        let bytes = dtim_bytes(&mut ap);
+        let beacon = view(&bytes);
 
         assert_eq!(
             legacy.handle_beacon(&beacon).unwrap(),

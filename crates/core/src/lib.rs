@@ -20,7 +20,7 @@
 //! ```
 //! use hide_core::ap::{AccessPoint, ApCtx};
 //! use hide_core::client::{HideClient, OpenPortRegistry, WakeDecision};
-//! use hide_wifi::frame::BroadcastDataFrame;
+//! use hide_wifi::frame::{BeaconView, BroadcastDataFrame};
 //! use hide_wifi::mac::MacAddr;
 //! use hide_wifi::udp::UdpDatagram;
 //!
@@ -43,7 +43,9 @@
 //!     UdpDatagram::new([10, 0, 0, 9], [255; 4], 4000, 1900, vec![]),
 //!     false,
 //! ));
-//! let beacon = ap.dtim_beacon(0);
+//! // The beacon crosses the air as bytes; the client reads its bit in place.
+//! let bytes = ap.dtim_beacon(0).to_bytes();
+//! let beacon = BeaconView::parse(&bytes)?;
 //! assert_eq!(client.handle_beacon(&beacon)?, WakeDecision::StaySuspended);
 //!
 //! ap.enqueue_broadcast(BroadcastDataFrame::new(
@@ -51,7 +53,8 @@
 //!     UdpDatagram::new([10, 0, 0, 9], [255; 4], 4000, 5353, vec![]),
 //!     false,
 //! ));
-//! let beacon = ap.dtim_beacon(1);
+//! let bytes = ap.dtim_beacon(1).to_bytes();
+//! let beacon = BeaconView::parse(&bytes)?;
 //! assert_eq!(client.handle_beacon(&beacon)?, WakeDecision::WakeForBroadcast);
 //! # Ok(())
 //! # }
@@ -62,7 +65,6 @@
 
 pub mod ap;
 pub mod client;
-pub mod clock;
 pub mod error;
 pub mod fx;
 

@@ -4,7 +4,7 @@ use hide_core::ap::{
     calculate_broadcast_flags, AccessPoint, ApCtx, BroadcastBuffer, ClientPortTable,
 };
 use hide_core::client::{HideClient, OpenPortRegistry, WakeDecision};
-use hide_wifi::frame::{Beacon, BroadcastDataFrame};
+use hide_wifi::frame::{BeaconView, BroadcastDataFrame};
 use hide_wifi::mac::{Aid, MacAddr};
 use hide_wifi::udp::UdpDatagram;
 use proptest::collection::vec;
@@ -103,7 +103,7 @@ proptest! {
         // Serialize and re-parse the beacon: the decision must survive
         // the wire format.
         let beacon_bytes = ap.dtim_beacon(0).to_bytes();
-        let beacon = Beacon::parse(&beacon_bytes).unwrap();
+        let beacon = BeaconView::parse(&beacon_bytes).unwrap();
         let decision = client.handle_beacon(&beacon).unwrap();
 
         let any_useful = frame_ports.iter().any(|p| bound.contains(p));

@@ -176,14 +176,13 @@ impl Timeline {
     /// during a DTIM delivery and is how `d_more(i)` behaves after HIDE
     /// removes useless frames from the client's perspective.
     pub fn recompute_more_data(&mut self) {
-        let n = self.frames.len();
-        for i in 0..n {
-            let more = if i + 1 < n {
-                self.interval_of(self.frames[i].start) == self.interval_of(self.frames[i + 1].start)
-            } else {
-                false
-            };
-            self.frames[i].more_data = more;
+        // Back to front, so each frame's interval is computed once and
+        // compared with its successor's.
+        let mut successor = None;
+        for i in (0..self.frames.len()).rev() {
+            let interval = self.interval_of(self.frames[i].start);
+            self.frames[i].more_data = successor == Some(interval);
+            successor = Some(interval);
         }
     }
 }

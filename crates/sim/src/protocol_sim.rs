@@ -12,7 +12,8 @@
 //! body of every distinct (destination port, length) pair is encoded
 //! (IPv4 and UDP checksums included) once per run, and each frame the
 //! AP buffers carries a copy of those bytes. The AP, the beacons
-//! encoded and re-parsed every DTIM and the client all stay real.
+//! encoded into one buffer and read through a borrowed view every DTIM,
+//! and the client all stay real.
 
 use crate::error::SimError;
 use crate::solution::Solution;
@@ -26,7 +27,7 @@ use hide_obs::{Counter, MetricsSink, TraceEventKind, TraceSink, WakeCause, WakeC
 use hide_policy::WakePolicy;
 use hide_traces::record::Trace;
 use hide_traces::useful::Usefulness;
-use hide_wifi::frame::{Beacon, BroadcastDataFrame};
+use hide_wifi::frame::{BeaconView, BroadcastDataFrame};
 use hide_wifi::mac::MacAddr;
 use hide_wifi::phy::{self, DataRate};
 use hide_wifi::udp::UdpDatagram;
@@ -166,6 +167,7 @@ impl<'a> ProtocolSimulation<'a> {
         };
         let mut next_sync = self.sync_interval_secs;
         let mut bodies: HashMap<(u16, u16), Vec<u8>> = HashMap::new();
+        let mut beacon_bytes = Vec::new();
 
         for i in 0..intervals {
             let interval_start = i as f64 * self.beacon_interval;
@@ -196,16 +198,15 @@ impl<'a> ProtocolSimulation<'a> {
             }
 
             // DTIM beacon at the end of the interval, over real bytes.
-            let beacon_bytes = ap
-                .emit_dtim_beacon(
-                    i,
-                    &mut ApCtx::untimed()
-                        .with_metrics(&mut sink)
-                        .with_trace(&mut trace),
-                )
-                .to_bytes();
+            ap.emit_dtim_beacon(
+                i,
+                &mut ApCtx::untimed()
+                    .with_metrics(&mut sink)
+                    .with_trace(&mut trace),
+            )
+            .encode_into(&mut beacon_bytes);
             stats.beacons += 1;
-            let beacon = Beacon::parse(&beacon_bytes).map_err(CoreError::Wifi)?;
+            let beacon = BeaconView::parse(&beacon_bytes).map_err(CoreError::Wifi)?;
             stats.btim_bytes += beacon.btim().map(|b| b.body_len() as u64 + 2).unwrap_or(0);
 
             if !hide_mode {

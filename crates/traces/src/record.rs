@@ -118,14 +118,13 @@ impl Trace {
     /// interval rule: set when the next frame starts in the same beacon
     /// interval of length `beacon_interval`.
     pub fn assign_more_data(&mut self, beacon_interval: f64) {
-        let n = self.frames.len();
-        for i in 0..n {
-            let more = i + 1 < n && {
-                let a = (self.frames[i].time / beacon_interval) as u64;
-                let b = (self.frames[i + 1].time / beacon_interval) as u64;
-                a == b
-            };
-            self.frames[i].more_data = more;
+        // Back to front, so each frame's interval is computed once and
+        // compared with its successor's.
+        let mut successor = None;
+        for frame in self.frames.iter_mut().rev() {
+            let interval = (frame.time / beacon_interval) as u64;
+            frame.more_data = successor == Some(interval);
+            successor = Some(interval);
         }
     }
 

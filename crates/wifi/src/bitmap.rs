@@ -14,6 +14,39 @@ use std::fmt;
 /// Number of bytes in the full virtual bitmap (AIDs 0..=2007).
 pub const VIRTUAL_BITMAP_BYTES: usize = 251;
 
+/// Octets per word of the word-at-a-time scans.
+const WORD_BYTES: usize = 8;
+/// Where the 3-byte tail after the 31 whole words begins.
+const TAIL_AT: usize = VIRTUAL_BITMAP_BYTES / WORD_BYTES * WORD_BYTES;
+
+/// Checks that `len` bytes at octet `offset` form a transmittable
+/// span of the virtual bitmap: an even offset, at least one byte, and
+/// no byte past octet 250.
+pub(crate) fn check_span(offset: usize, len: usize) -> Result<(), WifiError> {
+    if !offset.is_multiple_of(2) {
+        return Err(WifiError::OddBitmapOffset(offset));
+    }
+    if len == 0 {
+        return Err(WifiError::BadElementLength {
+            element_id: 0,
+            declared: 0,
+        });
+    }
+    if offset + len > VIRTUAL_BITMAP_BYTES {
+        return Err(WifiError::BitmapTooLong(offset + len));
+    }
+    Ok(())
+}
+
+/// Whether `aid`'s bit is set in the span `bytes` that starts at octet
+/// `offset` (clear outside the span).
+pub(crate) fn span_is_set(offset: usize, bytes: &[u8], aid: Aid) -> bool {
+    aid.octet()
+        .checked_sub(offset)
+        .and_then(|i| bytes.get(i))
+        .is_some_and(|b| b & (1 << aid.bit()) != 0)
+}
+
 /// A full virtual bitmap over association IDs, with lossless
 /// trim/expand conversion to the transmitted partial form.
 ///
@@ -68,14 +101,33 @@ impl PartialVirtualBitmap {
         self.bits[aid.octet()] & (1 << aid.bit()) != 0
     }
 
+    /// The first 248 octets as 31 little-endian words, each with the
+    /// octet index it starts at; [`Self::tail`] holds the other three.
+    fn words(&self) -> impl DoubleEndedIterator<Item = (usize, u64)> + '_ {
+        self.bits[..TAIL_AT]
+            .chunks_exact(WORD_BYTES)
+            .enumerate()
+            .map(|(k, word)| {
+                let word = word.try_into().expect("chunks_exact yields whole words");
+                (k * WORD_BYTES, u64::from_le_bytes(word))
+            })
+    }
+
+    /// The octets after the last whole word.
+    fn tail(&self) -> &[u8] {
+        &self.bits[TAIL_AT..]
+    }
+
     /// Returns `true` when no bit is set.
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&b| b == 0)
+        self.words().all(|(_, w)| w == 0) && self.tail().iter().all(|&b| b == 0)
     }
 
     /// Number of set bits.
     pub fn count(&self) -> usize {
-        self.bits.iter().map(|b| b.count_ones() as usize).sum()
+        let words: u32 = self.words().map(|(_, w)| w.count_ones()).sum();
+        let tail: u32 = self.tail().iter().map(|b| b.count_ones()).sum();
+        (words + tail) as usize
     }
 
     /// Iterates over the AIDs whose bits are set, in ascending order.
@@ -122,14 +174,32 @@ impl PartialVirtualBitmap {
     /// materializing it — `N1` and `N2 - N1 + 1` of Fig. 5 (an all-zero
     /// bitmap reports `(0, 1)` for the mandatory single zero byte).
     pub fn trimmed_span(&self) -> (usize, usize) {
-        let Some(first) = self.bits.iter().position(|&b| b != 0) else {
+        // In a little-endian word the lowest-addressed octet is the
+        // least significant: trailing zero bits over 8 count the zero
+        // octets before the first nonzero one, leading zero bits over 8
+        // those after the last.
+        let first = self
+            .words()
+            .find(|&(_, w)| w != 0)
+            .map(|(at, w)| at + (w.trailing_zeros() / 8) as usize)
+            .or_else(|| {
+                self.tail()
+                    .iter()
+                    .position(|&b| b != 0)
+                    .map(|i| TAIL_AT + i)
+            });
+        let Some(first) = first else {
             return (0, 1);
         };
-        let last = self
-            .bits
-            .iter()
-            .rposition(|&b| b != 0)
-            .expect("nonzero exists");
+        let last = match self.tail().iter().rposition(|&b| b != 0) {
+            Some(i) => TAIL_AT + i,
+            None => self
+                .words()
+                .rev()
+                .find(|&(_, w)| w != 0)
+                .map(|(at, w)| at + 7 - (w.leading_zeros() / 8) as usize)
+                .expect("a nonzero octet exists"),
+        };
         let n1 = first & !1; // round down to even
         (n1, last - n1 + 1)
     }
@@ -142,18 +212,20 @@ impl PartialVirtualBitmap {
     /// [`WifiError::BitmapTooLong`] when `offset + bytes` exceeds the
     /// virtual bitmap size.
     pub fn from_trimmed(trimmed: &TrimmedBitmap) -> Result<Self, WifiError> {
-        if !trimmed.offset.is_multiple_of(2) {
-            return Err(WifiError::OddBitmapOffset(trimmed.offset));
-        }
-        if trimmed.offset + trimmed.bytes.len() > VIRTUAL_BITMAP_BYTES {
-            return Err(WifiError::BitmapTooLong(
-                trimmed.offset + trimmed.bytes.len(),
-            ));
-        }
+        check_span(trimmed.offset, trimmed.bytes.len())?;
+        Ok(PartialVirtualBitmap::from_span(
+            trimmed.offset,
+            &trimmed.bytes,
+        ))
+    }
+
+    /// A bitmap holding `bytes` at octet `offset` and zero elsewhere,
+    /// copied straight from the slice. The caller has checked the span
+    /// with [`check_span`].
+    pub(crate) fn from_span(offset: usize, bytes: &[u8]) -> Self {
         let mut full = PartialVirtualBitmap::new();
-        full.bits[trimmed.offset..trimmed.offset + trimmed.bytes.len()]
-            .copy_from_slice(&trimmed.bytes);
-        Ok(full)
+        full.bits[offset..offset + bytes.len()].copy_from_slice(bytes);
+        full
     }
 }
 
@@ -212,18 +284,7 @@ impl TrimmedBitmap {
     /// bitmap size, and [`WifiError::BadElementLength`] when `bytes` is
     /// empty.
     pub fn from_parts(offset: usize, bytes: Vec<u8>) -> Result<Self, WifiError> {
-        if !offset.is_multiple_of(2) {
-            return Err(WifiError::OddBitmapOffset(offset));
-        }
-        if bytes.is_empty() {
-            return Err(WifiError::BadElementLength {
-                element_id: 0,
-                declared: 0,
-            });
-        }
-        if offset + bytes.len() > VIRTUAL_BITMAP_BYTES {
-            return Err(WifiError::BitmapTooLong(offset + bytes.len()));
-        }
+        check_span(offset, bytes.len())?;
         Ok(TrimmedBitmap { offset, bytes })
     }
 
@@ -249,11 +310,7 @@ impl TrimmedBitmap {
 
     /// Whether `aid`'s bit is set, without expanding to a full bitmap.
     pub fn is_set(&self, aid: Aid) -> bool {
-        let octet = aid.octet();
-        if octet < self.offset || octet >= self.offset + self.bytes.len() {
-            return false;
-        }
-        self.bytes[octet - self.offset] & (1 << aid.bit()) != 0
+        span_is_set(self.offset, &self.bytes, aid)
     }
 }
 
@@ -408,6 +465,28 @@ mod tests {
             let t = b.trim();
             assert_eq!(offset, t.offset());
             assert_eq!(&scratch, t.bytes());
+        }
+    }
+
+    #[test]
+    fn word_scans_see_word_edges_and_the_tail() {
+        // (AIDs, trimmed span): octets 7|8 and 247|248 straddle a word
+        // boundary; 248–250 are the tail after the last whole word.
+        let cases: [(&[u16], (usize, usize)); 6] = [
+            (&[2007], (250, 1)),
+            (&[1984], (248, 1)),
+            (&[63, 64], (6, 3)),
+            (&[1983, 1984], (246, 3)),
+            (&[64, 1983], (8, 240)),
+            (&[1, 2007], (0, 251)),
+        ];
+        for (aids, span) in cases {
+            let b: PartialVirtualBitmap = aids.iter().map(|&v| aid(v)).collect();
+            assert!(!b.is_empty(), "{aids:?}");
+            assert_eq!(b.count(), aids.len(), "{aids:?}");
+            assert_eq!(b.trimmed_span(), span, "{aids:?}");
+            let t = b.trim();
+            assert_eq!((t.offset(), t.bytes().len()), span, "{aids:?}");
         }
     }
 

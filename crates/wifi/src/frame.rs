@@ -10,7 +10,9 @@
 //! * [`BroadcastDataFrame`] — a UDP-padded broadcast data frame.
 
 use crate::error::WifiError;
-use crate::ie::{Btim, InformationElement, OpenUdpPorts, Tim};
+use crate::ie::{
+    Btim, BtimView, ElementView, InformationElement, OpenUdpPorts, RawElement, Tim, TimView,
+};
 use crate::mac::{Aid, FrameControl, FrameSubtype, MacAddr};
 use crate::udp::UdpDatagram;
 
@@ -168,23 +170,23 @@ impl Beacon {
     /// Encodes the full frame (MAC header + body, FCS excluded).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len_bytes());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Like [`Beacon::to_bytes`], but writes the frame into `out`
+    /// (cleared first): a sender that keeps one buffer across beacons
+    /// encodes each without allocating.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         let fc = FrameControl::new(FrameSubtype::Beacon);
-        encode_mac_header(
-            &mut out,
-            fc,
-            0,
-            MacAddr::BROADCAST,
-            self.bssid,
-            self.bssid,
-            0,
-        );
+        encode_mac_header(out, fc, 0, MacAddr::BROADCAST, self.bssid, self.bssid, 0);
         out.extend_from_slice(&self.timestamp_us.to_le_bytes());
         out.extend_from_slice(&self.beacon_interval_tu.to_le_bytes());
         out.extend_from_slice(&self.capability.to_le_bytes());
         for e in &self.elements {
-            e.encode(&mut out);
+            e.encode(out);
         }
-        out
     }
 
     /// Total encoded length in bytes (the `L_i` of Eq. (6)).
@@ -198,14 +200,69 @@ impl Beacon {
                 .sum::<usize>()
     }
 
-    /// Decodes a beacon frame.
+    /// Decodes a beacon frame: [`BeaconView::parse`], then an owned copy
+    /// of every element.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`BeaconView::parse`].
+    pub fn parse(buf: &[u8]) -> Result<Self, WifiError> {
+        let view = BeaconView::parse(buf)?;
+        Ok(Beacon {
+            bssid: view.bssid,
+            timestamp_us: view.timestamp_us,
+            beacon_interval_tu: view.beacon_interval_tu,
+            capability: view.capability,
+            elements: InformationElement::decode_all(view.elements)?,
+        })
+    }
+}
+
+/// A beacon read in place: the fixed fields decoded, every element
+/// checked, and the TIM and BTIM bodies borrowed from the frame. It is
+/// all a suspended client needs to decide whether to wake, and it
+/// accepts and rejects exactly the bytes [`Beacon::parse`] does.
+///
+/// # Example
+///
+/// ```
+/// use hide_wifi::bitmap::PartialVirtualBitmap;
+/// use hide_wifi::frame::{Beacon, BeaconView};
+/// use hide_wifi::ie::{Btim, InformationElement};
+/// use hide_wifi::mac::{Aid, MacAddr};
+///
+/// let flags: PartialVirtualBitmap = [Aid::new(9)?].into_iter().collect();
+/// let mut buf = Vec::new();
+/// Beacon::builder(MacAddr::station(0))
+///     .dtim(0, 1)
+///     .element(InformationElement::Btim(Btim::new(flags)))
+///     .build()
+///     .encode_into(&mut buf);
+/// let view = BeaconView::parse(&buf)?;
+/// assert!(view.btim().unwrap().is_set(Aid::new(9)?));
+/// assert!(!view.tim().unwrap().broadcast_buffered());
+/// # Ok::<(), hide_wifi::WifiError>(())
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct BeaconView<'a> {
+    bssid: MacAddr,
+    timestamp_us: u64,
+    beacon_interval_tu: u16,
+    capability: u16,
+    elements: &'a [u8],
+    tim: Option<TimView<'a>>,
+    btim: Option<BtimView<'a>>,
+}
+
+impl<'a> BeaconView<'a> {
+    /// Reads a beacon frame in place.
     ///
     /// # Errors
     ///
     /// Returns [`WifiError::UnknownFrameType`] when the frame is not a
     /// beacon, [`WifiError::Truncated`] for short buffers, and element
     /// errors for malformed bodies.
-    pub fn parse(buf: &[u8]) -> Result<Self, WifiError> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self, WifiError> {
         let (header, body) = decode_mac_header(buf)?;
         if header.fc.subtype() != FrameSubtype::Beacon {
             return Err(WifiError::UnknownFrameType {
@@ -213,24 +270,47 @@ impl Beacon {
                 subtype: header.fc.subtype().to_bits(),
             });
         }
-        if body.len() < BEACON_FIXED_LEN {
+        let Some((fixed, elements)) = body.split_first_chunk::<BEACON_FIXED_LEN>() else {
             return Err(WifiError::Truncated {
                 what: "beacon fixed fields",
                 needed: BEACON_FIXED_LEN,
                 available: body.len(),
             });
-        }
-        let timestamp_us = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-        let beacon_interval_tu = u16::from_le_bytes([body[8], body[9]]);
-        let capability = u16::from_le_bytes([body[10], body[11]]);
-        let elements = InformationElement::decode_all(&body[BEACON_FIXED_LEN..])?;
-        Ok(Beacon {
+        };
+        let mut view = BeaconView {
             bssid: header.addr2,
-            timestamp_us,
-            beacon_interval_tu,
-            capability,
+            timestamp_us: u64::from_le_bytes(fixed[0..8].try_into().expect("8 bytes")),
+            beacon_interval_tu: u16::from_le_bytes([fixed[8], fixed[9]]),
+            capability: u16::from_le_bytes([fixed[10], fixed[11]]),
             elements,
-        })
+            tim: None,
+            btim: None,
+        };
+        let mut rest = elements;
+        while !rest.is_empty() {
+            let (element, tail) = ElementView::split(rest)?;
+            match element {
+                ElementView::Tim(tim) => {
+                    view.tim.get_or_insert(tim);
+                }
+                ElementView::Btim(btim) => {
+                    view.btim.get_or_insert(btim);
+                }
+                _ => {}
+            }
+            rest = tail;
+        }
+        Ok(view)
+    }
+
+    /// The first TIM element, if present.
+    pub fn tim(&self) -> Option<TimView<'a>> {
+        self.tim
+    }
+
+    /// The first BTIM element, if present. Legacy beacons return `None`.
+    pub fn btim(&self) -> Option<BtimView<'a>> {
+        self.btim
     }
 }
 
@@ -296,26 +376,25 @@ impl BeaconBuilder {
 
     /// Finishes the beacon. Standard element order is preserved:
     /// SSID (0), Supported Rates (1), TIM (5), then everything else.
-    pub fn build(mut self) -> Beacon {
-        if let Some(tim) = self.tim {
-            self.beacon.elements.insert(0, InformationElement::Tim(tim));
-        }
-        if let Some(rates) = self.rates {
-            self.beacon.elements.insert(
-                0,
-                InformationElement::Raw(crate::ie::RawElement { id: 1, body: rates }),
-            );
-        }
-        if let Some(ssid) = self.ssid {
-            self.beacon.elements.insert(
-                0,
-                InformationElement::Raw(crate::ie::RawElement {
-                    id: 0,
-                    body: ssid.into_bytes(),
-                }),
-            );
-        }
-        self.beacon
+    pub fn build(self) -> Beacon {
+        let BeaconBuilder {
+            mut beacon,
+            tim,
+            ssid,
+            rates,
+        } = self;
+        let ssid = ssid.map(|ssid| RawElement {
+            id: 0,
+            body: ssid.into_bytes(),
+        });
+        let rates = rates.map(|body| RawElement { id: 1, body });
+        let rest = std::mem::take(&mut beacon.elements);
+        beacon.elements = Vec::with_capacity(3 + rest.len());
+        beacon.elements.extend(ssid.map(InformationElement::Raw));
+        beacon.elements.extend(rates.map(InformationElement::Raw));
+        beacon.elements.extend(tim.map(InformationElement::Tim));
+        beacon.elements.extend(rest);
+        beacon
     }
 }
 
@@ -989,6 +1068,54 @@ mod tests {
             .dtim(0, 1)
             .build();
         assert!(matches!(beacon.elements()[0], InformationElement::Tim(_)));
+    }
+
+    #[test]
+    fn encode_into_overwrites_the_buffer_with_to_bytes() {
+        let mut flags = PartialVirtualBitmap::new();
+        flags.set(Aid::new(2007).unwrap());
+        let long = Beacon::builder(MacAddr::station(0))
+            .ssid("HideNet")
+            .dtim(0, 1)
+            .element(InformationElement::Btim(Btim::new(flags)))
+            .build();
+        let short = Beacon::builder(MacAddr::station(0)).dtim(0, 1).build();
+        let mut buf = vec![0xaa; 7];
+        long.encode_into(&mut buf);
+        assert_eq!(buf, long.to_bytes());
+        let capacity = buf.capacity();
+        short.encode_into(&mut buf);
+        assert_eq!(buf, short.to_bytes());
+        assert_eq!(buf.len(), short.len_bytes());
+        assert_eq!(buf.capacity(), capacity);
+    }
+
+    #[test]
+    fn beacon_view_reads_the_first_tim_and_btim() {
+        let first: PartialVirtualBitmap = [Aid::new(5).unwrap()].into_iter().collect();
+        let second: PartialVirtualBitmap = [Aid::new(6).unwrap()].into_iter().collect();
+        let bytes = Beacon::builder(MacAddr::station(0))
+            .tim(Tim::new(0, 1, true, first))
+            .element(InformationElement::Btim(Btim::new(first)))
+            .element(InformationElement::Tim(Tim::new(0, 1, false, second)))
+            .element(InformationElement::Btim(Btim::new(second)))
+            .build()
+            .to_bytes();
+        let view = BeaconView::parse(&bytes).unwrap();
+        let owned = Beacon::parse(&bytes).unwrap();
+        let (tim, btim) = (view.tim().unwrap(), view.btim().unwrap());
+        assert!(tim.broadcast_buffered());
+        assert_eq!(
+            tim.broadcast_buffered(),
+            owned.tim().unwrap().broadcast_buffered()
+        );
+        for v in [5, 6] {
+            let aid = Aid::new(v).unwrap();
+            assert_eq!(btim.is_set(aid), v == 5);
+            assert_eq!(btim.is_set(aid), owned.btim().unwrap().is_set(aid));
+            assert_eq!(tim.traffic_for(aid), v == 5);
+        }
+        assert_eq!(btim.body_len(), owned.btim().unwrap().body_len());
     }
 
     #[test]

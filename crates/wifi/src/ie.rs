@@ -13,7 +13,7 @@
 //! pass through untouched — the coexistence property Section III.D relies
 //! on.
 
-use crate::bitmap::{PartialVirtualBitmap, TrimmedBitmap};
+use crate::bitmap::{check_span, span_is_set, PartialVirtualBitmap};
 use crate::error::WifiError;
 use crate::mac::Aid;
 use hide_obs::{Counter, Distribution, MetricsSink, TraceEventKind, TraceSink};
@@ -124,24 +124,71 @@ impl Tim {
     ///
     /// # Errors
     ///
-    /// Returns [`WifiError::BadElementLength`] for bodies shorter than 4
-    /// bytes and propagates bitmap reconstruction errors.
+    /// The errors of [`TimView::parse`].
     pub fn decode_body(body: &[u8]) -> Result<Self, WifiError> {
+        TimView::parse(body).map(|view| view.to_tim())
+    }
+}
+
+/// A checked TIM element body, borrowed from the frame that carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimView<'a> {
+    body: &'a [u8],
+}
+
+impl<'a> TimView<'a> {
+    /// Checks a TIM element body.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WifiError::BadElementLength`] for bodies shorter than 4
+    /// bytes and [`WifiError::BitmapTooLong`] when the bitmap runs past
+    /// the virtual bitmap.
+    pub fn parse(body: &'a [u8]) -> Result<Self, WifiError> {
         if body.len() < 4 {
             return Err(WifiError::BadElementLength {
                 element_id: ELEMENT_ID_TIM,
                 declared: body.len(),
             });
         }
-        let control = body[2];
-        let offset = ((control >> 1) as usize) * 2;
-        let trimmed = TrimmedBitmap::from_parts(offset, body[3..].to_vec())?;
-        Ok(Tim {
-            dtim_count: body[0],
-            dtim_period: body[1],
-            broadcast_buffered: control & 1 != 0,
-            bitmap: PartialVirtualBitmap::from_trimmed(&trimmed)?,
-        })
+        let view = TimView { body };
+        check_span(view.offset(), body.len() - 3)?;
+        Ok(view)
+    }
+
+    /// Bitmap Control bits 1–7 give `N1 / 2`.
+    fn offset(&self) -> usize {
+        usize::from(self.body[2] >> 1) * 2
+    }
+
+    /// Beacons remaining until the next DTIM (0 at a DTIM beacon).
+    pub fn dtim_count(&self) -> u8 {
+        self.body[0]
+    }
+
+    /// DTIM period in beacon intervals.
+    pub fn dtim_period(&self) -> u8 {
+        self.body[1]
+    }
+
+    /// The one-bit broadcast indication (bit 0 of Bitmap Control).
+    pub fn broadcast_buffered(&self) -> bool {
+        self.body[2] & 1 != 0
+    }
+
+    /// Whether unicast traffic is buffered for `aid`.
+    pub fn traffic_for(&self, aid: Aid) -> bool {
+        span_is_set(self.offset(), &self.body[3..], aid)
+    }
+
+    /// The owned element, its bitmap copied straight from the body.
+    pub(crate) fn to_tim(self) -> Tim {
+        Tim {
+            dtim_count: self.dtim_count(),
+            dtim_period: self.dtim_period(),
+            broadcast_buffered: self.broadcast_buffered(),
+            bitmap: PartialVirtualBitmap::from_span(self.offset(), &self.body[3..]),
+        }
     }
 }
 
@@ -198,20 +245,9 @@ impl Btim {
     ///
     /// # Errors
     ///
-    /// Returns [`WifiError::BadElementLength`] for bodies shorter than 2
-    /// bytes and propagates bitmap reconstruction errors (odd offset,
-    /// overlong bitmap).
+    /// The errors of [`BtimView::parse`].
     pub fn decode_body(body: &[u8]) -> Result<Self, WifiError> {
-        if body.len() < 2 {
-            return Err(WifiError::BadElementLength {
-                element_id: ELEMENT_ID_BTIM,
-                declared: body.len(),
-            });
-        }
-        let trimmed = TrimmedBitmap::from_parts(body[0] as usize, body[1..].to_vec())?;
-        Ok(Btim {
-            bitmap: PartialVirtualBitmap::from_trimmed(&trimmed)?,
-        })
+        BtimView::parse(body).map(|view| view.to_btim())
     }
 
     /// Encoded body length in bytes — the per-beacon overhead HIDE adds,
@@ -247,6 +283,53 @@ impl Btim {
                     bits_set: self.bitmap.count() as u32,
                 },
             );
+        }
+    }
+}
+
+/// A checked BTIM element body, borrowed from the frame that carries
+/// it: what a suspended client reads its own broadcast flag from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BtimView<'a> {
+    body: &'a [u8],
+}
+
+impl<'a> BtimView<'a> {
+    /// Checks a BTIM element body.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WifiError::BadElementLength`] for bodies shorter than 2
+    /// bytes, [`WifiError::OddBitmapOffset`] for an odd Offset and
+    /// [`WifiError::BitmapTooLong`] when the bitmap runs past the
+    /// virtual bitmap.
+    pub fn parse(body: &'a [u8]) -> Result<Self, WifiError> {
+        if body.len() < 2 {
+            return Err(WifiError::BadElementLength {
+                element_id: ELEMENT_ID_BTIM,
+                declared: body.len(),
+            });
+        }
+        check_span(usize::from(body[0]), body.len() - 1)?;
+        Ok(BtimView { body })
+    }
+
+    /// Whether client `aid` has useful broadcast frames buffered.
+    pub fn is_set(&self, aid: Aid) -> bool {
+        span_is_set(usize::from(self.body[0]), &self.body[1..], aid)
+    }
+
+    /// The body's length on air in bytes. It equals the decoded
+    /// element's [`Btim::body_len`] whenever the sender trimmed the
+    /// bitmap as Fig. 5 prescribes, as every encoder here does.
+    pub fn body_len(&self) -> usize {
+        self.body.len()
+    }
+
+    /// The owned element, its bitmap copied straight from the body.
+    pub(crate) fn to_btim(self) -> Btim {
+        Btim {
+            bitmap: PartialVirtualBitmap::from_span(usize::from(self.body[0]), &self.body[1..]),
         }
     }
 }
@@ -311,18 +394,27 @@ impl OpenUdpPorts {
     /// Returns [`WifiError::BadElementLength`] when the body length is
     /// odd.
     pub fn decode_body(body: &[u8]) -> Result<Self, WifiError> {
-        if !body.len().is_multiple_of(2) {
-            return Err(WifiError::BadElementLength {
-                element_id: ELEMENT_ID_OPEN_UDP_PORTS,
-                declared: body.len(),
-            });
-        }
+        check_ports_body(body).map(OpenUdpPorts::from_checked_body)
+    }
+
+    fn from_checked_body(body: &[u8]) -> Self {
         let ports = body
             .chunks_exact(2)
             .map(|c| u16::from_be_bytes([c[0], c[1]]))
             .collect();
-        Ok(OpenUdpPorts { ports })
+        OpenUdpPorts { ports }
     }
+}
+
+/// An Open UDP Ports body holds whole 2-byte ports.
+fn check_ports_body(body: &[u8]) -> Result<&[u8], WifiError> {
+    if !body.len().is_multiple_of(2) {
+        return Err(WifiError::BadElementLength {
+            element_id: ELEMENT_ID_OPEN_UDP_PORTS,
+            declared: body.len(),
+        });
+    }
+    Ok(body)
 }
 
 /// An element this crate does not interpret, preserved verbatim.
@@ -405,35 +497,8 @@ impl InformationElement {
     /// Returns [`WifiError::Truncated`] when the buffer ends inside the
     /// element and element-specific errors for malformed bodies.
     pub fn decode(buf: &[u8]) -> Result<(Self, usize), WifiError> {
-        if buf.len() < 2 {
-            return Err(WifiError::Truncated {
-                what: "information element header",
-                needed: 2,
-                available: buf.len(),
-            });
-        }
-        let id = buf[0];
-        let len = buf[1] as usize;
-        if buf.len() < 2 + len {
-            return Err(WifiError::Truncated {
-                what: "information element body",
-                needed: 2 + len,
-                available: buf.len(),
-            });
-        }
-        let body = &buf[2..2 + len];
-        let element = match id {
-            ELEMENT_ID_TIM => InformationElement::Tim(Tim::decode_body(body)?),
-            ELEMENT_ID_OPEN_UDP_PORTS => {
-                InformationElement::OpenUdpPorts(OpenUdpPorts::decode_body(body)?)
-            }
-            ELEMENT_ID_BTIM => InformationElement::Btim(Btim::decode_body(body)?),
-            _ => InformationElement::Raw(RawElement {
-                id,
-                body: body.to_vec(),
-            }),
-        };
-        Ok((element, 2 + len))
+        let (element, rest) = ElementView::split(buf)?;
+        Ok((element.to_element(), buf.len() - rest.len()))
     }
 
     /// Decodes a sequence of elements until the buffer is exhausted.
@@ -444,11 +509,69 @@ impl InformationElement {
     pub fn decode_all(mut buf: &[u8]) -> Result<Vec<Self>, WifiError> {
         let mut elements = Vec::new();
         while !buf.is_empty() {
-            let (element, consumed) = InformationElement::decode(buf)?;
-            elements.push(element);
-            buf = &buf[consumed..];
+            let (element, rest) = ElementView::split(buf)?;
+            elements.push(element.to_element());
+            buf = rest;
         }
         Ok(elements)
+    }
+}
+
+/// One checked element, borrowed from the frame body it sits in. Every
+/// element decoder in this crate walks a body through
+/// [`ElementView::split`], so the owned and the borrowed readers accept
+/// and reject the same bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ElementView<'a> {
+    Tim(TimView<'a>),
+    OpenUdpPorts(&'a [u8]),
+    Btim(BtimView<'a>),
+    Raw { id: u8, body: &'a [u8] },
+}
+
+impl<'a> ElementView<'a> {
+    /// Splits the element at the front of `buf` from the rest, checking
+    /// its framing and, for the elements this crate interprets, its
+    /// body.
+    pub(crate) fn split(buf: &'a [u8]) -> Result<(Self, &'a [u8]), WifiError> {
+        let [id, len, rest @ ..] = buf else {
+            return Err(WifiError::Truncated {
+                what: "information element header",
+                needed: 2,
+                available: buf.len(),
+            });
+        };
+        let len = usize::from(*len);
+        if rest.len() < len {
+            return Err(WifiError::Truncated {
+                what: "information element body",
+                needed: 2 + len,
+                available: buf.len(),
+            });
+        }
+        let (body, rest) = rest.split_at(len);
+        let element = match *id {
+            ELEMENT_ID_TIM => ElementView::Tim(TimView::parse(body)?),
+            ELEMENT_ID_OPEN_UDP_PORTS => ElementView::OpenUdpPorts(check_ports_body(body)?),
+            ELEMENT_ID_BTIM => ElementView::Btim(BtimView::parse(body)?),
+            id => ElementView::Raw { id, body },
+        };
+        Ok((element, rest))
+    }
+
+    /// The owned element.
+    pub(crate) fn to_element(self) -> InformationElement {
+        match self {
+            ElementView::Tim(tim) => InformationElement::Tim(tim.to_tim()),
+            ElementView::OpenUdpPorts(body) => {
+                InformationElement::OpenUdpPorts(OpenUdpPorts::from_checked_body(body))
+            }
+            ElementView::Btim(btim) => InformationElement::Btim(btim.to_btim()),
+            ElementView::Raw { id, body } => InformationElement::Raw(RawElement {
+                id,
+                body: body.to_vec(),
+            }),
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! * LLC/SNAP + IPv4 + UDP payload parsing used by the AP to extract UDP
 //!   destination ports from buffered broadcast frames ([`udp`]),
 //! * a PHY airtime model for 802.11b rates ([`phy`]),
-//! * beacon/DTIM scheduling ([`timing`]), and
+//! * the 802.11 time unit ([`timing`]), and
 //! * the Bianchi DCF saturation-throughput model used by the paper's
 //!   capacity-overhead analysis ([`dcf`]).
 //!

@@ -2,7 +2,9 @@
 
 use hide_wifi::assoc::{AssociationRequest, AssociationResponse, Disassociation};
 use hide_wifi::bitmap::PartialVirtualBitmap;
-use hide_wifi::frame::{Ack, AnyFrame, Beacon, BroadcastDataFrame, PsPoll, UdpPortMessage};
+use hide_wifi::frame::{
+    Ack, AnyFrame, Beacon, BeaconView, BroadcastDataFrame, PsPoll, UdpPortMessage,
+};
 use hide_wifi::ie::{Btim, InformationElement, OpenUdpPorts, Tim};
 use hide_wifi::mac::{Aid, MacAddr, MAX_AID};
 use hide_wifi::udp::UdpDatagram;
@@ -15,6 +17,114 @@ fn aid_strategy() -> impl Strategy<Value = Aid> {
 
 fn bitmap_strategy() -> impl Strategy<Value = PartialVirtualBitmap> {
     vec(aid_strategy(), 0..64).prop_map(|aids| aids.into_iter().collect())
+}
+
+/// AIDs biased to where a word-at-a-time scan can slip: the 3-byte
+/// tail after the 31 whole words (AIDs 1984–2007), the first word edge
+/// (octets 7 and 8) and the last (octets 247 and 248).
+fn edge_aid_strategy() -> impl Strategy<Value = Aid> {
+    (0u8..4, 1u16..=MAX_AID).prop_map(|(band, v)| {
+        let v = match band {
+            0 => 1984 + v % 24,
+            1 => 56 + v % 16,
+            2 => 1976 + v % 16,
+            _ => v,
+        };
+        Aid::new(v).expect("in range")
+    })
+}
+
+fn edge_bitmap_strategy() -> impl Strategy<Value = PartialVirtualBitmap> {
+    vec(edge_aid_strategy(), 0..6).prop_map(|aids| aids.into_iter().collect())
+}
+
+/// The bitmap's 251 octets, read one AID at a time.
+fn octets(bitmap: &PartialVirtualBitmap) -> [u8; 251] {
+    let mut bytes = [0u8; 251];
+    for aid in (1..=MAX_AID).map(|v| Aid::new(v).expect("in range")) {
+        if bitmap.is_set(aid) {
+            bytes[aid.octet()] |= 1 << aid.bit();
+        }
+    }
+    bytes
+}
+
+/// `trimmed_span` by its byte-at-a-time definition (Fig. 5).
+fn bytewise_span(bytes: &[u8; 251]) -> (usize, usize) {
+    let Some(first) = bytes.iter().position(|&b| b != 0) else {
+        return (0, 1);
+    };
+    let last = bytes.iter().rposition(|&b| b != 0).expect("nonzero exists");
+    let n1 = first & !1;
+    (n1, last - n1 + 1)
+}
+
+/// A beacon the way the AP builds one: SSID, rates, TIM, then BTIM.
+fn beacon_bytes(btim: PartialVirtualBitmap, unicast: PartialVirtualBitmap, bcast: bool) -> Vec<u8> {
+    Beacon::builder(MacAddr::station(0))
+        .ssid("hide")
+        .supported_rates_11b()
+        .tim(Tim::new(0, 1, bcast, unicast))
+        .element(InformationElement::Btim(Btim::new(btim)))
+        .build()
+        .to_bytes()
+}
+
+/// The BTIM body length on air: the length octet of the first element
+/// 201 after the 36-byte header and fixed fields. Only called on
+/// buffers both parsers accepted.
+fn btim_len_on_air(buf: &[u8]) -> Option<usize> {
+    let mut rest = &buf[36..];
+    while let [id, len, tail @ ..] = rest {
+        if *id == 201 {
+            return Some(usize::from(*len));
+        }
+        rest = &tail[usize::from(*len)..];
+    }
+    None
+}
+
+/// Both beacon parsers on `buf`: the same verdict and error, and on
+/// success the same TIM fields and the same TIM and BTIM bit for every
+/// AID, with the view's BTIM length the one on air.
+fn parsers_agree(buf: &[u8]) -> Result<(), TestCaseError> {
+    let (owned, view) = match (Beacon::parse(buf), BeaconView::parse(buf)) {
+        (Ok(owned), Ok(view)) => (owned, view),
+        (Err(a), Err(b)) => {
+            prop_assert_eq!(a, b);
+            return Ok(());
+        }
+        (a, b) => {
+            return Err(TestCaseError::fail(format!(
+                "verdicts differ: owned {:?}, view {:?}",
+                a.map(|_| ()),
+                b.map(|_| ())
+            )))
+        }
+    };
+    prop_assert_eq!(
+        view.tim()
+            .map(|t| (t.dtim_count(), t.dtim_period(), t.broadcast_buffered())),
+        owned
+            .tim()
+            .map(|t| (t.dtim_count(), t.dtim_period(), t.broadcast_buffered()))
+    );
+    for aid in (1..=MAX_AID).map(|v| Aid::new(v).expect("in range")) {
+        prop_assert_eq!(
+            view.btim().map(|b| b.is_set(aid)),
+            owned.btim().map(|b| b.is_set(aid)),
+            "BTIM bit of AID {}",
+            aid.value()
+        );
+        prop_assert_eq!(
+            view.tim().map(|t| t.traffic_for(aid)),
+            owned.tim().map(|t| t.traffic_for(aid)),
+            "TIM bit of AID {}",
+            aid.value()
+        );
+    }
+    prop_assert_eq!(view.btim().map(|b| b.body_len()), btim_len_on_air(buf));
+    Ok(())
 }
 
 fn mac_strategy() -> impl Strategy<Value = MacAddr> {
@@ -132,6 +242,61 @@ proptest! {
     #[test]
     fn beacon_parse_never_panics_on_garbage(bytes in vec(any::<u8>(), 0..96)) {
         let _ = Beacon::parse(&bytes);
+    }
+
+    #[test]
+    fn beacon_view_agrees_with_parse_on_garbage(bytes in vec(any::<u8>(), 0..=160)) {
+        parsers_agree(&bytes)?;
+    }
+
+    #[test]
+    fn beacon_view_agrees_with_parse_past_a_valid_header(
+        elements in vec(any::<u8>(), 0..=124),
+    ) {
+        // Garbage rarely gets past frame control; this reaches the
+        // element walker every time.
+        let mut buf = Beacon::builder(MacAddr::station(0)).build().to_bytes();
+        buf.extend_from_slice(&elements);
+        parsers_agree(&buf)?;
+    }
+
+    #[test]
+    fn beacon_view_agrees_with_parse_on_built_beacons(
+        btim in edge_bitmap_strategy(),
+        unicast in bitmap_strategy(),
+        bcast in any::<bool>(),
+    ) {
+        let bytes = beacon_bytes(btim, unicast, bcast);
+        parsers_agree(&bytes)?;
+        let view = BeaconView::parse(&bytes).unwrap();
+        prop_assert_eq!(view.btim().map(|b| b.body_len()), Some(Btim::new(btim).body_len()));
+    }
+
+    #[test]
+    fn beacon_view_agrees_with_parse_on_damaged_beacons(
+        btim in edge_bitmap_strategy(),
+        unicast in bitmap_strategy(),
+        at in any::<u16>(),
+        mask in 1u8..=255,
+        truncate in any::<bool>(),
+    ) {
+        let mut bytes = beacon_bytes(btim, unicast, false);
+        let at = usize::from(at) % bytes.len();
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= mask;
+        }
+        parsers_agree(&bytes)?;
+    }
+
+    #[test]
+    fn wordwise_scans_match_bytewise_definitions(bitmap in edge_bitmap_strategy()) {
+        let bytes = octets(&bitmap);
+        let count: u32 = bytes.iter().map(|b| b.count_ones()).sum();
+        prop_assert_eq!(bitmap.count(), count as usize);
+        prop_assert_eq!(bitmap.is_empty(), bytes.iter().all(|&b| b == 0));
+        prop_assert_eq!(bitmap.trimmed_span(), bytewise_span(&bytes));
     }
 
     #[test]

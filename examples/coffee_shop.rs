@@ -11,7 +11,7 @@
 
 use hide::protocol::ap::{AccessPoint, ApCtx};
 use hide::protocol::client::{HideClient, LegacyClient, OpenPortRegistry, WakeDecision};
-use hide::wifi::frame::{Beacon, BroadcastDataFrame};
+use hide::wifi::frame::{BeaconView, BroadcastDataFrame};
 use hide::wifi::mac::MacAddr;
 use hide::wifi::udp::UdpDatagram;
 
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // The beacon crosses the air as real bytes.
         let beacon_bytes = ap.dtim_beacon(i as u64).to_bytes();
-        let beacon = Beacon::parse(&beacon_bytes)?;
+        let beacon = BeaconView::parse(&beacon_bytes)?;
         println!(
             "  [air] beacon: {} bytes, broadcast buffered = {}",
             beacon_bytes.len(),

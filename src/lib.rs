@@ -65,7 +65,6 @@ pub mod prelude {
     pub use hide_apd::{ApdConfig, ApdError, ApdSnapshot, DaemonHandle};
     pub use hide_core::ap::{AccessPoint, ApCtx, ApSnapshot};
     pub use hide_core::client::{HideClient, LegacyClient, OpenPortRegistry, WakeDecision};
-    pub use hide_core::clock::{Clock, MonotonicClock, VirtualClock};
     pub use hide_energy::battery::Battery;
     pub use hide_energy::profile::{DeviceProfile, GALAXY_S4, NEXUS_ONE};
     pub use hide_fleet::{ChurnConfig, FleetConfig, FleetError, FleetResult};
@@ -82,5 +81,6 @@ pub mod prelude {
     pub use hide_traces::unicast::UnicastTrace;
     pub use hide_traces::useful::Usefulness;
     pub use hide_traces::Trace;
+    pub use hide_wifi::frame::BeaconView;
     pub use hide_wifi::mac::{Aid, MacAddr};
 }

@@ -8,7 +8,7 @@
 
 use hide::protocol::ap::{AccessPoint, ApCtx};
 use hide::protocol::client::{HideClient, OpenPortRegistry, WakeDecision};
-use hide::wifi::frame::{Beacon, BroadcastDataFrame};
+use hide::wifi::frame::{BeaconView, BroadcastDataFrame};
 use hide::wifi::mac::MacAddr;
 use hide::wifi::udp::UdpDatagram;
 use std::sync::{mpsc, Arc, Mutex};
@@ -61,7 +61,7 @@ fn concurrent_clients_sync_and_decide_consistently() {
 
             // Receive beacons off the air and report decisions.
             for (round, bytes) in brx.iter().enumerate() {
-                let beacon = Beacon::parse(&bytes).unwrap();
+                let beacon = BeaconView::parse(&bytes).unwrap();
                 let decision = client.handle_beacon(&beacon).unwrap();
                 result_tx.send((i, round as u64, decision)).unwrap();
             }

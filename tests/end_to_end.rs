@@ -4,7 +4,7 @@
 use hide::prelude::*;
 use hide::protocol::client::OpenPortRegistry;
 use hide::traces::useful::Usefulness;
-use hide::wifi::frame::{Beacon, BroadcastDataFrame};
+use hide::wifi::frame::BroadcastDataFrame;
 use hide::wifi::udp::UdpDatagram;
 
 fn frame_for(ap: &AccessPoint, port: u16) -> BroadcastDataFrame {
@@ -58,8 +58,10 @@ fn protocol_agrees_with_simulator_filtering() {
             frame_iter.next();
         }
         // Over-the-air round trip for every beacon.
-        let beacon = Beacon::parse(&ap.dtim_beacon(i).to_bytes()).unwrap();
-        let decision = client.handle_beacon(&beacon).unwrap();
+        let bytes = ap.dtim_beacon(i).to_bytes();
+        let decision = client
+            .handle_beacon(&BeaconView::parse(&bytes).unwrap())
+            .unwrap();
         let delivered = ap.deliver_broadcasts();
 
         if any_useful {
@@ -125,7 +127,8 @@ fn multi_client_btim_correctness() {
         for &p in ports {
             ap.enqueue_broadcast(frame_for(&ap, p));
         }
-        let beacon = Beacon::parse(&ap.dtim_beacon(round as u64).to_bytes()).unwrap();
+        let bytes = ap.dtim_beacon(round as u64).to_bytes();
+        let beacon = BeaconView::parse(&bytes).unwrap();
         for (c, want) in clients.iter().zip(expected) {
             let got = c.handle_beacon(&beacon).unwrap() == WakeDecision::WakeForBroadcast;
             assert_eq!(got, want, "round {round}, client {}", c.mac());
@@ -155,9 +158,11 @@ fn port_close_propagates_on_next_sync() {
     client.handle_ack(&ack).unwrap();
 
     ap.enqueue_broadcast(frame_for(&ap, 1900));
-    let beacon = ap.dtim_beacon(0);
+    let bytes = ap.dtim_beacon(0).to_bytes();
     assert_eq!(
-        client.handle_beacon(&beacon).unwrap(),
+        client
+            .handle_beacon(&BeaconView::parse(&bytes).unwrap())
+            .unwrap(),
         hide::protocol::client::WakeDecision::WakeForBroadcast
     );
     ap.deliver_broadcasts();
@@ -173,9 +178,11 @@ fn port_close_propagates_on_next_sync() {
     client.handle_ack(&ack).unwrap();
 
     ap.enqueue_broadcast(frame_for(&ap, 1900));
-    let beacon = ap.dtim_beacon(1);
+    let bytes = ap.dtim_beacon(1).to_bytes();
     assert_eq!(
-        client.handle_beacon(&beacon).unwrap(),
+        client
+            .handle_beacon(&BeaconView::parse(&bytes).unwrap())
+            .unwrap(),
         hide::protocol::client::WakeDecision::StaySuspended
     );
 }

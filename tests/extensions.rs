@@ -81,9 +81,11 @@ fn usefulness_markings_drive_port_registries() {
     // Legacy coexistence through the same facade.
     let mut legacy = LegacyClient::new(MacAddr::station(2));
     legacy.set_aid(ap.associate(legacy.mac()).unwrap());
-    let beacon = ap.dtim_beacon(0);
+    let bytes = ap.dtim_beacon(0).to_bytes();
     assert_eq!(
-        legacy.handle_beacon(&beacon).unwrap(),
+        legacy
+            .handle_beacon(&BeaconView::parse(&bytes).unwrap())
+            .unwrap(),
         WakeDecision::StaySuspended
     );
 }
