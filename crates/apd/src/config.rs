@@ -213,6 +213,13 @@ impl ApdConfig {
                 self.shards, MAX_AID
             )));
         }
+        if self.ssid.len() > hide_wifi::assoc::MAX_SSID_LEN {
+            return Err(ApdError::Config(format!(
+                "ssid of {} octets is longer than {}",
+                self.ssid.len(),
+                hide_wifi::assoc::MAX_SSID_LEN
+            )));
+        }
         if let Some(secs) = self.beacon_interval_secs {
             if secs.is_nan() || secs <= 0.0 {
                 return Err(ApdError::Config(format!(
@@ -298,5 +305,14 @@ mod tests {
             .validate()
             .is_err());
         assert!(ApdConfig::new().validate().is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_the_ssid_at_32_octets() {
+        let mut cfg = ApdConfig::new();
+        cfg.ssid = "x".repeat(32);
+        assert!(cfg.validate().is_ok());
+        cfg.ssid = "x".repeat(300);
+        assert!(matches!(cfg.validate(), Err(ApdError::Config(msg)) if msg.contains("300")));
     }
 }

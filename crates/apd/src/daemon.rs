@@ -321,7 +321,7 @@ impl DaemonHandle {
                 None => {
                     let (lo, hi) = cfg.aid_range_of(i);
                     let mut ap = AccessPoint::with_aid_range(cfg.bssid, lo, hi)?;
-                    ap.set_ssid(cfg.ssid.clone());
+                    ap.set_ssid(cfg.ssid.clone())?;
                     ap.set_dtim_period(cfg.dtim_period);
                     ap
                 }

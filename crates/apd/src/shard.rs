@@ -116,6 +116,8 @@ impl<R: SpanSink<RtStage>> Shard<R> {
     pub fn run(mut self) -> ShardFinal {
         let mut stats = ShardStats::default();
         let mut recorder = Recorder::new();
+        // The DTIM beacon, rewritten in place every tick.
+        let mut beacon = Vec::new();
         let mut processed = 0u64;
         while let Ok(cmd) = self.rx.recv() {
             match cmd {
@@ -127,7 +129,7 @@ impl<R: SpanSink<RtStage>> Shard<R> {
                 }
                 ShardCmd::Tick { index, now } => {
                     let t = self.runtime.start();
-                    self.handle_tick(index, now, &mut stats, &mut recorder);
+                    self.handle_tick(index, now, &mut stats, &mut recorder, &mut beacon);
                     self.runtime.finish(RtStage::Handle, t);
                     self.sample_gauges();
                 }
@@ -252,13 +254,14 @@ impl<R: SpanSink<RtStage>> Shard<R> {
         now: Option<f64>,
         stats: &mut ShardStats,
         recorder: &mut Recorder,
+        beacon: &mut Vec<u8>,
     ) {
         let mut ctx = match now {
             Some(now) => ApCtx::at(now),
             None => ApCtx::untimed(),
         }
         .with_metrics(&mut *recorder);
-        self.ap.emit_dtim_beacon(index, &mut ctx);
+        self.ap.emit_dtim_beacon(index, &mut ctx, beacon);
         stats.beacons += 1;
         let delivered = self
             .ap

@@ -4,10 +4,10 @@
 //! the canonical `hide-apsnap/1` serialization.
 
 use hide_apd::ctrl::{CtrlRequest, CtrlResponse};
-use hide_apd::{ApdConfig, ApdSnapshot, DaemonHandle};
+use hide_apd::{ApdConfig, ApdError, ApdSnapshot, DaemonHandle};
 use hide_core::ap::{AccessPoint, ApCtx};
 use hide_wifi::assoc::{AssociationRequest, Disassociation};
-use hide_wifi::frame::{Ack, AnyFrame, Beacon, BroadcastDataFrame, UdpPortMessage};
+use hide_wifi::frame::{Ack, AnyFrame, BroadcastDataFrame, UdpPortMessage};
 use hide_wifi::mac::MacAddr;
 use hide_wifi::udp::UdpDatagram;
 use std::net::UdpSocket;
@@ -38,7 +38,7 @@ fn daemon_state_equals_offline_replay() {
     let bssid = MacAddr::station(0);
 
     let mut offline = AccessPoint::with_aid_range(bssid, 1, 2007).unwrap();
-    offline.set_ssid("hide");
+    offline.set_ssid("hide").unwrap();
     offline.set_dtim_period(1);
 
     // A workload touching every state transition the snapshot captures:
@@ -136,6 +136,49 @@ fn shutdown_snapshot_restores_byte_identically() {
     assert_eq!(after.to_bytes(), live.to_bytes());
     let stats = restored.stats().unwrap();
     assert_eq!(stats.shards.clients, 6);
+    restored.shutdown().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A snapshot file whose SSID is longer than 802.11's 32 octets is
+/// refused at start, by the library and by `hide-apd --restore`, before
+/// any shard could write it into a beacon; 32 octets restore and tick.
+#[test]
+fn restore_bounds_the_ssid_at_32_octets() {
+    let path = std::env::temp_dir().join(format!(
+        "apd_loopback_long_ssid_{}.snap",
+        std::process::id()
+    ));
+    let handle = DaemonHandle::spawn(ApdConfig::new()).unwrap();
+    let text = String::from_utf8(handle.snapshot().unwrap().to_bytes()).unwrap();
+    handle.shutdown().unwrap();
+    let with_ssid = |octets: usize| {
+        let line = format!("ssid {}\n", "78".repeat(octets));
+        let edited = text.replace("ssid 68696465\n", &line);
+        assert_ne!(edited, text, "the default SSID line is replaced");
+        edited
+    };
+    let cfg = ApdConfig::new().snapshot_path(path.clone()).restore(true);
+
+    std::fs::write(&path, with_ssid(300)).unwrap();
+    match DaemonHandle::spawn(cfg.clone()) {
+        Err(ApdError::Snapshot(msg)) => assert!(msg.contains("300 octets"), "{msg}"),
+        Err(e) => panic!("expected a snapshot error, got {e}"),
+        Ok(_) => panic!("a 300-octet SSID restored"),
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hide-apd"))
+        .arg("--snapshot")
+        .arg(&path)
+        .arg("--restore")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+
+    std::fs::write(&path, with_ssid(32)).unwrap();
+    let restored = DaemonHandle::spawn(cfg).unwrap();
+    restored.tick(1).unwrap();
+    assert_eq!(restored.stats().unwrap().shards.beacons, 1);
     restored.shutdown().unwrap();
     let _ = std::fs::remove_file(&path);
 }
@@ -286,9 +329,9 @@ fn unconsumed_frames_are_ignored_once() {
     let handle = DaemonHandle::spawn(ApdConfig::new().shards(2)).unwrap();
     let socket = client_socket(handle.data_addr());
     let bssid = MacAddr::station(0);
-    socket
-        .send(&Beacon::builder(bssid).dtim(0, 1).build().to_bytes())
-        .unwrap();
+    let mut beacon = Vec::new();
+    AccessPoint::new(bssid).dtim_beacon(0, &mut beacon);
+    socket.send(&beacon).unwrap();
     socket
         .send(&Ack::new(MacAddr::station(1)).to_bytes())
         .unwrap();

@@ -12,10 +12,16 @@
 
 use hide::policy::{ScheduleConfig, WakePolicy};
 use hide_bench as harness;
+use hide_core::ap::{AccessPoint, ApCtx, BeaconMode};
+use hide_core::client::{HideClient, OpenPortRegistry};
 use hide_energy::profile::NEXUS_ONE;
-use hide_obs::spill::fnv1a64;
+use hide_obs::spill::{fnv1a64, fnv1a64_extend};
 use hide_obs::{export, FlightRecorder, Recorder};
 use hide_sim::protocol_sim::ProtocolSimulation;
+use hide_traces::useful::Usefulness;
+use hide_wifi::frame::{BroadcastDataFrame, UdpPortMessage};
+use hide_wifi::mac::MacAddr;
+use hide_wifi::udp::UdpDatagram;
 
 /// What one run is pinned by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,4 +172,221 @@ fn canonical_protocol_runs_are_pinned() {
         .collect();
     let table: String = got.iter().map(|(name, p)| source(name, p)).collect();
     assert_eq!(got, PINS, "protocol runs moved; now:\n{table}");
+}
+
+/// What a run's beacons are pinned by: the count, the total and the
+/// shortest and longest length in bytes, and FNV-1a-64 over the
+/// concatenated frames.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BeaconPin {
+    beacons: u64,
+    bytes: u64,
+    shortest: usize,
+    longest: usize,
+    hash: u64,
+}
+
+impl BeaconPin {
+    fn new() -> Self {
+        BeaconPin {
+            beacons: 0,
+            bytes: 0,
+            shortest: usize::MAX,
+            longest: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn add(&mut self, beacon: &[u8]) {
+        self.beacons += 1;
+        self.bytes += beacon.len() as u64;
+        self.shortest = self.shortest.min(beacon.len());
+        self.longest = self.longest.max(beacon.len());
+        self.hash = fnv1a64_extend(self.hash, beacon);
+    }
+}
+
+/// Every beacon the AP sends over canonical CS_Dept with the protocol
+/// run's one client (AID 1): each DTIM beacon, plus a non-DTIM beacon
+/// every fifth interval.
+fn canonical_beacons(mode: BeaconMode) -> BeaconPin {
+    let trace = &harness::canonical_traces()[1];
+    let mut ap = AccessPoint::new(MacAddr::station(0));
+    ap.set_beacon_mode(mode);
+    let mut registry = OpenPortRegistry::new();
+    for &port in Usefulness::port_based(trace, 0.10).useful_ports() {
+        registry.bind(port, [0, 0, 0, 0]).expect("fresh port");
+    }
+    let mut client = HideClient::new(MacAddr::station(1), registry);
+    client.set_aid(ap.associate(client.mac()).expect("a free AID"));
+    client.set_bssid(ap.bssid());
+    if mode == BeaconMode::Btim {
+        let msg = client.prepare_suspend().expect("associated");
+        ap.process_port_message(&msg, &mut ApCtx::untimed())
+            .expect("associated");
+    }
+    let interval = hide_wifi::timing::TIME_UNIT_SECS * 100.0;
+    let intervals = (trace.duration / interval).ceil() as u64;
+    let mut frames = trace.frames.iter().peekable();
+    let mut pin = BeaconPin::new();
+    let mut beacon = Vec::new();
+    for i in 0..intervals {
+        let end = i as f64 * interval + interval;
+        while let Some(f) = frames.next_if(|f| f.time < end) {
+            let body = UdpDatagram::new(
+                [10, 0, 0, 2],
+                [255; 4],
+                4000,
+                f.dst_port,
+                vec![0; (f.len_bytes as usize).saturating_sub(60)],
+            );
+            ap.enqueue_broadcast(BroadcastDataFrame::from_raw_body(
+                ap.bssid(),
+                body.to_bytes(),
+                false,
+            ));
+        }
+        ap.dtim_beacon(i, &mut beacon);
+        pin.add(&beacon);
+        if i % 5 == 0 {
+            ap.beacon(i, 1, &mut beacon);
+            pin.add(&beacon);
+        }
+        ap.deliver_broadcasts();
+    }
+    pin
+}
+
+/// Beacons that exercise the Fig. 5 trimming: 2 007 clients (AIDs
+/// 1..=2007) with ports spread so that a frame flags from a few dozen
+/// to every client, and unicast traffic buffered for AIDs on the word
+/// edges and in the tail of the virtual bitmap. DTIM period 3: each
+/// round sends its DTIM beacon and both non-DTIM beacons.
+fn dense_beacons(mode: BeaconMode) -> BeaconPin {
+    const EDGES: [u32; 8] = [1, 63, 64, 65, 1983, 1984, 1985, 2007];
+    let bssid = MacAddr::station(0);
+    let mut ap = AccessPoint::new(bssid);
+    ap.set_ssid("corp-wifi").expect("9 octets fit");
+    ap.set_dtim_period(3);
+    ap.set_beacon_mode(mode);
+    for n in 1..=2007u32 {
+        let mac = MacAddr::station(n);
+        assert_eq!(ap.associate(mac).expect("a free AID").value(), n as u16);
+        let ports = [10_000 + (n / 64) as u16, 20_000 + (n % 7) as u16];
+        let msg = UdpPortMessage::new(mac, bssid, ports).expect("two ports fit");
+        ap.process_port_message(&msg, &mut ApCtx::untimed())
+            .expect("associated");
+    }
+    let mut pin = BeaconPin::new();
+    let mut beacon = Vec::new();
+    for r in 0..97u64 {
+        let ports: Vec<u64> = match r % 11 {
+            0 => vec![],
+            5 => vec![20_000 + r % 7],
+            7 => vec![9],
+            _ if r % 3 == 0 => vec![10_000 + r * 13 % 32, 10_000 + r * 5 % 32],
+            _ => vec![10_000 + r * 13 % 32],
+        };
+        for port in ports {
+            let dgram = UdpDatagram::new([10, 0, 0, 2], [255; 4], 4000, port as u16, vec![0; 40]);
+            ap.enqueue_broadcast(BroadcastDataFrame::new(bssid, dgram, false));
+        }
+        let unicast: Vec<u32> = if r % 4 == 0 {
+            let k = (r / 4) as usize;
+            vec![EDGES[k % 8], EDGES[(k + 3) % 8]]
+        } else {
+            vec![(r * 331 % 2007 + 1) as u32]
+        };
+        for &n in &unicast {
+            ap.buffer_unicast(MacAddr::station(n)).expect("associated");
+        }
+        ap.dtim_beacon(r, &mut beacon);
+        pin.add(&beacon);
+        for dtim_count in [1, 2] {
+            ap.beacon(r, dtim_count, &mut beacon);
+            pin.add(&beacon);
+        }
+        ap.deliver_broadcasts();
+        for &n in &unicast {
+            ap.ps_poll(MacAddr::station(n)).expect("associated");
+        }
+    }
+    pin
+}
+
+/// The beacon pins, read from the AP before it wrote its beacons
+/// straight into a caller's buffer.
+const BEACON_PINS: [(&str, BeaconPin); 4] = [
+    (
+        "canonical btim",
+        BeaconPin {
+            beacons: 31_642,
+            bytes: 1_961_804,
+            shortest: 62,
+            longest: 62,
+            hash: 0x39650f73ed35fa15,
+        },
+    ),
+    (
+        "canonical tim-only",
+        BeaconPin {
+            beacons: 31_642,
+            bytes: 1_835_236,
+            shortest: 58,
+            longest: 58,
+            hash: 0x215856f8031480e5,
+        },
+    ),
+    (
+        "dense btim",
+        BeaconPin {
+            beacons: 291,
+            bytes: 36_300,
+            shortest: 63,
+            longest: 555,
+            hash: 0xde034e0be2e5eba5,
+        },
+    ),
+    (
+        "dense tim-only",
+        BeaconPin {
+            beacons: 291,
+            bytes: 30_486,
+            shortest: 59,
+            longest: 307,
+            hash: 0xba1d4016c0ccd7e9,
+        },
+    ),
+];
+
+fn beacon_pin(name: &str) -> BeaconPin {
+    BEACON_PINS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, pin)| pin)
+        .expect("a pinned run")
+}
+
+#[test]
+fn canonical_beacon_bytes_are_pinned() {
+    let btim = canonical_beacons(BeaconMode::Btim);
+    let tim_only = canonical_beacons(BeaconMode::TimOnly);
+    assert_eq!(btim, beacon_pin("canonical btim"), "BTIM mode: {btim:x?}");
+    assert_eq!(
+        tim_only,
+        beacon_pin("canonical tim-only"),
+        "TIM-only: {tim_only:x?}"
+    );
+}
+
+#[test]
+fn dense_beacon_bytes_are_pinned() {
+    let btim = dense_beacons(BeaconMode::Btim);
+    let tim_only = dense_beacons(BeaconMode::TimOnly);
+    assert_eq!(btim, beacon_pin("dense btim"), "BTIM mode: {btim:x?}");
+    assert_eq!(
+        tim_only,
+        beacon_pin("dense tim-only"),
+        "TIM-only: {tim_only:x?}"
+    );
 }

@@ -4,12 +4,12 @@ use crate::ap::snapshot::{ApSnapshot, ClientSnapshot, PortEntrySnapshot};
 use crate::ap::{calculate_broadcast_flags_observed, ApCtx, BroadcastBuffer, ClientPortTable};
 use crate::error::CoreError;
 use crate::fx::FxHashMap;
-use hide_obs::{MetricsSink, TraceEventKind, TraceSink};
+use hide_obs::{Counter, Distribution, MetricsSink, TraceEventKind, TraceSink};
 use hide_wifi::assoc::{self, AssociationRequest, AssociationResponse, Disassociation};
 use hide_wifi::bitmap::PartialVirtualBitmap;
-use hide_wifi::frame::{Ack, Beacon, BroadcastDataFrame, UdpPortMessage};
-use hide_wifi::ie::{Btim, InformationElement, Tim};
+use hide_wifi::frame::{Ack, BeaconFields, BroadcastDataFrame, UdpPortMessage};
 use hide_wifi::mac::{Aid, MacAddr, MAX_AID};
+use hide_wifi::WifiError;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -131,8 +131,22 @@ impl AccessPoint {
     }
 
     /// Sets the SSID advertised in beacons.
-    pub fn set_ssid(&mut self, ssid: impl Into<String>) {
-        self.ssid = ssid.into();
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WifiError::FieldOverflow`] (as [`CoreError::Wifi`])
+    /// for an SSID longer than 802.11's 32 octets
+    /// ([`assoc::MAX_SSID_LEN`]); the SSID is then unchanged.
+    pub fn set_ssid(&mut self, ssid: impl Into<String>) -> Result<(), CoreError> {
+        let ssid = ssid.into();
+        if ssid.len() > assoc::MAX_SSID_LEN {
+            return Err(CoreError::Wifi(WifiError::FieldOverflow {
+                field: "ssid",
+                value: ssid.len() as u64,
+            }));
+        }
+        self.ssid = ssid;
+        Ok(())
     }
 
     /// The SSID advertised in beacons.
@@ -386,14 +400,16 @@ impl AccessPoint {
         }
     }
 
-    /// Builds the DTIM beacon for beacon index `index`: runs Algorithm
-    /// 1 over the buffered frames and attaches both the standard TIM
-    /// (with the one-bit broadcast indication for legacy clients) and
-    /// the HIDE BTIM. This is the canonical entry point — Algorithm 1
-    /// runs through [`calculate_broadcast_flags_observed`] into
-    /// `ctx.metrics`, and the DTIM boundary (buffered burst size,
-    /// port-table occupancy) plus the emitted BTIM's on-air footprint
-    /// stream into `ctx.trace`.
+    /// Writes the DTIM beacon for beacon index `index` into `out`
+    /// (cleared first): runs Algorithm 1 over the buffered frames and
+    /// sends both the standard TIM (with the one-bit broadcast
+    /// indication for legacy clients) and the HIDE BTIM. This is the
+    /// canonical entry point — Algorithm 1 runs through
+    /// [`calculate_broadcast_flags_observed`] into `ctx.metrics`, and
+    /// the DTIM boundary (buffered burst size, port-table occupancy)
+    /// plus the BTIM's on-air footprint stream into `ctx.trace`. A
+    /// caller that keeps `out` across DTIMs emits each beacon without
+    /// allocating.
     ///
     /// The events are stamped at [`ApCtx::now`] when the caller
     /// provided a timestamp (the `hide-apd` daemon passes seconds since
@@ -405,7 +421,8 @@ impl AccessPoint {
         &mut self,
         index: u64,
         ctx: &mut ApCtx<S, T>,
-    ) -> Beacon {
+        out: &mut Vec<u8>,
+    ) {
         let now = ctx
             .now()
             .unwrap_or(index as f64 * hide_wifi::timing::TIME_UNIT_SECS * 100.0);
@@ -426,52 +443,65 @@ impl AccessPoint {
                 &mut flags,
                 &mut ctx.metrics,
             );
+            // The BTIM's on-air footprint (the `L^b_i` of Eq. 16 plus
+            // its 2-byte ID/length header): ID, length, Offset and the
+            // trimmed bitmap.
+            let bytes = 2 + 1 + flags.trimmed_span().1;
+            let bits_set = flags.count();
+            ctx.metrics.incr(Counter::BtimBeacons);
+            ctx.metrics.add(Counter::BtimBytes, bytes as u64);
+            ctx.metrics.add(Counter::BtimBitsSet, bits_set as u64);
+            ctx.metrics
+                .observe(Distribution::BtimBytesPerBeacon, bytes as u64);
+            if ctx.trace.is_enabled() {
+                ctx.trace.emit(
+                    now,
+                    TraceEventKind::BtimEmitted {
+                        bytes: bytes as u32,
+                        bits_set: bits_set as u32,
+                    },
+                );
+            }
         }
-        let beacon = self.build_beacon(index, 0, flags);
-        if let Some(btim) = beacon.btim() {
-            btim.observe(&mut ctx.metrics);
-            btim.observe_traced(now, &mut ctx.trace);
-        }
-        beacon
+        self.write_beacon(index, 0, &flags, out);
     }
 
     /// Uninstrumented [`AccessPoint::emit_dtim_beacon`] sugar: an
     /// untimed no-op context, compiling to the same hot path.
-    pub fn dtim_beacon(&mut self, index: u64) -> Beacon {
-        self.emit_dtim_beacon(index, &mut ApCtx::untimed())
+    pub fn dtim_beacon(&mut self, index: u64, out: &mut Vec<u8>) {
+        self.emit_dtim_beacon(index, &mut ApCtx::untimed(), out)
     }
 
-    /// Builds a non-DTIM beacon (`dtim_count > 0`): no broadcast flags,
-    /// unicast TIM bits only.
-    pub fn beacon(&mut self, index: u64, dtim_count: u8) -> Beacon {
-        self.build_beacon(index, dtim_count, PartialVirtualBitmap::new())
+    /// Writes a non-DTIM beacon (`dtim_count > 0`) into `out` (cleared
+    /// first): no broadcast flags, unicast TIM bits only.
+    pub fn beacon(&self, index: u64, dtim_count: u8, out: &mut Vec<u8>) {
+        self.write_beacon(index, dtim_count, &PartialVirtualBitmap::new(), out)
     }
 
-    fn build_beacon(&self, index: u64, dtim_count: u8, flags: PartialVirtualBitmap) -> Beacon {
+    fn write_beacon(
+        &self,
+        index: u64,
+        dtim_count: u8,
+        flags: &PartialVirtualBitmap,
+        out: &mut Vec<u8>,
+    ) {
         let mut unicast = PartialVirtualBitmap::new();
         for (v, record) in (self.aid_lo..).zip(&self.slots) {
             if record.as_ref().is_some_and(|r| r.unicast_buffered > 0) {
                 unicast.set(Aid::new(v).expect("slots lie inside the AID range"));
             }
         }
-        let tim = Tim::new(
+        BeaconFields {
+            bssid: self.bssid,
+            timestamp_us: index.wrapping_mul(102_400),
+            ssid: &self.ssid,
             dtim_count,
-            self.dtim_period,
-            dtim_count == 0 && !self.buffer.is_empty(),
-            unicast,
-        );
-        let builder = Beacon::builder(self.bssid)
-            .ssid(self.ssid.clone())
-            .supported_rates_11b()
-            .timestamp_us(index.wrapping_mul(102_400))
-            .beacon_interval_tu(100)
-            .tim(tim);
-        match self.beacon_mode {
-            BeaconMode::Btim => builder
-                .element(InformationElement::Btim(Btim::new(flags)))
-                .build(),
-            BeaconMode::TimOnly => builder.build(),
+            dtim_period: self.dtim_period,
+            broadcast_buffered: dtim_count == 0 && !self.buffer.is_empty(),
+            unicast: &unicast,
+            btim: (self.beacon_mode == BeaconMode::Btim).then_some(flags),
         }
+        .write(out);
     }
 
     /// Drains the broadcast buffer for post-DTIM delivery (More Data
@@ -568,10 +598,11 @@ impl AccessPoint {
     /// range, or [`CoreError::Snapshot`] when the snapshot is
     /// internally inconsistent (AIDs outside the range or duplicated,
     /// port entries for unknown clients, a freed AID above the fresh
-    /// watermark).
+    /// watermark) or its SSID is longer than 32 octets.
     pub fn from_snapshot(snapshot: &ApSnapshot) -> Result<Self, CoreError> {
         let mut ap = AccessPoint::with_aid_range(snapshot.bssid, snapshot.aid_lo, snapshot.aid_hi)?;
-        ap.ssid = snapshot.ssid.clone();
+        ap.set_ssid(snapshot.ssid.as_str())
+            .map_err(|e| CoreError::Snapshot(e.to_string()))?;
         if snapshot.dtim_period == 0 {
             return Err(CoreError::Snapshot("DTIM period is zero".to_string()));
         }
@@ -649,7 +680,20 @@ impl AccessPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hide_wifi::frame::BeaconView;
+    use hide_wifi::ie::InformationElement;
     use hide_wifi::udp::UdpDatagram;
+
+    /// The AP's DTIM beacon `index`, on air.
+    fn dtim(ap: &mut AccessPoint, index: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        ap.dtim_beacon(index, &mut out);
+        out
+    }
+
+    fn view(bytes: &[u8]) -> BeaconView<'_> {
+        BeaconView::parse(bytes).unwrap()
+    }
 
     fn frame(port: u16) -> BroadcastDataFrame {
         let d = UdpDatagram::new([10, 0, 0, 1], [255; 4], 4000, port, vec![]);
@@ -780,7 +824,8 @@ mod tests {
             .unwrap();
         ap.enqueue_broadcast(frame(1900));
 
-        let beacon = ap.dtim_beacon(0);
+        let bytes = dtim(&mut ap, 0);
+        let beacon = view(&bytes);
         let btim = beacon.btim().unwrap();
         assert!(btim.is_set(aid1));
         assert!(!btim.is_set(aid2));
@@ -790,45 +835,134 @@ mod tests {
     }
 
     #[test]
-    fn observed_dtim_beacon_matches_plain_and_records() {
-        use hide_obs::{Counter, Recorder};
+    fn observed_dtim_beacon_matches_plain_and_records_the_btim_on_air() {
+        use hide_obs::{Recorder, TraceEventKind};
         let mut ap = AccessPoint::new(MacAddr::station(0));
-        let mac = MacAddr::station(1);
-        ap.associate(mac).unwrap();
-        ap.process_port_message(&port_msg(mac, ap.bssid(), &[1900]), &mut ApCtx::untimed())
-            .unwrap();
+        for (n, port) in [(1, 1900), (2, 5353), (3, 1900)] {
+            let mac = MacAddr::station(n);
+            ap.associate(mac).unwrap();
+            ap.process_port_message(&port_msg(mac, ap.bssid(), &[port]), &mut ApCtx::untimed())
+                .unwrap();
+        }
         ap.enqueue_broadcast(frame(1900));
 
+        let (mut rec, mut flight) = (Recorder::new(), hide_obs::FlightRecorder::with_capacity(8));
+        let mut observed = vec![0xaa; 3];
+        for _ in 0..2 {
+            ap.clone().emit_dtim_beacon(
+                0,
+                &mut ApCtx::untimed()
+                    .with_metrics(&mut rec)
+                    .with_trace(&mut flight),
+                &mut observed,
+            );
+        }
+        assert_eq!(observed, dtim(&mut ap, 0));
+        // ID, length, Offset and one bitmap octet (AIDs 1 and 3).
+        let on_air = 2 + view(&observed).btim().unwrap().body_len() as u64;
+        assert_eq!(on_air, 4);
+        assert_eq!(rec.counter(Counter::BtimBeacons), 2);
+        assert_eq!(rec.counter(Counter::BtimBytes), 2 * on_air);
+        assert_eq!(rec.counter(Counter::BtimBitsSet), 4);
+        let h = rec.distribution(Distribution::BtimBytesPerBeacon);
+        assert_eq!((h.count(), h.min(), h.max()), (2, on_air, on_air));
+        let emitted: Vec<_> = flight
+            .events()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::BtimEmitted { bytes, bits_set } => Some((bytes, bits_set)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(emitted, [(4, 2), (4, 2)]);
+    }
+
+    #[test]
+    fn tim_only_beacons_record_no_btim() {
+        use hide_obs::Recorder;
+        let mut ap = AccessPoint::new(MacAddr::station(0));
+        ap.set_beacon_mode(BeaconMode::TimOnly);
+        ap.enqueue_broadcast(frame(1900));
         let mut rec = Recorder::new();
-        let observed = ap
-            .clone()
-            .emit_dtim_beacon(0, &mut ApCtx::untimed().with_metrics(&mut rec));
-        let plain = ap.dtim_beacon(0);
-        assert_eq!(observed.to_bytes(), plain.to_bytes());
-        assert_eq!(rec.counter(Counter::BtimBeacons), 1);
-        assert_eq!(rec.counter(Counter::BtimBitsSet), 1);
-        assert!(rec.counter(Counter::BtimBytes) > 0);
+        let mut bytes = Vec::new();
+        ap.emit_dtim_beacon(0, &mut ApCtx::untimed().with_metrics(&mut rec), &mut bytes);
+        assert!(view(&bytes).btim().is_none());
+        assert!(view(&bytes).tim().unwrap().broadcast_buffered());
+        assert_eq!(rec.counter(Counter::BtimBeacons), 0);
+        assert_eq!(rec.counter(Counter::BtimBytes), 0);
+    }
+
+    #[test]
+    fn beacons_are_stamped_on_the_102_4_ms_cadence_from_the_bssid() {
+        let bssid = MacAddr::station(7);
+        let mut ap = AccessPoint::new(bssid);
+        let mut bytes = Vec::new();
+        for index in [0, 1, 3, 26_367] {
+            ap.dtim_beacon(index, &mut bytes);
+            assert_eq!(bytes[4..10], MacAddr::BROADCAST.octets());
+            assert_eq!(bytes[10..16], bssid.octets());
+            assert_eq!(bytes[16..22], bssid.octets());
+            assert_eq!(bytes[24..32], (index * 102_400).to_le_bytes());
+            assert_eq!(bytes[32..34], 100u16.to_le_bytes());
+            ap.beacon(index, 1, &mut bytes);
+            assert_eq!(bytes[24..32], (index * 102_400).to_le_bytes());
+        }
     }
 
     #[test]
     fn non_dtim_beacon_has_empty_btim_and_count() {
         let mut ap = AccessPoint::new(MacAddr::station(0));
         ap.set_dtim_period(3);
+        let aid = ap.associate(MacAddr::station(1)).unwrap();
         ap.enqueue_broadcast(frame(1900));
-        let beacon = ap.beacon(1, 2);
-        assert_eq!(beacon.tim().unwrap().dtim_count(), 2);
-        assert!(!beacon.tim().unwrap().broadcast_buffered());
-        assert!(beacon.btim().unwrap().is_empty());
+        let mut bytes = Vec::new();
+        ap.beacon(1, 2, &mut bytes);
+        let beacon = view(&bytes);
+        let tim = beacon.tim().unwrap();
+        assert_eq!((tim.dtim_count(), tim.dtim_period()), (2, 3));
+        assert!(!tim.broadcast_buffered());
+        // An empty BTIM: Offset 0 and one zero octet.
+        let btim = beacon.btim().unwrap();
+        assert_eq!(btim.body_len(), 2);
+        assert!(!btim.is_set(aid));
     }
 
     #[test]
     fn beacons_advertise_ssid_and_rates() {
         let mut ap = AccessPoint::new(MacAddr::station(0));
-        ap.set_ssid("corp-wifi");
-        let beacon = Beacon::parse(&ap.dtim_beacon(0).to_bytes()).unwrap();
-        assert_eq!(beacon.ssid().as_deref(), Some("corp-wifi"));
-        assert!(beacon.tim().is_some());
-        assert!(beacon.btim().is_some());
+        ap.set_ssid("corp-wifi").unwrap();
+        let bytes = dtim(&mut ap, 0);
+        let elements = InformationElement::decode_all(&bytes[36..]).unwrap();
+        let ids: Vec<u8> = elements
+            .iter()
+            .map(InformationElement::element_id)
+            .collect();
+        assert_eq!(ids, [0, 1, 5, 201]);
+        assert!(matches!(&elements[0], InformationElement::Raw(raw) if raw.body == b"corp-wifi"));
+    }
+
+    #[test]
+    fn ssid_is_bounded_at_32_octets() {
+        let mut ap = AccessPoint::new(MacAddr::station(0));
+        let longest = "x".repeat(32);
+        ap.set_ssid(longest.as_str()).unwrap();
+        let bytes = dtim(&mut ap, 0);
+        assert_eq!(&bytes[36..38], &[0, 32]);
+        assert_eq!(
+            ap.set_ssid("y".repeat(300)),
+            Err(CoreError::Wifi(WifiError::FieldOverflow {
+                field: "ssid",
+                value: 300,
+            }))
+        );
+        assert_eq!(ap.ssid(), longest);
+        let mut snapshot = ap.snapshot();
+        let restored = AccessPoint::from_snapshot(&snapshot).unwrap();
+        assert_eq!(restored.ssid(), longest);
+        snapshot.ssid = "z".repeat(300);
+        assert!(matches!(
+            AccessPoint::from_snapshot(&snapshot),
+            Err(CoreError::Snapshot(_))
+        ));
     }
 
     #[test]
@@ -868,11 +1002,11 @@ mod tests {
         let mac = MacAddr::station(1);
         let aid = ap.associate(mac).unwrap();
         ap.buffer_unicast(mac).unwrap();
-        let beacon = ap.dtim_beacon(0);
-        assert!(beacon.tim().unwrap().traffic_for(aid));
+        let bytes = dtim(&mut ap, 0);
+        assert!(view(&bytes).tim().unwrap().traffic_for(aid));
         assert_eq!(ap.ps_poll(mac).unwrap(), 0);
-        let beacon = ap.dtim_beacon(1);
-        assert!(!beacon.tim().unwrap().traffic_for(aid));
+        let bytes = dtim(&mut ap, 1);
+        assert!(!view(&bytes).tim().unwrap().traffic_for(aid));
     }
 
     #[test]
@@ -940,7 +1074,7 @@ mod tests {
         assert!(ap.port_table().clients_for_port(1900).is_empty());
         // A frame for the departed client flags nobody.
         ap.enqueue_broadcast(frame(1900));
-        let beacon = ap.dtim_beacon(0);
-        assert!(!beacon.btim().unwrap().is_set(aid));
+        let bytes = dtim(&mut ap, 0);
+        assert!(!view(&bytes).btim().unwrap().is_set(aid));
     }
 }

@@ -15,17 +15,21 @@
 //!
 //! ```
 //! use hide_core::ap::{AccessPoint, ApCtx};
-//! use hide_obs::Recorder;
+//! use hide_obs::{Counter, Recorder};
+//! use hide_wifi::frame::BeaconView;
 //! use hide_wifi::mac::MacAddr;
 //!
 //! let mut ap = AccessPoint::new(MacAddr::station(0));
+//! let mut beacon = Vec::new();
 //! // Uninstrumented, untimed (what `dtim_beacon` sugars over):
-//! let beacon = ap.emit_dtim_beacon(0, &mut ApCtx::untimed());
-//! assert!(beacon.btim().is_some());
+//! ap.emit_dtim_beacon(0, &mut ApCtx::untimed(), &mut beacon);
+//! assert!(BeaconView::parse(&beacon)?.btim().is_some());
 //!
 //! // Instrumented, stamped at 1.5 s:
 //! let mut rec = Recorder::new();
-//! let _ = ap.emit_dtim_beacon(1, &mut ApCtx::at(1.5).with_metrics(&mut rec));
+//! ap.emit_dtim_beacon(1, &mut ApCtx::at(1.5).with_metrics(&mut rec), &mut beacon);
+//! assert_eq!(rec.counter(Counter::BtimBeacons), 1);
+//! # Ok::<(), hide_wifi::WifiError>(())
 //! ```
 
 use hide_obs::{MetricsSink, NoopSink, NoopTrace, TraceSink};

@@ -112,6 +112,13 @@ fn decode_ssid(tok: &str) -> Result<String, CoreError> {
     if !tok.len().is_multiple_of(2) || !tok.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(CoreError::Snapshot(format!("bad SSID token {tok:?}")));
     }
+    if tok.len() / 2 > hide_wifi::assoc::MAX_SSID_LEN {
+        return Err(CoreError::Snapshot(format!(
+            "SSID of {} octets is longer than {}",
+            tok.len() / 2,
+            hide_wifi::assoc::MAX_SSID_LEN
+        )));
+    }
     let bytes: Vec<u8> = tok
         .as_bytes()
         .chunks(2)
@@ -333,7 +340,7 @@ mod tests {
 
     fn populated_ap() -> AccessPoint {
         let mut ap = AccessPoint::with_aid_range(MacAddr::station(0), 10, 20).unwrap();
-        ap.set_ssid("corp wifi"); // space exercises the hex encoding
+        ap.set_ssid("corp wifi").unwrap(); // space exercises the hex encoding
         ap.set_dtim_period(3);
         let a = MacAddr::station(1);
         let b = MacAddr::station(2);
@@ -401,6 +408,26 @@ mod tests {
         assert_eq!(parsed, snap);
         // Canonical encoding: re-encoding the parse is byte-identical.
         assert_eq!(parsed.to_bytes(), snap.to_bytes());
+    }
+
+    #[test]
+    fn parse_bounds_the_ssid_at_32_octets() {
+        let text = String::from_utf8(populated_ap().snapshot().to_bytes()).unwrap();
+        let with_ssid = |octets: usize| {
+            let line = format!("ssid {}\n", "78".repeat(octets));
+            text.replace("ssid 636f72702077696669\n", &line)
+        };
+        let longest = ApSnapshot::parse(with_ssid(32).as_bytes()).unwrap();
+        assert_eq!(longest.ssid, "x".repeat(32));
+        assert_eq!(longest.to_bytes(), with_ssid(32).into_bytes());
+        let mut ap = AccessPoint::from_snapshot(&longest).unwrap();
+        let mut beacon = Vec::new();
+        ap.dtim_beacon(0, &mut beacon);
+        assert_eq!(&beacon[36..38], &[0, 32]);
+        assert!(matches!(
+            ApSnapshot::parse(with_ssid(300).as_bytes()),
+            Err(CoreError::Snapshot(msg)) if msg.contains("300 octets")
+        ));
     }
 
     #[test]

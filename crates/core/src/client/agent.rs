@@ -283,8 +283,7 @@ impl HideClient {
 mod tests {
     use super::*;
     use hide_wifi::bitmap::PartialVirtualBitmap;
-    use hide_wifi::frame::Beacon;
-    use hide_wifi::ie::{Btim, InformationElement, Tim};
+    use hide_wifi::frame::BeaconFields;
 
     fn client_with_ports(ports: &[u16]) -> HideClient {
         let mut reg = OpenPortRegistry::new();
@@ -296,22 +295,35 @@ mod tests {
         c
     }
 
+    /// The wire bytes of a DTIM beacon with the given TIM broadcast
+    /// bit and unicast bits, and the BTIM when `btim` is set.
+    fn beacon_bytes(
+        btim: Option<&PartialVirtualBitmap>,
+        unicast: &PartialVirtualBitmap,
+        broadcast_buffered: bool,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        BeaconFields {
+            bssid: MacAddr::station(0),
+            timestamp_us: 0,
+            ssid: "hide-net",
+            dtim_count: 0,
+            dtim_period: 1,
+            broadcast_buffered,
+            unicast,
+            btim,
+        }
+        .write(&mut out);
+        out
+    }
+
     /// The wire bytes of a beacon whose BTIM flags `btim_aids` and
     /// whose TIM flags `tim_aids`.
     fn beacon(btim_aids: &[u16], tim_aids: &[u16]) -> Vec<u8> {
-        let mut flags = PartialVirtualBitmap::new();
-        for &v in btim_aids {
-            flags.set(Aid::new(v).unwrap());
-        }
-        let mut unicast = PartialVirtualBitmap::new();
-        for &v in tim_aids {
-            unicast.set(Aid::new(v).unwrap());
-        }
-        Beacon::builder(MacAddr::station(0))
-            .tim(Tim::new(0, 1, false, unicast))
-            .element(InformationElement::Btim(Btim::new(flags)))
-            .build()
-            .to_bytes()
+        let bitmap = |aids: &[u16]| -> PartialVirtualBitmap {
+            aids.iter().map(|&v| Aid::new(v).unwrap()).collect()
+        };
+        beacon_bytes(Some(&bitmap(btim_aids)), &bitmap(tim_aids), false)
     }
 
     fn decide(c: &HideClient, bytes: &[u8]) -> WakeDecision {
@@ -493,16 +505,11 @@ mod tests {
         // Under a legacy AP the HIDE client must honour the standard
         // one-bit broadcast indication or it would miss broadcasts.
         let c = client_with_ports(&[5353]);
-        let legacy_beacon = Beacon::builder(MacAddr::station(0))
-            .tim(Tim::new(0, 1, true, PartialVirtualBitmap::new()))
-            .build()
-            .to_bytes();
+        let empty = PartialVirtualBitmap::new();
+        let legacy_beacon = beacon_bytes(None, &empty, true);
         assert_eq!(decide(&c, &legacy_beacon), WakeDecision::WakeForBroadcast);
 
-        let quiet_beacon = Beacon::builder(MacAddr::station(0))
-            .tim(Tim::new(0, 1, false, PartialVirtualBitmap::new()))
-            .build()
-            .to_bytes();
+        let quiet_beacon = beacon_bytes(None, &empty, false);
         assert_eq!(decide(&c, &quiet_beacon), WakeDecision::StaySuspended);
     }
 }

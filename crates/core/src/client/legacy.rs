@@ -30,7 +30,8 @@ use hide_wifi::mac::{Aid, MacAddr};
 /// // Any buffered broadcast wakes a legacy client, useful or not.
 /// let d = UdpDatagram::new([10, 0, 0, 1], [255; 4], 1, 1900, vec![]);
 /// ap.enqueue_broadcast(BroadcastDataFrame::new(ap.bssid(), d, false));
-/// let bytes = ap.dtim_beacon(0).to_bytes();
+/// let mut bytes = Vec::new();
+/// ap.dtim_beacon(0, &mut bytes);
 /// let beacon = BeaconView::parse(&bytes)?;
 /// assert_eq!(legacy.handle_beacon(&beacon)?, WakeDecision::WakeForBroadcast);
 /// # Ok(())
@@ -80,7 +81,7 @@ impl LegacyClient {
 mod tests {
     use super::*;
     use crate::ap::{AccessPoint, ApCtx};
-    use hide_wifi::frame::{Beacon, BroadcastDataFrame};
+    use hide_wifi::frame::BroadcastDataFrame;
     use hide_wifi::udp::UdpDatagram;
 
     fn frame(port: u16) -> BroadcastDataFrame {
@@ -90,7 +91,9 @@ mod tests {
 
     /// The AP's next DTIM beacon, over the air.
     fn dtim_bytes(ap: &mut AccessPoint) -> Vec<u8> {
-        ap.dtim_beacon(0).to_bytes()
+        let mut bytes = Vec::new();
+        ap.dtim_beacon(0, &mut bytes);
+        bytes
     }
 
     fn view(bytes: &[u8]) -> BeaconView<'_> {
@@ -100,10 +103,7 @@ mod tests {
     #[test]
     fn requires_association() {
         let legacy = LegacyClient::new(MacAddr::station(1));
-        let bytes = Beacon::builder(MacAddr::station(0))
-            .dtim(0, 1)
-            .build()
-            .to_bytes();
+        let bytes = dtim_bytes(&mut AccessPoint::new(MacAddr::station(0)));
         assert!(matches!(
             legacy.handle_beacon(&view(&bytes)),
             Err(CoreError::NotAssociated)

@@ -44,7 +44,8 @@
 //!     false,
 //! ));
 //! // The beacon crosses the air as bytes; the client reads its bit in place.
-//! let bytes = ap.dtim_beacon(0).to_bytes();
+//! let mut bytes = Vec::new();
+//! ap.dtim_beacon(0, &mut bytes);
 //! let beacon = BeaconView::parse(&bytes)?;
 //! assert_eq!(client.handle_beacon(&beacon)?, WakeDecision::StaySuspended);
 //!
@@ -53,7 +54,7 @@
 //!     UdpDatagram::new([10, 0, 0, 9], [255; 4], 4000, 5353, vec![]),
 //!     false,
 //! ));
-//! let bytes = ap.dtim_beacon(1).to_bytes();
+//! ap.dtim_beacon(1, &mut bytes);
 //! let beacon = BeaconView::parse(&bytes)?;
 //! assert_eq!(client.handle_beacon(&beacon)?, WakeDecision::WakeForBroadcast);
 //! # Ok(())

@@ -102,7 +102,8 @@ proptest! {
         }
         // Serialize and re-parse the beacon: the decision must survive
         // the wire format.
-        let beacon_bytes = ap.dtim_beacon(0).to_bytes();
+        let mut beacon_bytes = Vec::new();
+        ap.dtim_beacon(0, &mut beacon_bytes);
         let beacon = BeaconView::parse(&beacon_bytes).unwrap();
         let decision = client.handle_beacon(&beacon).unwrap();
 
@@ -198,8 +199,10 @@ proptest! {
                 }
                 _ => {
                     // DTIM: verify flags against the model, then drain.
-                    let beacon = ap.dtim_beacon(beacon_index);
+                    let mut bytes = Vec::new();
+                    ap.dtim_beacon(beacon_index, &mut bytes);
                     beacon_index += 1;
+                    let beacon = BeaconView::parse(&bytes).unwrap();
                     let btim = beacon.btim().unwrap();
                     for (aid, ports) in model.values() {
                         let expected = pending_ports

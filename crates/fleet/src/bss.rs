@@ -498,7 +498,7 @@ impl<'a> Engine<'a> {
             hide_sim::network::fleet(cfg.clients_per_bss, cfg.adoption, derive_seed(seed, 1));
         let bssid = MacAddr::station(0);
         let mut ap = AccessPoint::new(bssid);
-        ap.set_ssid(SSID);
+        ap.set_ssid(SSID).expect("the fleet's SSID fits 32 octets");
 
         let mut port_universe = cfg.scenario.params().port_mix.ports();
         port_universe.sort_unstable();

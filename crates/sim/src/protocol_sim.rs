@@ -11,9 +11,9 @@
 //! A trace records only each frame's port and length, so the datagram
 //! body of every distinct (destination port, length) pair is encoded
 //! (IPv4 and UDP checksums included) once per run, and each frame the
-//! AP buffers carries a copy of those bytes. The AP, the beacons
-//! encoded into one buffer and read through a borrowed view every DTIM,
-//! and the client all stay real.
+//! AP buffers carries a copy of those bytes. The AP, the beacons it
+//! writes into one reused buffer and the client reads through a
+//! borrowed view every DTIM, and the client all stay real.
 
 use crate::error::SimError;
 use crate::solution::Solution;
@@ -203,8 +203,8 @@ impl<'a> ProtocolSimulation<'a> {
                 &mut ApCtx::untimed()
                     .with_metrics(&mut sink)
                     .with_trace(&mut trace),
-            )
-            .encode_into(&mut beacon_bytes);
+                &mut beacon_bytes,
+            );
             stats.beacons += 1;
             let beacon = BeaconView::parse(&beacon_bytes).map_err(CoreError::Wifi)?;
             stats.btim_bytes += beacon.btim().map(|b| b.body_len() as u64 + 2).unwrap_or(0);

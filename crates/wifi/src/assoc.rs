@@ -8,11 +8,13 @@
 
 use crate::error::WifiError;
 use crate::frame::MAC_HEADER_LEN;
-use crate::ie::{InformationElement, OpenUdpPorts, RawElement};
+use crate::ie::{write_element, InformationElement, ELEMENT_ID_OPEN_UDP_PORTS};
 use crate::mac::{Aid, FrameControl, FrameSubtype, MacAddr};
 
 /// Element ID of the standard SSID element.
 pub const ELEMENT_ID_SSID: u8 = 0;
+/// The longest SSID 802.11 allows, in octets.
+pub const MAX_SSID_LEN: usize = 32;
 
 /// Status code for a successful association.
 pub const STATUS_SUCCESS: u16 = 0;
@@ -140,14 +142,11 @@ impl AssociationRequest {
         );
         out.extend_from_slice(&0x0001u16.to_le_bytes()); // capability: ESS
         out.extend_from_slice(&self.listen_interval.to_le_bytes());
-        InformationElement::Raw(RawElement {
-            id: ELEMENT_ID_SSID,
-            body: self.ssid.as_bytes().to_vec(),
-        })
-        .encode(&mut out);
+        write_element(&mut out, ELEMENT_ID_SSID, |out| {
+            out.extend_from_slice(self.ssid.as_bytes())
+        });
         if self.hide_support {
-            InformationElement::OpenUdpPorts(OpenUdpPorts::new([]).expect("empty list fits"))
-                .encode(&mut out);
+            write_element(&mut out, ELEMENT_ID_OPEN_UDP_PORTS, |_| {});
         }
         out
     }

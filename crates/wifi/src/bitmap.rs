@@ -47,8 +47,8 @@ pub(crate) fn span_is_set(offset: usize, bytes: &[u8], aid: Aid) -> bool {
         .is_some_and(|b| b & (1 << aid.bit()) != 0)
 }
 
-/// A full virtual bitmap over association IDs, with lossless
-/// trim/expand conversion to the transmitted partial form.
+/// A full virtual bitmap over association IDs, which the beacon writer
+/// trims to the transmitted partial form.
 ///
 /// # Example
 ///
@@ -60,10 +60,10 @@ pub(crate) fn span_is_set(offset: usize, bytes: &[u8], aid: Aid) -> bool {
 /// b.set(Aid::new(21)?);
 /// assert!(b.is_set(Aid::new(21)?));
 ///
-/// let trimmed = b.trim();
+/// let mut on_air = Vec::new();
 /// // AID 21 lives in octet 2, so one leading zero-byte pair is trimmed.
-/// assert_eq!(trimmed.offset(), 2);
-/// assert_eq!(trimmed.bytes(), &[0b0010_0000]);
+/// assert_eq!(b.append_trimmed_to(&mut on_air), 2);
+/// assert_eq!(on_air, [0b0010_0000]);
 /// # Ok::<(), hide_wifi::WifiError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,28 +137,11 @@ impl PartialVirtualBitmap {
             .filter(move |aid| self.is_set(*aid))
     }
 
-    /// Produces the compressed (trimmed) representation transmitted on
-    /// air, per Fig. 5 of the paper: leading zero bytes are trimmed to
-    /// the largest even `N1`, trailing zero bytes after the last
-    /// non-zero byte are dropped.
-    pub fn trim(&self) -> TrimmedBitmap {
-        let mut bytes = Vec::new();
-        let offset = self.trim_into(&mut bytes);
-        TrimmedBitmap { offset, bytes }
-    }
-
-    /// Like [`PartialVirtualBitmap::trim`], but writes the transmitted
-    /// bytes into `scratch` (cleared first) and returns the offset
-    /// `N1` — the allocation-free path used by per-beacon encoders,
-    /// which keep one scratch buffer alive across DTIM cycles.
-    pub fn trim_into(&self, scratch: &mut Vec<u8>) -> usize {
-        scratch.clear();
-        self.append_trimmed_to(scratch)
-    }
-
-    /// Appends the trimmed bitmap bytes to `out` (without clearing it)
-    /// and returns the offset `N1`. Lets encoders build element bodies
-    /// in one pass over a single reused buffer.
+    /// Appends the bitmap as transmitted on air to `out` (without
+    /// clearing it) and returns the offset `N1`, per Fig. 5 of the
+    /// paper: leading zero bytes are trimmed to the largest even `N1`,
+    /// trailing zero bytes after the last non-zero byte are dropped,
+    /// and an all-zero bitmap is one zero byte at offset 0.
     pub fn append_trimmed_to(&self, out: &mut Vec<u8>) -> usize {
         let (n1, len) = self.trimmed_span();
         if len == 1 && self.bits[n1] == 0 {
@@ -203,30 +186,6 @@ impl PartialVirtualBitmap {
         let n1 = first & !1; // round down to even
         (n1, last - n1 + 1)
     }
-
-    /// Reconstructs a full bitmap from a trimmed representation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WifiError::OddBitmapOffset`] when the offset is odd and
-    /// [`WifiError::BitmapTooLong`] when `offset + bytes` exceeds the
-    /// virtual bitmap size.
-    pub fn from_trimmed(trimmed: &TrimmedBitmap) -> Result<Self, WifiError> {
-        check_span(trimmed.offset, trimmed.bytes.len())?;
-        Ok(PartialVirtualBitmap::from_span(
-            trimmed.offset,
-            &trimmed.bytes,
-        ))
-    }
-
-    /// A bitmap holding `bytes` at octet `offset` and zero elsewhere,
-    /// copied straight from the slice. The caller has checked the span
-    /// with [`check_span`].
-    pub(crate) fn from_span(offset: usize, bytes: &[u8]) -> Self {
-        let mut full = PartialVirtualBitmap::new();
-        full.bits[offset..offset + bytes.len()].copy_from_slice(bytes);
-        full
-    }
 }
 
 impl Default for PartialVirtualBitmap {
@@ -267,53 +226,6 @@ impl Extend<Aid> for PartialVirtualBitmap {
     }
 }
 
-/// The on-air compressed form of a [`PartialVirtualBitmap`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TrimmedBitmap {
-    offset: usize,
-    bytes: Vec<u8>,
-}
-
-impl TrimmedBitmap {
-    /// Builds a trimmed bitmap from raw parts (e.g. decoded from air).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WifiError::OddBitmapOffset`] for an odd offset,
-    /// [`WifiError::BitmapTooLong`] when the bitmap exceeds the virtual
-    /// bitmap size, and [`WifiError::BadElementLength`] when `bytes` is
-    /// empty.
-    pub fn from_parts(offset: usize, bytes: Vec<u8>) -> Result<Self, WifiError> {
-        check_span(offset, bytes.len())?;
-        Ok(TrimmedBitmap { offset, bytes })
-    }
-
-    /// The byte offset `N1` of the first transmitted byte.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// The transmitted bitmap bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Total transmitted length in bytes (offset field excluded).
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// `true` when the (single mandatory) byte is zero.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.iter().all(|&b| b == 0)
-    }
-
-    /// Whether `aid`'s bit is set, without expanding to a full bitmap.
-    pub fn is_set(&self, aid: Aid) -> bool {
-        span_is_set(self.offset, &self.bytes, aid)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,13 +234,16 @@ mod tests {
         Aid::new(v).unwrap()
     }
 
+    /// The bitmap as transmitted: `(N1, bytes)`.
+    fn on_air(b: &PartialVirtualBitmap) -> (usize, Vec<u8>) {
+        let mut bytes = Vec::new();
+        let n1 = b.append_trimmed_to(&mut bytes);
+        (n1, bytes)
+    }
+
     #[test]
     fn empty_bitmap_trims_to_single_zero_byte() {
-        let b = PartialVirtualBitmap::new();
-        let t = b.trim();
-        assert_eq!(t.offset(), 0);
-        assert_eq!(t.bytes(), &[0]);
-        assert!(t.is_empty());
+        assert_eq!(on_air(&PartialVirtualBitmap::new()), (0, vec![0]));
     }
 
     #[test]
@@ -355,74 +270,41 @@ mod tests {
 
     #[test]
     fn trim_offset_is_even() {
-        // AID 24 -> octet 3; trimming must round down to N1 = 2.
-        let mut b = PartialVirtualBitmap::new();
-        b.set(aid(24));
-        let t = b.trim();
-        assert_eq!(t.offset(), 2);
-        assert_eq!(t.bytes().len(), 2);
-        assert_eq!(t.bytes()[0], 0); // padding byte at octet 2
-        assert_eq!(t.bytes()[1], 1 << 0); // AID 24 = octet 3, bit 0
+        // AID 24 -> octet 3; trimming must round down to N1 = 2, with
+        // a padding byte at octet 2 and AID 24 in bit 0 of octet 3.
+        let b: PartialVirtualBitmap = [aid(24)].into_iter().collect();
+        assert_eq!(on_air(&b), (2, vec![0, 1]));
     }
 
     #[test]
     fn trim_drops_trailing_zeros() {
-        let mut b = PartialVirtualBitmap::new();
-        b.set(aid(1));
-        let t = b.trim();
-        assert_eq!(t.offset(), 0);
-        assert_eq!(t.bytes(), &[0b10]);
+        let b: PartialVirtualBitmap = [aid(1)].into_iter().collect();
+        assert_eq!(on_air(&b), (0, vec![0b10]));
     }
 
     #[test]
-    fn trim_expand_round_trip() {
-        let mut b = PartialVirtualBitmap::new();
-        for v in [3u16, 17, 120, 121, 1999] {
-            b.set(aid(v));
-        }
-        let t = b.trim();
-        let back = PartialVirtualBitmap::from_trimmed(&t).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
-    fn trimmed_is_set_matches_full() {
-        let mut b = PartialVirtualBitmap::new();
-        for v in [10u16, 55, 900] {
-            b.set(aid(v));
-        }
-        let t = b.trim();
+    fn trimmed_bytes_answer_every_aid() {
+        let b: PartialVirtualBitmap = [3u16, 10, 17, 55, 120, 121, 900, 1999]
+            .into_iter()
+            .map(aid)
+            .collect();
+        let (n1, bytes) = on_air(&b);
         for v in 1..=MAX_AID {
-            assert_eq!(t.is_set(aid(v)), b.is_set(aid(v)), "aid {v}");
+            assert_eq!(span_is_set(n1, &bytes, aid(v)), b.is_set(aid(v)), "aid {v}");
         }
     }
 
     #[test]
-    fn from_parts_validation() {
+    fn check_span_validation() {
+        assert_eq!(check_span(1, 1), Err(WifiError::OddBitmapOffset(1)));
+        assert_eq!(check_span(3, 1), Err(WifiError::OddBitmapOffset(3)));
         assert!(matches!(
-            TrimmedBitmap::from_parts(1, vec![0xff]),
-            Err(WifiError::OddBitmapOffset(1))
+            check_span(0, 0),
+            Err(WifiError::BadElementLength { .. })
         ));
-        assert!(TrimmedBitmap::from_parts(0, vec![]).is_err());
-        assert!(matches!(
-            TrimmedBitmap::from_parts(250, vec![0, 0]),
-            Err(WifiError::BitmapTooLong(_))
-        ));
-        assert!(TrimmedBitmap::from_parts(250, vec![0xff]).is_ok());
-    }
-
-    #[test]
-    fn from_trimmed_rejects_bad_input() {
-        let t = TrimmedBitmap {
-            offset: 3,
-            bytes: vec![1],
-        };
-        assert!(PartialVirtualBitmap::from_trimmed(&t).is_err());
-        let t = TrimmedBitmap {
-            offset: 0,
-            bytes: vec![0; 252],
-        };
-        assert!(PartialVirtualBitmap::from_trimmed(&t).is_err());
+        assert_eq!(check_span(250, 2), Err(WifiError::BitmapTooLong(252)));
+        assert_eq!(check_span(0, 252), Err(WifiError::BitmapTooLong(252)));
+        assert_eq!(check_span(250, 1), Ok(()));
     }
 
     #[test]
@@ -443,28 +325,21 @@ mod tests {
     #[test]
     fn paper_figure5_example_shape() {
         // Fig. 5: all-zero prefix of N1 bytes, data in N1..=N2, zero tail.
-        let mut b = PartialVirtualBitmap::new();
-        // Put bits in octets 4 and 6 only.
-        b.set(aid(4 * 8 + 1)); // octet 4
-        b.set(aid(6 * 8 + 5)); // octet 6
-        let t = b.trim();
-        assert_eq!(t.offset(), 4);
-        assert_eq!(t.bytes().len(), 3); // octets 4, 5, 6
-        assert_eq!(t.bytes()[1], 0);
+        // Bits in octets 4 and 6 only: octets 4, 5, 6 go on air.
+        let b: PartialVirtualBitmap = [aid(4 * 8 + 1), aid(6 * 8 + 5)].into_iter().collect();
+        assert_eq!(on_air(&b), (4, vec![0b10, 0, 0b10_0000]));
     }
 
     #[test]
-    fn trim_into_reuses_scratch_and_matches_trim() {
-        let mut scratch = Vec::new();
+    fn append_trimmed_to_keeps_what_the_buffer_holds() {
+        let mut out = vec![0xaa, 0xbb];
         for aids in [vec![], vec![1u16], vec![24], vec![3, 17, 120, 1999]] {
-            let mut b = PartialVirtualBitmap::new();
-            for v in aids {
-                b.set(aid(v));
-            }
-            let offset = b.trim_into(&mut scratch);
-            let t = b.trim();
-            assert_eq!(offset, t.offset());
-            assert_eq!(&scratch, t.bytes());
+            let b: PartialVirtualBitmap = aids.into_iter().map(aid).collect();
+            let (n1, bytes) = on_air(&b);
+            out.truncate(2);
+            assert_eq!(b.append_trimmed_to(&mut out), n1);
+            assert_eq!(out[..2], [0xaa, 0xbb]);
+            assert_eq!(out[2..], bytes[..]);
         }
     }
 
@@ -485,8 +360,8 @@ mod tests {
             assert!(!b.is_empty(), "{aids:?}");
             assert_eq!(b.count(), aids.len(), "{aids:?}");
             assert_eq!(b.trimmed_span(), span, "{aids:?}");
-            let t = b.trim();
-            assert_eq!((t.offset(), t.bytes().len()), span, "{aids:?}");
+            let (n1, bytes) = on_air(&b);
+            assert_eq!((n1, bytes.len()), span, "{aids:?}");
         }
     }
 

@@ -1,17 +1,24 @@
 //! 802.11 frame encoding and decoding.
 //!
-//! Four frame types are modelled, the ones HIDE touches:
+//! The frames HIDE touches:
 //!
-//! * [`Beacon`] — management frame carrying TIM and (for HIDE APs) BTIM
-//!   elements,
+//! * the beacon — the management frame carrying the TIM and (for HIDE
+//!   APs) the BTIM. It exists as bytes: [`BeaconFields::write`] writes
+//!   it into a caller's buffer, [`BeaconView`] reads it in place, and
+//!   [`Beacon`] holds a received one's checked bytes,
 //! * [`UdpPortMessage`] — the paper's new management frame
 //!   (type 00 / subtype 1111) reporting a client's open UDP ports,
 //! * [`Ack`] — the control frame acknowledging a UDP Port Message,
-//! * [`BroadcastDataFrame`] — a UDP-padded broadcast data frame.
+//! * [`PsPoll`] — a power-saving client's request for buffered unicast,
+//! * [`BroadcastDataFrame`] — a UDP-padded broadcast data frame,
+//! * the association frames of [`crate::assoc`].
 
+use crate::assoc::ELEMENT_ID_SSID;
+use crate::bitmap::PartialVirtualBitmap;
 use crate::error::WifiError;
 use crate::ie::{
-    Btim, BtimView, ElementView, InformationElement, OpenUdpPorts, RawElement, Tim, TimView,
+    write_bitmap_element, write_element, BtimView, ElementView, InformationElement, OpenUdpPorts,
+    TimView, ELEMENT_ID_BTIM, ELEMENT_ID_OPEN_UDP_PORTS, ELEMENT_ID_TIM,
 };
 use crate::mac::{Aid, FrameControl, FrameSubtype, MacAddr};
 use crate::udp::UdpDatagram;
@@ -24,6 +31,8 @@ pub const ACK_LEN: usize = 10;
 /// Fixed beacon-body fields before the information elements
 /// (timestamp, beacon interval, capability).
 pub const BEACON_FIXED_LEN: usize = 12;
+/// Element ID of the standard Supported Rates element.
+const ELEMENT_ID_SUPPORTED_RATES: u8 = 1;
 
 fn encode_mac_header(
     out: &mut Vec<u8>,
@@ -78,178 +87,76 @@ fn decode_mac_header(buf: &[u8]) -> Result<(MacHeader, &[u8]), WifiError> {
     ))
 }
 
-/// A beacon management frame.
-///
-/// # Example
-///
-/// ```
-/// use hide_wifi::frame::Beacon;
-/// use hide_wifi::mac::MacAddr;
-///
-/// let beacon = Beacon::builder(MacAddr::station(0))
-///     .beacon_interval_tu(100)
-///     .dtim(0, 1)
-///     .build();
-/// let parsed = Beacon::parse(&beacon.to_bytes())?;
-/// assert_eq!(parsed.beacon_interval_tu(), 100);
-/// assert!(parsed.tim().unwrap().is_dtim());
-/// # Ok::<(), hide_wifi::WifiError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Beacon {
-    bssid: MacAddr,
-    timestamp_us: u64,
-    beacon_interval_tu: u16,
-    capability: u16,
-    elements: Vec<InformationElement>,
+/// One beacon's contents, borrowed from the AP that sends it, and
+/// [`BeaconFields::write`], the one beacon writer. The crate-level
+/// example writes a beacon and reads it back.
+#[derive(Debug, Clone, Copy)]
+pub struct BeaconFields<'a> {
+    /// The BSSID: the frame's transmitter and address 3.
+    pub bssid: MacAddr,
+    /// The 64-bit TSF timestamp in microseconds.
+    pub timestamp_us: u64,
+    /// The network name, carried in element 0. At most
+    /// [`crate::assoc::MAX_SSID_LEN`] octets.
+    pub ssid: &'a str,
+    /// Beacons remaining until the next DTIM (0 at a DTIM beacon).
+    pub dtim_count: u8,
+    /// DTIM period in beacon intervals.
+    pub dtim_period: u8,
+    /// The TIM's one-bit broadcast indication for legacy clients.
+    pub broadcast_buffered: bool,
+    /// The TIM's unicast traffic bits.
+    pub unicast: &'a PartialVirtualBitmap,
+    /// The BTIM's broadcast flags; `None` sends no BTIM.
+    pub btim: Option<&'a PartialVirtualBitmap>,
 }
 
-impl Beacon {
-    /// Starts building a beacon for the given BSSID.
-    pub fn builder(bssid: MacAddr) -> BeaconBuilder {
-        BeaconBuilder {
-            beacon: Beacon {
-                bssid,
-                timestamp_us: 0,
-                beacon_interval_tu: 100,
-                capability: 0x0001, // ESS
-                elements: Vec::new(),
-            },
-            tim: None,
-            ssid: None,
-            rates: None,
-        }
-    }
-
-    /// The BSSID (source and address-3 of the frame).
-    pub fn bssid(&self) -> MacAddr {
-        self.bssid
-    }
-
-    /// The 64-bit TSF timestamp in microseconds.
-    pub fn timestamp_us(&self) -> u64 {
-        self.timestamp_us
-    }
-
-    /// Beacon interval in time units.
-    pub fn beacon_interval_tu(&self) -> u16 {
-        self.beacon_interval_tu
-    }
-
-    /// All information elements in order.
-    pub fn elements(&self) -> &[InformationElement] {
-        &self.elements
-    }
-
-    /// The TIM element, if present.
-    pub fn tim(&self) -> Option<&Tim> {
-        self.elements.iter().find_map(|e| match e {
-            InformationElement::Tim(tim) => Some(tim),
-            _ => None,
-        })
-    }
-
-    /// The SSID, when the beacon carries element 0.
-    pub fn ssid(&self) -> Option<String> {
-        self.elements.iter().find_map(|e| match e {
-            InformationElement::Raw(raw) if raw.id == 0 => {
-                Some(String::from_utf8_lossy(&raw.body).into_owned())
-            }
-            _ => None,
-        })
-    }
-
-    /// The BTIM element, if present. Legacy beacons return `None`.
-    pub fn btim(&self) -> Option<&Btim> {
-        self.elements.iter().find_map(|e| match e {
-            InformationElement::Btim(btim) => Some(btim),
-            _ => None,
-        })
-    }
-
-    /// Encodes the full frame (MAC header + body, FCS excluded).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len_bytes());
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Like [`Beacon::to_bytes`], but writes the frame into `out`
-    /// (cleared first): a sender that keeps one buffer across beacons
-    /// encodes each without allocating.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+impl BeaconFields<'_> {
+    /// Writes the beacon into `out`, cleared first: the MAC header, the
+    /// fixed fields (a 100 TU interval, the ESS capability), then the
+    /// SSID (0), the 802.11b basic rates (1), the TIM (5) and, with
+    /// [`BeaconFields::btim`] set, the BTIM (201), both bitmaps trimmed
+    /// per Fig. 5. A sender that keeps `out` across beacons writes each
+    /// without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the SSID is longer than 255 bytes, which no element
+    /// can carry; the AP refuses SSIDs over 32 octets before they get
+    /// here.
+    pub fn write(&self, out: &mut Vec<u8>) {
         out.clear();
         let fc = FrameControl::new(FrameSubtype::Beacon);
         encode_mac_header(out, fc, 0, MacAddr::BROADCAST, self.bssid, self.bssid, 0);
         out.extend_from_slice(&self.timestamp_us.to_le_bytes());
-        out.extend_from_slice(&self.beacon_interval_tu.to_le_bytes());
-        out.extend_from_slice(&self.capability.to_le_bytes());
-        for e in &self.elements {
-            e.encode(out);
+        out.extend_from_slice(&100u16.to_le_bytes());
+        out.extend_from_slice(&0x0001u16.to_le_bytes());
+        write_element(out, ELEMENT_ID_SSID, |out| {
+            out.extend_from_slice(self.ssid.as_bytes())
+        });
+        // 1, 2, 5.5 and 11 Mbit/s in 500 kbit/s units, each marked
+        // basic (0x80).
+        write_element(out, ELEMENT_ID_SUPPORTED_RATES, |out| {
+            out.extend_from_slice(&[0x82, 0x84, 0x8b, 0x96])
+        });
+        write_bitmap_element(
+            out,
+            ELEMENT_ID_TIM,
+            &[self.dtim_count, self.dtim_period],
+            self.broadcast_buffered,
+            self.unicast,
+        );
+        if let Some(flags) = self.btim {
+            write_bitmap_element(out, ELEMENT_ID_BTIM, &[], false, flags);
         }
-    }
-
-    /// Total encoded length in bytes (the `L_i` of Eq. (6)).
-    pub fn len_bytes(&self) -> usize {
-        MAC_HEADER_LEN
-            + BEACON_FIXED_LEN
-            + self
-                .elements
-                .iter()
-                .map(InformationElement::encoded_len)
-                .sum::<usize>()
-    }
-
-    /// Decodes a beacon frame: [`BeaconView::parse`], then an owned copy
-    /// of every element.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`BeaconView::parse`].
-    pub fn parse(buf: &[u8]) -> Result<Self, WifiError> {
-        let view = BeaconView::parse(buf)?;
-        Ok(Beacon {
-            bssid: view.bssid,
-            timestamp_us: view.timestamp_us,
-            beacon_interval_tu: view.beacon_interval_tu,
-            capability: view.capability,
-            elements: InformationElement::decode_all(view.elements)?,
-        })
     }
 }
 
-/// A beacon read in place: the fixed fields decoded, every element
-/// checked, and the TIM and BTIM bodies borrowed from the frame. It is
-/// all a suspended client needs to decide whether to wake, and it
-/// accepts and rejects exactly the bytes [`Beacon::parse`] does.
-///
-/// # Example
-///
-/// ```
-/// use hide_wifi::bitmap::PartialVirtualBitmap;
-/// use hide_wifi::frame::{Beacon, BeaconView};
-/// use hide_wifi::ie::{Btim, InformationElement};
-/// use hide_wifi::mac::{Aid, MacAddr};
-///
-/// let flags: PartialVirtualBitmap = [Aid::new(9)?].into_iter().collect();
-/// let mut buf = Vec::new();
-/// Beacon::builder(MacAddr::station(0))
-///     .dtim(0, 1)
-///     .element(InformationElement::Btim(Btim::new(flags)))
-///     .build()
-///     .encode_into(&mut buf);
-/// let view = BeaconView::parse(&buf)?;
-/// assert!(view.btim().unwrap().is_set(Aid::new(9)?));
-/// assert!(!view.tim().unwrap().broadcast_buffered());
-/// # Ok::<(), hide_wifi::WifiError>(())
-/// ```
+/// A beacon read in place: every element checked, and the TIM and BTIM
+/// bodies borrowed from the frame. It is all a suspended client needs
+/// to decide whether to wake, and the only reader of a beacon.
 #[derive(Debug, Clone, Copy)]
 pub struct BeaconView<'a> {
-    bssid: MacAddr,
-    timestamp_us: u64,
-    beacon_interval_tu: u16,
-    capability: u16,
-    elements: &'a [u8],
     tim: Option<TimView<'a>>,
     btim: Option<BtimView<'a>>,
 }
@@ -270,7 +177,7 @@ impl<'a> BeaconView<'a> {
                 subtype: header.fc.subtype().to_bits(),
             });
         }
-        let Some((fixed, elements)) = body.split_first_chunk::<BEACON_FIXED_LEN>() else {
+        let Some((_, mut rest)) = body.split_first_chunk::<BEACON_FIXED_LEN>() else {
             return Err(WifiError::Truncated {
                 what: "beacon fixed fields",
                 needed: BEACON_FIXED_LEN,
@@ -278,15 +185,9 @@ impl<'a> BeaconView<'a> {
             });
         };
         let mut view = BeaconView {
-            bssid: header.addr2,
-            timestamp_us: u64::from_le_bytes(fixed[0..8].try_into().expect("8 bytes")),
-            beacon_interval_tu: u16::from_le_bytes([fixed[8], fixed[9]]),
-            capability: u16::from_le_bytes([fixed[10], fixed[11]]),
-            elements,
             tim: None,
             btim: None,
         };
-        let mut rest = elements;
         while !rest.is_empty() {
             let (element, tail) = ElementView::split(rest)?;
             match element {
@@ -314,87 +215,51 @@ impl<'a> BeaconView<'a> {
     }
 }
 
-/// Builder for [`Beacon`] frames.
-#[derive(Debug)]
-pub struct BeaconBuilder {
-    beacon: Beacon,
-    tim: Option<Tim>,
-    ssid: Option<String>,
-    rates: Option<Vec<u8>>,
+/// A received beacon's bytes, checked by [`BeaconView::parse`]: the one
+/// owned beacon form. [`AnyFrame`] holds one because it owns every
+/// frame it parses; everything else reads a beacon through a
+/// [`BeaconView`].
+///
+/// # Example
+///
+/// ```
+/// use hide_wifi::bitmap::PartialVirtualBitmap;
+/// use hide_wifi::frame::{AnyFrame, BeaconFields};
+/// use hide_wifi::mac::{Aid, MacAddr};
+///
+/// let flags: PartialVirtualBitmap = [Aid::new(3)?].into_iter().collect();
+/// let mut bytes = Vec::new();
+/// BeaconFields {
+///     bssid: MacAddr::station(0),
+///     timestamp_us: 0,
+///     ssid: "hide-net",
+///     dtim_count: 0,
+///     dtim_period: 1,
+///     broadcast_buffered: true,
+///     unicast: &PartialVirtualBitmap::new(),
+///     btim: Some(&flags),
+/// }
+/// .write(&mut bytes);
+/// let frame = AnyFrame::parse(&bytes)?;
+/// let AnyFrame::Beacon(beacon) = &frame else { panic!("a beacon") };
+/// assert!(beacon.view().btim().unwrap().is_set(Aid::new(3)?));
+/// assert_eq!(frame.to_bytes(), bytes);
+/// # Ok::<(), hide_wifi::WifiError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Beacon {
+    bytes: Vec<u8>,
 }
 
-impl BeaconBuilder {
-    /// Sets the TSF timestamp in microseconds.
-    pub fn timestamp_us(mut self, ts: u64) -> Self {
-        self.beacon.timestamp_us = ts;
-        self
+impl Beacon {
+    /// The beacon read in place again.
+    pub fn view(&self) -> BeaconView<'_> {
+        BeaconView::parse(&self.bytes).expect("checked when parsed")
     }
 
-    /// Sets the beacon interval in time units.
-    pub fn beacon_interval_tu(mut self, tu: u16) -> Self {
-        self.beacon.beacon_interval_tu = tu;
-        self
-    }
-
-    /// Sets the network's SSID (prepended as the standard element 0).
-    pub fn ssid(mut self, ssid: impl Into<String>) -> Self {
-        self.ssid = Some(ssid.into());
-        self
-    }
-
-    /// Advertises the 802.11b basic rates (1, 2, 5.5, 11 Mbit/s) in a
-    /// Supported Rates element (ID 1), all marked basic.
-    pub fn supported_rates_11b(mut self) -> Self {
-        // Rates in 500 kbit/s units with the basic-rate bit (0x80).
-        self.rates = Some(vec![0x82, 0x84, 0x8b, 0x96]);
-        self
-    }
-
-    /// Adds a standard TIM element with the given DTIM count and period
-    /// (no buffered traffic indicated).
-    pub fn dtim(mut self, count: u8, period: u8) -> Self {
-        self.tim = Some(Tim::new(
-            count,
-            period,
-            false,
-            crate::bitmap::PartialVirtualBitmap::new(),
-        ));
-        self
-    }
-
-    /// Replaces the TIM element entirely.
-    pub fn tim(mut self, tim: Tim) -> Self {
-        self.tim = Some(tim);
-        self
-    }
-
-    /// Appends an information element after the TIM.
-    pub fn element(mut self, element: InformationElement) -> Self {
-        self.beacon.elements.push(element);
-        self
-    }
-
-    /// Finishes the beacon. Standard element order is preserved:
-    /// SSID (0), Supported Rates (1), TIM (5), then everything else.
-    pub fn build(self) -> Beacon {
-        let BeaconBuilder {
-            mut beacon,
-            tim,
-            ssid,
-            rates,
-        } = self;
-        let ssid = ssid.map(|ssid| RawElement {
-            id: 0,
-            body: ssid.into_bytes(),
-        });
-        let rates = rates.map(|body| RawElement { id: 1, body });
-        let rest = std::mem::take(&mut beacon.elements);
-        beacon.elements = Vec::with_capacity(3 + rest.len());
-        beacon.elements.extend(ssid.map(InformationElement::Raw));
-        beacon.elements.extend(rates.map(InformationElement::Raw));
-        beacon.elements.extend(tim.map(InformationElement::Tim));
-        beacon.elements.extend(rest);
-        beacon
+    /// The frame's bytes, as received.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -518,7 +383,9 @@ impl UdpPortMessage {
         let fc = FrameControl::new(FrameSubtype::UdpPortMessage)
             .with_more_fragments(self.more_fragments);
         encode_mac_header(&mut out, fc, 0, self.ap, self.client, self.ap, self.seq);
-        InformationElement::OpenUdpPorts(self.open_ports.clone()).encode(&mut out);
+        write_element(&mut out, ELEMENT_ID_OPEN_UDP_PORTS, |out| {
+            self.open_ports.append_body_to(out)
+        });
         out
     }
 
@@ -546,7 +413,7 @@ impl UdpPortMessage {
         let (element, _) = InformationElement::decode(body)?;
         let InformationElement::OpenUdpPorts(open_ports) = element else {
             return Err(WifiError::UnexpectedElementId {
-                expected: crate::ie::ELEMENT_ID_OPEN_UDP_PORTS,
+                expected: ELEMENT_ID_OPEN_UDP_PORTS,
                 found: element.element_id(),
             });
         };
@@ -854,20 +721,20 @@ impl BroadcastDataFrame {
 /// # Example
 ///
 /// ```
-/// use hide_wifi::frame::{AnyFrame, Beacon};
+/// use hide_wifi::frame::{Ack, AnyFrame};
 /// use hide_wifi::mac::MacAddr;
 ///
-/// let beacon = Beacon::builder(MacAddr::station(0)).dtim(0, 1).build();
-/// match AnyFrame::parse(&beacon.to_bytes())? {
-///     AnyFrame::Beacon(b) => assert!(b.tim().is_some()),
-///     other => panic!("expected a beacon, got {other:?}"),
+/// let ack = Ack::new(MacAddr::station(1));
+/// match AnyFrame::parse(&ack.to_bytes())? {
+///     AnyFrame::Ack(a) => assert_eq!(a.receiver(), MacAddr::station(1)),
+///     other => panic!("expected an ACK, got {other:?}"),
 /// }
 /// # Ok::<(), hide_wifi::WifiError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum AnyFrame {
-    /// A beacon.
+    /// A beacon, as its checked bytes.
     Beacon(Beacon),
     /// A HIDE UDP Port Message.
     UdpPortMessage(UdpPortMessage),
@@ -904,7 +771,12 @@ impl AnyFrame {
         }
         let fc = FrameControl::from_u16(u16::from_le_bytes([buf[0], buf[1]]))?;
         Ok(match fc.subtype() {
-            FrameSubtype::Beacon => AnyFrame::Beacon(Beacon::parse(buf)?),
+            FrameSubtype::Beacon => {
+                BeaconView::parse(buf)?;
+                AnyFrame::Beacon(Beacon {
+                    bytes: buf.to_vec(),
+                })
+            }
             FrameSubtype::UdpPortMessage => AnyFrame::UdpPortMessage(UdpPortMessage::parse(buf)?),
             FrameSubtype::Ack => AnyFrame::Ack(Ack::parse(buf)?),
             FrameSubtype::PsPoll => AnyFrame::PsPoll(PsPoll::parse(buf)?),
@@ -941,7 +813,7 @@ impl AnyFrame {
     /// `AnyFrame::parse(buf)?.to_bytes() == buf`.
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
-            AnyFrame::Beacon(f) => f.to_bytes(),
+            AnyFrame::Beacon(f) => f.as_bytes().to_vec(),
             AnyFrame::UdpPortMessage(f) => f.to_bytes(),
             AnyFrame::Ack(f) => f.to_bytes(),
             AnyFrame::PsPoll(f) => f.to_bytes(),
@@ -956,8 +828,44 @@ impl AnyFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitmap::PartialVirtualBitmap;
-    use crate::mac::Aid;
+    use crate::mac::{Aid, MAX_AID};
+
+    fn aid(v: u16) -> Aid {
+        Aid::new(v).unwrap()
+    }
+
+    /// A DTIM beacon of BSSID `station(0)`, written fresh.
+    fn beacon_bytes(
+        unicast: &PartialVirtualBitmap,
+        btim: Option<&PartialVirtualBitmap>,
+        broadcast_buffered: bool,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        BeaconFields {
+            bssid: MacAddr::station(0),
+            timestamp_us: 123_456,
+            ssid: "HideNet",
+            dtim_count: 0,
+            dtim_period: 3,
+            broadcast_buffered,
+            unicast,
+            btim,
+        }
+        .write(&mut out);
+        out
+    }
+
+    /// The body of the first element `id` after the fixed fields.
+    fn body_of(bytes: &[u8], id: u8) -> Vec<u8> {
+        let elements = InformationElement::decode_all(&bytes[36..]).unwrap();
+        elements
+            .into_iter()
+            .find_map(|e| match e {
+                InformationElement::Raw(raw) if raw.id == id => Some(raw.body),
+                _ => None,
+            })
+            .unwrap()
+    }
 
     #[test]
     fn any_frame_dispatches_every_type() {
@@ -965,10 +873,7 @@ mod tests {
         let aid = Aid::new(3).unwrap();
         let frames: Vec<(Vec<u8>, FrameSubtype)> = vec![
             (
-                Beacon::builder(MacAddr::station(0))
-                    .dtim(0, 1)
-                    .build()
-                    .to_bytes(),
+                beacon_bytes(&PartialVirtualBitmap::new(), None, false),
                 FrameSubtype::Beacon,
             ),
             (
@@ -1018,110 +923,157 @@ mod tests {
     }
 
     #[test]
-    fn beacon_round_trip_with_tim_and_btim() {
-        let mut flags = PartialVirtualBitmap::new();
-        flags.set(Aid::new(4).unwrap());
-        let beacon = Beacon::builder(MacAddr::station(0))
-            .timestamp_us(123_456)
-            .beacon_interval_tu(100)
-            .dtim(0, 1)
-            .element(InformationElement::Btim(Btim::new(flags)))
-            .build();
-        let bytes = beacon.to_bytes();
-        assert_eq!(bytes.len(), beacon.len_bytes());
-        let parsed = Beacon::parse(&bytes).unwrap();
-        assert_eq!(parsed, beacon);
-        assert!(parsed.tim().is_some());
-        assert!(parsed.btim().unwrap().is_set(Aid::new(4).unwrap()));
+    fn written_beacon_reads_back_every_aid() {
+        let flags: PartialVirtualBitmap = [4u16, 700, 2007].into_iter().map(aid).collect();
+        let unicast: PartialVirtualBitmap = [1u16, 64, 1984].into_iter().map(aid).collect();
+        for bcast in [false, true] {
+            let bytes = beacon_bytes(&unicast, Some(&flags), bcast);
+            let view = BeaconView::parse(&bytes).unwrap();
+            let (tim, btim) = (view.tim().unwrap(), view.btim().unwrap());
+            assert_eq!((tim.dtim_count(), tim.dtim_period()), (0, 3));
+            assert_eq!(tim.broadcast_buffered(), bcast);
+            let control = body_of(&bytes, ELEMENT_ID_TIM)[2];
+            assert_eq!(control & 1, u8::from(bcast), "Bitmap Control bit 0");
+            for v in 1..=MAX_AID {
+                assert_eq!(btim.is_set(aid(v)), flags.is_set(aid(v)), "BTIM aid {v}");
+                assert_eq!(
+                    tim.traffic_for(aid(v)),
+                    unicast.is_set(aid(v)),
+                    "TIM aid {v}"
+                );
+            }
+            assert_eq!(bytes[24..32], 123_456u64.to_le_bytes());
+            assert_eq!(bytes[32..34], 100u16.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn tim_and_btim_are_trimmed_per_fig5() {
+        // (AIDs, N1, bitmap octets on air): an even N1, leading and
+        // trailing zero octets dropped, one zero octet for an empty map.
+        let cases: [(&[u16], u8, &[u8]); 5] = [
+            (&[], 0, &[0]),
+            (&[1], 0, &[0b10]),
+            (&[21], 2, &[0b10_0000]),
+            (&[24], 2, &[0, 1]),
+            (&[33, 53], 4, &[0b10, 0, 0b10_0000]),
+        ];
+        for (aids, n1, octets) in cases {
+            let map: PartialVirtualBitmap = aids.iter().map(|&v| aid(v)).collect();
+            let bytes = beacon_bytes(&map, Some(&map), false);
+            let btim = body_of(&bytes, ELEMENT_ID_BTIM);
+            assert_eq!((btim[0], &btim[1..]), (n1, octets), "BTIM {aids:?}");
+            let tim = body_of(&bytes, ELEMENT_ID_TIM);
+            assert_eq!(tim[..3], [0, 3, n1], "TIM {aids:?}");
+            assert_eq!(&tim[3..], octets, "TIM {aids:?}");
+            let view = BeaconView::parse(&bytes).unwrap();
+            assert_eq!(view.btim().unwrap().body_len(), 1 + octets.len());
+        }
     }
 
     #[test]
     fn legacy_beacon_has_no_btim() {
-        let beacon = Beacon::builder(MacAddr::station(0)).dtim(0, 3).build();
-        let parsed = Beacon::parse(&beacon.to_bytes()).unwrap();
-        assert!(parsed.btim().is_none());
-        assert_eq!(parsed.tim().unwrap().dtim_period(), 3);
+        let bytes = beacon_bytes(&PartialVirtualBitmap::new(), None, false);
+        let view = BeaconView::parse(&bytes).unwrap();
+        assert!(view.btim().is_none());
+        assert_eq!(view.tim().unwrap().dtim_period(), 3);
     }
 
     #[test]
-    fn beacon_with_ssid_and_rates_round_trips() {
-        let beacon = Beacon::builder(MacAddr::station(0))
-            .ssid("HideNet")
-            .supported_rates_11b()
-            .dtim(0, 1)
-            .build();
-        let parsed = Beacon::parse(&beacon.to_bytes()).unwrap();
-        assert_eq!(parsed.ssid().as_deref(), Some("HideNet"));
-        // Element order: SSID, rates, TIM.
-        assert_eq!(parsed.elements()[0].element_id(), 0);
-        assert_eq!(parsed.elements()[1].element_id(), 1);
-        assert_eq!(parsed.elements()[2].element_id(), 5);
-        assert!(parsed.tim().is_some());
+    fn beacon_elements_come_in_standard_order() {
+        let empty = PartialVirtualBitmap::new();
+        for (btim, ids) in [(None, &[0, 1, 5][..]), (Some(&empty), &[0, 1, 5, 201][..])] {
+            let bytes = beacon_bytes(&empty, btim, false);
+            let elements = InformationElement::decode_all(&bytes[36..]).unwrap();
+            let got: Vec<u8> = elements
+                .iter()
+                .map(InformationElement::element_id)
+                .collect();
+            assert_eq!(got, ids);
+            assert_eq!(body_of(&bytes, 0), b"HideNet");
+            assert_eq!(body_of(&bytes, 1), [0x82, 0x84, 0x8b, 0x96]);
+        }
     }
 
     #[test]
-    fn tim_is_first_element() {
-        let beacon = Beacon::builder(MacAddr::station(0))
-            .element(InformationElement::Btim(Btim::new(
-                PartialVirtualBitmap::new(),
-            )))
-            .dtim(0, 1)
-            .build();
-        assert!(matches!(beacon.elements()[0], InformationElement::Tim(_)));
-    }
-
-    #[test]
-    fn encode_into_overwrites_the_buffer_with_to_bytes() {
-        let mut flags = PartialVirtualBitmap::new();
-        flags.set(Aid::new(2007).unwrap());
-        let long = Beacon::builder(MacAddr::station(0))
-            .ssid("HideNet")
-            .dtim(0, 1)
-            .element(InformationElement::Btim(Btim::new(flags)))
-            .build();
-        let short = Beacon::builder(MacAddr::station(0)).dtim(0, 1).build();
+    fn write_overwrites_the_buffer() {
+        let flags: PartialVirtualBitmap = [aid(2007)].into_iter().collect();
+        let empty = PartialVirtualBitmap::new();
+        let long = beacon_bytes(&empty, Some(&flags), true);
+        let short = beacon_bytes(&empty, None, false);
+        let fields = |btim, broadcast_buffered| BeaconFields {
+            bssid: MacAddr::station(0),
+            timestamp_us: 123_456,
+            ssid: "HideNet",
+            dtim_count: 0,
+            dtim_period: 3,
+            broadcast_buffered,
+            unicast: &empty,
+            btim,
+        };
         let mut buf = vec![0xaa; 7];
-        long.encode_into(&mut buf);
-        assert_eq!(buf, long.to_bytes());
+        fields(Some(&flags), true).write(&mut buf);
+        assert_eq!(buf, long);
         let capacity = buf.capacity();
-        short.encode_into(&mut buf);
-        assert_eq!(buf, short.to_bytes());
-        assert_eq!(buf.len(), short.len_bytes());
+        fields(None, false).write(&mut buf);
+        assert_eq!(buf, short);
         assert_eq!(buf.capacity(), capacity);
     }
 
     #[test]
     fn beacon_view_reads_the_first_tim_and_btim() {
-        let first: PartialVirtualBitmap = [Aid::new(5).unwrap()].into_iter().collect();
-        let second: PartialVirtualBitmap = [Aid::new(6).unwrap()].into_iter().collect();
-        let bytes = Beacon::builder(MacAddr::station(0))
-            .tim(Tim::new(0, 1, true, first))
-            .element(InformationElement::Btim(Btim::new(first)))
-            .element(InformationElement::Tim(Tim::new(0, 1, false, second)))
-            .element(InformationElement::Btim(Btim::new(second)))
-            .build()
-            .to_bytes();
+        let first: PartialVirtualBitmap = [aid(5)].into_iter().collect();
+        let mut bytes = beacon_bytes(&first, Some(&first), true);
+        // A second TIM (AID 6, broadcast bit clear) and BTIM (AID 6).
+        bytes.extend_from_slice(&[5, 4, 0, 1, 0, 0b100_0000, 201, 2, 0, 0b100_0000]);
         let view = BeaconView::parse(&bytes).unwrap();
-        let owned = Beacon::parse(&bytes).unwrap();
         let (tim, btim) = (view.tim().unwrap(), view.btim().unwrap());
         assert!(tim.broadcast_buffered());
-        assert_eq!(
-            tim.broadcast_buffered(),
-            owned.tim().unwrap().broadcast_buffered()
-        );
         for v in [5, 6] {
-            let aid = Aid::new(v).unwrap();
-            assert_eq!(btim.is_set(aid), v == 5);
-            assert_eq!(btim.is_set(aid), owned.btim().unwrap().is_set(aid));
-            assert_eq!(tim.traffic_for(aid), v == 5);
+            assert_eq!(btim.is_set(aid(v)), v == 5);
+            assert_eq!(tim.traffic_for(aid(v)), v == 5);
         }
-        assert_eq!(btim.body_len(), owned.btim().unwrap().body_len());
+        assert_eq!(btim.body_len(), 2);
+    }
+
+    #[test]
+    fn beacon_without_elements_has_no_tim_or_btim() {
+        let mut bytes = beacon_bytes(&PartialVirtualBitmap::new(), None, false);
+        bytes.truncate(MAC_HEADER_LEN + BEACON_FIXED_LEN);
+        let view = BeaconView::parse(&bytes).unwrap();
+        assert!(view.tim().is_none());
+        assert!(view.btim().is_none());
+        assert!(matches!(
+            BeaconView::parse(&bytes[..MAC_HEADER_LEN + BEACON_FIXED_LEN - 1]),
+            Err(WifiError::Truncated {
+                what: "beacon fixed fields",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn any_frame_keeps_a_beacons_checked_bytes() {
+        let flags: PartialVirtualBitmap = [aid(9)].into_iter().collect();
+        let bytes = beacon_bytes(&flags, Some(&flags), false);
+        let AnyFrame::Beacon(beacon) = AnyFrame::parse(&bytes).unwrap() else {
+            panic!("expected a beacon");
+        };
+        assert_eq!(beacon.as_bytes(), &bytes[..]);
+        assert!(beacon.view().btim().unwrap().is_set(aid(9)));
+        assert!(matches!(
+            AnyFrame::parse(&bytes[..bytes.len() - 1]),
+            Err(WifiError::Truncated { .. })
+        ));
     }
 
     #[test]
     fn beacon_rejects_non_beacon() {
         let msg = UdpPortMessage::new(MacAddr::station(1), MacAddr::station(0), [80u16]).unwrap();
-        assert!(Beacon::parse(&msg.to_bytes()).is_err());
+        assert!(matches!(
+            BeaconView::parse(&msg.to_bytes()),
+            Err(WifiError::UnknownFrameType { .. })
+        ));
     }
 
     #[test]

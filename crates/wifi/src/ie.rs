@@ -9,6 +9,9 @@
 //! * the new **Broadcast Traffic Indication Map (BTIM)** element (ID 201,
 //!   Fig. 4) carried in beacons, whose bitmap is compressed per Fig. 5.
 //!
+//! The TIM and the BTIM exist only as bytes: the beacon writer
+//! ([`crate::frame::BeaconFields::write`]) puts them on air through
+//! one function, and [`TimView`] and [`BtimView`] read them in place.
 //! Unknown elements are preserved as [`RawElement`]s so legacy elements
 //! pass through untouched — the coexistence property Section III.D relies
 //! on.
@@ -16,7 +19,6 @@
 use crate::bitmap::{check_span, span_is_set, PartialVirtualBitmap};
 use crate::error::WifiError;
 use crate::mac::Aid;
-use hide_obs::{Counter, Distribution, MetricsSink, TraceEventKind, TraceSink};
 
 /// Element ID of the standard Traffic Indication Map.
 pub const ELEMENT_ID_TIM: u8 = 5;
@@ -27,108 +29,6 @@ pub const ELEMENT_ID_BTIM: u8 = 201;
 
 /// Maximum information-element body length.
 pub const MAX_ELEMENT_BODY: usize = 255;
-
-/// The standard Traffic Indication Map element.
-///
-/// # Example
-///
-/// ```
-/// use hide_wifi::ie::Tim;
-/// use hide_wifi::bitmap::PartialVirtualBitmap;
-/// use hide_wifi::mac::Aid;
-///
-/// let mut unicast = PartialVirtualBitmap::new();
-/// unicast.set(Aid::new(3)?);
-/// let tim = Tim::new(0, 1, true, unicast);
-/// assert!(tim.broadcast_buffered());
-/// assert!(tim.traffic_for(Aid::new(3)?));
-/// # Ok::<(), hide_wifi::WifiError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tim {
-    dtim_count: u8,
-    dtim_period: u8,
-    broadcast_buffered: bool,
-    bitmap: PartialVirtualBitmap,
-}
-
-impl Tim {
-    /// Creates a TIM element.
-    pub fn new(
-        dtim_count: u8,
-        dtim_period: u8,
-        broadcast_buffered: bool,
-        unicast_bitmap: PartialVirtualBitmap,
-    ) -> Self {
-        Tim {
-            dtim_count,
-            dtim_period,
-            broadcast_buffered,
-            bitmap: unicast_bitmap,
-        }
-    }
-
-    /// Beacons remaining until the next DTIM (0 at a DTIM beacon).
-    pub fn dtim_count(&self) -> u8 {
-        self.dtim_count
-    }
-
-    /// DTIM period in beacon intervals.
-    pub fn dtim_period(&self) -> u8 {
-        self.dtim_period
-    }
-
-    /// Whether this beacon is a DTIM beacon.
-    pub fn is_dtim(&self) -> bool {
-        self.dtim_count == 0
-    }
-
-    /// The standard one-bit broadcast/multicast indication: bit 0 of the
-    /// Bitmap Control field. When set, *every* legacy client must stay
-    /// awake for the broadcast delivery that follows the DTIM.
-    pub fn broadcast_buffered(&self) -> bool {
-        self.broadcast_buffered
-    }
-
-    /// Whether unicast traffic is buffered for `aid`.
-    pub fn traffic_for(&self, aid: Aid) -> bool {
-        self.bitmap.is_set(aid)
-    }
-
-    /// The unicast traffic bitmap.
-    pub fn bitmap(&self) -> &PartialVirtualBitmap {
-        &self.bitmap
-    }
-
-    /// Encodes the element body (everything after ID and length).
-    pub fn encode_body(&self) -> Vec<u8> {
-        let (_, len) = self.bitmap.trimmed_span();
-        let mut body = Vec::with_capacity(3 + len);
-        self.append_body_to(&mut body);
-        body
-    }
-
-    /// Appends the element body to `out` — the allocation-free path for
-    /// per-beacon encoders reusing one buffer across DTIM cycles.
-    pub fn append_body_to(&self, out: &mut Vec<u8>) {
-        out.push(self.dtim_count);
-        out.push(self.dtim_period);
-        let control_at = out.len();
-        out.push(0);
-        let offset = self.bitmap.append_trimmed_to(out);
-        // Bitmap Control: bit 0 = broadcast indicator, bits 1-7 = N1/2.
-        out[control_at] = (self.broadcast_buffered as u8) | (((offset / 2) as u8) << 1);
-    }
-
-    /// Decodes an element body.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`TimView::parse`].
-    pub fn decode_body(body: &[u8]) -> Result<Self, WifiError> {
-        TimView::parse(body).map(|view| view.to_tim())
-    }
-}
 
 /// A checked TIM element body, borrowed from the frame that carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,111 +80,6 @@ impl<'a> TimView<'a> {
     pub fn traffic_for(&self, aid: Aid) -> bool {
         span_is_set(self.offset(), &self.body[3..], aid)
     }
-
-    /// The owned element, its bitmap copied straight from the body.
-    pub(crate) fn to_tim(self) -> Tim {
-        Tim {
-            dtim_count: self.dtim_count(),
-            dtim_period: self.dtim_period(),
-            broadcast_buffered: self.broadcast_buffered(),
-            bitmap: PartialVirtualBitmap::from_span(self.offset(), &self.body[3..]),
-        }
-    }
-}
-
-/// The HIDE Broadcast Traffic Indication Map element (ID 201, Fig. 4).
-///
-/// Carries one *broadcast flag* bit per associated client: set when the AP
-/// has buffered broadcast frames whose UDP destination port the client
-/// listens on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Btim {
-    bitmap: PartialVirtualBitmap,
-}
-
-impl Btim {
-    /// Creates a BTIM from per-client broadcast flags.
-    pub fn new(flags: PartialVirtualBitmap) -> Self {
-        Btim { bitmap: flags }
-    }
-
-    /// Whether client `aid` has useful broadcast frames buffered.
-    pub fn is_set(&self, aid: Aid) -> bool {
-        self.bitmap.is_set(aid)
-    }
-
-    /// `true` when no client has useful broadcast traffic.
-    pub fn is_empty(&self) -> bool {
-        self.bitmap.is_empty()
-    }
-
-    /// The underlying flag bitmap.
-    pub fn bitmap(&self) -> &PartialVirtualBitmap {
-        &self.bitmap
-    }
-
-    /// Encodes the element body: a 1-byte Offset (`N1`) followed by the
-    /// trimmed partial virtual bitmap (Figs. 4 and 5).
-    pub fn encode_body(&self) -> Vec<u8> {
-        let (_, len) = self.bitmap.trimmed_span();
-        let mut body = Vec::with_capacity(1 + len);
-        self.append_body_to(&mut body);
-        body
-    }
-
-    /// Appends the element body to `out` — the allocation-free path for
-    /// per-beacon encoders reusing one buffer across DTIM cycles.
-    pub fn append_body_to(&self, out: &mut Vec<u8>) {
-        let offset_at = out.len();
-        out.push(0);
-        let offset = self.bitmap.append_trimmed_to(out);
-        out[offset_at] = offset as u8;
-    }
-
-    /// Decodes an element body.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`BtimView::parse`].
-    pub fn decode_body(body: &[u8]) -> Result<Self, WifiError> {
-        BtimView::parse(body).map(|view| view.to_btim())
-    }
-
-    /// Encoded body length in bytes — the per-beacon overhead HIDE adds,
-    /// the `L^b_i` of Eq. (16) (plus the 2-byte ID/length header counted
-    /// by [`InformationElement::encoded_len`]). Computed from the
-    /// trimmed span without materializing the encoding.
-    pub fn body_len(&self) -> usize {
-        1 + self.bitmap.trimmed_span().1
-    }
-
-    /// Records this element's on-air footprint into a metrics sink: one
-    /// `BtimBeacons` tick, the full encoded length (body plus 2-byte
-    /// ID/length header) as `BtimBytes`, the number of broadcast flags
-    /// set as `BtimBitsSet`, and the per-beacon byte count into the
-    /// `BtimBytesPerBeacon` distribution.
-    pub fn observe<S: MetricsSink>(&self, sink: &mut S) {
-        let bytes = (2 + self.body_len()) as u64;
-        sink.incr(Counter::BtimBeacons);
-        sink.add(Counter::BtimBytes, bytes);
-        sink.add(Counter::BtimBitsSet, self.bitmap.count() as u64);
-        sink.observe(Distribution::BtimBytesPerBeacon, bytes);
-    }
-
-    /// Emits a `BtimEmitted` trace event at simulation time `now` —
-    /// the event-granular sibling of [`Btim::observe`]. A disabled sink
-    /// skips even the payload computation.
-    pub fn observe_traced<T: TraceSink>(&self, now: f64, trace: &mut T) {
-        if trace.is_enabled() {
-            trace.emit(
-                now,
-                TraceEventKind::BtimEmitted {
-                    bytes: (2 + self.body_len()) as u32,
-                    bits_set: self.bitmap.count() as u32,
-                },
-            );
-        }
-    }
 }
 
 /// A checked BTIM element body, borrowed from the frame that carries
@@ -319,18 +114,11 @@ impl<'a> BtimView<'a> {
         span_is_set(usize::from(self.body[0]), &self.body[1..], aid)
     }
 
-    /// The body's length on air in bytes. It equals the decoded
-    /// element's [`Btim::body_len`] whenever the sender trimmed the
-    /// bitmap as Fig. 5 prescribes, as every encoder here does.
+    /// The body's length on air in bytes: the Offset octet plus the
+    /// bitmap as the sender trimmed it (Fig. 5 for this crate's
+    /// writer).
     pub fn body_len(&self) -> usize {
         self.body.len()
-    }
-
-    /// The owned element, its bitmap copied straight from the body.
-    pub(crate) fn to_btim(self) -> Btim {
-        Btim {
-            bitmap: PartialVirtualBitmap::from_span(usize::from(self.body[0]), &self.body[1..]),
-        }
     }
 }
 
@@ -381,10 +169,15 @@ impl OpenUdpPorts {
     /// Encodes the element body: each port as 2 big-endian bytes.
     pub fn encode_body(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(self.ports.len() * 2);
-        for port in &self.ports {
-            body.extend_from_slice(&port.to_be_bytes());
-        }
+        self.append_body_to(&mut body);
         body
+    }
+
+    /// Appends the element body to `out`.
+    pub(crate) fn append_body_to(&self, out: &mut Vec<u8>) {
+        for port in &self.ports {
+            out.extend_from_slice(&port.to_be_bytes());
+        }
     }
 
     /// Decodes an element body.
@@ -427,16 +220,14 @@ pub struct RawElement {
 }
 
 /// Any information element that can appear in the frames this crate
-/// models.
+/// models. A TIM or BTIM decoded here, outside a beacon, is checked as
+/// [`TimView::parse`] and [`BtimView::parse`] check it and kept
+/// [`InformationElement::Raw`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum InformationElement {
-    /// Standard TIM (ID 5).
-    Tim(Tim),
     /// HIDE Open UDP Ports (ID 200).
     OpenUdpPorts(OpenUdpPorts),
-    /// HIDE BTIM (ID 201).
-    Btim(Btim),
     /// Anything else, passed through unmodified.
     Raw(RawElement),
 }
@@ -445,48 +236,9 @@ impl InformationElement {
     /// The element ID.
     pub fn element_id(&self) -> u8 {
         match self {
-            InformationElement::Tim(_) => ELEMENT_ID_TIM,
             InformationElement::OpenUdpPorts(_) => ELEMENT_ID_OPEN_UDP_PORTS,
-            InformationElement::Btim(_) => ELEMENT_ID_BTIM,
             InformationElement::Raw(raw) => raw.id,
         }
-    }
-
-    /// Encodes the element including its 2-byte ID/length header.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body exceeds 255 bytes; all constructors enforce
-    /// this invariant, so a panic indicates a bug in this crate.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.element_id());
-        let len_at = out.len();
-        out.push(0);
-        match self {
-            InformationElement::Tim(tim) => tim.append_body_to(out),
-            InformationElement::OpenUdpPorts(p) => {
-                for port in &p.ports {
-                    out.extend_from_slice(&port.to_be_bytes());
-                }
-            }
-            InformationElement::Btim(btim) => btim.append_body_to(out),
-            InformationElement::Raw(raw) => out.extend_from_slice(&raw.body),
-        }
-        let body_len = out.len() - len_at - 1;
-        assert!(body_len <= MAX_ELEMENT_BODY, "element body too long");
-        out[len_at] = body_len as u8;
-    }
-
-    /// Encoded length including the 2-byte header, computed without
-    /// materializing the encoding.
-    pub fn encoded_len(&self) -> usize {
-        let body_len = match self {
-            InformationElement::Tim(tim) => 3 + tim.bitmap.trimmed_span().1,
-            InformationElement::OpenUdpPorts(p) => p.ports.len() * 2,
-            InformationElement::Btim(btim) => btim.body_len(),
-            InformationElement::Raw(raw) => raw.body.len(),
-        };
-        2 + body_len
     }
 
     /// Decodes one element from the front of `buf`, returning it and the
@@ -561,18 +313,59 @@ impl<'a> ElementView<'a> {
 
     /// The owned element.
     pub(crate) fn to_element(self) -> InformationElement {
+        let raw = |id, body: &[u8]| {
+            InformationElement::Raw(RawElement {
+                id,
+                body: body.to_vec(),
+            })
+        };
         match self {
-            ElementView::Tim(tim) => InformationElement::Tim(tim.to_tim()),
+            ElementView::Tim(tim) => raw(ELEMENT_ID_TIM, tim.body),
             ElementView::OpenUdpPorts(body) => {
                 InformationElement::OpenUdpPorts(OpenUdpPorts::from_checked_body(body))
             }
-            ElementView::Btim(btim) => InformationElement::Btim(btim.to_btim()),
-            ElementView::Raw { id, body } => InformationElement::Raw(RawElement {
-                id,
-                body: body.to_vec(),
-            }),
+            ElementView::Btim(btim) => raw(ELEMENT_ID_BTIM, btim.body),
+            ElementView::Raw { id, body } => raw(id, body),
         }
     }
+}
+
+/// Appends one element to `out`: its ID, a length octet, and the body
+/// `body` writes, the length filled in after.
+///
+/// # Panics
+///
+/// Panics if the body exceeds 255 bytes, which no element can carry.
+pub(crate) fn write_element(out: &mut Vec<u8>, id: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    out.push(id);
+    let len_at = out.len();
+    out.push(0);
+    body(out);
+    let len = out.len() - len_at - 1;
+    assert!(len <= MAX_ELEMENT_BODY, "element body too long");
+    out[len_at] = len as u8;
+}
+
+/// Appends a TIM (5) or BTIM (201) element, the one writer of both
+/// bodies: `fixed` (the TIM's DTIM count and period; nothing for the
+/// BTIM), one octet holding `N1` with `flag` in bit 0, then `bitmap`
+/// trimmed per Fig. 5. The TIM's Bitmap Control is the broadcast bit
+/// plus `N1 / 2` in bits 1–7 and the BTIM's Offset is `N1`: as `N1` is
+/// even, both octets are `N1 | flag`.
+pub(crate) fn write_bitmap_element(
+    out: &mut Vec<u8>,
+    id: u8,
+    fixed: &[u8],
+    flag: bool,
+    bitmap: &PartialVirtualBitmap,
+) {
+    write_element(out, id, |out| {
+        out.extend_from_slice(fixed);
+        let n1_at = out.len();
+        out.push(0);
+        let n1 = bitmap.append_trimmed_to(out);
+        out[n1_at] = n1 as u8 | u8::from(flag);
+    });
 }
 
 #[cfg(test)]
@@ -584,86 +377,77 @@ mod tests {
     }
 
     #[test]
-    fn tim_round_trip() {
-        let mut bitmap = PartialVirtualBitmap::new();
-        bitmap.set(aid(12));
-        bitmap.set(aid(600));
-        let tim = Tim::new(2, 3, true, bitmap);
-        let body = tim.encode_body();
-        let back = Tim::decode_body(&body).unwrap();
-        assert_eq!(back, tim);
-        assert!(!back.is_dtim());
+    fn tim_view_rejects_short_body() {
+        assert_eq!(
+            TimView::parse(&[0, 1, 0]),
+            Err(WifiError::BadElementLength {
+                element_id: ELEMENT_ID_TIM,
+                declared: 3,
+            })
+        );
     }
 
     #[test]
-    fn tim_broadcast_bit_is_bit0_of_control() {
-        let tim = Tim::new(0, 1, true, PartialVirtualBitmap::new());
-        let body = tim.encode_body();
-        assert_eq!(body[2] & 1, 1);
-        let tim = Tim::new(0, 1, false, PartialVirtualBitmap::new());
-        assert_eq!(tim.encode_body()[2] & 1, 0);
+    fn tim_view_rejects_a_bitmap_past_octet_250() {
+        // Bitmap Control 250 (N1 = 250, broadcast bit clear), two octets.
+        assert_eq!(
+            TimView::parse(&[0, 1, 250, 0, 0]),
+            Err(WifiError::BitmapTooLong(252))
+        );
+        assert!(TimView::parse(&[0, 1, 250, 0xff]).is_ok());
     }
 
     #[test]
-    fn tim_rejects_short_body() {
-        assert!(Tim::decode_body(&[0, 1, 0]).is_err());
+    fn btim_view_rejects_short_body() {
+        assert_eq!(
+            BtimView::parse(&[0]),
+            Err(WifiError::BadElementLength {
+                element_id: ELEMENT_ID_BTIM,
+                declared: 1,
+            })
+        );
     }
 
     #[test]
-    fn btim_round_trip() {
-        let mut flags = PartialVirtualBitmap::new();
-        for v in [1u16, 77, 1200] {
-            flags.set(aid(v));
+    fn btim_view_rejects_odd_offset() {
+        assert_eq!(
+            BtimView::parse(&[3, 0xff]),
+            Err(WifiError::OddBitmapOffset(3))
+        );
+    }
+
+    #[test]
+    fn btim_view_rejects_a_bitmap_past_octet_250() {
+        assert_eq!(
+            BtimView::parse(&[250, 0, 0]),
+            Err(WifiError::BitmapTooLong(252))
+        );
+    }
+
+    #[test]
+    fn bitmap_elements_put_n1_and_the_flag_in_one_octet() {
+        let flags: PartialVirtualBitmap = [aid(24), aid(600)].into_iter().collect();
+        let (mut tim, mut btim) = (Vec::new(), Vec::new());
+        write_bitmap_element(&mut tim, ELEMENT_ID_TIM, &[2, 3], true, &flags);
+        write_bitmap_element(&mut btim, ELEMENT_ID_BTIM, &[], false, &flags);
+        // AID 24 is octet 3, so N1 = 2; AID 600 is octet 75, the last:
+        // 74 bitmap octets.
+        assert_eq!(&tim[..5], &[ELEMENT_ID_TIM, 77, 2, 3, 2 | 1]);
+        assert_eq!(&btim[..3], &[ELEMENT_ID_BTIM, 75, 2]);
+        let tim = TimView::parse(&tim[2..]).unwrap();
+        let btim = BtimView::parse(&btim[2..]).unwrap();
+        assert_eq!((tim.dtim_count(), tim.dtim_period()), (2, 3));
+        assert!(tim.broadcast_buffered());
+        for v in 1..=crate::mac::MAX_AID {
+            assert_eq!(btim.is_set(aid(v)), flags.is_set(aid(v)), "aid {v}");
+            assert_eq!(tim.traffic_for(aid(v)), flags.is_set(aid(v)), "aid {v}");
         }
-        let btim = Btim::new(flags);
-        let back = Btim::decode_body(&btim.encode_body()).unwrap();
-        assert_eq!(back, btim);
-        for v in [1u16, 77, 1200] {
-            assert!(back.is_set(aid(v)));
-        }
-        assert!(!back.is_set(aid(2)));
     }
 
     #[test]
-    fn btim_empty_is_two_bytes() {
-        let btim = Btim::new(PartialVirtualBitmap::new());
-        let body = btim.encode_body();
-        assert_eq!(body, vec![0, 0]);
-        assert_eq!(btim.body_len(), 2);
-        assert!(Btim::decode_body(&body).unwrap().is_empty());
-    }
-
-    #[test]
-    fn btim_compression_saves_bytes() {
-        // A single flag at a high AID must not ship 251 bytes.
-        let mut flags = PartialVirtualBitmap::new();
-        flags.set(aid(2000));
-        let btim = Btim::new(flags);
-        assert!(btim.body_len() <= 3);
-    }
-
-    #[test]
-    fn btim_observe_counts_on_air_footprint() {
-        let mut flags = PartialVirtualBitmap::new();
-        flags.set(aid(1));
-        flags.set(aid(5));
-        let btim = Btim::new(flags);
-        let mut rec = hide_obs::Recorder::new();
-        btim.observe(&mut rec);
-        btim.observe(&mut rec);
-        let bytes = (2 + btim.body_len()) as u64;
-        assert_eq!(rec.counter(Counter::BtimBeacons), 2);
-        assert_eq!(rec.counter(Counter::BtimBytes), 2 * bytes);
-        assert_eq!(rec.counter(Counter::BtimBitsSet), 4);
-        let h = rec.distribution(Distribution::BtimBytesPerBeacon);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), bytes);
-        assert_eq!(h.max(), bytes);
-    }
-
-    #[test]
-    fn btim_rejects_odd_offset() {
-        assert!(Btim::decode_body(&[3, 0xff]).is_err());
+    #[should_panic(expected = "element body too long")]
+    fn write_element_refuses_a_body_over_255_bytes() {
+        write_element(&mut Vec::new(), 0, |out| out.extend_from_slice(&[0; 256]));
     }
 
     #[test]
@@ -692,40 +476,36 @@ mod tests {
     }
 
     #[test]
-    fn element_encode_decode_round_trip() {
-        let mut flags = PartialVirtualBitmap::new();
-        flags.set(aid(9));
-        let elements = vec![
-            InformationElement::Tim(Tim::new(0, 1, false, PartialVirtualBitmap::new())),
-            InformationElement::Btim(Btim::new(flags)),
-            InformationElement::OpenUdpPorts(OpenUdpPorts::new([80u16, 443]).unwrap()),
-            InformationElement::Raw(RawElement {
-                id: 0,
-                body: b"ssid".to_vec(),
-            }),
-        ];
+    fn decode_all_checks_tim_and_btim_and_keeps_them_raw() {
+        let flags: PartialVirtualBitmap = [aid(9)].into_iter().collect();
+        let ports = OpenUdpPorts::new([80u16, 443]).unwrap();
         let mut buf = Vec::new();
-        for e in &elements {
-            e.encode(&mut buf);
-        }
-        let decoded = InformationElement::decode_all(&buf).unwrap();
-        assert_eq!(decoded, elements);
-    }
-
-    #[test]
-    fn encoded_len_matches_encode() {
-        let mut flags = PartialVirtualBitmap::new();
-        flags.set(aid(100));
-        let elements = vec![
-            InformationElement::Tim(Tim::new(1, 3, true, flags)),
-            InformationElement::Btim(Btim::new(flags)),
-            InformationElement::OpenUdpPorts(OpenUdpPorts::new([1u16, 2, 3]).unwrap()),
-        ];
-        for e in elements {
-            let mut buf = Vec::new();
-            e.encode(&mut buf);
-            assert_eq!(buf.len(), e.encoded_len());
-        }
+        write_bitmap_element(&mut buf, ELEMENT_ID_TIM, &[0, 1], false, &flags);
+        write_bitmap_element(&mut buf, ELEMENT_ID_BTIM, &[], false, &flags);
+        write_element(&mut buf, ELEMENT_ID_OPEN_UDP_PORTS, |out| {
+            ports.append_body_to(out)
+        });
+        write_element(&mut buf, 0, |out| out.extend_from_slice(b"ssid"));
+        let raw = |id, body: &[u8]| {
+            InformationElement::Raw(RawElement {
+                id,
+                body: body.to_vec(),
+            })
+        };
+        assert_eq!(
+            InformationElement::decode_all(&buf).unwrap(),
+            vec![
+                raw(ELEMENT_ID_TIM, &[0, 1, 0, 0, 0b10]),
+                raw(ELEMENT_ID_BTIM, &[0, 0, 0b10]),
+                InformationElement::OpenUdpPorts(ports),
+                raw(0, b"ssid"),
+            ]
+        );
+        // The checks stay: an odd BTIM Offset is refused, not kept raw.
+        assert_eq!(
+            InformationElement::decode_all(&[ELEMENT_ID_BTIM, 2, 3, 0xff]),
+            Err(WifiError::OddBitmapOffset(3))
+        );
     }
 
     #[test]

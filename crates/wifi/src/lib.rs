@@ -21,28 +21,33 @@
 //!
 //! # Example
 //!
-//! Build a beacon carrying a BTIM element and decode it back:
+//! Write a beacon carrying a BTIM element and read it back in place:
 //!
 //! ```
 //! use hide_wifi::bitmap::PartialVirtualBitmap;
-//! use hide_wifi::frame::Beacon;
-//! use hide_wifi::ie::{Btim, InformationElement};
+//! use hide_wifi::frame::{BeaconFields, BeaconView};
 //! use hide_wifi::mac::{Aid, MacAddr};
 //!
 //! # fn main() -> Result<(), hide_wifi::WifiError> {
-//! let mut bitmap = PartialVirtualBitmap::new();
-//! bitmap.set(Aid::new(5)?);
-//! let btim = Btim::new(bitmap);
+//! let mut flags = PartialVirtualBitmap::new();
+//! flags.set(Aid::new(5)?);
 //!
-//! let beacon = Beacon::builder(MacAddr::new([2, 0, 0, 0, 0, 1]))
-//!     .timestamp_us(1_024_000)
-//!     .dtim(0, 3)
-//!     .element(InformationElement::Btim(btim))
-//!     .build();
+//! let mut bytes = Vec::new();
+//! BeaconFields {
+//!     bssid: MacAddr::new([2, 0, 0, 0, 0, 1]),
+//!     timestamp_us: 1_024_000,
+//!     ssid: "hide-net",
+//!     dtim_count: 0,
+//!     dtim_period: 3,
+//!     broadcast_buffered: true,
+//!     unicast: &PartialVirtualBitmap::new(),
+//!     btim: Some(&flags),
+//! }
+//! .write(&mut bytes);
 //!
-//! let bytes = beacon.to_bytes();
-//! let decoded = Beacon::parse(&bytes)?;
-//! assert!(decoded.btim().unwrap().is_set(Aid::new(5)?));
+//! let beacon = BeaconView::parse(&bytes)?;
+//! assert!(beacon.btim().unwrap().is_set(Aid::new(5)?));
+//! assert!(!beacon.btim().unwrap().is_set(Aid::new(6)?));
 //! # Ok(())
 //! # }
 //! ```

@@ -3,11 +3,12 @@
 use hide_wifi::assoc::{AssociationRequest, AssociationResponse, Disassociation};
 use hide_wifi::bitmap::PartialVirtualBitmap;
 use hide_wifi::frame::{
-    Ack, AnyFrame, Beacon, BeaconView, BroadcastDataFrame, PsPoll, UdpPortMessage,
+    Ack, AnyFrame, BeaconFields, BeaconView, BroadcastDataFrame, PsPoll, UdpPortMessage,
 };
-use hide_wifi::ie::{Btim, InformationElement, OpenUdpPorts, Tim};
+use hide_wifi::ie::{InformationElement, OpenUdpPorts, RawElement};
 use hide_wifi::mac::{Aid, MacAddr, MAX_AID};
 use hide_wifi::udp::UdpDatagram;
+use hide_wifi::WifiError;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -59,71 +60,100 @@ fn bytewise_span(bytes: &[u8; 251]) -> (usize, usize) {
     (n1, last - n1 + 1)
 }
 
-/// A beacon the way the AP builds one: SSID, rates, TIM, then BTIM.
-fn beacon_bytes(btim: PartialVirtualBitmap, unicast: PartialVirtualBitmap, bcast: bool) -> Vec<u8> {
-    Beacon::builder(MacAddr::station(0))
-        .ssid("hide")
-        .supported_rates_11b()
-        .tim(Tim::new(0, 1, bcast, unicast))
-        .element(InformationElement::Btim(Btim::new(btim)))
-        .build()
-        .to_bytes()
+/// A beacon the way the AP writes one: SSID, rates, TIM, then BTIM.
+fn beacon_bytes(
+    btim: &PartialVirtualBitmap,
+    unicast: &PartialVirtualBitmap,
+    bcast: bool,
+    dtim_count: u8,
+    timestamp_us: u64,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    BeaconFields {
+        bssid: MacAddr::station(0),
+        timestamp_us,
+        ssid: "hide",
+        dtim_count,
+        dtim_period: 3,
+        broadcast_buffered: bcast,
+        unicast,
+        btim: Some(btim),
+    }
+    .write(&mut out);
+    out
 }
 
-/// The BTIM body length on air: the length octet of the first element
-/// 201 after the 36-byte header and fixed fields. Only called on
-/// buffers both parsers accepted.
-fn btim_len_on_air(buf: &[u8]) -> Option<usize> {
+/// The body of the first element `id` after the 36-byte header and
+/// fixed fields, found byte by byte. Only called on buffers the view
+/// accepted, so every length octet fits.
+fn first_body(buf: &[u8], id: u8) -> Option<&[u8]> {
     let mut rest = &buf[36..];
-    while let [id, len, tail @ ..] = rest {
-        if *id == 201 {
-            return Some(usize::from(*len));
+    while let [eid, len, tail @ ..] = rest {
+        let (body, next) = tail.split_at(usize::from(*len));
+        if *eid == id {
+            return Some(body);
         }
-        rest = &tail[usize::from(*len)..];
+        rest = next;
     }
     None
 }
 
-/// Both beacon parsers on `buf`: the same verdict and error, and on
-/// success the same TIM fields and the same TIM and BTIM bit for every
-/// AID, with the view's BTIM length the one on air.
-fn parsers_agree(buf: &[u8]) -> Result<(), TestCaseError> {
-    let (owned, view) = match (Beacon::parse(buf), BeaconView::parse(buf)) {
-        (Ok(owned), Ok(view)) => (owned, view),
-        (Err(a), Err(b)) => {
-            prop_assert_eq!(a, b);
+/// Whether `aid`'s bit is set in `octets` placed at octet `n1`.
+fn bit_on_air(n1: usize, octets: &[u8], aid: Aid) -> bool {
+    let k = usize::from(aid.value() / 8);
+    k >= n1
+        && octets
+            .get(k - n1)
+            .is_some_and(|b| b >> (aid.value() % 8) & 1 == 1)
+}
+
+/// The view on `buf` against a byte-at-a-time reading of the same
+/// bytes: a rejection is one of the codec's structured errors, and an
+/// accepted beacon has the view's TIM fields, its TIM and BTIM bit for
+/// every AID and its BTIM length read straight off the first TIM and
+/// BTIM on air, and survives `AnyFrame` byte for byte.
+fn view_reads_what_is_on_air(buf: &[u8]) -> Result<(), TestCaseError> {
+    let view = match BeaconView::parse(buf) {
+        Ok(view) => view,
+        Err(e) => {
+            prop_assert!(
+                matches!(
+                    e,
+                    WifiError::Truncated { .. }
+                        | WifiError::UnknownFrameType { .. }
+                        | WifiError::BadElementLength { .. }
+                        | WifiError::OddBitmapOffset(_)
+                        | WifiError::BitmapTooLong(_)
+                ),
+                "unexpected error {:?}",
+                e
+            );
             return Ok(());
         }
-        (a, b) => {
-            return Err(TestCaseError::fail(format!(
-                "verdicts differ: owned {:?}, view {:?}",
-                a.map(|_| ()),
-                b.map(|_| ())
-            )))
-        }
     };
+    prop_assert_eq!(AnyFrame::parse(buf).map(|f| f.to_bytes()), Ok(buf.to_vec()));
+    let tim = first_body(buf, 5);
+    let btim = first_body(buf, 201);
     prop_assert_eq!(
         view.tim()
             .map(|t| (t.dtim_count(), t.dtim_period(), t.broadcast_buffered())),
-        owned
-            .tim()
-            .map(|t| (t.dtim_count(), t.dtim_period(), t.broadcast_buffered()))
+        tim.map(|b| (b[0], b[1], b[2] & 1 == 1))
     );
+    prop_assert_eq!(view.btim().map(|b| b.body_len()), btim.map(<[u8]>::len));
     for aid in (1..=MAX_AID).map(|v| Aid::new(v).expect("in range")) {
         prop_assert_eq!(
             view.btim().map(|b| b.is_set(aid)),
-            owned.btim().map(|b| b.is_set(aid)),
+            btim.map(|b| bit_on_air(usize::from(b[0]), &b[1..], aid)),
             "BTIM bit of AID {}",
             aid.value()
         );
         prop_assert_eq!(
             view.tim().map(|t| t.traffic_for(aid)),
-            owned.tim().map(|t| t.traffic_for(aid)),
+            tim.map(|b| bit_on_air(usize::from(b[2] & !1), &b[3..], aid)),
             "TIM bit of AID {}",
             aid.value()
         );
     }
-    prop_assert_eq!(view.btim().map(|b| b.body_len()), btim_len_on_air(buf));
     Ok(())
 }
 
@@ -142,21 +172,13 @@ fn ssid_strategy() -> impl Strategy<Value = String> {
 
 proptest! {
     #[test]
-    fn bitmap_trim_expand_round_trip(bitmap in bitmap_strategy()) {
-        let trimmed = bitmap.trim();
-        let back = PartialVirtualBitmap::from_trimmed(&trimmed).unwrap();
-        prop_assert_eq!(back, bitmap);
-    }
-
-    #[test]
-    fn bitmap_trim_offset_always_even(bitmap in bitmap_strategy()) {
-        prop_assert_eq!(bitmap.trim().offset() % 2, 0);
-    }
-
-    #[test]
-    fn trimmed_is_set_agrees_with_full(bitmap in bitmap_strategy(), probe in aid_strategy()) {
-        let trimmed = bitmap.trim();
-        prop_assert_eq!(trimmed.is_set(probe), bitmap.is_set(probe));
+    fn trimmed_bytes_follow_fig5(bitmap in edge_bitmap_strategy()) {
+        let bytes = octets(&bitmap);
+        let (n1, len) = bytewise_span(&bytes);
+        let mut out = vec![0xaa];
+        prop_assert_eq!(bitmap.append_trimmed_to(&mut out), n1);
+        prop_assert_eq!(n1 % 2, 0);
+        prop_assert_eq!(&out[1..], &bytes[n1..n1 + len]);
     }
 
     #[test]
@@ -167,27 +189,6 @@ proptest! {
         expected.dedup();
         let collected: Vec<Aid> = bitmap.iter().collect();
         prop_assert_eq!(collected, expected);
-    }
-
-    #[test]
-    fn btim_body_round_trip(bitmap in bitmap_strategy()) {
-        let btim = Btim::new(bitmap);
-        let body = btim.encode_body();
-        prop_assert_eq!(body.len(), btim.body_len());
-        let back = Btim::decode_body(&body).unwrap();
-        prop_assert_eq!(back, btim);
-    }
-
-    #[test]
-    fn tim_body_round_trip(
-        bitmap in bitmap_strategy(),
-        count in 0u8..=10,
-        period in 1u8..=10,
-        bcast in any::<bool>(),
-    ) {
-        let tim = Tim::new(count, period, bcast, bitmap);
-        let back = Tim::decode_body(&tim.encode_body()).unwrap();
-        prop_assert_eq!(back, tim);
     }
 
     #[test]
@@ -219,75 +220,118 @@ proptest! {
     }
 
     #[test]
-    fn beacon_round_trip(
-        bitmap in bitmap_strategy(),
+    fn written_beacons_read_back(
+        btim in edge_bitmap_strategy(),
         unicast in bitmap_strategy(),
+        bcast in any::<bool>(),
+        count in 0u8..3,
         ts in any::<u64>(),
-        interval in 1u16..1000,
-        count in 0u8..4,
+    ) {
+        let bytes = beacon_bytes(&btim, &unicast, bcast, count, ts);
+        let view = BeaconView::parse(&bytes).unwrap();
+        let (tim, flags) = (view.tim().unwrap(), view.btim().unwrap());
+        prop_assert_eq!(
+            (tim.dtim_count(), tim.dtim_period(), tim.broadcast_buffered()),
+            (count, 3, bcast)
+        );
+        for aid in (1..=MAX_AID).map(|v| Aid::new(v).expect("in range")) {
+            prop_assert_eq!(flags.is_set(aid), btim.is_set(aid), "BTIM bit of AID {}", aid.value());
+            prop_assert_eq!(
+                tim.traffic_for(aid),
+                unicast.is_set(aid),
+                "TIM bit of AID {}",
+                aid.value()
+            );
+        }
+        prop_assert_eq!(flags.body_len(), 1 + btim.trimmed_span().1);
+        prop_assert_eq!(&bytes[24..32], &ts.to_le_bytes()[..]);
+        view_reads_what_is_on_air(&bytes)?;
+    }
+
+    #[test]
+    fn written_legacy_beacons_carry_no_btim(
+        unicast in bitmap_strategy(),
         bcast in any::<bool>(),
     ) {
-        let beacon = Beacon::builder(MacAddr::station(0))
-            .timestamp_us(ts)
-            .beacon_interval_tu(interval)
-            .tim(Tim::new(count, 3, bcast, unicast))
-            .element(InformationElement::Btim(Btim::new(bitmap)))
-            .build();
-        let bytes = beacon.to_bytes();
-        prop_assert_eq!(bytes.len(), beacon.len_bytes());
-        let parsed = Beacon::parse(&bytes).unwrap();
-        prop_assert_eq!(parsed, beacon);
+        let mut bytes = Vec::new();
+        BeaconFields {
+            bssid: MacAddr::station(0),
+            timestamp_us: 0,
+            ssid: "hide",
+            dtim_count: 0,
+            dtim_period: 1,
+            broadcast_buffered: bcast,
+            unicast: &unicast,
+            btim: None,
+        }
+        .write(&mut bytes);
+        let view = BeaconView::parse(&bytes).unwrap();
+        prop_assert!(view.btim().is_none());
+        prop_assert_eq!(first_body(&bytes, 201), None);
+        let tim = view.tim().unwrap();
+        prop_assert_eq!(tim.broadcast_buffered(), bcast);
+        for aid in (1..=MAX_AID).map(|v| Aid::new(v).expect("in range")) {
+            prop_assert_eq!(tim.traffic_for(aid), unicast.is_set(aid), "TIM bit of AID {}", aid.value());
+        }
+        view_reads_what_is_on_air(&bytes)?;
     }
 
     #[test]
-    fn beacon_parse_never_panics_on_garbage(bytes in vec(any::<u8>(), 0..96)) {
-        let _ = Beacon::parse(&bytes);
+    fn writing_over_a_used_buffer_equals_a_fresh_write(
+        old in vec(any::<u8>(), 0..600),
+        btim in edge_bitmap_strategy(),
+        unicast in edge_bitmap_strategy(),
+    ) {
+        let fresh = beacon_bytes(&btim, &unicast, true, 0, 7);
+        let mut reused = old;
+        BeaconFields {
+            bssid: MacAddr::station(0),
+            timestamp_us: 7,
+            ssid: "hide",
+            dtim_count: 0,
+            dtim_period: 3,
+            broadcast_buffered: true,
+            unicast: &unicast,
+            btim: Some(&btim),
+        }
+        .write(&mut reused);
+        prop_assert_eq!(reused, fresh);
     }
 
     #[test]
-    fn beacon_view_agrees_with_parse_on_garbage(bytes in vec(any::<u8>(), 0..=160)) {
-        parsers_agree(&bytes)?;
+    fn beacon_view_reads_garbage_as_on_air(bytes in vec(any::<u8>(), 0..=160)) {
+        view_reads_what_is_on_air(&bytes)?;
     }
 
     #[test]
-    fn beacon_view_agrees_with_parse_past_a_valid_header(
+    fn beacon_view_reads_elements_past_a_valid_header(
         elements in vec(any::<u8>(), 0..=124),
     ) {
         // Garbage rarely gets past frame control; this reaches the
         // element walker every time.
-        let mut buf = Beacon::builder(MacAddr::station(0)).build().to_bytes();
+        let empty = PartialVirtualBitmap::new();
+        let mut buf = beacon_bytes(&empty, &empty, false, 0, 0);
+        buf.truncate(36);
         buf.extend_from_slice(&elements);
-        parsers_agree(&buf)?;
+        view_reads_what_is_on_air(&buf)?;
     }
 
     #[test]
-    fn beacon_view_agrees_with_parse_on_built_beacons(
-        btim in edge_bitmap_strategy(),
-        unicast in bitmap_strategy(),
-        bcast in any::<bool>(),
-    ) {
-        let bytes = beacon_bytes(btim, unicast, bcast);
-        parsers_agree(&bytes)?;
-        let view = BeaconView::parse(&bytes).unwrap();
-        prop_assert_eq!(view.btim().map(|b| b.body_len()), Some(Btim::new(btim).body_len()));
-    }
-
-    #[test]
-    fn beacon_view_agrees_with_parse_on_damaged_beacons(
+    fn beacon_view_reads_damaged_beacons_as_on_air(
         btim in edge_bitmap_strategy(),
         unicast in bitmap_strategy(),
         at in any::<u16>(),
         mask in 1u8..=255,
         truncate in any::<bool>(),
     ) {
-        let mut bytes = beacon_bytes(btim, unicast, false);
+        let mut bytes = beacon_bytes(&btim, &unicast, false, 0, 0);
         let at = usize::from(at) % bytes.len();
         if truncate {
             bytes.truncate(at);
         } else {
             bytes[at] ^= mask;
         }
-        parsers_agree(&bytes)?;
+        view_reads_what_is_on_air(&bytes)?;
     }
 
     #[test]
@@ -320,6 +364,38 @@ proptest! {
     }
 
     #[test]
+    fn udp_port_message_element_is_laid_out_on_air(ports in vec(any::<u16>(), 0..=127)) {
+        let bytes = UdpPortMessage::new(MacAddr::station(1), MacAddr::station(0), ports.clone())
+            .unwrap()
+            .to_bytes();
+        // After the 24-byte MAC header: ID 200, the length, then each
+        // port big-endian.
+        let body: Vec<u8> = ports.iter().flat_map(|p| p.to_be_bytes()).collect();
+        prop_assert_eq!(&bytes[24..26], &[200, body.len() as u8][..]);
+        prop_assert_eq!(&bytes[26..], &body[..]);
+    }
+
+    #[test]
+    fn association_request_elements_are_laid_out_on_air(
+        ssid in ssid_strategy(),
+        hide in any::<bool>(),
+    ) {
+        let mut req = AssociationRequest::new(MacAddr::station(1), MacAddr::station(0), ssid.clone());
+        if hide {
+            req = req.with_hide_support();
+        }
+        let bytes = req.to_bytes();
+        // After the MAC header, capability and listen interval: the
+        // SSID element, then an empty Open UDP Ports element for HIDE.
+        let mut expected = vec![0, ssid.len() as u8];
+        expected.extend_from_slice(ssid.as_bytes());
+        if hide {
+            expected.extend_from_slice(&[200, 0]);
+        }
+        prop_assert_eq!(&bytes[28..], &expected[..]);
+    }
+
+    #[test]
     fn broadcast_frame_round_trip(
         dport in any::<u16>(),
         payload in vec(any::<u8>(), 0..256),
@@ -338,17 +414,25 @@ proptest! {
         ports in vec(any::<u16>(), 0..50),
         raw in vec(any::<u8>(), 0..40),
     ) {
-        let elements = vec![
-            InformationElement::Btim(Btim::new(bitmap)),
-            InformationElement::OpenUdpPorts(OpenUdpPorts::new(ports).unwrap()),
-            InformationElement::Raw(hide_wifi::ie::RawElement { id: 99, body: raw }),
-        ];
+        // A BTIM outside a beacon is checked and kept raw.
+        let mut btim = vec![0];
+        btim[0] = bitmap.append_trimmed_to(&mut btim) as u8;
+        let ports = OpenUdpPorts::new(ports).unwrap();
         let mut buf = Vec::new();
-        for e in &elements {
-            e.encode(&mut buf);
+        for (id, body) in [(201, btim.clone()), (200, ports.encode_body()), (99, raw.clone())] {
+            buf.push(id);
+            buf.push(body.len() as u8);
+            buf.extend_from_slice(&body);
         }
         let decoded = InformationElement::decode_all(&buf).unwrap();
-        prop_assert_eq!(decoded, elements);
+        prop_assert_eq!(
+            decoded,
+            vec![
+                InformationElement::Raw(RawElement { id: 201, body: btim }),
+                InformationElement::OpenUdpPorts(ports),
+                InformationElement::Raw(RawElement { id: 99, body: raw }),
+            ]
+        );
     }
 
     #[test]
@@ -420,11 +504,7 @@ proptest! {
         // identity on all of them (the daemon relies on this to relay
         // frames it has routed without mutating them).
         let wire: Vec<u8> = match which {
-            0 => Beacon::builder(ap)
-                .tim(Tim::new(0, 1, false, bitmap))
-                .element(InformationElement::Btim(Btim::new(bitmap)))
-                .build()
-                .to_bytes(),
+            0 => beacon_bytes(&bitmap, &bitmap, false, 0, 0),
             1 => UdpPortMessage::new(client, ap, ports).unwrap().to_bytes(),
             2 => Ack::new(client).to_bytes(),
             3 => PsPoll::new(aid, ap, client).to_bytes(),

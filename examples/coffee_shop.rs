@@ -26,7 +26,7 @@ fn broadcast(ap: &AccessPoint, dst_port: u16, label: &str) -> BroadcastDataFrame
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ap = AccessPoint::new(MacAddr::new([2, 0, 0, 0, 0, 0xAA]));
-    ap.set_ssid("corner-cafe");
+    ap.set_ssid("corner-cafe")?;
     println!(
         "access point {} ('{}') up, DTIM period 1\n",
         ap.bssid(),
@@ -93,7 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ap.enqueue_broadcast(frame);
         }
         // The beacon crosses the air as real bytes.
-        let beacon_bytes = ap.dtim_beacon(i as u64).to_bytes();
+        let mut beacon_bytes = Vec::new();
+        ap.dtim_beacon(i as u64, &mut beacon_bytes);
         let beacon = BeaconView::parse(&beacon_bytes)?;
         println!(
             "  [air] beacon: {} bytes, broadcast buffered = {}",

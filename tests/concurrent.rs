@@ -86,9 +86,10 @@ fn concurrent_clients_sync_and_decide_consistently() {
             let mut ap = ap.lock().expect(POISONED);
             let bssid = ap.bssid();
             ap.enqueue_broadcast(frame(bssid, 1000 + target as u16));
-            let beacon = ap.dtim_beacon(round);
+            let mut beacon = Vec::new();
+            ap.dtim_beacon(round, &mut beacon);
             ap.deliver_broadcasts();
-            beacon.to_bytes()
+            beacon
         };
         for btx in &beacon_txs {
             btx.send(bytes.clone()).unwrap();

@@ -58,7 +58,8 @@ fn protocol_agrees_with_simulator_filtering() {
             frame_iter.next();
         }
         // Over-the-air round trip for every beacon.
-        let bytes = ap.dtim_beacon(i).to_bytes();
+        let mut bytes = Vec::new();
+        ap.dtim_beacon(i, &mut bytes);
         let decision = client
             .handle_beacon(&BeaconView::parse(&bytes).unwrap())
             .unwrap();
@@ -127,7 +128,8 @@ fn multi_client_btim_correctness() {
         for &p in ports {
             ap.enqueue_broadcast(frame_for(&ap, p));
         }
-        let bytes = ap.dtim_beacon(round as u64).to_bytes();
+        let mut bytes = Vec::new();
+        ap.dtim_beacon(round as u64, &mut bytes);
         let beacon = BeaconView::parse(&bytes).unwrap();
         for (c, want) in clients.iter().zip(expected) {
             let got = c.handle_beacon(&beacon).unwrap() == WakeDecision::WakeForBroadcast;
@@ -158,7 +160,8 @@ fn port_close_propagates_on_next_sync() {
     client.handle_ack(&ack).unwrap();
 
     ap.enqueue_broadcast(frame_for(&ap, 1900));
-    let bytes = ap.dtim_beacon(0).to_bytes();
+    let mut bytes = Vec::new();
+    ap.dtim_beacon(0, &mut bytes);
     assert_eq!(
         client
             .handle_beacon(&BeaconView::parse(&bytes).unwrap())
@@ -178,7 +181,8 @@ fn port_close_propagates_on_next_sync() {
     client.handle_ack(&ack).unwrap();
 
     ap.enqueue_broadcast(frame_for(&ap, 1900));
-    let bytes = ap.dtim_beacon(1).to_bytes();
+    let mut bytes = Vec::new();
+    ap.dtim_beacon(1, &mut bytes);
     assert_eq!(
         client
             .handle_beacon(&BeaconView::parse(&bytes).unwrap())

@@ -81,7 +81,8 @@ fn usefulness_markings_drive_port_registries() {
     // Legacy coexistence through the same facade.
     let mut legacy = LegacyClient::new(MacAddr::station(2));
     legacy.set_aid(ap.associate(legacy.mac()).unwrap());
-    let bytes = ap.dtim_beacon(0).to_bytes();
+    let mut bytes = Vec::new();
+    ap.dtim_beacon(0, &mut bytes);
     assert_eq!(
         legacy
             .handle_beacon(&BeaconView::parse(&bytes).unwrap())
