@@ -7,7 +7,7 @@ use hide_apd::ctrl::{CtrlRequest, CtrlResponse};
 use hide_apd::{ApdConfig, ApdError, ApdSnapshot, DaemonHandle};
 use hide_core::ap::{AccessPoint, ApCtx};
 use hide_wifi::assoc::{AssociationRequest, Disassociation};
-use hide_wifi::frame::{Ack, AnyFrame, BroadcastDataFrame, UdpPortMessage};
+use hide_wifi::frame::{Ack, AnyFrame, BeaconView, BroadcastDataFrame, UdpPortMessage};
 use hide_wifi::mac::MacAddr;
 use hide_wifi::udp::UdpDatagram;
 use std::net::UdpSocket;
@@ -349,6 +349,33 @@ fn unconsumed_frames_are_ignored_once() {
     assert!(line.split(' ').any(|kv| kv == "ignored_frames=2"), "{line}");
     assert_eq!(stats.frames_received, 3);
     assert_eq!(stats.dropped_backpressure, 0);
+    handle.shutdown().unwrap();
+}
+
+/// A beacon the router cannot read is counted as a parse error, not as
+/// an ignored frame, and reaches no shard.
+#[test]
+fn a_malformed_beacon_is_a_parse_error() {
+    let handle = DaemonHandle::spawn(ApdConfig::new().shards(2)).unwrap();
+    let socket = client_socket(handle.data_addr());
+    let bssid = MacAddr::station(0);
+    let mut beacon = Vec::new();
+    AccessPoint::new(bssid).dtim_beacon(0, &mut beacon);
+    // A TIM element that declares more octets than the datagram holds.
+    beacon.extend_from_slice(&[5, 40, 0]);
+    assert!(BeaconView::parse(&beacon).is_err());
+    socket.send(&beacon).unwrap();
+    let req = AssociationRequest::new(MacAddr::station(1), bssid, "hide");
+    socket.send(&req.to_bytes()).unwrap();
+    assert!(matches!(
+        recv_frame(&socket),
+        AnyFrame::AssociationResponse(_)
+    ));
+    let stats = handle.stats().unwrap();
+    let line = stats.to_line();
+    assert!(line.split(' ').any(|kv| kv == "ignored_frames=0"), "{line}");
+    assert_eq!(stats.parse_errors, 1);
+    assert_eq!(stats.frames_received, 2);
     handle.shutdown().unwrap();
 }
 

@@ -1,8 +1,8 @@
 //! Shared helpers for the reproduction harness: canonical experiment
 //! settings and renderers for every table and figure of the paper.
 //!
-//! The `reproduce` binary drives these; the Criterion benches in
-//! `benches/` time the underlying computations.
+//! The `reproduce` binary drives these; `hide-benchmark/` times the
+//! same renderers as its `paper-reproduce` workload.
 //!
 //! Every trace-driven renderer is a `*_with` function taking a
 //! [`hide_obs::Recorder`]: it streams the simulation metrics into the
@@ -223,7 +223,8 @@ pub fn figure_12() -> String {
 /// merging the locals into `recorder` in declaration order keeps both
 /// byte-identical to a sequential run at any job count. The pool
 /// takes them in reverse, so the protocol cross-validation, declared
-/// last and alone about half the work, starts first.
+/// last and the largest section (about a quarter of a sequential
+/// run's work), starts first.
 ///
 /// # Panics
 ///

@@ -68,6 +68,11 @@ impl HideClient {
 
     /// Builds an over-the-air association request for `ssid`, declaring
     /// HIDE support.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ssid` is longer than
+    /// [`MAX_SSID_LEN`](hide_wifi::assoc::MAX_SSID_LEN) octets.
     pub fn association_request(&self, ap: MacAddr, ssid: impl Into<String>) -> AssociationRequest {
         AssociationRequest::new(self.mac, ap, ssid).with_hide_support()
     }

@@ -25,19 +25,26 @@
 //! of Eqs. (3)–(5) and (14) for the uniform-wakelock case
 //! (`tests/closed_form/mod.rs`).
 //!
+//! [`evaluate`] runs the whole model in one pass over any iterator of
+//! received frames: it checks each frame, steps the radio and the
+//! machine, and keeps no timeline ([`pass`]).
+//!
 //! # Example
 //!
 //! ```
 //! use hide_energy::profile::NEXUS_ONE;
-//! use hide_energy::timeline::{Overhead, Timeline, TimelineFrame};
+//! use hide_energy::{MoreData, Overhead, TimelineFrame};
 //!
 //! // Two broadcast frames, 5 s apart, each holding a 1 s wakelock.
-//! let frames = vec![
-//!     TimelineFrame { start: 1.0, airtime: 0.002, more_data: false, hold: 1.0 },
-//!     TimelineFrame { start: 6.0, airtime: 0.002, more_data: false, hold: 1.0 },
-//! ];
-//! let timeline = Timeline::new(10.0, 0.1024, frames)?;
-//! let report = hide_energy::evaluate(&NEXUS_ONE, &timeline, &Overhead::NONE);
+//! let frames = [1.0, 6.0].map(|start| TimelineFrame {
+//!     start,
+//!     airtime: 0.002,
+//!     more_data: false,
+//!     hold: 1.0,
+//! });
+//! let run = hide_energy::evaluate(&NEXUS_ONE, 10.0, 0.1024, MoreData::AsGiven, frames)?;
+//! assert_eq!(run.machine.resume_count, 2);
+//! let report = run.report(&Overhead::NONE, &mut hide_obs::NoopSink);
 //! assert!(report.breakdown.total() > 0.0);
 //! assert!(report.suspend_fraction() > 0.5);
 //! # Ok::<(), hide_energy::EnergyError>(())
@@ -50,6 +57,7 @@ pub mod attribution;
 pub mod battery;
 pub mod breakdown;
 pub mod machine;
+pub mod pass;
 pub mod profile;
 pub mod radio;
 pub mod timeline;
@@ -59,52 +67,6 @@ pub use attribution::{
     ClientEnergy, WakePricing, ATTRIBUTION_CSV_HEADER,
 };
 pub use breakdown::{EnergyBreakdown, EnergyReport};
+pub use pass::{evaluate, Evaluation, MoreData, Pass};
 pub use profile::DeviceProfile;
-pub use timeline::{EnergyError, Overhead, Timeline, TimelineFrame};
-
-/// Evaluates the full Section-IV energy model on a reception timeline.
-///
-/// Combines the radio model (`Eb`, `Ef`), the power-state machine
-/// (`Ewl`, `Est`, suspend-time accounting) and the protocol overhead
-/// (`Eo`) into one [`EnergyReport`].
-pub fn evaluate(profile: &DeviceProfile, timeline: &Timeline, overhead: &Overhead) -> EnergyReport {
-    evaluate_observed(profile, timeline, overhead, &mut hide_obs::NoopSink)
-}
-
-/// [`evaluate`] with instrumentation: counts the evaluation itself, the
-/// timeline frames and beacon intervals the model covered, and the
-/// resume/aborted-suspend transitions the state machine took. The
-/// uninstrumented [`evaluate`] delegates here with a
-/// [`hide_obs::NoopSink`], so both compile to the same code.
-pub fn evaluate_observed<S: hide_obs::MetricsSink>(
-    profile: &DeviceProfile,
-    timeline: &Timeline,
-    overhead: &Overhead,
-    sink: &mut S,
-) -> EnergyReport {
-    use hide_obs::{Counter, Distribution};
-
-    let radio = radio::evaluate_radio(profile, timeline);
-    let machine = machine::run(profile, timeline);
-    let eo = overhead.energy(profile);
-    sink.incr(Counter::EnergyEvals);
-    sink.add(Counter::TimelineFrames, timeline.frames().len() as u64);
-    sink.add(Counter::BeaconsModeled, timeline.beacon_count());
-    sink.add(Counter::Resumes, machine.resume_count);
-    sink.add(Counter::AbortedSuspends, machine.aborted_suspends);
-    sink.observe(Distribution::ResumesPerRun, machine.resume_count);
-    EnergyReport {
-        breakdown: EnergyBreakdown {
-            beacon: radio.beacon_energy,
-            frames: radio.frame_energy,
-            wakelock: machine.wakelock_energy,
-            state_transfer: machine.state_transfer_energy,
-            overhead: eo,
-        },
-        duration: timeline.duration(),
-        suspend_time: machine.suspend_time,
-        resume_count: machine.resume_count,
-        aborted_suspends: machine.aborted_suspends,
-        suspend_floor_energy: profile.suspend_power * machine.suspend_time,
-    }
-}
+pub use timeline::{EnergyError, Overhead, TimelineFrame};

@@ -15,9 +15,145 @@
 //! * a frame arriving **while a wakelock is active** renews it (Eq. 4);
 //! * a frame arriving **during a resume operation** has its wakelock
 //!   activation delayed to the end of the resume (Eq. 3's `max`).
+//!
+//! The rule lives in one stepper, [`WakeLock`]: [`WakeLock::arrive`]
+//! takes one arrival, returns the case it took ([`Wake`]) and the
+//! wakelock seconds it added, and knows no unit of energy.
+//! [`WakeLock::settle`] gives the end-of-run clip. [`run`] folds the
+//! stepper over a run's frames and prices each step in `f64` joules;
+//! the one-pass evaluator ([`crate::pass`]) steps the same fold.
 
 use crate::profile::DeviceProfile;
-use crate::timeline::Timeline;
+use crate::timeline::TimelineFrame;
+
+/// The case one arrival takes, as docs/MODEL.md's rules table names
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Wake {
+    /// `a ≥ release + T_sp`: the device was fully suspended for
+    /// `suspended` seconds before the arrival, and pays a full wake
+    /// cycle (Eq. 13's `s(i) = 0` term).
+    Resume {
+        /// Suspended seconds since the last suspend completed.
+        suspended: f64,
+    },
+    /// `release ≤ a < release + T_sp`: the arrival aborts the suspend
+    /// operation `fraction` of the way through (Eq. 14's `y(i)`).
+    Abort {
+        /// Elapsed share of `T_sp`, in `[0, 1)`.
+        fraction: f64,
+    },
+    /// `a < release`: a wakelock (or a resume in flight) still holds,
+    /// and the arrival renews it (Eqs. 3–4).
+    Renew,
+}
+
+/// One arrival's step: the case it took and the wakelock seconds it
+/// added to the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Step {
+    /// The case taken.
+    pub wake: Wake,
+    /// Wakelock seconds added (`0` when the arrival's hold ends before
+    /// the current expiry).
+    pub held: f64,
+}
+
+/// The end-of-run clip [`WakeLock::settle`] gives.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Settle {
+    /// Seconds suspended after the last suspend completes, up to the
+    /// end of the run (`0` when it completes at or after the end).
+    pub trailing_suspend: f64,
+    /// Seconds of the last wakelock past the end of the run (`0` when
+    /// it expires by then).
+    pub overhang: f64,
+}
+
+/// One device's wakelock state, stepped once per arrival.
+///
+/// Three times make up the state: the expiry of the furthest wakelock
+/// in the current wake session (`release`; the suspend operation runs
+/// over `[release, release + T_sp]`), the activation time of the most
+/// recent wakelock (in the future while a resume is in flight), and the
+/// previous arrival.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WakeLock {
+    release: f64,
+    last_tr: f64,
+    prev_arrival: f64,
+}
+
+impl WakeLock {
+    /// A device suspended at `t = 0` (the paper's "without loss of
+    /// generality, `s(1) = 0`"): a virtual session that released at
+    /// `−T_sp`.
+    pub fn new(profile: &DeviceProfile) -> Self {
+        WakeLock {
+            release: -profile.suspend_secs,
+            last_tr: f64::NEG_INFINITY,
+            prev_arrival: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Steps one arrival: a frame fully received at `end` that holds a
+    /// wakelock for `hold` seconds. Arrivals are clamped to be monotone,
+    /// so pathologically overlapping airtimes cannot step back in time.
+    #[inline(always)]
+    pub fn arrive(&mut self, end: f64, hold: f64, profile: &DeviceProfile) -> Step {
+        let a = end.max(self.prev_arrival);
+        self.prev_arrival = a;
+        let suspend_complete = self.release + profile.suspend_secs;
+        if a >= suspend_complete {
+            let suspended = a - suspend_complete;
+            let tr = a + profile.resume_secs;
+            self.last_tr = tr;
+            self.release = tr + hold;
+            return Step {
+                wake: Wake::Resume { suspended },
+                held: hold,
+            };
+        }
+        let wake = if a >= self.release {
+            Wake::Abort {
+                fraction: (a - self.release) / profile.suspend_secs,
+            }
+        } else {
+            Wake::Renew
+        };
+        let tr = a.max(self.last_tr);
+        self.last_tr = tr;
+        let new_release = tr + hold;
+        let mut held = 0.0;
+        if new_release > self.release {
+            // An abort restarts the hold at the activation, not at the
+            // old expiry: the gap in between was spent suspending.
+            held = match wake {
+                Wake::Abort { .. } => new_release - self.release.max(tr),
+                _ => new_release - self.release,
+            };
+            self.release = new_release;
+        }
+        Step { wake, held }
+    }
+
+    /// The end-of-run clip for a run of `duration` seconds.
+    pub fn settle(&self, duration: f64, profile: &DeviceProfile) -> Settle {
+        let suspend_complete = self.release + profile.suspend_secs;
+        Settle {
+            trailing_suspend: if suspend_complete < duration {
+                duration - suspend_complete
+            } else {
+                0.0
+            },
+            overhang: if self.release > duration {
+                self.release - duration
+            } else {
+                0.0
+            },
+        }
+    }
+}
 
 /// Output of the power-state machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,98 +172,90 @@ pub struct MachineResult {
     pub aborted_suspends: u64,
 }
 
-/// Runs the state machine over a timeline.
-///
-/// The device is assumed suspended at `t = 0` (the paper's
-/// "without loss of generality, `s(1) = 0`").
-pub fn run(profile: &DeviceProfile, timeline: &Timeline) -> MachineResult {
-    let t_rm = profile.resume_secs;
-    let t_sp = profile.suspend_secs;
-    let duration = timeline.duration();
+/// The fold [`run`] and the one-pass evaluator share: a [`WakeLock`]
+/// and its steps priced in joules.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Machine {
+    lock: WakeLock,
+    wakelock_time: f64,
+    state_transfer: f64,
+    suspend_time: f64,
+    resume_count: u64,
+    aborted: u64,
+}
 
-    // `release`: expiry time of the furthest wakelock in the current wake
-    // session; the suspend operation runs over [release, release + t_sp].
-    // Starting suspended: model a virtual session that released at -t_sp.
-    let mut release = -t_sp;
-    // `last_tr`: activation time of the most recent wakelock (may be in
-    // the future while a resume operation is in flight).
-    let mut last_tr = f64::NEG_INFINITY;
-
-    let mut wakelock_time = 0.0f64;
-    let mut est = 0.0f64;
-    let mut suspend_time = 0.0f64;
-    let mut resume_count = 0u64;
-    let mut aborted = 0u64;
-
-    let mut prev_arrival = f64::NEG_INFINITY;
-    for frame in timeline.frames() {
-        // Fully-received time; clamp to keep arrivals monotone even if
-        // airtimes overlap pathologically.
-        let a = frame.end().max(prev_arrival);
-        prev_arrival = a;
-        let h = frame.hold;
-        let suspend_complete = release + t_sp;
-
-        if a >= suspend_complete {
-            // s(i) = 0: device is suspended when the frame arrives.
-            suspend_time += a - suspend_complete;
-            est += profile.wake_cycle_energy();
-            resume_count += 1;
-            let tr = a + t_rm;
-            last_tr = tr;
-            release = tr + h;
-            wakelock_time += h;
-        } else if a >= release {
-            // Suspend operation in progress: abort it.
-            let y = (a - release) / t_sp;
-            est += profile.suspend_energy * y;
-            aborted += 1;
-            let tr = a.max(last_tr);
-            last_tr = tr;
-            let new_release = tr + h;
-            if new_release > release {
-                wakelock_time += new_release - release.max(tr);
-                release = new_release;
-            }
-        } else {
-            // Wakelock still active (or resume in flight): renew.
-            let tr = a.max(last_tr);
-            last_tr = tr;
-            let new_release = tr + h;
-            if new_release > release {
-                wakelock_time += new_release - release;
-                release = new_release;
-            }
+impl Machine {
+    pub(crate) fn new(profile: &DeviceProfile) -> Self {
+        Machine {
+            lock: WakeLock::new(profile),
+            wakelock_time: 0.0,
+            state_transfer: 0.0,
+            suspend_time: 0.0,
+            resume_count: 0,
+            aborted: 0,
         }
     }
 
-    // Trailing suspended time after the final session completes its
-    // suspend, clipped to the trace duration.
-    let final_suspend_complete = release + t_sp;
-    if final_suspend_complete < duration {
-        suspend_time += duration - final_suspend_complete;
-    }
-    // Clip wakelock time that extends past the trace end: the tail
-    // [duration, release] of the final wakelock is contiguous held time.
-    if release > duration {
-        wakelock_time = (wakelock_time - (release - duration)).max(0.0);
+    #[inline(always)]
+    pub(crate) fn step(&mut self, frame: &TimelineFrame, profile: &DeviceProfile) {
+        let step = self.lock.arrive(frame.end(), frame.hold, profile);
+        match step.wake {
+            Wake::Resume { suspended } => {
+                self.suspend_time += suspended;
+                self.state_transfer += profile.wake_cycle_energy();
+                self.resume_count += 1;
+            }
+            Wake::Abort { fraction } => {
+                self.state_transfer += profile.suspend_energy * fraction;
+                self.aborted += 1;
+            }
+            Wake::Renew => {}
+        }
+        self.wakelock_time += step.held;
     }
 
-    MachineResult {
-        wakelock_energy: profile.active_idle_power * wakelock_time,
-        state_transfer_energy: est,
-        wakelock_time,
-        suspend_time: suspend_time.min(duration).max(0.0),
-        resume_count,
-        aborted_suspends: aborted,
+    pub(crate) fn finish(self, duration: f64, profile: &DeviceProfile) -> MachineResult {
+        let settle = self.lock.settle(duration, profile);
+        let suspend_time = self.suspend_time + settle.trailing_suspend;
+        // The tail [duration, release] of the final wakelock is
+        // contiguous held time.
+        let wakelock_time = if settle.overhang > 0.0 {
+            (self.wakelock_time - settle.overhang).max(0.0)
+        } else {
+            self.wakelock_time
+        };
+        MachineResult {
+            wakelock_energy: profile.active_idle_power * wakelock_time,
+            state_transfer_energy: self.state_transfer,
+            wakelock_time,
+            suspend_time: suspend_time.min(duration).max(0.0),
+            resume_count: self.resume_count,
+            aborted_suspends: self.aborted,
+        }
     }
+}
+
+/// Runs the state machine over a run of `duration` seconds whose
+/// frames come in start order, as [`crate::evaluate`] validates them
+/// (this function checks nothing).
+///
+/// The device is assumed suspended at `t = 0` (the paper's
+/// "without loss of generality, `s(1) = 0`").
+pub fn run<I>(profile: &DeviceProfile, duration: f64, frames: I) -> MachineResult
+where
+    I: IntoIterator<Item = TimelineFrame>,
+{
+    let mut machine = Machine::new(profile);
+    for frame in frames {
+        machine.step(&frame, profile);
+    }
+    machine.finish(duration, profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::{BUILTIN_PROFILES, GALAXY_S4, NEXUS_ONE};
-    use crate::timeline::{Timeline, TimelineFrame};
 
     fn frames(specs: &[(f64, f64)]) -> Vec<TimelineFrame> {
         specs
@@ -142,8 +270,7 @@ mod tests {
     }
 
     fn run_on(duration: f64, specs: &[(f64, f64)]) -> MachineResult {
-        let t = Timeline::new(duration, 0.1024, frames(specs)).unwrap();
-        run(&NEXUS_ONE, &t)
+        run(&NEXUS_ONE, duration, frames(specs))
     }
 
     #[test]
@@ -261,8 +388,58 @@ mod tests {
     }
 
     fn run_with(profile: &DeviceProfile, duration: f64, specs: &[(f64, f64)]) -> MachineResult {
-        let t = Timeline::new(duration, 0.1024, frames(specs)).unwrap();
-        run(profile, &t)
+        run(profile, duration, frames(specs))
+    }
+
+    #[test]
+    fn wake_lock_takes_each_case_of_the_rules_table() {
+        // Resume at 10 (held to 11.046), renew at 10.5 (to 11.5), abort
+        // halfway through the suspend that starts at 11.5, then a resume
+        // long after.
+        let p = NEXUS_ONE;
+        let mut lock = WakeLock::new(&p);
+        let first = lock.arrive(10.0, 1.0, &p);
+        assert_eq!(first.wake, Wake::Resume { suspended: 10.0 });
+        assert_eq!(first.held, 1.0);
+        let renew = lock.arrive(10.5, 1.0, &p);
+        assert_eq!(renew.wake, Wake::Renew);
+        assert!((renew.held - (11.5 - 11.046)).abs() < 1e-12, "{renew:?}");
+        let abort = lock.arrive(11.5 + 0.5 * p.suspend_secs, 1.0, &p);
+        match abort.wake {
+            Wake::Abort { fraction } => assert!((fraction - 0.5).abs() < 1e-9, "{fraction}"),
+            other => panic!("expected an abort, got {other:?}"),
+        }
+        assert!((abort.held - 1.0).abs() < 1e-12, "{abort:?}");
+        // A hold that ends before the current expiry adds nothing.
+        assert_eq!(
+            lock.arrive(11.6, 0.0, &p),
+            Step {
+                wake: Wake::Renew,
+                held: 0.0
+            }
+        );
+        let settle = lock.settle(12.0, &p);
+        assert!((settle.overhang - 0.543).abs() < 1e-9, "{settle:?}");
+        assert_eq!(settle.trailing_suspend, 0.0);
+        assert!(matches!(
+            lock.arrive(50.0, 1.0, &p).wake,
+            Wake::Resume { .. }
+        ));
+        let settle = lock.settle(100.0, &p);
+        assert_eq!(settle.overhang, 0.0);
+        let release = 50.0 + p.resume_secs + 1.0;
+        assert!((settle.trailing_suspend - (100.0 - release - p.suspend_secs)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn arrivals_never_step_back_in_time() {
+        // A frame that ends before its predecessor arrives with it.
+        let p = NEXUS_ONE;
+        let mut lock = WakeLock::new(&p);
+        lock.arrive(10.0, 0.0, &p);
+        let mut clamped = lock;
+        assert_eq!(lock.arrive(9.0, 0.0, &p), clamped.arrive(10.0, 0.0, &p));
+        assert_eq!(lock, clamped);
     }
 
     #[test]

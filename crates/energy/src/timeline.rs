@@ -1,9 +1,13 @@
-//! Model inputs: the reception timeline and protocol overhead.
+//! Model inputs: the frames of a reception timeline, the errors that
+//! reject them, and protocol overhead.
+//!
+//! A run's timeline is never stored: [`crate::evaluate`] takes its
+//! frames from an iterator and checks each as it folds it in.
 
 use crate::profile::DeviceProfile;
 use std::fmt;
 
-/// Errors produced when constructing model inputs.
+/// Errors that reject a run's model inputs.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EnergyError {
@@ -64,129 +68,6 @@ impl TimelineFrame {
     }
 }
 
-/// The sequence of frames a client's radio receives, with the beacon
-/// schedule they are embedded in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Timeline {
-    duration: f64,
-    beacon_interval: f64,
-    frames: Vec<TimelineFrame>,
-}
-
-impl Timeline {
-    /// Creates a validated timeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EnergyError`] when the duration or beacon interval
-    /// is non-positive, frames are unsorted, or any frame has a negative
-    /// start/airtime/hold or starts beyond the duration.
-    pub fn new(
-        duration: f64,
-        beacon_interval: f64,
-        frames: Vec<TimelineFrame>,
-    ) -> Result<Self, EnergyError> {
-        if !duration.is_finite() || duration <= 0.0 {
-            return Err(EnergyError::NonPositiveDuration(duration));
-        }
-        if !beacon_interval.is_finite() || beacon_interval <= 0.0 {
-            return Err(EnergyError::NonPositiveBeaconInterval(beacon_interval));
-        }
-        let mut prev = f64::NEG_INFINITY;
-        for (index, f) in frames.iter().enumerate() {
-            if !f.start.is_finite() || f.start < 0.0 {
-                return Err(EnergyError::InvalidFrame {
-                    index,
-                    reason: "negative start time",
-                });
-            }
-            if f.start < prev {
-                return Err(EnergyError::InvalidFrame {
-                    index,
-                    reason: "frames not sorted by start time",
-                });
-            }
-            if !f.airtime.is_finite() || f.airtime < 0.0 {
-                return Err(EnergyError::InvalidFrame {
-                    index,
-                    reason: "negative airtime",
-                });
-            }
-            if !f.hold.is_finite() || f.hold < 0.0 {
-                return Err(EnergyError::InvalidFrame {
-                    index,
-                    reason: "negative wakelock hold",
-                });
-            }
-            if f.start > duration {
-                return Err(EnergyError::InvalidFrame {
-                    index,
-                    reason: "frame starts after trace end",
-                });
-            }
-            prev = f.start;
-        }
-        Ok(Timeline {
-            duration,
-            beacon_interval,
-            frames,
-        })
-    }
-
-    /// Total trace duration in seconds.
-    pub fn duration(&self) -> f64 {
-        self.duration
-    }
-
-    /// Beacon interval `T_b` in seconds.
-    pub fn beacon_interval(&self) -> f64 {
-        self.beacon_interval
-    }
-
-    /// The received frames, sorted by start time.
-    pub fn frames(&self) -> &[TimelineFrame] {
-        &self.frames
-    }
-
-    /// Number of beacons transmitted during the trace (the `b_1..b_n`
-    /// range of Eq. 6 extended to the full duration).
-    pub fn beacon_count(&self) -> u64 {
-        (self.duration / self.beacon_interval).ceil() as u64
-    }
-
-    /// Index of the beacon interval containing time `t` (the `b_i` of
-    /// the model).
-    pub fn interval_of(&self, t: f64) -> u64 {
-        if t <= 0.0 {
-            0
-        } else {
-            (t / self.beacon_interval) as u64
-        }
-    }
-
-    /// Start time of beacon interval `i` (Eq. 11, `t_b(i)` with
-    /// `t_b(1) = 0` shifted to 0-based indexing).
-    pub fn interval_start(&self, i: u64) -> f64 {
-        i as f64 * self.beacon_interval
-    }
-
-    /// Recomputes every frame's *More Data* bit for a filtered sequence:
-    /// set exactly when the next frame falls within the same beacon
-    /// interval. This mirrors how an AP marks buffered broadcast frames
-    /// during a DTIM delivery and is how `d_more(i)` behaves after HIDE
-    /// removes useless frames from the client's perspective.
-    pub fn recompute_more_data(&mut self) {
-        // Back to front, so each frame's interval is computed once and
-        // compared with its successor's.
-        let mut successor = None;
-        for i in (0..self.frames.len()).rev() {
-            let interval = self.interval_of(self.frames[i].start);
-            self.frames[i].more_data = successor == Some(interval);
-            successor = Some(interval);
-        }
-    }
-}
-
 /// HIDE protocol overhead inputs for the `Eo` term (Eqs. 15–19).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overhead {
@@ -222,75 +103,6 @@ mod tests {
     use super::*;
     use crate::profile::NEXUS_ONE;
 
-    fn frame(start: f64) -> TimelineFrame {
-        TimelineFrame {
-            start,
-            airtime: 0.001,
-            more_data: false,
-            hold: 1.0,
-        }
-    }
-
-    #[test]
-    fn valid_timeline_accepted() {
-        let t = Timeline::new(10.0, 0.1024, vec![frame(1.0), frame(2.0)]).unwrap();
-        assert_eq!(t.frames().len(), 2);
-        assert_eq!(t.beacon_count(), 98);
-    }
-
-    #[test]
-    fn rejects_bad_duration_and_interval() {
-        assert!(matches!(
-            Timeline::new(0.0, 0.1, vec![]),
-            Err(EnergyError::NonPositiveDuration(_))
-        ));
-        assert!(matches!(
-            Timeline::new(10.0, 0.0, vec![]),
-            Err(EnergyError::NonPositiveBeaconInterval(_))
-        ));
-        assert!(Timeline::new(f64::NAN, 0.1, vec![]).is_err());
-    }
-
-    #[test]
-    fn rejects_unsorted_frames() {
-        let err = Timeline::new(10.0, 0.1, vec![frame(2.0), frame(1.0)]).unwrap_err();
-        assert!(matches!(err, EnergyError::InvalidFrame { index: 1, .. }));
-    }
-
-    #[test]
-    fn rejects_negative_fields() {
-        let mut f = frame(1.0);
-        f.airtime = -0.1;
-        assert!(Timeline::new(10.0, 0.1, vec![f]).is_err());
-        let mut f = frame(1.0);
-        f.hold = -1.0;
-        assert!(Timeline::new(10.0, 0.1, vec![f]).is_err());
-        assert!(Timeline::new(10.0, 0.1, vec![frame(-0.5)]).is_err());
-        assert!(Timeline::new(10.0, 0.1, vec![frame(11.0)]).is_err());
-    }
-
-    #[test]
-    fn interval_mapping() {
-        let t = Timeline::new(1.0, 0.1, vec![]).unwrap();
-        assert_eq!(t.interval_of(0.0), 0);
-        assert_eq!(t.interval_of(0.05), 0);
-        assert_eq!(t.interval_of(0.1), 1);
-        assert_eq!(t.interval_start(3), 0.30000000000000004);
-    }
-
-    #[test]
-    fn recompute_more_data_marks_same_interval_runs() {
-        let mut t = Timeline::new(
-            1.0,
-            0.1,
-            vec![frame(0.01), frame(0.02), frame(0.25), frame(0.5)],
-        )
-        .unwrap();
-        t.recompute_more_data();
-        let more: Vec<bool> = t.frames().iter().map(|f| f.more_data).collect();
-        assert_eq!(more, vec![true, false, false, false]);
-    }
-
     #[test]
     fn overhead_none_is_zero() {
         assert_eq!(Overhead::NONE.energy(&NEXUS_ONE), 0.0);
@@ -310,7 +122,12 @@ mod tests {
 
     #[test]
     fn frame_end_is_start_plus_airtime() {
-        let f = frame(1.5);
+        let f = TimelineFrame {
+            start: 1.5,
+            airtime: 0.001,
+            more_data: false,
+            hold: 1.0,
+        };
         assert!((f.end() - 1.501).abs() < 1e-12);
     }
 }

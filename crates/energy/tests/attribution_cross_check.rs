@@ -12,8 +12,9 @@
 
 use hide_energy::attribution::{AttributionLedger, WakePricing};
 use hide_energy::machine;
+use hide_energy::machine::MachineResult;
 use hide_energy::profile::{DeviceProfile, ALL_PROFILES};
-use hide_energy::timeline::{Timeline, TimelineFrame};
+use hide_energy::timeline::TimelineFrame;
 use hide_obs::provenance::ProvenanceLedger;
 
 /// Pinned epsilon: each nanojoule price is rounded half-up once, so a
@@ -21,9 +22,10 @@ use hide_obs::provenance::ProvenanceLedger;
 /// `n × 0.5 nJ`. We allow that bound plus f64 summation slack.
 const EPS_NJ_PER_CHARGE: f64 = 0.5;
 
-/// N frames, each arriving long after the previous wakelock expired
-/// and the suspend completed, so every frame is an isolated wake.
-fn isolated_frames(profile: &DeviceProfile, n: usize) -> Timeline {
+/// The machine over N frames, each arriving long after the previous
+/// wakelock expired and the suspend completed, so every frame is an
+/// isolated wake.
+fn isolated_frames(profile: &DeviceProfile, n: usize) -> MachineResult {
     let gap = 10.0 + profile.wakelock_secs + profile.resume_secs + profile.suspend_secs;
     let frames: Vec<TimelineFrame> = (0..n)
         .map(|i| TimelineFrame {
@@ -34,15 +36,14 @@ fn isolated_frames(profile: &DeviceProfile, n: usize) -> Timeline {
         })
         .collect();
     let duration = 5.0 + gap * n as f64 + 30.0;
-    Timeline::new(duration, 0.1024, frames).expect("valid timeline")
+    machine::run(profile, duration, frames)
 }
 
 #[test]
 fn ledger_reproduces_machine_energy_for_isolated_wakes() {
     for profile in &ALL_PROFILES {
         for n in [1usize, 7, 100] {
-            let timeline = isolated_frames(profile, n);
-            let m = machine::run(profile, &timeline);
+            let m = isolated_frames(profile, n);
             assert_eq!(m.resume_count, n as u64, "{}: not isolated", profile.name);
             let machine_j = m.wakelock_energy + m.state_transfer_energy;
 
@@ -66,8 +67,7 @@ fn ledger_reproduces_machine_energy_for_isolated_wakes() {
 #[test]
 fn wake_price_equals_single_isolated_frame_cost() {
     for profile in &ALL_PROFILES {
-        let timeline = isolated_frames(profile, 1);
-        let m = machine::run(profile, &timeline);
+        let m = isolated_frames(profile, 1);
         let pricing = WakePricing::from_profile(profile);
         let machine_nj = (m.wakelock_energy + m.state_transfer_energy) * 1e9;
         assert!(

@@ -61,7 +61,7 @@ impl StateSequences {
 /// # Panics
 ///
 /// Panics if `arrivals` is not sorted ascending — callers construct it
-/// from a validated `Timeline`.
+/// from sorted frames.
 pub fn compute(profile: &DeviceProfile, arrivals: &[f64]) -> StateSequences {
     let n = arrivals.len();
     let tau = profile.wakelock_secs;

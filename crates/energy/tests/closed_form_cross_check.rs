@@ -6,23 +6,26 @@
 mod closed_form;
 
 use hide_energy::machine;
+use hide_energy::machine::MachineResult;
 use hide_energy::profile::{DeviceProfile, GALAXY_S4, NEXUS_ONE};
-use hide_energy::timeline::{Timeline, TimelineFrame};
+use hide_energy::timeline::TimelineFrame;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Builds a timeline whose frames complete at exactly `arrivals`.
-fn timeline_from_arrivals(arrivals: &[f64], duration: f64, tau: f64) -> Timeline {
-    let frames = arrivals
-        .iter()
-        .map(|&a| TimelineFrame {
-            start: a,
-            airtime: 0.0,
-            more_data: false,
-            hold: tau,
-        })
-        .collect();
-    Timeline::new(duration, 0.1024, frames).expect("valid timeline")
+/// Runs the machine over frames that complete at exactly `arrivals`.
+fn run_arrivals(
+    profile: &DeviceProfile,
+    arrivals: &[f64],
+    duration: f64,
+    tau: f64,
+) -> MachineResult {
+    let frames = arrivals.iter().map(|&a| TimelineFrame {
+        start: a,
+        airtime: 0.0,
+        more_data: false,
+        hold: tau,
+    });
+    machine::run(profile, duration, frames)
 }
 
 fn sorted_arrivals() -> impl Strategy<Value = Vec<f64>> {
@@ -42,9 +45,7 @@ fn sorted_arrivals() -> impl Strategy<Value = Vec<f64>> {
 fn check_agreement(profile: &DeviceProfile, arrivals: &[f64]) {
     // Duration far past the last wakelock so end-clipping can't differ.
     let duration = arrivals.last().unwrap() + 100.0;
-    let timeline = timeline_from_arrivals(arrivals, duration, profile.wakelock_secs);
-
-    let m = machine::run(profile, &timeline);
+    let m = run_arrivals(profile, arrivals, duration, profile.wakelock_secs);
     let seq = closed_form::compute(profile, arrivals);
 
     let ewl_cf = seq.wakelock_energy(profile);
@@ -83,8 +84,7 @@ proptest! {
     #[test]
     fn suspend_plus_active_time_bounded(arrivals in sorted_arrivals()) {
         let duration = arrivals.last().unwrap() + 100.0;
-        let timeline = timeline_from_arrivals(&arrivals, duration, 1.0);
-        let m = machine::run(&NEXUS_ONE, &timeline);
+        let m = run_arrivals(&NEXUS_ONE, &arrivals, duration, 1.0);
         prop_assert!(m.suspend_time >= 0.0);
         prop_assert!(m.wakelock_time >= 0.0);
         prop_assert!(m.suspend_time + m.wakelock_time <= duration + 1e-9);
@@ -97,10 +97,8 @@ proptest! {
             return Ok(());
         }
         let duration = arrivals.last().unwrap() + 100.0;
-        let full = timeline_from_arrivals(&arrivals, duration, 1.0);
-        let half = timeline_from_arrivals(&arrivals[..arrivals.len() / 2], duration, 1.0);
-        let mf = machine::run(&NEXUS_ONE, &full);
-        let mh = machine::run(&NEXUS_ONE, &half);
+        let mf = run_arrivals(&NEXUS_ONE, &arrivals, duration, 1.0);
+        let mh = run_arrivals(&NEXUS_ONE, &arrivals[..arrivals.len() / 2], duration, 1.0);
         let ef = mf.state_transfer_energy + mf.wakelock_energy;
         let eh = mh.state_transfer_energy + mh.wakelock_energy;
         prop_assert!(eh <= ef + 1e-9, "half {eh} > full {ef}");

@@ -3,7 +3,8 @@
 
 use hide_energy::machine;
 use hide_energy::profile::{DeviceProfile, GALAXY_S4, NEXUS_ONE};
-use hide_energy::timeline::{Overhead, Timeline, TimelineFrame};
+use hide_energy::timeline::{Overhead, TimelineFrame};
+use hide_energy::MoreData;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -33,8 +34,9 @@ proptest! {
         let profile = if s4 { GALAXY_S4 } else { NEXUS_ONE };
         let frames = frames_from_gaps(&gaps, profile.wakelock_secs);
         let duration = frames.last().unwrap().start + 50.0;
-        let timeline = Timeline::new(duration, 0.1024, frames).unwrap();
-        let report = hide_energy::evaluate(&profile, &timeline, &Overhead::NONE);
+        let report = hide_energy::evaluate(&profile, duration, 0.1024, MoreData::AsGiven, frames)
+            .unwrap()
+            .report(&Overhead::NONE, &mut hide_obs::NoopSink);
         let b = report.breakdown;
         for (name, v) in [
             ("beacon", b.beacon),
@@ -77,14 +79,8 @@ proptest! {
             }
         }
 
-        let full = machine::run(
-            &profile,
-            &Timeline::new(duration, 0.1024, all).unwrap(),
-        );
-        let sub = machine::run(
-            &profile,
-            &Timeline::new(duration, 0.1024, keep).unwrap(),
-        );
+        let full = machine::run(&profile, duration, all);
+        let sub = machine::run(&profile, duration, keep);
         let e_full = full.wakelock_energy + full.state_transfer_energy;
         let e_sub = sub.wakelock_energy + sub.state_transfer_energy;
         // New suspend/resume cycles AND new aborted-suspend events both
@@ -111,7 +107,7 @@ proptest! {
         let frames = frames_from_gaps(&gaps, profile.wakelock_secs);
         let n = frames.len() as f64;
         let duration = frames.last().unwrap().start + 50.0;
-        let m = machine::run(&profile, &Timeline::new(duration, 0.1024, frames).unwrap());
+        let m = machine::run(&profile, duration, frames);
         prop_assert!(m.wakelock_time <= n * profile.wakelock_secs + 1e-9);
         prop_assert!(m.wakelock_time <= duration);
     }
@@ -124,7 +120,7 @@ proptest! {
         let frames = frames_from_gaps(&gaps, profile.wakelock_secs);
         let n = frames.len() as u64;
         let duration = frames.last().unwrap().start + 50.0;
-        let m = machine::run(&profile, &Timeline::new(duration, 0.1024, frames).unwrap());
+        let m = machine::run(&profile, duration, frames);
         prop_assert!(m.resume_count >= 1);
         prop_assert!(m.resume_count <= n);
         prop_assert!(
@@ -144,9 +140,8 @@ proptest! {
         };
         let frames = frames_from_gaps(&gaps, base.wakelock_secs);
         let duration = frames.last().unwrap().start + 50.0;
-        let timeline = Timeline::new(duration, 0.1024, frames).unwrap();
-        let a = machine::run(&base, &timeline).state_transfer_energy;
-        let b = machine::run(&scaled, &timeline).state_transfer_energy;
+        let a = machine::run(&base, duration, frames.clone()).state_transfer_energy;
+        let b = machine::run(&scaled, duration, frames).state_transfer_energy;
         prop_assert!((b - a * k).abs() < 1e-9, "expected {} got {b}", a * k);
     }
 }

@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use hide_energy::attribution::WakePricing;
     use hide_energy::machine;
-    use hide_energy::timeline::{Timeline, TimelineFrame};
+    use hide_energy::timeline::TimelineFrame;
 
     #[test]
     fn registry_has_table_i_plus_four() {
@@ -131,7 +131,6 @@ mod tests {
                 hold: if i % 4 == 0 { 0.0 } else { 1.0 },
             })
             .collect();
-        let timeline = Timeline::new(60.0, 0.1024, frames).unwrap();
         // (key, [wake_nj, forgone_nj, beacon_nj], f64 bits of
         // [wakelock_energy, state_transfer_energy, wakelock_time,
         // suspend_time], [resume_count, aborted_suspends]).
@@ -210,7 +209,7 @@ mod tests {
             assert_eq!(e.key, key);
             let p = WakePricing::from_profile(&e.profile);
             assert_eq!([p.wake_nj, p.forgone_nj, p.beacon_nj], prices, "{key}");
-            let m = machine::run(&e.profile, &timeline);
+            let m = machine::run(&e.profile, 60.0, frames.iter().copied());
             let got = [
                 m.wakelock_energy,
                 m.state_transfer_energy,

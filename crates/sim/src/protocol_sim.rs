@@ -1,8 +1,8 @@
 //! Protocol-driven simulation: runs the *actual* HIDE implementation —
 //! [`hide_core::ap::AccessPoint`] and [`hide_core::client::HideClient`],
 //! real encoded beacons included — over a trace, beacon interval by
-//! beacon interval, and feeds the resulting reception timeline through
-//! the energy model.
+//! beacon interval, and streams the frames the client receives through
+//! the one-pass energy model as they arrive.
 //!
 //! This is the ground truth the fast marking-based
 //! [`crate::SimulationBuilder`] is validated against: both must agree
@@ -21,8 +21,8 @@ use hide_core::ap::{AccessPoint, ApCtx, BeaconMode};
 use hide_core::client::{HideClient, OpenPortRegistry, WakeDecision};
 use hide_core::CoreError;
 use hide_energy::profile::DeviceProfile;
-use hide_energy::timeline::{Overhead, Timeline, TimelineFrame};
-use hide_energy::EnergyReport;
+use hide_energy::timeline::{Overhead, TimelineFrame};
+use hide_energy::{EnergyReport, MoreData, Pass};
 use hide_obs::{Counter, MetricsSink, TraceEventKind, TraceSink, WakeCause, WakeClass};
 use hide_policy::WakePolicy;
 use hide_traces::record::Trace;
@@ -53,7 +53,7 @@ pub struct ProtocolStats {
 /// Outcome of a protocol-driven run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolOutcome {
-    /// Energy report computed from the protocol-derived timeline.
+    /// Energy report computed from the frames the protocol delivered.
     pub energy: EnergyReport,
     /// Protocol statistics.
     pub stats: ProtocolStats,
@@ -153,10 +153,28 @@ impl<'a> ProtocolSimulation<'a> {
             sync(&mut client, &mut ap)?;
         }
 
+        // A scheduled-wake client deep-sleeps through out-of-window
+        // beacons, so the energy model's beacon cadence stretches by
+        // the schedule's interval:period ratio. Hide and PSM hear every
+        // beacon.
+        let heard_beacon_interval = match self.policy.schedule() {
+            Some(s) => {
+                self.beacon_interval * f64::from(s.interval_dtims) / f64::from(s.period_dtims)
+            }
+            None => self.beacon_interval,
+        };
+        // The frames the client receives stream straight into the
+        // energy model; the AP re-marks More Data over its bursts.
+        let mut received = Pass::new(
+            &self.profile,
+            self.trace.duration,
+            heard_beacon_interval,
+            MoreData::Recompute,
+        );
+
         // --- walk the beacon schedule ---
         let intervals = (self.trace.duration / self.beacon_interval).ceil() as u64;
         let mut frame_iter = self.trace.frames.iter().peekable();
-        let mut timeline_frames: Vec<TimelineFrame> = Vec::new();
         let mut stats = ProtocolStats {
             beacons: 0,
             wake_intervals: 0,
@@ -234,7 +252,7 @@ impl<'a> ProtocolSimulation<'a> {
                     }
                     let airtime = phy::airtime_of_total_bytes(frame.len_bytes(), DataRate::R1M);
                     if t <= self.trace.duration {
-                        timeline_frames.push(TimelineFrame {
+                        received.push(TimelineFrame {
                             start: t,
                             airtime,
                             more_data: false,
@@ -280,7 +298,7 @@ impl<'a> ProtocolSimulation<'a> {
                         }
                         let airtime = phy::airtime_of_total_bytes(frame.len_bytes(), DataRate::R1M);
                         if t <= self.trace.duration {
-                            timeline_frames.push(TimelineFrame {
+                            received.push(TimelineFrame {
                                 start: t,
                                 airtime,
                                 more_data: false,
@@ -313,19 +331,7 @@ impl<'a> ProtocolSimulation<'a> {
             }
         }
 
-        // A scheduled-wake client deep-sleeps through out-of-window
-        // beacons, so the energy model's beacon cadence stretches by
-        // the schedule's interval:period ratio. Hide and PSM hear every
-        // beacon.
-        let heard_beacon_interval = match self.policy.schedule() {
-            Some(s) => {
-                self.beacon_interval * f64::from(s.interval_dtims) / f64::from(s.period_dtims)
-            }
-            None => self.beacon_interval,
-        };
-        let mut timeline =
-            Timeline::new(self.trace.duration, heard_beacon_interval, timeline_frames)?;
-        timeline.recompute_more_data();
+        let received = received.finish()?;
 
         let msg_len = 24 + 2 + 2 * marking.useful_ports().len().min(100);
         let overhead = Overhead {
@@ -335,7 +341,7 @@ impl<'a> ProtocolSimulation<'a> {
         };
         ap.port_table().observe_into(&mut sink);
         sink.add(Counter::PortMessages, stats.port_messages);
-        let energy = hide_energy::evaluate_observed(&self.profile, &timeline, &overhead, &mut sink);
+        let energy = received.report(&overhead, &mut sink);
         Ok(ProtocolOutcome { energy, stats })
     }
 

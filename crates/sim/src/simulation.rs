@@ -1,14 +1,15 @@
-//! The trace-driven simulation: trace + solution → reception timeline →
-//! energy report.
+//! The trace-driven simulation: trace + solution → the frames the
+//! client receives, streamed through the one-pass energy model → energy
+//! report.
 
 use crate::error::SimError;
 use crate::solution::Solution;
 use hide_core::CoreError;
 use hide_energy::profile::DeviceProfile;
-use hide_energy::timeline::{Overhead, Timeline, TimelineFrame};
-use hide_energy::EnergyReport;
+use hide_energy::timeline::{EnergyError, Overhead, TimelineFrame};
+use hide_energy::{EnergyReport, Evaluation, MoreData};
 use hide_obs::{Counter, Distribution, MetricsSink};
-use hide_traces::record::Trace;
+use hide_traces::record::{Trace, TraceFrame};
 use hide_traces::unicast::UnicastTrace;
 use hide_traces::useful::Usefulness;
 use hide_wifi::frame::UdpPortMessage;
@@ -148,7 +149,11 @@ impl<'a> SimulationBuilder<'a> {
     /// the run, its trace/delivered/hidden/wake frames and UDP Port
     /// Messages, feeds the per-run delivered and hidden counts into
     /// their distributions, and forwards the sink into the energy model
-    /// ([`hide_energy::evaluate_observed`]).
+    /// ([`hide_energy::Evaluation::report`]).
+    ///
+    /// The trace's frames stream once through the one-pass evaluator
+    /// ([`hide_energy::evaluate`]); only a unicast overlay, which
+    /// reorders the frames, collects them first.
     ///
     /// The sink is taken by value, as [`hide_core::ap::ApCtx`] takes
     /// its sinks: pass [`NoopSink`](hide_obs::NoopSink) for an
@@ -163,145 +168,87 @@ impl<'a> SimulationBuilder<'a> {
     /// (more than `OpenUdpPorts::MAX_PORTS`).
     pub fn run<S: MetricsSink>(&self, mut sink: S) -> Result<SimulationResult, SimError> {
         let tau = self.profile.wakelock_secs;
+        let received = |f: &TraceFrame, hold: f64| TimelineFrame {
+            start: f.time,
+            airtime: f.airtime(),
+            more_data: f.more_data,
+            hold,
+        };
+        let frames = self.trace.frames.iter();
 
-        // Build the reception timeline for the chosen solution. Every
-        // branch below pushes at most one entry per trace frame (plus
-        // the unicast overlay), so one up-front reservation covers the
-        // whole construction with no reallocation.
-        let unicast_len = self.unicast.map_or(0, |u| u.arrivals().len());
-        let mut frames: Vec<TimelineFrame> = Vec::with_capacity(self.trace.len() + unicast_len);
-        let mut filtered_by_ap = false;
-        let achieved: Option<f64>;
-        match self.solution {
-            Solution::ReceiveAll => {
-                achieved = None;
-                for f in &self.trace.frames {
-                    frames.push(TimelineFrame {
-                        start: f.time,
-                        airtime: f.airtime(),
-                        more_data: f.more_data,
-                        hold: tau,
-                    });
-                }
-            }
+        // The reception timeline of the chosen solution, one frame at a
+        // time. HIDE and hybrid frames are the ones the AP filtered.
+        let (achieved, evaluation) = match self.solution {
+            Solution::ReceiveAll => (None, self.evaluate(false, frames.map(|f| received(f, tau)))),
             Solution::ClientSide { useful_fraction } => {
                 let marking = self.mark_useful(useful_fraction);
-                achieved = Some(marking.achieved_fraction());
-                for (i, f) in self.trace.frames.iter().enumerate() {
-                    frames.push(TimelineFrame {
-                        start: f.time,
-                        airtime: f.airtime(),
-                        more_data: f.more_data,
-                        hold: if marking.is_useful(i) { tau } else { 0.0 },
-                    });
-                }
+                let frames = frames
+                    .zip(marking.flags())
+                    .map(|(f, &useful)| received(f, if useful { tau } else { 0.0 }));
+                (
+                    Some(marking.achieved_fraction()),
+                    self.evaluate(false, frames),
+                )
             }
             Solution::Hide { useful_fraction } => {
-                filtered_by_ap = true;
                 let marking = self.mark_useful(useful_fraction);
-                achieved = Some(marking.achieved_fraction());
-                for (i, f) in self.trace.frames.iter().enumerate() {
-                    if marking.is_useful(i) {
-                        frames.push(TimelineFrame {
-                            start: f.time,
-                            airtime: f.airtime(),
-                            more_data: false, // recomputed below
-                            hold: tau,
-                        });
-                    }
-                }
+                let frames = frames
+                    .zip(marking.flags())
+                    .filter(|&(_, &useful)| useful)
+                    .map(|(f, _)| received(f, tau));
+                (
+                    Some(marking.achieved_fraction()),
+                    self.evaluate(true, frames),
+                )
             }
             Solution::Hybrid {
                 delivered_fraction,
                 useful_fraction,
             } => {
-                filtered_by_ap = true;
                 // The AP delivers the port-matching share...
                 let delivered = self.mark_useful(delivered_fraction);
                 // ...and the client's driver keeps only the app-useful
                 // sub-share, chosen port-consistently within the
-                // delivered sub-trace.
-                let sub = self.trace.filter_by_index(|i| delivered.is_useful(i));
+                // delivered frames.
                 let within = if delivered_fraction > 0.0 {
                     (useful_fraction / delivered_fraction).min(1.0)
                 } else {
                     0.0
                 };
-                let app = Usefulness::port_based(&sub, within);
-                achieved = Some(if !self.trace.is_empty() {
+                let app = Usefulness::port_based_within(self.trace, &delivered, within);
+                let achieved = if !self.trace.is_empty() {
                     app.useful_count() as f64 / self.trace.len() as f64
                 } else {
                     0.0
-                });
-                let mut j = 0usize;
-                for (i, f) in self.trace.frames.iter().enumerate() {
-                    if delivered.is_useful(i) {
-                        frames.push(TimelineFrame {
-                            start: f.time,
-                            airtime: f.airtime(),
-                            more_data: false, // recomputed below
-                            hold: if app.is_useful(j) { tau } else { 0.0 },
-                        });
-                        j += 1;
-                    }
-                }
+                };
+                let frames = frames
+                    .zip(delivered.flags())
+                    .filter(|&(_, &delivered)| delivered)
+                    .zip(app.flags())
+                    .map(|((f, _), &useful)| received(f, if useful { tau } else { 0.0 }));
+                (Some(achieved), self.evaluate(true, frames))
             }
-        }
-
-        // With a DTIM period above 1, the AP buffers frames and delivers
-        // them in a burst after each DTIM beacon.
-        if self.dtim_period > 1 {
-            batch_at_dtim(&mut frames, self.beacon_interval, self.dtim_period);
-            frames.retain(|f| f.start <= self.trace.duration);
-        }
-
-        // Unicast overlay: delivered right after the first beacon that
-        // announces it, waking the device regardless of solution.
-        if let Some(unicast) = self.unicast {
-            let airtime =
-                phy::airtime_of_total_bytes(unicast.frame_bytes() as usize, DataRate::R2M);
-            for &arrival in unicast.arrivals() {
-                let beacon_idx = (arrival / self.beacon_interval).floor() + 1.0;
-                let delivery = beacon_idx * self.beacon_interval;
-                if delivery <= self.trace.duration {
-                    frames.push(TimelineFrame {
-                        start: delivery,
-                        airtime,
-                        more_data: false,
-                        hold: tau,
-                    });
-                }
-            }
-            frames.sort_by(|a, b| a.start.total_cmp(&b.start));
-        }
-
-        let received_frames = frames.len();
-        let wake_frames = frames.iter().filter(|f| f.hold > 0.0).count();
-
-        let mut timeline = Timeline::new(self.trace.duration, self.beacon_interval, frames)?;
-        if filtered_by_ap || self.dtim_period > 1 {
-            // The More Data bits follow the frames actually delivered
-            // to this client, not the raw trace.
-            timeline.recompute_more_data();
-        }
+        };
+        let evaluation = evaluation?;
 
         let overhead = if self.solution.has_hide_overhead() {
-            self.hide_overhead(&timeline)?
+            self.hide_overhead(evaluation.beacons)?
         } else {
             Overhead::NONE
         };
 
+        let received_frames = evaluation.frames;
         sink.incr(Counter::SimsRun);
         sink.add(Counter::TraceFrames, self.trace.len() as u64);
         sink.add(Counter::FramesDelivered, received_frames as u64);
         let hidden = (self.trace.len() - received_frames.min(self.trace.len())) as u64;
         sink.add(Counter::FramesHidden, hidden);
-        sink.add(Counter::FramesWake, wake_frames as u64);
+        sink.add(Counter::FramesWake, evaluation.wake_frames as u64);
         sink.add(Counter::PortMessages, overhead.port_messages);
         sink.observe(Distribution::DeliveredPerRun, received_frames as u64);
         sink.observe(Distribution::HiddenPerRun, hidden);
 
-        let energy = hide_energy::evaluate_observed(&self.profile, &timeline, &overhead, &mut sink);
+        let energy = evaluation.report(&overhead, &mut sink);
         Ok(SimulationResult {
             solution: self.solution,
             scenario: self.trace.scenario.clone(),
@@ -309,9 +256,73 @@ impl<'a> SimulationBuilder<'a> {
             energy,
             achieved_useful_fraction: achieved,
             received_frames,
-            wake_frames,
+            wake_frames: evaluation.wake_frames,
             trace_frames: self.trace.len(),
         })
+    }
+
+    /// Evaluates the frames a solution delivers, in trace order, after
+    /// the DTIM batching and the unicast overlay this run configures.
+    fn evaluate(
+        &self,
+        filtered_by_ap: bool,
+        frames: impl Iterator<Item = TimelineFrame>,
+    ) -> Result<Evaluation<'_>, EnergyError> {
+        // The More Data bits follow the frames actually delivered to
+        // this client, not the raw trace.
+        let more_data = if filtered_by_ap || self.dtim_period > 1 {
+            MoreData::Recompute
+        } else {
+            MoreData::AsGiven
+        };
+        if self.dtim_period > 1 {
+            // The AP buffers frames and delivers them in a burst after
+            // each DTIM beacon.
+            let duration = self.trace.duration;
+            let frames = batch_at_dtim(frames, self.beacon_interval, self.dtim_period)
+                .filter(move |f| f.start <= duration);
+            self.overlay_unicast(more_data, frames)
+        } else {
+            self.overlay_unicast(more_data, frames)
+        }
+    }
+
+    /// Adds the unicast overlay, if any: each unicast frame is delivered
+    /// right after the first beacon that announces it, waking the device
+    /// regardless of solution. The overlay reorders the frames, so only
+    /// this path collects them.
+    fn overlay_unicast(
+        &self,
+        more_data: MoreData,
+        frames: impl Iterator<Item = TimelineFrame>,
+    ) -> Result<Evaluation<'_>, EnergyError> {
+        let (duration, beacon_interval) = (self.trace.duration, self.beacon_interval);
+        let Some(unicast) = self.unicast else {
+            return hide_energy::evaluate(
+                &self.profile,
+                duration,
+                beacon_interval,
+                more_data,
+                frames,
+            );
+        };
+        let mut all = Vec::with_capacity(self.trace.len() + unicast.arrivals().len());
+        all.extend(frames);
+        let airtime = phy::airtime_of_total_bytes(unicast.frame_bytes() as usize, DataRate::R2M);
+        for &arrival in unicast.arrivals() {
+            let beacon_idx = (arrival / beacon_interval).floor() + 1.0;
+            let delivery = beacon_idx * beacon_interval;
+            if delivery <= duration {
+                all.push(TimelineFrame {
+                    start: delivery,
+                    airtime,
+                    more_data: false,
+                    hold: self.profile.wakelock_secs,
+                });
+            }
+        }
+        all.sort_by(|a, b| a.start.total_cmp(&b.start));
+        hide_energy::evaluate(&self.profile, duration, beacon_interval, more_data, all)
     }
 
     fn mark_useful(&self, fraction: f64) -> Usefulness {
@@ -326,8 +337,8 @@ impl<'a> SimulationBuilder<'a> {
         }
     }
 
-    /// The `Eo` inputs of Eqs. (15)–(19) for this configuration.
-    fn hide_overhead(&self, timeline: &Timeline) -> Result<Overhead, CoreError> {
+    /// The `Eo` inputs of Eqs. (15)–(19) for a run of `beacons` beacons.
+    fn hide_overhead(&self, beacons: u64) -> Result<Overhead, CoreError> {
         // One UDP Port Message per sync interval (Eq. 18, M = f · T).
         let port_messages = (self.trace.duration / self.sync_interval_secs).ceil() as u64;
         // Eq. (19): the message's MAC bytes, preceded by the PHY
@@ -345,7 +356,7 @@ impl<'a> SimulationBuilder<'a> {
         let bitmap_bytes = (self.network_aid_span as usize) / 8 + 1;
         let btim_bytes_per_beacon = (2 + 1 + bitmap_bytes) as f64;
         Ok(Overhead {
-            btim_bytes_total: btim_bytes_per_beacon * timeline.beacon_count() as f64,
+            btim_bytes_total: btim_bytes_per_beacon * beacons as f64,
             port_messages,
             port_message_airtime,
         })
@@ -355,15 +366,18 @@ impl<'a> SimulationBuilder<'a> {
 /// Reschedules frame delivery to post-DTIM bursts: each frame goes on
 /// air at the first DTIM beacon after its (AP) arrival time, queued
 /// back to back behind earlier deliveries.
-fn batch_at_dtim(frames: &mut [TimelineFrame], beacon_interval: f64, period: u8) {
+fn batch_at_dtim(
+    frames: impl Iterator<Item = TimelineFrame>,
+    beacon_interval: f64,
+    period: u8,
+) -> impl Iterator<Item = TimelineFrame> {
     let dtim_interval = beacon_interval * period as f64;
-    let mut cursor = 0.0f64;
-    for f in frames.iter_mut() {
+    frames.scan(0.0f64, move |cursor, mut f| {
         let next_dtim = ((f.start / dtim_interval).floor() + 1.0) * dtim_interval;
-        let start = next_dtim.max(cursor);
-        f.start = start;
-        cursor = start + f.airtime;
-    }
+        f.start = next_dtim.max(*cursor);
+        *cursor = f.start + f.airtime;
+        Some(f)
+    })
 }
 
 /// The outcome of one simulation run.

@@ -12,6 +12,28 @@ use hide_wifi::phy::DataRate;
 /// Number of distinct UDP ports: the size of a table indexed by port.
 pub(crate) const PORT_COUNT: usize = 1 << 16;
 
+/// Histogram of `frames` per UDP destination port, descending by count
+/// (ties ascending by port).
+pub(crate) fn port_histogram<'a>(
+    frames: impl Iterator<Item = &'a TraceFrame>,
+) -> Vec<(u16, usize)> {
+    let mut counts = vec![0usize; PORT_COUNT];
+    let mut ports = Vec::new();
+    for f in frames {
+        let count = &mut counts[usize::from(f.dst_port)];
+        if *count == 0 {
+            ports.push(f.dst_port);
+        }
+        *count += 1;
+    }
+    let mut hist: Vec<(u16, usize)> = ports
+        .into_iter()
+        .map(|p| (p, counts[usize::from(p)]))
+        .collect();
+    hist.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    hist
+}
+
 /// One UDP-padded broadcast frame in a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceFrame {
@@ -97,21 +119,7 @@ impl Trace {
     /// Histogram of frames per UDP destination port, descending by
     /// count (ties ascending by port).
     pub fn port_histogram(&self) -> Vec<(u16, usize)> {
-        let mut counts = vec![0usize; PORT_COUNT];
-        let mut ports = Vec::new();
-        for f in &self.frames {
-            let count = &mut counts[usize::from(f.dst_port)];
-            if *count == 0 {
-                ports.push(f.dst_port);
-            }
-            *count += 1;
-        }
-        let mut hist: Vec<(u16, usize)> = ports
-            .into_iter()
-            .map(|p| (p, counts[usize::from(p)]))
-            .collect();
-        hist.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        hist
+        port_histogram(self.frames.iter())
     }
 
     /// Recomputes every frame's *More Data* bit with the same-beacon-
@@ -125,22 +133,6 @@ impl Trace {
             let interval = (frame.time / beacon_interval) as u64;
             frame.more_data = successor == Some(interval);
             successor = Some(interval);
-        }
-    }
-
-    /// Returns the sub-trace containing only frames whose index
-    /// satisfies `keep`, preserving duration and scenario.
-    pub fn filter_by_index<F: FnMut(usize) -> bool>(&self, mut keep: F) -> Trace {
-        Trace {
-            scenario: self.scenario.clone(),
-            duration: self.duration,
-            frames: self
-                .frames
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| keep(*i))
-                .map(|(_, f)| *f)
-                .collect(),
         }
     }
 
@@ -245,16 +237,6 @@ mod tests {
         t.assign_more_data(0.1024);
         let bits: Vec<bool> = t.frames.iter().map(|f| f.more_data).collect();
         assert_eq!(bits, vec![true, false, false]);
-    }
-
-    #[test]
-    fn filter_by_index_keeps_metadata() {
-        let t = Trace::new("x", 10.0, vec![frame(0.0, 1), frame(1.0, 2)]);
-        let f = t.filter_by_index(|i| i == 1);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.frames[0].dst_port, 2);
-        assert_eq!(f.duration, 10.0);
-        assert_eq!(f.scenario, "x");
     }
 
     #[test]

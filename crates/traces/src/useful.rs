@@ -21,7 +21,7 @@
 //! trace. `tests/proptest_useful.rs` checks both against a tree
 //! histogram and a binary search per frame.
 
-use crate::record::{Trace, PORT_COUNT};
+use crate::record::{port_histogram, Trace, TraceFrame, PORT_COUNT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,17 +64,42 @@ impl Usefulness {
     ///
     /// Panics if `target_fraction` is outside `[0, 1]`.
     pub fn port_based(trace: &Trace, target_fraction: f64) -> Self {
+        Usefulness::port_based_over(trace.frames.iter(), target_fraction)
+    }
+
+    /// [`Usefulness::port_based`] on the sub-trace of the frames `among`
+    /// marks useful, without copying it: the flags align with that
+    /// sub-trace, so flag `j` belongs to the `j`-th frame `among` marks.
+    /// This is how a client marks the share an AP delivers to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target_fraction` is outside `[0, 1]`.
+    pub fn port_based_within(trace: &Trace, among: &Usefulness, target_fraction: f64) -> Self {
+        let frames = trace
+            .frames
+            .iter()
+            .zip(&among.flags)
+            .filter(|&(_, &useful)| useful)
+            .map(|(f, _)| f);
+        Usefulness::port_based_over(frames, target_fraction)
+    }
+
+    fn port_based_over<'a, I>(frames: I, target_fraction: f64) -> Self
+    where
+        I: Iterator<Item = &'a TraceFrame> + Clone,
+    {
         assert!(
             (0.0..=1.0).contains(&target_fraction),
             "target fraction must be in [0, 1]"
         );
-        let total = trace.len();
+        let total = frames.clone().count();
         if total == 0 || target_fraction == 0.0 {
-            return Usefulness::from_ports(trace, &[]);
+            return Usefulness::from_ports_over(frames, &[]);
         }
 
         // Ascending by frequency, so small ports fill the budget finely.
-        let mut hist = trace.port_histogram();
+        let mut hist = port_histogram(frames.clone());
         hist.reverse();
 
         let mut chosen: Vec<u16> = Vec::new();
@@ -97,7 +122,7 @@ impl Usefulness {
                 chosen.push(port);
             }
         }
-        Usefulness::from_ports(trace, &chosen)
+        Usefulness::from_ports_over(frames, &chosen)
     }
 
     /// Like [`Usefulness::port_based`], but considers ports in a seeded
@@ -146,15 +171,15 @@ impl Usefulness {
 
     /// Marks useful exactly the frames destined to `ports`.
     pub fn from_ports(trace: &Trace, ports: &[u16]) -> Self {
+        Usefulness::from_ports_over(trace.frames.iter(), ports)
+    }
+
+    fn from_ports_over<'a>(frames: impl Iterator<Item = &'a TraceFrame>, ports: &[u16]) -> Self {
         let mut set = PortSet::new();
         for &port in ports {
             set.insert(port);
         }
-        let flags = trace
-            .frames
-            .iter()
-            .map(|f| set.contains(f.dst_port))
-            .collect();
+        let flags = frames.map(|f| set.contains(f.dst_port)).collect();
         let mut sorted = ports.to_vec();
         sorted.sort_unstable();
         sorted.dedup();

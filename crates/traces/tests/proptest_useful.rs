@@ -191,4 +191,34 @@ proptest! {
             "from_ports {:?}", ports
         );
     }
+
+    /// Marking within the frames another marking keeps equals marking a
+    /// copy of that sub-trace (how the hybrid solution marked it before
+    /// it stopped copying).
+    fn port_based_within_matches_the_copied_sub_trace(
+        trace in trace_strategy(),
+        kinds in (0u8..6, 0u8..6),
+        raw in (0.0f64..1.0, 0.0f64..1.0),
+        seed in any::<u64>(),
+    ) {
+        let delivered = if kinds.0 == 5 {
+            Usefulness::bernoulli(&trace, raw.0, seed)
+        } else {
+            Usefulness::port_based(&trace, fraction(kinds.0, raw.0, trace.len()))
+        };
+        let kept = trace
+            .frames
+            .iter()
+            .zip(delivered.flags())
+            .filter(|&(_, &d)| d)
+            .map(|(f, _)| *f)
+            .collect();
+        let sub = Trace::new("sub", trace.duration, kept);
+        let within = fraction(kinds.1, raw.1, sub.len());
+        prop_assert_eq!(
+            parts(&Usefulness::port_based_within(&trace, &delivered, within)),
+            parts(&Usefulness::port_based(&sub, within)),
+            "within {} of {} delivered", within, sub.len()
+        );
+    }
 }

@@ -67,7 +67,7 @@ fn decode_header(
 /// let req = AssociationRequest::new(MacAddr::station(1), MacAddr::station(0), "cafe")
 ///     .with_hide_support();
 /// let parsed = AssociationRequest::parse(&req.to_bytes())?;
-/// assert_eq!(parsed.ssid(), "cafe");
+/// assert_eq!(parsed.ssid(), b"cafe");
 /// assert!(parsed.supports_hide());
 /// # Ok::<(), hide_wifi::WifiError>(())
 /// ```
@@ -75,18 +75,29 @@ fn decode_header(
 pub struct AssociationRequest {
     client: MacAddr,
     ap: MacAddr,
-    ssid: String,
+    ssid: Vec<u8>,
     listen_interval: u16,
     hide_support: bool,
 }
 
 impl AssociationRequest {
     /// Creates a request to join `ssid` at `ap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ssid` is longer than [`MAX_SSID_LEN`] octets: no
+    /// 802.11 SSID element can carry it.
     pub fn new(client: MacAddr, ap: MacAddr, ssid: impl Into<String>) -> Self {
+        let ssid = ssid.into();
+        assert!(
+            ssid.len() <= MAX_SSID_LEN,
+            "SSID of {} octets exceeds the {MAX_SSID_LEN}-octet limit",
+            ssid.len()
+        );
         AssociationRequest {
             client,
             ap,
-            ssid: ssid.into(),
+            ssid: ssid.into_bytes(),
             listen_interval: 1,
             hide_support: false,
         }
@@ -116,8 +127,9 @@ impl AssociationRequest {
         self.ap
     }
 
-    /// The requested SSID.
-    pub fn ssid(&self) -> &str {
+    /// The requested SSID's octets as they came: 802.11 does not
+    /// require an SSID to be UTF-8.
+    pub fn ssid(&self) -> &[u8] {
         &self.ssid
     }
 
@@ -143,7 +155,7 @@ impl AssociationRequest {
         out.extend_from_slice(&0x0001u16.to_le_bytes()); // capability: ESS
         out.extend_from_slice(&self.listen_interval.to_le_bytes());
         write_element(&mut out, ELEMENT_ID_SSID, |out| {
-            out.extend_from_slice(self.ssid.as_bytes())
+            out.extend_from_slice(&self.ssid)
         });
         if self.hide_support {
             write_element(&mut out, ELEMENT_ID_OPEN_UDP_PORTS, |_| {});
@@ -156,8 +168,9 @@ impl AssociationRequest {
     /// # Errors
     ///
     /// Returns [`WifiError::Truncated`] / [`WifiError::UnknownFrameType`]
-    /// for buffers that are not a well-formed request, and element
-    /// errors for malformed bodies.
+    /// for buffers that are not a well-formed request, element errors
+    /// for malformed bodies and [`WifiError::FieldOverflow`] for an SSID
+    /// longer than [`MAX_SSID_LEN`] octets.
     pub fn parse(buf: &[u8]) -> Result<Self, WifiError> {
         let (ap, client, body) = decode_header(buf, FrameSubtype::AssociationRequest)?;
         if body.len() < 4 {
@@ -169,12 +182,18 @@ impl AssociationRequest {
         }
         let listen_interval = u16::from_le_bytes([body[2], body[3]]);
         let elements = InformationElement::decode_all(&body[4..])?;
-        let mut ssid = String::new();
+        let mut ssid = Vec::new();
         let mut hide_support = false;
         for e in elements {
             match e {
                 InformationElement::Raw(raw) if raw.id == ELEMENT_ID_SSID => {
-                    ssid = String::from_utf8_lossy(&raw.body).into_owned();
+                    if raw.body.len() > MAX_SSID_LEN {
+                        return Err(WifiError::FieldOverflow {
+                            field: "ssid",
+                            value: raw.body.len() as u64,
+                        });
+                    }
+                    ssid = raw.body;
                 }
                 InformationElement::OpenUdpPorts(_) => hide_support = true,
                 _ => {}
@@ -383,7 +402,7 @@ mod tests {
     fn utf8_ssid_survives() {
         let req = AssociationRequest::new(MacAddr::station(1), MacAddr::station(0), "café ☕");
         let parsed = AssociationRequest::parse(&req.to_bytes()).unwrap();
-        assert_eq!(parsed.ssid(), "café ☕");
+        assert_eq!(parsed.ssid(), "café ☕".as_bytes());
     }
 
     #[test]

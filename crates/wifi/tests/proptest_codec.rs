@@ -1,6 +1,6 @@
 //! Property-based tests for the 802.11 wire codecs.
 
-use hide_wifi::assoc::{AssociationRequest, AssociationResponse, Disassociation};
+use hide_wifi::assoc::{AssociationRequest, AssociationResponse, Disassociation, MAX_SSID_LEN};
 use hide_wifi::bitmap::PartialVirtualBitmap;
 use hide_wifi::frame::{
     Ack, AnyFrame, BeaconFields, BeaconView, BroadcastDataFrame, PsPoll, UdpPortMessage,
@@ -168,6 +168,18 @@ fn ssid_strategy() -> impl Strategy<Value = String> {
     const CHARSET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ._-";
     vec(0usize..CHARSET.len(), 0..32)
         .prop_map(|idxs| idxs.into_iter().map(|i| CHARSET[i] as char).collect())
+}
+
+/// The wire image of an association request whose SSID element carries
+/// exactly `octets`.
+fn request_with_ssid_octets(octets: &[u8]) -> Vec<u8> {
+    let mut wire = AssociationRequest::new(MacAddr::station(1), MacAddr::station(0), "").to_bytes();
+    // A legacy request ends with its SSID element, here empty.
+    assert_eq!(wire[wire.len() - 2..], [0, 0]);
+    wire.truncate(wire.len() - 2);
+    wire.extend_from_slice(&[0, octets.len() as u8]);
+    wire.extend_from_slice(octets);
+    wire
 }
 
 proptest! {
@@ -551,4 +563,55 @@ proptest! {
         let cut = cut.min(bytes.len());
         let _ = AssociationResponse::parse(&bytes[..cut]);
     }
+
+    /// An SSID from the wire parses exactly when it is at most 32
+    /// octets, UTF-8 or not, and its request then re-encodes to the same
+    /// bytes. A longer one is a structured error.
+    #[test]
+    fn association_request_ssid_octets_round_trip_or_are_rejected(
+        octets in vec(any::<u8>(), 0..=48),
+    ) {
+        let wire = request_with_ssid_octets(&octets);
+        match AnyFrame::parse(&wire) {
+            Ok(AnyFrame::AssociationRequest(req)) if octets.len() <= MAX_SSID_LEN => {
+                prop_assert_eq!(req.ssid(), &octets[..]);
+                prop_assert_eq!(AnyFrame::AssociationRequest(req).to_bytes(), wire);
+            }
+            Err(e) if octets.len() > MAX_SSID_LEN => {
+                let value = octets.len() as u64;
+                prop_assert_eq!(e, WifiError::FieldOverflow { field: "ssid", value });
+            }
+            got => prop_assert!(false, "{got:?} for {} octets", octets.len()),
+        }
+    }
+}
+
+#[test]
+fn association_request_ssid_is_bounded_at_32_octets() {
+    let (client, ap) = (MacAddr::station(1), MacAddr::station(0));
+    let wire = AssociationRequest::new(client, ap, "s".repeat(32)).to_bytes();
+    assert_eq!(AnyFrame::parse(&wire).unwrap().to_bytes(), wire);
+    assert_eq!(
+        AssociationRequest::parse(&request_with_ssid_octets(&[b's'; 40])),
+        Err(WifiError::FieldOverflow {
+            field: "ssid",
+            value: 40
+        })
+    );
+}
+
+#[test]
+fn association_request_keeps_a_non_utf8_ssid_exactly() {
+    // Decoded lossily, 0xff would come back as U+FFFD, three octets that
+    // re-encode to a different frame.
+    let wire = request_with_ssid_octets(&[b'a', 0xff]);
+    let frame = AnyFrame::parse(&wire).unwrap();
+    assert!(matches!(&frame, AnyFrame::AssociationRequest(req) if req.ssid() == [b'a', 0xff]));
+    assert_eq!(frame.to_bytes(), wire);
+}
+
+#[test]
+#[should_panic(expected = "exceeds the 32-octet limit")]
+fn association_request_new_refuses_a_300_octet_ssid() {
+    let _ = AssociationRequest::new(MacAddr::station(1), MacAddr::station(0), "s".repeat(300));
 }
